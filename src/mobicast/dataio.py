@@ -26,22 +26,6 @@ BUNDLE_FORMAT_VERSION = "1"
 
 # ---------------------------------------------------------------- records
 
-@dataclass(frozen=True)
-class RawMobilityRecord:
-    date: str
-    time_of_day: int | None  # 0=midnight, 1=morning, 2=afternoon; None if pre-aggregated
-    origin: str
-    destination: str
-    count: float
-
-
-@dataclass(frozen=True)
-class CaseRecord:
-    date: str
-    region: str
-    new_cases: float
-
-
 @dataclass
 class IngestStats:
     clamped: int = 0  # negative case values forced to 0 (reporting corrections)

@@ -13,7 +13,8 @@ import numpy as np
 
 from .baselines import ar_fit, ar_predict, avg_predict, avg_window_predict, last_day_predict
 from .dataio import CountryDataset
-from .errors import CheckpointError, ContractError, DataError, InsufficientDataError
+from .errors import (CheckpointError, ContractError, DataError, InsufficientDataError,
+                     TrainingDivergedError)
 from .graphs import assemble_samples
 from .meta import MetaConfig, maml_meta_train, save_meta_state, tl_base_train
 from .models import BaselineLSTMModel, MPNNLSTMModel, MPNNModel
@@ -334,7 +335,7 @@ def evaluate_cell(ctx: _CellContext, country: str, model_name: str, t: int,
     """One protocol cell: train/fit, predict day t+j, return rows or a skip.
 
     Returns (task, rows, None) on success and (task, None, reason) when the
-    cell lacks the data its model needs.
+    cell lacks the data its model needs or its training diverged.
     """
     task = (country, model_name, t, j)
     dataset = ctx.dataset(country)
@@ -374,6 +375,8 @@ def evaluate_cell(ctx: _CellContext, country: str, model_name: str, t: int,
                     "t": t, "horizon": j, "cell_seed": cell_seed})
     except DataError as exc:  # includes InsufficientDataError
         return task, None, str(exc)
+    except TrainingDivergedError as exc:
+        return task, None, f"training diverged: {exc}"
     rows = [ReportRow(country, model_name, t, j, dataset.regions[v],
                       float(preds[v]), float(actual[v]))
             for v in range(dataset.n)]
@@ -424,7 +427,7 @@ def _transfer_initializations(datasets, models, config, checkpoint_dir):
         model = build_model("MPNN", config.train)
         try:
             state = maml_meta_train(foreign, model, meta_cfg)
-        except InsufficientDataError as exc:
+        except (InsufficientDataError, TrainingDivergedError) as exc:
             errors[target.country] = f"meta-training failed: {exc}"
             continue
         shared[target.country] = state
@@ -443,7 +446,8 @@ def rolling_evaluate(datasets, models, grid: ProtocolGrid, config: EvalConfig,
     Each cell trains its own model with a seed derived from (seed, country,
     T, horizon), so cells are reproducible independently of execution order;
     `config.jobs` > 1 spreads cells over worker processes.  Cells without
-    enough data are skipped and recorded, not failed.
+    enough data, or whose training diverged, are skipped and recorded, not
+    failed.
     """
     _check_request(datasets, models)
     tasks = _grid_tasks(datasets, models, grid)

@@ -12,12 +12,6 @@ from .errors import ContractError, ShapeError
 
 
 @dataclass(frozen=True)
-class DailyGraph:
-    date: str
-    a_norm: np.ndarray  # [u][v] = normalized weight of movement v -> u
-
-
-@dataclass(frozen=True)
 class FeatureWindow:
     t: int  # anchor day (1-based)
     d: int
@@ -55,10 +49,6 @@ def normalize_incoming(m: np.ndarray) -> np.ndarray:
         raise ContractError("mobility entries must be >= 0")
     sums = m.sum(axis=1, keepdims=True)
     return np.divide(m, sums, out=np.zeros_like(m), where=sums > 0)
-
-
-def daily_graph(dataset: CountryDataset, day: int) -> DailyGraph:
-    return DailyGraph(dataset.dates[day - 1], normalize_incoming(dataset.mobility_on(day)))
 
 
 def node_features(dataset: CountryDataset, t: int, d: int) -> FeatureWindow:

@@ -44,9 +44,9 @@ def stack_targets(samples) -> np.ndarray:
 def lstm_cell(x: tp.Var, h_prev: tp.Var, c_prev: tp.Var, pvars: dict, prefix: str):
     """Standard LSTM step; gate tensors looked up as {prefix}.{w,u,b}{i,f,g,o}."""
     def gate(name, act):
-        z = tp.add(tp.matmul(x, pvars[f"{prefix}.w{name}"]),
-                   tp.matmul(h_prev, pvars[f"{prefix}.u{name}"]))
-        return act(tp.add_row(z, pvars[f"{prefix}.b{name}"]))
+        return act(tp.gate_linear(x, pvars[f"{prefix}.w{name}"], h_prev,
+                                  pvars[f"{prefix}.u{name}"],
+                                  pvars[f"{prefix}.b{name}"]))
 
     i = gate("i", tp.sigmoid)
     f = gate("f", tp.sigmoid)

@@ -131,11 +131,41 @@ def matmul(a: Var, b: Var) -> Var:
     av, bv = a.value, b.value
     if av.shape[1] != bv.shape[0]:
         raise ShapeError(f"matmul: shapes {av.shape} and {bv.shape} are incompatible")
+    need_a, need_b = a.requires_grad, b.requires_grad
 
     def backward(g):
-        return g @ bv.T, av.T @ g
+        return (g @ bv.T if need_a else None,
+                av.T @ g if need_b else None)
 
     return tape.node(av @ bv, (a, b), backward, "matmul")
+
+
+def gate_linear(x: Var, w: Var, h: Var, u: Var, b: Var) -> Var:
+    """x @ w + h @ u + b for a 1xd row b: one recurrent gate's pre-activation.
+
+    A single tape node, so a gate costs two nodes with its activation;
+    operands that need no gradient (constant inputs, a zero initial state)
+    get none.
+    """
+    tape = _check_same_tape(x, w, h, u, b)
+    xv, wv, hv, uv, bv = x.value, w.value, h.value, u.value, b.value
+    (rows, k), (_, d) = xv.shape, wv.shape
+    if (wv.shape[0], hv.shape[0], uv.shape, bv.shape) != (k, rows, (hv.shape[1], d), (1, d)):
+        raise ShapeError(f"gate_linear: x {xv.shape} @ w {wv.shape} + h {hv.shape} "
+                         f"@ u {uv.shape} + b {bv.shape} do not conform")
+    out = xv @ wv
+    out += hv @ uv
+    out += bv
+    need = [v.requires_grad for v in (x, w, h, u, b)]
+
+    def backward(g):
+        return (g @ wv.T if need[0] else None,
+                xv.T @ g if need[1] else None,
+                g @ uv.T if need[2] else None,
+                hv.T @ g if need[3] else None,
+                g.sum(axis=0, keepdims=True) if need[4] else None)
+
+    return tape.node(out, (x, w, h, u, b), backward, "gate_linear")
 
 
 def block_diag_matmul(blocks: Sequence[np.ndarray], x: Var) -> Var:
@@ -220,12 +250,10 @@ def relu(a: Var) -> Var:
 
 
 def sigmoid(a: Var) -> Var:
-    av = a.value
-    out = np.empty_like(av)
-    pos = av >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-av[pos]))
-    ev = np.exp(av[~pos])
-    out[~pos] = ev / (1.0 + ev)
+    # 0.5 * (1 + tanh(x / 2)): no exp, so no overflow for any finite x
+    out = np.tanh(a.value * 0.5)
+    out += 1.0
+    out *= 0.5
     return a.tape.node(out, (a,), lambda g: (g * out * (1.0 - out),), "sigmoid")
 
 

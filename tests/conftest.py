@@ -2,7 +2,9 @@
 
 import numpy as np
 
+from mobicast import evaluation
 from mobicast.dataio import CountryDataset, SyntheticConfig, generate_synthetic
+from mobicast.errors import TrainingDivergedError
 from mobicast.graphs import GraphSample, normalize_incoming
 from mobicast.rng import Rng
 
@@ -67,3 +69,15 @@ class TracingDataset:
     def mobility_on(self, day):
         self.mobility_days_read.add(day)
         return self._inner.mobility_on(day)
+
+
+def diverge_at(t_bad, message):
+    """evaluation.train_model stand-in: diverges for anchor t_bad, trains elsewhere."""
+    real = evaluation.train_model
+
+    def train_model(splits, model, config, init_state=None):
+        if splits.t == t_bad:
+            raise TrainingDivergedError(message)
+        return real(splits, model, config, init_state=init_state)
+
+    return train_model

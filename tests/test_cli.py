@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from mobicast import evaluation
 from mobicast.baselines import last_day_predict
 from mobicast.cli import (
     RunConfig,
@@ -17,7 +18,7 @@ from mobicast.dataio import load_bundle, save_bundle
 from mobicast.errors import ContractError
 from mobicast.evaluation import ProtocolGrid, load_report_rows, range_summary
 
-from conftest import make_ramp_dataset
+from conftest import diverge_at, make_ramp_dataset
 
 TINY_CONFIG = {
     "train": {"max_epochs": 1, "hidden": 2, "k_layers": 1, "d": 3,
@@ -256,6 +257,24 @@ class TestTrainCommand:
         assert read_manifest(out)["status"] == "partial"
         rows, skip_lines = load_report_rows(os.path.join(out, "rows.csv"))
         assert not rows and len(skip_lines) == 1
+
+    def test_diverged_cell_exits_nonzero_and_keeps_other_rows(
+            self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(evaluation, "train_model", diverge_at(
+            14, "non-finite loss at epoch 1, batch 0; "
+                "largest parameters: agg1.w: |max|=inf"))
+        bundle, _ = make_bundle(tmp_path)
+        cfg = write_config(tmp_path)
+        out = str(tmp_path / "out")
+        rc = main(["train", "--bundle", bundle, "--model", "mpnn",
+                   "--t-start", "14", "--t-end", "15", "--horizon", "1",
+                   "--config", cfg, "--out", out])
+        assert rc == 1
+        assert "T=14 j=1: training diverged" in capsys.readouterr().err
+        assert read_manifest(out)["status"] == "partial"
+        rows, skip_lines = load_report_rows(os.path.join(out, "rows.csv"))
+        assert {(r.t, r.horizon) for r in rows} == {(15, 1)}
+        assert len(skip_lines) == 1 and "largest parameters" in skip_lines[0]
 
     def test_same_seed_reruns_are_byte_identical(self, tmp_path):
         bundle, _ = make_bundle(tmp_path)

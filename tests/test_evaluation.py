@@ -6,9 +6,11 @@ import os
 import numpy as np
 import pytest
 
+from mobicast import evaluation
 from mobicast.baselines import ar_fit, ar_predict, avg_window_predict, last_day_predict
 from mobicast.dataio import CountryDataset
-from mobicast.errors import CheckpointError, ContractError, DataError
+from mobicast.errors import (CheckpointError, ContractError, DataError,
+                             TrainingDivergedError)
 from mobicast.evaluation import (
     ErrorReport,
     EvalConfig,
@@ -31,7 +33,7 @@ from mobicast.meta import MetaConfig
 from mobicast.rng import Rng
 from mobicast.train import TrainConfig
 
-from conftest import make_ramp_dataset
+from conftest import diverge_at, make_ramp_dataset
 
 
 def fast_config(**overrides):
@@ -428,6 +430,40 @@ class TestRollingEvaluate:
         short = make_ramp_dataset(n=2, days=14)
         with pytest.raises(ContractError, match="grid is empty"):
             rolling_evaluate([short], ["AVG"], grid, fast_config())
+
+
+class TestDivergedCells:
+    MESSAGE = ("non-finite loss at epoch 1, batch 0; largest parameters: "
+               "agg1.w: |max|=3.000e+200")
+
+    def test_diverged_cell_skipped_and_other_rows_kept(self, monkeypatch):
+        ds = make_ramp_dataset(n=2, days=18)
+        grid = ProtocolGrid(t_end=15, dt=1)
+        models = ["MPNN", "AVG"]
+        clean = rolling_evaluate([ds], models, grid, fast_config())
+        monkeypatch.setattr(evaluation, "train_model", diverge_at(14, self.MESSAGE))
+        report = rolling_evaluate([ds], models, grid, fast_config())
+        assert report.skipped == [(ds.country, "MPNN", 14, 1,
+                                   f"training diverged: {self.MESSAGE}")]
+        assert report.rows == [r for r in clean.rows
+                               if (r.model, r.t) != ("MPNN", 14)]
+
+    def test_diverged_meta_training_skips_only_transfer_cells(self, monkeypatch):
+        datasets = [make_ramp_dataset(n=2, days=18, country="AA"),
+                    make_ramp_dataset(n=2, days=18, country="BB")]
+
+        def maml_meta_train(foreign, model, config):
+            raise TrainingDivergedError("non-finite loss during adaptation")
+
+        monkeypatch.setattr(evaluation, "maml_meta_train", maml_meta_train)
+        report = rolling_evaluate(datasets, ["MPNN_TL", "LAST_DAY"],
+                                  ProtocolGrid(t_end=14, dt=1), fast_config())
+        assert [(c, m) for c, m, *_ in report.skipped] == [("AA", "MPNN_TL"),
+                                                         ("BB", "MPNN_TL")]
+        assert all("meta-training failed: non-finite loss" in reason
+                   for *_, reason in report.skipped)
+        assert {(r.country, r.model) for r in report.rows} == {
+            ("AA", "LAST_DAY"), ("BB", "LAST_DAY")}
 
 
 class TestCheckpointReuse:

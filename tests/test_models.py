@@ -1,6 +1,8 @@
 """Model forward checks: hand traces, reference reimplementation, equivariance."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -315,3 +317,33 @@ class TestStackTargets:
         smp = random_sample(Rng(1), n=2, with_target=False)
         with pytest.raises(ContractError, match="no target"):
             stack_targets([smp])
+
+
+class TestTapeLifetime:
+    @pytest.mark.parametrize("model,steps", [
+        (MPNNModel(d=7, k_layers=2, hidden=4), 1),
+        (MPNNLSTMModel(d=7, k_layers=2, hidden=4, seq_len=3), 3),
+        (BaselineLSTMModel(d=7, hidden=4), 1),
+    ], ids=["MPNN", "MPNN_LSTM", "LSTM"])
+    def test_freed_by_refcount_after_backward(self, model, steps):
+        # a backward closure holding a Var would tie the tape into a cycle
+        # that only the cycle collector frees, keeping every node alive
+        rng = Rng(30)
+        state = model.init_state(rng.spawn("init"))
+        samples = [random_sample(rng, n=4, d=7, steps=steps) for _ in range(2)]
+        gc.disable()
+        try:
+            tape = tp.Tape(check_finite=False)
+            pvars = tape.bind(state.params)
+            preds = model.forward(tape, pvars, state.buffers, samples, "train",
+                                  rng.spawn("dropout"))
+            targets = tape.constant(stack_targets(samples))
+            loss = tp.mean_all(tp.square(tp.sub(preds, targets)))
+            tape.backward(loss)
+            grads = {name: tape.grad(var) for name, var in pvars.items()}
+            alive = weakref.ref(tape)
+            del tape, pvars, preds, targets, loss
+            assert alive() is None
+        finally:
+            gc.enable()
+        assert all(np.all(np.isfinite(g)) for g in grads.values())

@@ -98,6 +98,69 @@ class TestOpGradients:
         check_grads(build, arrays)
 
 
+class TestGateLinear:
+    def arrays(self, seed):
+        rng = Rng(seed)
+        return {"x": rng.normal((4, 3)), "w": rng.normal((3, 2)),
+                "h": rng.normal((4, 2)), "u": rng.normal((2, 2)),
+                "b": rng.normal((1, 2))}
+
+    def test_value_matches_unfused_ops(self):
+        t = tp.Tape()
+        v = t.bind(self.arrays(10))
+        fused = tp.gate_linear(v["x"], v["w"], v["h"], v["u"], v["b"])
+        unfused = tp.add_row(tp.add(tp.matmul(v["x"], v["w"]),
+                                    tp.matmul(v["h"], v["u"])), v["b"])
+        np.testing.assert_array_equal(fused.value, unfused.value)
+
+    def test_gradients(self):
+        def build(t, v):
+            z = tp.gate_linear(v["x"], v["w"], v["h"], v["u"], v["b"])
+            return tp.mean_all(tp.square(tp.sigmoid(z)))
+
+        check_grads(build, self.arrays(11))
+
+    def test_constant_input_gets_no_gradient(self):
+        arrays = self.arrays(12)
+        x = arrays.pop("x")
+
+        def build(t, v):
+            z = tp.gate_linear(t.constant(x), v["w"], v["h"], v["u"], v["b"])
+            return tp.mean_all(tp.square(tp.tanh(z)))
+
+        check_grads(build, arrays)
+        t = tp.Tape()
+        v = t.bind(arrays)
+        z = tp.gate_linear(t.constant(x), v["w"], v["h"], v["u"], v["b"])
+        contribs = t._nodes[z.idx].backward(np.ones(z.shape))
+        assert contribs[0] is None
+        assert all(c is not None for c in contribs[1:])
+
+    def test_shape_mismatch(self):
+        t = tp.Tape()
+        v = t.bind(self.arrays(14))
+        with pytest.raises(ShapeError, match="gate_linear"):
+            tp.gate_linear(v["x"], v["u"], v["h"], v["u"], v["b"])
+        with pytest.raises(ShapeError, match="gate_linear"):
+            tp.gate_linear(v["x"], v["w"], v["h"], v["u"], v["h"])
+
+
+class TestSigmoid:
+    def test_matches_logistic_function(self):
+        x = np.linspace(-60.0, 60.0, 240001).reshape(1, -1)
+        got = tp.sigmoid(tp.Tape().constant(x)).value
+        np.testing.assert_allclose(got, 1.0 / (1.0 + np.exp(-x)), rtol=0, atol=3e-16)
+
+    def test_extreme_inputs_stay_finite_without_warnings(self):
+        t = tp.Tape()
+        a = t.parameter([[-1e4, 1e4]])
+        with np.errstate(all="raise"):
+            out = tp.sigmoid(a)
+            t.backward(tp.mean_all(out))
+        np.testing.assert_array_equal(out.value, [[0.0, 1.0]])
+        np.testing.assert_array_equal(t.grad(a), [[0.0, 0.0]])
+
+
 class TestBlockDiagMatmul:
     def test_matches_dense_block_diagonal(self):
         rng = Rng(8)
@@ -161,6 +224,15 @@ class TestHandTraces:
         assert loss.value[0, 0] == 25.0
         t.backward(loss)
         np.testing.assert_allclose(t.grad(w), [[10.0], [10.0]], rtol=1e-12)
+
+    def test_matmul_skips_constant_operand(self):
+        rng = Rng(13)
+        t = tp.Tape()
+        a = t.constant(rng.normal((3, 4)))
+        b = t.parameter(rng.normal((4, 2)))
+        out = tp.matmul(a, b)
+        da, db = t._nodes[out.idx].backward(np.ones(out.shape))
+        assert da is None and db.shape == (4, 2)
 
     def test_unused_parameter_gets_zero_grad(self):
         t = tp.Tape()
