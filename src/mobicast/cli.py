@@ -37,7 +37,6 @@ from .evaluation import (
     EvalConfig,
     ProtocolGrid,
     atomic_write_text,
-    build_model,
     case_stat_lines,
     case_stats_table,
     correlation_lines,
@@ -45,10 +44,11 @@ from .evaluation import (
     emit_report,
     evaluate_from_checkpoints,
     load_report_rows,
+    meta_checkpoint_name,
+    meta_train_target,
     rolling_evaluate,
 )
-from .meta import MetaConfig, maml_meta_train, save_meta_state
-from .rng import derive_seed
+from .meta import MetaConfig
 from .train import TrainConfig
 
 MANIFEST_NAME = "run.json"
@@ -349,18 +349,12 @@ def cmd_meta_train(args, argv) -> int:
     if not pool:
         raise ContractError("meta-training needs at least one bundle for a "
                             "country other than the target")
-    meta_cfg = dataclasses.replace(
-        cfg.meta, d=cfg.train.d,
-        seed=derive_seed(cfg.seed, "meta", args.target))
-    model = build_model("MPNN", cfg.train)
-    state = maml_meta_train(pool, model, meta_cfg)
     os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, f"{args.target}__MPNN_TL__meta.ckpt")
-    save_meta_state(path, state, model, [ds.country for ds in pool], meta_cfg)
+    meta_train_target(args.target, pool, cfg.eval_config(), args.out)
     write_manifest(args.out, argv, config_to_dict(cfg), cfg.seed, "complete",
                    {"target": args.target,
                     "pool": [ds.country for ds in pool]})
-    print(f"wrote {path}")
+    print(f"wrote {os.path.join(args.out, meta_checkpoint_name(args.target))}")
     return 0
 
 

@@ -53,10 +53,12 @@ class CountryDataset:
 
     Days are 1-based in every accessor: day 1 is dates[0].  All case reads by
     downstream code go through the accessors, which makes train/test isolation
-    checkable by wrapping them.
+    checkable by wrapping them.  `graph_cache` holds every day's normalized
+    mobility once `graphs.normalized_graphs` has filled it, None before.
     """
 
-    __slots__ = ("country", "regions", "dates", "cases", "mobility")
+    __slots__ = ("country", "regions", "dates", "cases", "mobility",
+                 "graph_cache")
 
     def __init__(self, country: str, regions, dates, cases, mobility):
         regions = tuple(str(r) for r in regions)
@@ -88,6 +90,7 @@ class CountryDataset:
         self.dates = dates
         self.cases = cases
         self.mobility = mobility
+        self.graph_cache = None
 
     @property
     def n(self) -> int:

@@ -15,9 +15,9 @@ from .baselines import ar_fit, ar_predict, avg_predict, avg_window_predict, last
 from .dataio import CountryDataset
 from .errors import (CheckpointError, ContractError, DataError, InsufficientDataError,
                      TrainingDivergedError)
-from .graphs import assemble_samples
+from .graphs import assemble_samples, normalized_graphs
 from .meta import MetaConfig, maml_meta_train, save_meta_state, tl_base_train
-from .models import BaselineLSTMModel, MPNNLSTMModel, MPNNModel
+from .models import BaselineLSTMModel, ModelState, MPNNLSTMModel, MPNNModel
 from .rng import derive_seed
 from .train import (
     PROTOCOL_START_DAY,
@@ -315,8 +315,6 @@ def _init_cell_worker(payload):
 class _CellContext:
     datasets: tuple
     config: EvalConfig
-    shared_params: dict      # country -> ModelState of the transfer initialization
-    shared_errors: dict      # country -> why no transfer initialization exists
     checkpoint_dir: Optional[str]
 
     def dataset(self, country: str) -> CountryDataset:
@@ -326,16 +324,53 @@ class _CellContext:
         raise ContractError(f"unknown country {country!r}")
 
 
+def meta_checkpoint_name(country: str) -> str:
+    return f"{country}__MPNN_TL__meta.ckpt"
+
+
+def meta_train_target(target: str, foreign: list, config: EvalConfig,
+                      checkpoint_dir: Optional[str] = None) -> ModelState:
+    """Meta-train the shared MPNN_TL initialization of one target country.
+
+    Learns from the foreign countries' task grids with a seed derived from
+    (seed, "meta", target), and saves <target>__MPNN_TL__meta.ckpt into
+    checkpoint_dir when one is given.
+    """
+    meta_cfg = replace(config.meta, d=config.train.d,
+                       seed=derive_seed(config.seed, "meta", target))
+    model = build_model("MPNN", config.train)
+    state = maml_meta_train(foreign, model, meta_cfg)
+    if checkpoint_dir is not None:
+        save_meta_state(os.path.join(checkpoint_dir, meta_checkpoint_name(target)),
+                        state, model, [ds.country for ds in foreign], meta_cfg)
+    return state
+
+
+def _meta_task(ctx: _CellContext, target: str):
+    """The target's shared initialization, or why meta-training failed."""
+    foreign = [ds for ds in ctx.datasets if ds.country != target]
+    try:
+        return meta_train_target(target, foreign, ctx.config, ctx.checkpoint_dir)
+    except (InsufficientDataError, TrainingDivergedError) as exc:
+        return f"meta-training failed: {exc}"
+
+
 def _run_cell(task):
+    """Pool entry point: a bare country name is that target's meta-training,
+    a tuple is the arguments of one evaluate_cell call."""
+    if isinstance(task, str):
+        return _meta_task(_CELL_CTX, task)
     return evaluate_cell(_CELL_CTX, *task)
 
 
 def evaluate_cell(ctx: _CellContext, country: str, model_name: str, t: int,
-                  j: int):
+                  j: int, shared=None):
     """One protocol cell: train/fit, predict day t+j, return rows or a skip.
 
-    Returns (task, rows, None) on success and (task, None, reason) when the
-    cell lacks the data its model needs or its training diverged.
+    `shared` is the country's meta-trained ModelState, the reason it has
+    none, or None when no other country exists; only MPNN_TL uses it.  Returns (task, rows, None) on success and
+    (task, None, reason) when the cell lacks the data its model needs, its
+    training diverged or it has no shared initialization.
     """
     task = (country, model_name, t, j)
     dataset = ctx.dataset(country)
@@ -353,11 +388,10 @@ def evaluate_cell(ctx: _CellContext, country: str, model_name: str, t: int,
                                      train_cfg)
                 splits = make_splits(dataset, t, j, cfg.train.d)
             elif model_name == "MPNN_TL":
-                shared = ctx.shared_params.get(country)
-                if shared is None:
-                    return task, None, ctx.shared_errors.get(
-                        country, "transfer initialization needs at least "
-                                 "one other country")
+                if not isinstance(shared, ModelState):
+                    return task, None, shared or (
+                        "transfer initialization needs at least one other "
+                        "country")
                 splits = make_splits(dataset, t, j, cfg.train.d)
                 ckpt = train_model(splits, model, train_cfg, init_state=shared)
             else:
@@ -408,35 +442,30 @@ def _grid_tasks(datasets, models, grid):
     return tasks
 
 
-def _transfer_initializations(datasets, models, config, checkpoint_dir):
-    """Meta-train one shared initialization per target country (lazily:
-    only when the transfer model was requested and foreigners exist).
-    Returns (states, errors): a country missing from both had no foreign
-    countries; one in errors had foreigners but no usable task grid."""
-    shared = {}
-    errors = {}
-    if "MPNN_TL" not in models:
-        return shared, errors
-    meta_cfg_base = replace(config.meta, d=config.train.d)
-    for target in datasets:
-        foreign = [ds for ds in datasets if ds.country != target.country]
-        if not foreign:
-            continue
-        meta_cfg = replace(meta_cfg_base,
-                           seed=derive_seed(config.seed, "meta", target.country))
-        model = build_model("MPNN", config.train)
-        try:
-            state = maml_meta_train(foreign, model, meta_cfg)
-        except (InsufficientDataError, TrainingDivergedError) as exc:
-            errors[target.country] = f"meta-training failed: {exc}"
-            continue
-        shared[target.country] = state
-        if checkpoint_dir is not None:
-            save_meta_state(
-                os.path.join(checkpoint_dir,
-                             f"{target.country}__MPNN_TL__meta.ckpt"),
-                state, model, [ds.country for ds in foreign], meta_cfg)
-    return shared, errors
+def _run_serial(ctx: _CellContext, tasks, targets) -> list:
+    shared = {target: _meta_task(ctx, target) for target in targets}
+    return [evaluate_cell(ctx, *task, shared.get(task[0])) for task in tasks]
+
+
+def _run_pool(ctx: _CellContext, tasks, targets) -> list:
+    """Meta tasks go first, then every cell that needs no initialization;
+    a target's MPNN_TL cells follow as soon as its meta task returns."""
+    futures = {}
+    waiting = {}     # target -> indices of its MPNN_TL cells
+    with concurrent.futures.ProcessPoolExecutor(
+            max_workers=ctx.config.jobs, initializer=_init_cell_worker,
+            initargs=(ctx,)) as pool:
+        meta = {pool.submit(_run_cell, target): target for target in targets}
+        for k, task in enumerate(tasks):
+            if task[1] == "MPNN_TL" and task[0] in targets:
+                waiting.setdefault(task[0], []).append(k)
+            else:
+                futures[k] = pool.submit(_run_cell, task)
+        for done in concurrent.futures.as_completed(meta):
+            shared = done.result()
+            for k in waiting.get(meta[done], ()):
+                futures[k] = pool.submit(_run_cell, (*tasks[k], shared))
+        return [futures[k].result() for k in range(len(tasks))]
 
 
 def rolling_evaluate(datasets, models, grid: ProtocolGrid, config: EvalConfig,
@@ -445,29 +474,25 @@ def rolling_evaluate(datasets, models, grid: ProtocolGrid, config: EvalConfig,
 
     Each cell trains its own model with a seed derived from (seed, country,
     T, horizon), so cells are reproducible independently of execution order;
-    `config.jobs` > 1 spreads cells over worker processes.  Cells without
-    enough data, or whose training diverged, are skipped and recorded, not
-    failed.
+    `config.jobs` > 1 spreads cells, and each target country's meta-training
+    for MPNN_TL, over worker processes.  Cells without enough data, or whose
+    training diverged, are skipped and recorded, not failed.
     """
     _check_request(datasets, models)
     tasks = _grid_tasks(datasets, models, grid)
     if checkpoint_dir is not None:
         os.makedirs(checkpoint_dir, exist_ok=True)
-    shared, shared_errors = _transfer_initializations(datasets, models, config,
-                                                      checkpoint_dir)
+    for ds in datasets:
+        normalized_graphs(ds)   # once, before any worker forks
     ctx = _CellContext(datasets=tuple(datasets), config=config,
-                       shared_params=shared, shared_errors=shared_errors,
                        checkpoint_dir=checkpoint_dir)
-    if config.jobs == 1:
-        results = [evaluate_cell(ctx, *task) for task in tasks]
-    else:
-        with concurrent.futures.ProcessPoolExecutor(
-                max_workers=config.jobs, initializer=_init_cell_worker,
-                initargs=(ctx,)) as pool:
-            results = list(pool.map(_run_cell, tasks, chunksize=1))
+    # one meta-training per target country, each on all the others
+    targets = ([ds.country for ds in datasets]
+               if "MPNN_TL" in models and len(datasets) > 1 else [])
+    run = _run_serial if config.jobs == 1 else _run_pool
     rows = []
     skipped = []
-    for task, cell_rows, reason in results:
+    for task, cell_rows, reason in run(ctx, tasks, targets):
         if cell_rows is None:
             skipped.append((*task, reason))
         else:
@@ -487,7 +512,7 @@ def evaluate_from_checkpoints(datasets, models, grid: ProtocolGrid,
     _check_request(datasets, models)
     tasks = _grid_tasks(datasets, models, grid)
     ctx = _CellContext(datasets=tuple(datasets), config=config,
-                       shared_params={}, shared_errors={}, checkpoint_dir=None)
+                       checkpoint_dir=None)
     rows = []
     skipped = []
     for task in tasks:

@@ -51,6 +51,22 @@ def normalize_incoming(m: np.ndarray) -> np.ndarray:
     return np.divide(m, sums, out=np.zeros_like(m), where=sums > 0)
 
 
+def normalized_graphs(dataset: CountryDataset) -> tuple:
+    """Every day's normalize_incoming(mobility), oldest day first.
+
+    Computed once per dataset, on first use, and kept in its `graph_cache`:
+    the arrays are read-only and shared by every sample built from the
+    dataset.  Filling it before forking workers gives them one copy.
+    """
+    cache = dataset.graph_cache
+    if cache is None:
+        cache = tuple(normalize_incoming(m) for m in dataset.mobility)
+        for graph in cache:
+            graph.setflags(write=False)
+        dataset.graph_cache = cache
+    return cache
+
+
 def node_features(dataset: CountryDataset, t: int, d: int) -> FeatureWindow:
     """Case window of the d days ending at t, per region (oldest column first)."""
     return FeatureWindow(t, d, dataset.case_window(t, d))
@@ -68,14 +84,19 @@ def latent_message(a_norm: np.ndarray, x: np.ndarray) -> np.ndarray:
     return a_norm @ x
 
 
+def _graph_on(dataset: CountryDataset, day: int) -> np.ndarray:
+    dataset.mobility_on(day)  # checks the day; access tracing records the read
+    return normalized_graphs(dataset)[day - 1]
+
+
 def _sample_at(dataset: CountryDataset, t: int, d: int, j: int,
                variant: str, s: int) -> GraphSample:
     if variant == "static":
         days = [t]
     else:
         days = list(range(t - s + 1, t + 1))
-    pairs = tuple((normalize_incoming(dataset.mobility_on(day)),
-                   node_features(dataset, day, d).x) for day in days)
+    pairs = tuple((_graph_on(dataset, day), node_features(dataset, day, d).x)
+                  for day in days)
     target_day = t + j
     target = dataset.cases_on(target_day).copy() if target_day <= dataset.t_total else None
     return GraphSample(anchor=t, horizon=j, graphs=pairs, target=target)

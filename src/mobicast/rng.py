@@ -27,10 +27,17 @@ _MASK64 = (1 << 64) - 1
 
 
 def _mix(z: np.ndarray) -> np.ndarray:
-    # z must be a uint64 ndarray; scalar uint64 ops can warn on overflow
-    z = (z ^ (z >> _S30)) * _MIX1
-    z = (z ^ (z >> _S27)) * _MIX2
-    return z ^ (z >> _S31)
+    """SplitMix64 finalizer, in place on a uint64 ndarray (scalar uint64 ops
+    can warn on overflow), reusing one shift buffer."""
+    shifted = z >> _S30
+    z ^= shifted
+    z *= _MIX1
+    np.right_shift(z, _S27, out=shifted)
+    z ^= shifted
+    z *= _MIX2
+    np.right_shift(z, _S31, out=shifted)
+    z ^= shifted
+    return z
 
 
 def derive_seed(base: int, *parts) -> int:
@@ -59,10 +66,12 @@ class Rng:
         self._counter = 0
 
     def _raw(self, n: int) -> np.ndarray:
-        idx = np.arange(self._counter + 1, self._counter + n + 1, dtype=np.uint64)
+        z = np.arange(self._counter + 1, self._counter + n + 1, dtype=np.uint64)
         self._counter += n
         with np.errstate(over="ignore"):
-            return _mix(np.uint64(self.seed) + idx * _GAMMA)
+            z *= _GAMMA
+            z += np.uint64(self.seed)
+            return _mix(z)
 
     def random(self, size=None):
         """Uniform doubles in [0, 1). Scalar when size is None."""
@@ -70,7 +79,10 @@ class Rng:
             return float(self._raw(1)[0] >> _S11) * _DOUBLE_UNIT
         shape = (size,) if isinstance(size, (int, np.integer)) else tuple(size)
         n = int(np.prod(shape)) if shape else 1
-        vals = (self._raw(n) >> _S11).astype(np.float64) * _DOUBLE_UNIT
+        raw = self._raw(n)
+        raw >>= _S11
+        vals = raw.astype(np.float64)
+        vals *= _DOUBLE_UNIT
         return vals.reshape(shape)
 
     def uniform(self, low: float, high: float, size=None):

@@ -212,9 +212,3 @@ def load_checkpoint(path: str) -> Checkpoint:
                       float(meta["val_error"]), int(meta["epoch"]),
                       int(meta["stopped_epoch"]))
 
-
-def config_for_variant(config: TrainConfig, variant: str) -> dict:
-    """Keyword arguments for assemble/split calls of the given sample variant."""
-    if variant not in ("static", "sequence"):
-        raise ContractError(f"unknown variant {variant!r}")
-    return {"variant": variant, "s": config.seq_len}

@@ -276,6 +276,28 @@ class TestTrainCommand:
         assert {(r.t, r.horizon) for r in rows} == {(15, 1)}
         assert len(skip_lines) == 1 and "largest parameters" in skip_lines[0]
 
+    def test_meta_training_without_tasks_in_worker_exits_nonzero(
+            self, tmp_path, capsys):
+        bundle_a, _ = make_bundle(tmp_path, country="AA")
+        # 14 days leave no meta task, so AA's meta-training has nothing to learn
+        bundle_b, _ = make_bundle(tmp_path, country="BB", days=14)
+        cfg = write_config(tmp_path)
+        out = str(tmp_path / "out")
+        rc = main(["train", "--bundle", bundle_a, "--bundle", bundle_b,
+                   "--model", "mpnn_tl", "--model", "mpnn", "--t-start", "14",
+                   "--t-end", "15", "--horizon", "1", "--jobs", "2",
+                   "--config", cfg, "--out", out])
+        assert rc == 1
+        assert "model=MPNN_TL T=14 j=1: meta-training failed: BB: no tasks" in \
+            capsys.readouterr().err
+        rows, skip_lines = load_report_rows(os.path.join(out, "rows.csv"))
+        assert len(skip_lines) == 2
+        assert {(r.country, r.model, r.t) for r in rows} == {
+            ("AA", "MPNN", 14), ("AA", "MPNN", 15)}
+        ckpts = os.listdir(os.path.join(out, "checkpoints"))
+        assert "BB__MPNN_TL__meta.ckpt" in ckpts
+        assert "AA__MPNN_TL__meta.ckpt" not in ckpts
+
     def test_same_seed_reruns_are_byte_identical(self, tmp_path):
         bundle, _ = make_bundle(tmp_path)
         cfg = write_config(tmp_path)

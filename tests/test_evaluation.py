@@ -466,6 +466,57 @@ class TestDivergedCells:
             ("AA", "LAST_DAY"), ("BB", "LAST_DAY")}
 
 
+class TestPoolMetaTraining:
+    MODELS = ["MPNN_TL", "TL_BASE", "MPNN"]
+    GRID = ProtocolGrid(t_end=15, dt=1)
+
+    @staticmethod
+    def two_countries():
+        return [make_ramp_dataset(n=2, days=18, country="AA"),
+                make_ramp_dataset(n=3, days=18, country="BB", seed=1)]
+
+    def run(self, tmp_path, name, jobs):
+        ckpt_dir = tmp_path / name
+        report = rolling_evaluate(self.two_countries(), self.MODELS, self.GRID,
+                                  fast_config(jobs=jobs),
+                                  checkpoint_dir=str(ckpt_dir))
+        files = {p.name: p.read_bytes() for p in ckpt_dir.iterdir()}
+        return report, files
+
+    def test_pool_matches_serial_byte_for_byte(self, tmp_path):
+        serial, serial_files = self.run(tmp_path, "serial", jobs=1)
+        pooled, pooled_files = self.run(tmp_path, "pooled", jobs=2)
+        assert not serial.skipped
+        assert pooled.rows == serial.rows
+        assert pooled.skipped == serial.skipped
+        assert {"AA__MPNN_TL__meta.ckpt", "BB__MPNN_TL__meta.ckpt",
+                "AA__MPNN_TL__T14_j1.ckpt", "BB__TL_BASE__T15_j1.ckpt"} <= \
+            set(serial_files)
+        assert len(serial_files) == 2 + 2 * len(self.MODELS) * 2
+        assert pooled_files == serial_files
+
+    def test_failed_meta_training_in_worker_skips_only_its_target(
+            self, monkeypatch):
+        clean = rolling_evaluate(self.two_countries(), self.MODELS, self.GRID,
+                                 fast_config(jobs=2))
+        real = evaluation.maml_meta_train
+
+        def maml_meta_train(foreign, model, config):
+            if [ds.country for ds in foreign] == ["BB"]:   # target AA
+                raise TrainingDivergedError("non-finite loss during adaptation")
+            return real(foreign, model, config)
+
+        monkeypatch.setattr(evaluation, "maml_meta_train", maml_meta_train)
+        report = rolling_evaluate(self.two_countries(), self.MODELS, self.GRID,
+                                  fast_config(jobs=2))
+        assert report.skipped == [
+            ("AA", "MPNN_TL", t, 1,
+             "meta-training failed: non-finite loss during adaptation")
+            for t in (14, 15)]
+        assert report.rows == [r for r in clean.rows
+                               if (r.country, r.model) != ("AA", "MPNN_TL")]
+
+
 class TestCheckpointReuse:
     def run_with_checkpoints(self, tmp_path, models=("MPNN",)):
         datasets = [make_ramp_dataset(n=2, days=18, country="AA"),

@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 
 from conftest import make_ramp_dataset
+from mobicast import graphs
 from mobicast.errors import ContractError, DataError, ShapeError
+from mobicast.evaluation import EvalConfig, ProtocolGrid, rolling_evaluate
 from mobicast.graphs import (assemble_samples, latent_message, node_features,
-                             normalize_incoming)
+                             normalize_incoming, normalized_graphs)
+from mobicast.meta import MetaConfig
 from mobicast.rng import Rng
+from mobicast.train import TrainConfig
 
 
 class TestNormalizeIncoming:
@@ -167,3 +171,57 @@ class TestAssembleSamples:
             assemble_samples(ds, d=7, j=1, t_end=14, variant="sequence", s=0)
         with pytest.raises(ContractError):
             assemble_samples(ds, d=7, j=1, t_end=14, variant="nope")
+
+
+class TestGraphCache:
+    def test_every_sample_graph_is_its_own_day(self):
+        ds = make_ramp_dataset(n=3, days=30)
+        for variant, s in (("static", 1), ("sequence", 4)):
+            for j in (1, 3):
+                samples = assemble_samples(ds, d=5, j=j, t_end=25,
+                                           variant=variant, s=s,
+                                           include_test=True)
+                assert samples
+                for smp in samples:
+                    assert len(smp.graphs) == s
+                    days = range(smp.anchor - s + 1, smp.anchor + 1)
+                    for day, (a_norm, x) in zip(days, smp.graphs):
+                        expected = normalize_incoming(ds.mobility_on(day))
+                        assert a_norm.dtype == expected.dtype
+                        assert a_norm.tobytes() == expected.tobytes()
+                        np.testing.assert_array_equal(x, ds.case_window(day, 5))
+
+    def test_cache_is_read_only_and_shared(self):
+        ds = make_ramp_dataset(n=3, days=20)
+        cache = normalized_graphs(ds)
+        assert len(cache) == ds.t_total
+        assert normalized_graphs(ds) is cache
+        assert all(not g.flags.writeable for g in cache)
+        with pytest.raises(ValueError):
+            cache[0][0, 0] = 1.0
+        one = assemble_samples(ds, d=3, j=1, t_end=18)
+        two = assemble_samples(ds, d=3, j=2, t_end=18)
+        assert one[0].anchor == two[0].anchor == 3
+        assert one[0].graphs[0][0] is two[0].graphs[0][0] is cache[2]
+
+    def test_rolling_evaluate_normalizes_each_day_at_most_once(self, monkeypatch):
+        inputs = []
+        real = graphs.normalize_incoming
+
+        def counting(m):
+            inputs.append(id(m))
+            return real(m)
+
+        monkeypatch.setattr(graphs, "normalize_incoming", counting)
+        datasets = [make_ramp_dataset(n=2, days=18, country="AA"),
+                    make_ramp_dataset(n=3, days=18, country="BB", seed=1)]
+        cfg = EvalConfig(train=TrainConfig(max_epochs=1, hidden=2, k_layers=1,
+                                           d=3, dropout=0.0, seq_len=4),
+                         meta=MetaConfig(dt=1, d=3))
+        report = rolling_evaluate(
+            datasets, ["MPNN", "MPNN_LSTM", "MPNN_TL", "TL_BASE"],
+            ProtocolGrid(t_end=15, dt=2), cfg)
+        assert report.rows and not report.skipped
+        assert inputs
+        assert len(inputs) == len(set(inputs))  # each mobility matrix once
+        assert len(inputs) <= sum(ds.t_total for ds in datasets)

@@ -17,7 +17,6 @@ from mobicast.rng import Rng
 from mobicast.train import (
     Checkpoint,
     TrainConfig,
-    config_for_variant,
     load_checkpoint,
     make_splits,
     mse_loss,
@@ -294,13 +293,3 @@ class TestCheckpointIO:
         with pytest.raises(CheckpointError, match="not a model checkpoint"):
             load_checkpoint(path)
 
-
-class TestConfigForVariant:
-    def test_known_variants(self):
-        cfg = TrainConfig(seq_len=5)
-        assert config_for_variant(cfg, "static") == {"variant": "static", "s": 5}
-        assert config_for_variant(cfg, "sequence") == {"variant": "sequence", "s": 5}
-
-    def test_unknown_variant(self):
-        with pytest.raises(ContractError, match="unknown variant"):
-            config_for_variant(TrainConfig(), "temporal")
