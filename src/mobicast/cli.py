@@ -42,7 +42,6 @@ from .evaluation import (
     correlation_lines,
     correlation_table,
     emit_report,
-    evaluate_from_checkpoints,
     load_report_rows,
     meta_checkpoint_name,
     meta_train_target,
@@ -290,8 +289,19 @@ def cmd_correlate(args, argv) -> int:
     return 0
 
 
-def _finish_grid_run(args, argv, cfg: RunConfig, report: ErrorReport,
-                     datasets) -> int:
+def _grid_run(args, argv, checkpoint_dir=None, load_only=False) -> int:
+    """Evaluate the configured grid; write the report and the manifest."""
+    cfg = resolve_run_config(args)
+    datasets = load_bundles(args.bundle)
+    os.makedirs(args.out, exist_ok=True)
+    try:
+        report = rolling_evaluate(datasets, list(cfg.models), cfg.grid,
+                                  cfg.eval_config(), checkpoint_dir=checkpoint_dir,
+                                  load_only=load_only)
+    except MobicastError as exc:
+        write_manifest(args.out, argv, config_to_dict(cfg), cfg.seed,
+                       "failed", {"error": str(exc)})
+        raise
     paths = emit_report(report, args.out)
     status = "complete" if not report.skipped else "partial"
     write_manifest(args.out, argv, config_to_dict(cfg), cfg.seed, status, {
@@ -308,38 +318,14 @@ def _finish_grid_run(args, argv, cfg: RunConfig, report: ErrorReport,
 
 
 def cmd_train(args, argv) -> int:
-    cfg = resolve_run_config(args)
-    datasets = load_bundles(args.bundle)
-    checkpoint_dir = args.checkpoints or os.path.join(args.out, "checkpoints")
-    os.makedirs(args.out, exist_ok=True)
-    try:
-        report = rolling_evaluate(datasets, list(cfg.models), cfg.grid,
-                                  cfg.eval_config(),
-                                  checkpoint_dir=checkpoint_dir)
-    except MobicastError as exc:
-        write_manifest(args.out, argv, config_to_dict(cfg), cfg.seed,
-                       "failed", {"error": str(exc)})
-        raise
-    return _finish_grid_run(args, argv, cfg, report, datasets)
+    return _grid_run(args, argv,
+                     args.checkpoints or os.path.join(args.out, "checkpoints"))
 
 
 def cmd_evaluate(args, argv) -> int:
-    cfg = resolve_run_config(args)
-    datasets = load_bundles(args.bundle)
-    os.makedirs(args.out, exist_ok=True)
-    try:
-        if args.checkpoints:
-            report = evaluate_from_checkpoints(
-                datasets, list(cfg.models), cfg.grid, cfg.eval_config(),
-                resolve_input(args.checkpoints))
-        else:
-            report = rolling_evaluate(datasets, list(cfg.models), cfg.grid,
-                                      cfg.eval_config())
-    except MobicastError as exc:
-        write_manifest(args.out, argv, config_to_dict(cfg), cfg.seed,
-                       "failed", {"error": str(exc)})
-        raise
-    return _finish_grid_run(args, argv, cfg, report, datasets)
+    if not args.checkpoints:
+        return _grid_run(args, argv)
+    return _grid_run(args, argv, resolve_input(args.checkpoints), load_only=True)
 
 
 def cmd_meta_train(args, argv) -> int:

@@ -15,7 +15,7 @@ from .baselines import ar_fit, ar_predict, avg_predict, avg_window_predict, last
 from .dataio import CountryDataset
 from .errors import (CheckpointError, ContractError, DataError, InsufficientDataError,
                      TrainingDivergedError)
-from .graphs import assemble_samples, normalized_graphs
+from .graphs import normalized_graphs
 from .meta import MetaConfig, maml_meta_train, save_meta_state, tl_base_train
 from .models import BaselineLSTMModel, ModelState, MPNNLSTMModel, MPNNModel
 from .rng import derive_seed
@@ -316,6 +316,7 @@ class _CellContext:
     datasets: tuple
     config: EvalConfig
     checkpoint_dir: Optional[str]
+    load_only: bool = False   # load each trainable cell's checkpoint, never train
 
     def dataset(self, country: str) -> CountryDataset:
         for ds in self.datasets:
@@ -363,54 +364,65 @@ def _run_cell(task):
     return evaluate_cell(_CELL_CTX, *task)
 
 
+def _cell_checkpoint(ctx: _CellContext, task, splits, shared):
+    """The cell's model: loaded from its checkpoint under ctx.load_only,
+    else trained (and saved when ctx has a checkpoint directory)."""
+    country, model_name, t, j = task
+    path = (None if ctx.checkpoint_dir is None
+            else os.path.join(ctx.checkpoint_dir, checkpoint_name(*task)))
+    if ctx.load_only:
+        if not os.path.exists(path):
+            raise CheckpointError(
+                f"missing checkpoint for cell country={country} "
+                f"model={model_name} T={t} j={j}: {path}")
+        return load_checkpoint(path)
+    cfg = ctx.config
+    cell_seed = derive_seed(cfg.seed, country, t, j)
+    train_cfg = replace(cfg.train, seed=cell_seed)
+    model = build_model(model_name, cfg.train)
+    if model_name == "TL_BASE":
+        ckpt = tl_base_train(list(ctx.datasets), country, t, j, model, train_cfg)
+    else:
+        ckpt = train_model(splits, model, train_cfg, init_state=shared)
+    if path is not None:
+        save_checkpoint(path, ckpt, extra_meta={
+            "country": country, "model_name": model_name,
+            "t": t, "horizon": j, "cell_seed": cell_seed})
+    return ckpt
+
+
 def evaluate_cell(ctx: _CellContext, country: str, model_name: str, t: int,
                   j: int, shared=None):
-    """One protocol cell: train/fit, predict day t+j, return rows or a skip.
+    """One protocol cell: fit, train or load, predict day t+j; return rows or a skip.
 
-    `shared` is the country's meta-trained ModelState, the reason it has
-    none, or None when no other country exists; only MPNN_TL uses it.  Returns (task, rows, None) on success and
-    (task, None, reason) when the cell lacks the data its model needs, its
-    training diverged or it has no shared initialization.
+    Trainable cells build their splits, then train (or, under
+    ctx.load_only, load) the cell's model.  `shared`, passed to MPNN_TL
+    cells only, is the country's meta-trained ModelState or the reason it
+    has none.  Returns (task, rows, None) on success and (task, None,
+    reason) when the cell lacks the data its model needs, its training
+    diverged or it has no shared initialization.
     """
     task = (country, model_name, t, j)
     dataset = ctx.dataset(country)
     cfg = ctx.config
+    if model_name == "MPNN_TL" and len(ctx.datasets) == 1:
+        return task, None, "transfer initialization needs at least one other country"
+    if isinstance(shared, str):
+        return task, None, shared
     try:
         if model_name in BASELINE_MODELS:
             preds = _baseline_cell(model_name, dataset, t, j, cfg)
-            actual = dataset.cases_on(t + j)
         else:
-            cell_seed = derive_seed(cfg.seed, country, t, j)
-            train_cfg = replace(cfg.train, seed=cell_seed)
-            model = build_model(model_name, cfg.train)
-            if model_name == "TL_BASE":
-                ckpt = tl_base_train(list(ctx.datasets), country, t, j, model,
-                                     train_cfg)
-                splits = make_splits(dataset, t, j, cfg.train.d)
-            elif model_name == "MPNN_TL":
-                if not isinstance(shared, ModelState):
-                    return task, None, shared or (
-                        "transfer initialization needs at least one other "
-                        "country")
-                splits = make_splits(dataset, t, j, cfg.train.d)
-                ckpt = train_model(splits, model, train_cfg, init_state=shared)
-            else:
-                splits = make_splits(dataset, t, j, cfg.train.d,
-                                     variant=variant_for(model_name),
-                                     s=cfg.train.seq_len)
-                ckpt = train_model(splits, model, train_cfg)
-            preds = predict(ckpt, splits.test)
-            actual = np.asarray(splits.test.target, dtype=np.float64).reshape(-1)
-            if ctx.checkpoint_dir is not None:
-                path = os.path.join(ctx.checkpoint_dir,
-                                    checkpoint_name(country, model_name, t, j))
-                save_checkpoint(path, ckpt, extra_meta={
-                    "country": country, "model_name": model_name,
-                    "t": t, "horizon": j, "cell_seed": cell_seed})
+            splits = make_splits(dataset, t, j, cfg.train.d,
+                                 variant=variant_for(model_name),
+                                 s=cfg.train.seq_len)
+            ckpt = _cell_checkpoint(ctx, task, splits, shared)
+            preds = predict(ckpt.model, ckpt.state, [splits.test])
     except DataError as exc:  # includes InsufficientDataError
         return task, None, str(exc)
     except TrainingDivergedError as exc:
         return task, None, f"training diverged: {exc}"
+    actual = dataset.cases_on(t + j)
     rows = [ReportRow(country, model_name, t, j, dataset.regions[v],
                       float(preds[v]), float(actual[v]))
             for v in range(dataset.n)]
@@ -443,8 +455,8 @@ def _grid_tasks(datasets, models, grid):
 
 
 def _run_serial(ctx: _CellContext, tasks, targets) -> list:
-    shared = {target: _meta_task(ctx, target) for target in targets}
-    return [evaluate_cell(ctx, *task, shared.get(task[0])) for task in tasks]
+    shared = {(target, "MPNN_TL"): _meta_task(ctx, target) for target in targets}
+    return [evaluate_cell(ctx, *task, shared.get(task[:2])) for task in tasks]
 
 
 def _run_pool(ctx: _CellContext, tasks, targets) -> list:
@@ -469,7 +481,8 @@ def _run_pool(ctx: _CellContext, tasks, targets) -> list:
 
 
 def rolling_evaluate(datasets, models, grid: ProtocolGrid, config: EvalConfig,
-                     checkpoint_dir: Optional[str] = None) -> ErrorReport:
+                     checkpoint_dir: Optional[str] = None,
+                     load_only: bool = False) -> ErrorReport:
     """Train and score every requested (country, model, T, horizon) cell.
 
     Each cell trains its own model with a seed derived from (seed, country,
@@ -477,19 +490,26 @@ def rolling_evaluate(datasets, models, grid: ProtocolGrid, config: EvalConfig,
     `config.jobs` > 1 spreads cells, and each target country's meta-training
     for MPNN_TL, over worker processes.  Cells without enough data, or whose
     training diverged, are skipped and recorded, not failed.
+
+    With `load_only`, every trainable cell loads its checkpoint from
+    checkpoint_dir instead of training: nothing is meta-trained or saved,
+    cells run in-process whatever `config.jobs` says, and a missing
+    checkpoint is a CheckpointError naming the cell.
     """
     _check_request(datasets, models)
     tasks = _grid_tasks(datasets, models, grid)
-    if checkpoint_dir is not None:
+    if load_only and checkpoint_dir is None:
+        raise ContractError("load_only needs a checkpoint directory")
+    if checkpoint_dir is not None and not load_only:
         os.makedirs(checkpoint_dir, exist_ok=True)
     for ds in datasets:
         normalized_graphs(ds)   # once, before any worker forks
     ctx = _CellContext(datasets=tuple(datasets), config=config,
-                       checkpoint_dir=checkpoint_dir)
+                       checkpoint_dir=checkpoint_dir, load_only=load_only)
     # one meta-training per target country, each on all the others
-    targets = ([ds.country for ds in datasets]
-               if "MPNN_TL" in models and len(datasets) > 1 else [])
-    run = _run_serial if config.jobs == 1 else _run_pool
+    targets = ([ds.country for ds in datasets] if "MPNN_TL" in models
+               and len(datasets) > 1 and not load_only else [])
+    run = _run_serial if config.jobs == 1 or load_only else _run_pool
     rows = []
     skipped = []
     for task, cell_rows, reason in run(ctx, tasks, targets):
@@ -497,54 +517,6 @@ def rolling_evaluate(datasets, models, grid: ProtocolGrid, config: EvalConfig,
             skipped.append((*task, reason))
         else:
             rows.extend(cell_rows)
-    return ErrorReport(rows=rows, skipped=skipped)
-
-
-def evaluate_from_checkpoints(datasets, models, grid: ProtocolGrid,
-                              config: EvalConfig,
-                              checkpoint_dir: str) -> ErrorReport:
-    """Score the grid from previously saved checkpoints, without retraining.
-
-    Baseline families are recomputed (they have no checkpoints); every
-    trainable cell must have its checkpoint file present, and a missing one
-    is an error naming the cell.
-    """
-    _check_request(datasets, models)
-    tasks = _grid_tasks(datasets, models, grid)
-    ctx = _CellContext(datasets=tuple(datasets), config=config,
-                       checkpoint_dir=None)
-    rows = []
-    skipped = []
-    for task in tasks:
-        country, model_name, t, j = task
-        dataset = ctx.dataset(country)
-        if model_name in BASELINE_MODELS:
-            _, cell_rows, reason = evaluate_cell(ctx, *task)
-            if cell_rows is None:
-                skipped.append((*task, reason))
-            else:
-                rows.extend(cell_rows)
-            continue
-        path = os.path.join(checkpoint_dir,
-                            checkpoint_name(country, model_name, t, j))
-        if not os.path.exists(path):
-            raise CheckpointError(
-                f"missing checkpoint for cell country={country} "
-                f"model={model_name} T={t} j={j}: {path}")
-        ckpt = load_checkpoint(path)
-        try:
-            test = assemble_samples(dataset, config.train.d, j, t_end=t,
-                                    variant=variant_for(model_name),
-                                    s=config.train.seq_len,
-                                    include_test=True)[-1]
-        except DataError as exc:
-            skipped.append((*task, str(exc)))
-            continue
-        preds = predict(ckpt, test)
-        actual = np.asarray(test.target, dtype=np.float64).reshape(-1)
-        rows.extend(ReportRow(country, model_name, t, j, dataset.regions[v],
-                              float(preds[v]), float(actual[v]))
-                    for v in range(dataset.n))
     return ErrorReport(rows=rows, skipped=skipped)
 
 

@@ -72,18 +72,6 @@ def node_features(dataset: CountryDataset, t: int, d: int) -> FeatureWindow:
     return FeatureWindow(t, d, dataset.case_window(t, d))
 
 
-def latent_message(a_norm: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """One aggregation step A_norm @ X: per-region weighted mix of neighbor features."""
-    a_norm = np.asarray(a_norm, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    if a_norm.ndim != 2 or a_norm.shape[0] != a_norm.shape[1]:
-        raise ShapeError(f"a_norm must be square, got {a_norm.shape}")
-    if x.ndim != 2 or x.shape[0] != a_norm.shape[1]:
-        raise ShapeError(f"latent_message: shapes {a_norm.shape} and {x.shape} "
-                         f"are incompatible")
-    return a_norm @ x
-
-
 def _graph_on(dataset: CountryDataset, day: int) -> np.ndarray:
     dataset.mobility_on(day)  # checks the day; access tracing records the read
     return normalized_graphs(dataset)[day - 1]

@@ -1,15 +1,12 @@
-"""Transfer learning across countries: first-order meta-training of a shared
-initialization, per-cell fine-tuning, and the pooled-data baseline."""
+"""Transfer learning across countries: first-order meta-training of the shared
+initialization that MPNN_TL grid cells fine-tune from, and the pooled-data
+baseline."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass
 from typing import Optional
 
-import numpy as np
-
-from . import tape as tp
 from .dataio import CountryDataset
 from .errors import (
     CheckpointError,
@@ -18,18 +15,17 @@ from .errors import (
     TrainingDivergedError,
 )
 from .graphs import GraphSample, assemble_samples
-from .models import ModelState, model_from_spec, model_spec, stack_targets
-from .params import clone_params
+from .models import ModelState, model_from_spec, model_spec
 from .optim import sgd_step
-from .params import load_params, save_params
+from .params import clone_params, load_params, save_params
 from .rng import Rng
 from .train import (
     PROTOCOL_START_DAY,
     Checkpoint,
     SplitSpec,
     TrainConfig,
+    loss_and_grads,
     make_splits,
-    predict,
     train_model,
 )
 
@@ -66,13 +62,6 @@ class TaskSplit:
     test: GraphSample
 
 
-@dataclass
-class FineTuneResult:
-    checkpoints: dict        # (t, j) -> Checkpoint
-    mean_error: float        # mean over cells of the test-day MAE
-    skipped: list            # (t, j, reason) cells without enough data
-
-
 def enumerate_tasks(dataset: CountryDataset, config: MetaConfig) -> list:
     """Task grid over (t, horizon), t ascending then horizon ascending.
 
@@ -95,19 +84,6 @@ def enumerate_tasks(dataset: CountryDataset, config: MetaConfig) -> list:
     return tasks
 
 
-def _loss_grads(model, state: ModelState, batch, rng, where: str) -> dict:
-    """Squared-error loss gradients for one batch, in training mode."""
-    tape = tp.Tape(check_finite=False)
-    pvars = tape.bind(state.params)
-    preds = model.forward(tape, pvars, state.buffers, batch, "train", rng)
-    targets = tape.constant(stack_targets(batch))
-    loss = tp.mean_all(tp.square(tp.sub(preds, targets)))
-    if not math.isfinite(float(loss.value[0, 0])):
-        raise TrainingDivergedError(f"non-finite loss during {where}")
-    tape.backward(loss)
-    return {name: tape.grad(var) for name, var in pvars.items()}
-
-
 def meta_task_step(model, state: ModelState, task: TaskSplit, inner_lr: float,
                    meta_step: float, batch_size: int, rng) -> None:
     """One task's contribution to the shared parameters, applied in place.
@@ -121,14 +97,19 @@ def meta_task_step(model, state: ModelState, task: TaskSplit, inner_lr: float,
     weights were trained against.
     """
     inner = ModelState(clone_params(state.params), state.buffers)
+
+    def grads(batch, stage: str) -> dict:
+        _, out = loss_and_grads(model, inner, batch, rng)
+        if out is None:
+            raise TrainingDivergedError(
+                f"non-finite loss during {stage} for {task.country} "
+                f"t={task.t} j={task.horizon}")
+        return out
+
     for start in range(0, len(task.train), batch_size):
         batch = task.train[start:start + batch_size]
-        grads = _loss_grads(model, inner, batch, rng,
-                            f"adaptation for {task.country} t={task.t} j={task.horizon}")
-        inner.params = sgd_step(inner.params, grads, inner_lr)
-    meta_grads = _loss_grads(model, inner, [task.test], rng,
-                             f"meta step for {task.country} t={task.t} j={task.horizon}")
-    state.params = sgd_step(state.params, meta_grads, meta_step)
+        inner.params = sgd_step(inner.params, grads(batch, "adaptation"), inner_lr)
+    state.params = sgd_step(state.params, grads([task.test], "meta step"), meta_step)
 
 
 def maml_meta_train(datasets: list, model, config: MetaConfig,
@@ -161,39 +142,6 @@ def maml_meta_train(datasets: list, model, config: MetaConfig,
                 meta_task_step(model, state, task, config.inner_lr, step,
                                config.batch_size, dropout_rng)
     return state
-
-
-def fine_tune(state: ModelState, dataset: CountryDataset, model,
-              config: MetaConfig, train_config: TrainConfig) -> FineTuneResult:
-    """Adapt a shared initialization to one target country, cell by cell.
-
-    Every (t, horizon) cell of the target's task grid gets its own training
-    run started from `state`; cells without enough data for a train or
-    validation split are recorded as skipped.  The returned mean error
-    averages the test-day MAE over the completed cells.
-    """
-    checkpoints = {}
-    errors = []
-    skipped = []
-    for t in range(config.t_start, dataset.t_total + 1):
-        for j in range(1, config.dt + 1):
-            if t + j > dataset.t_total:
-                continue
-            try:
-                splits = make_splits(dataset, t, j, config.d)
-            except InsufficientDataError as exc:
-                skipped.append((t, j, str(exc)))
-                continue
-            ckpt = train_model(splits, model, train_config, init_state=state)
-            forecast = predict(ckpt, splits.test)
-            actual = np.asarray(splits.test.target, dtype=np.float64).reshape(-1)
-            errors.append(float(np.mean(np.abs(forecast - actual))))
-            checkpoints[(t, j)] = ckpt
-    if not errors:
-        raise InsufficientDataError(
-            f"{dataset.country}: every fine-tuning cell was skipped")
-    return FineTuneResult(checkpoints=checkpoints,
-                          mean_error=float(np.mean(errors)), skipped=skipped)
 
 
 def tl_base_train(datasets: list, target_country: str, t: int, j: int, model,

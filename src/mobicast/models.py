@@ -16,7 +16,6 @@ import numpy as np
 
 from . import tape as tp
 from .errors import ContractError, ShapeError
-from .graphs import GraphSample
 from .layers import batchnorm, dropout, glorot_init
 from .params import clone_params
 from .rng import Rng
@@ -131,12 +130,6 @@ class MPNNModel:
         rep = self._trunk(tape, pvars, buffers, blocks, x, mode, rng)
         return _head(pvars, rep)
 
-    def predict(self, state: ModelState, sample: GraphSample) -> np.ndarray:
-        tape = tp.Tape()
-        pvars = tape.bind(state.params)
-        out = self.forward(tape, pvars, state.buffers, [sample], "eval", None)
-        return out.value[:, 0].copy()
-
 
 class MPNNLSTMModel(MPNNModel):
     """Shared MPNN trunk per day feeding a two-layer LSTM over the day sequence.
@@ -225,57 +218,6 @@ class BaselineLSTMModel:
         out = tp.add_row(tp.matmul(h2, pvars["head.w"]), pvars["head.b"])
         return tp.relu(out)
 
-    def predict(self, state: ModelState, sample: GraphSample) -> np.ndarray:
-        tape = tp.Tape()
-        pvars = tape.bind(state.params)
-        out = self.forward(tape, pvars, state.buffers, [sample], "eval", None)
-        return out.value[:, 0].copy()
-
-
-# ------------------------------------------------------- functional wrappers
-
-def mpnn_forward(a_norm: np.ndarray, x: np.ndarray, state: ModelState,
-                 mode: str = "eval", rng: Rng | None = None,
-                 dropout_rate: float = 0.5) -> np.ndarray:
-    """Single-graph MPNN forward; hyperparameters inferred from the state."""
-    d, k_layers, hidden = _infer_mpnn_shape(state)
-    model = MPNNModel(d, k_layers, hidden, dropout_rate)
-    sample = GraphSample(anchor=0, horizon=1,
-                         graphs=((np.asarray(a_norm, dtype=np.float64),
-                                  np.asarray(x, dtype=np.float64)),), target=None)
-    tape = tp.Tape()
-    pvars = tape.bind(state.params)
-    return model.forward(tape, pvars, state.buffers, [sample], mode, rng).value[:, 0].copy()
-
-
-def mpnn_lstm_forward(graph_seq, state: ModelState, mode: str = "eval",
-                      rng: Rng | None = None, dropout_rate: float = 0.5,
-                      feature_mode: str = "last") -> np.ndarray:
-    """Sequence MPNN+LSTM forward over [(a_norm, x), ...] ending at the anchor."""
-    if len(graph_seq) < 1:
-        raise ContractError("graph sequence must have at least one day")
-    d, k_layers, hidden = _infer_mpnn_shape(state)
-    model = MPNNLSTMModel(d, k_layers, hidden, dropout_rate,
-                          seq_len=len(graph_seq), feature_mode=feature_mode)
-    pairs = tuple((np.asarray(a, dtype=np.float64), np.asarray(x, dtype=np.float64))
-                  for a, x in graph_seq)
-    sample = GraphSample(anchor=0, horizon=1, graphs=pairs, target=None)
-    tape = tp.Tape()
-    pvars = tape.bind(state.params)
-    return model.forward(tape, pvars, state.buffers, [sample], mode, rng).value[:, 0].copy()
-
-
-def baseline_lstm_forward(sequence, state: ModelState) -> float:
-    """Forecast for one region from its own past-week case sequence."""
-    seq = np.asarray(sequence, dtype=np.float64).reshape(-1)
-    if seq.shape[0] != 7:
-        raise ContractError(f"sequence must have length 7, got {seq.shape[0]}")
-    hidden = state.params["head.w"].shape[0]
-    model = BaselineLSTMModel(d=7, hidden=hidden)
-    sample = GraphSample(anchor=0, horizon=1,
-                         graphs=((np.eye(1), seq.reshape(1, -1)),), target=None)
-    return float(model.predict(state, sample)[0])
-
 
 def model_spec(model) -> dict:
     """Serializable description of a model's architecture (for checkpoints)."""
@@ -302,13 +244,3 @@ def model_from_spec(spec: dict):
         return BaselineLSTMModel(spec["d"], spec["hidden"])
     raise ContractError(f"unknown model kind {kind!r}")
 
-
-def _infer_mpnn_shape(state: ModelState):
-    if "agg1.w" not in state.params:
-        raise ContractError("state does not contain MPNN trunk parameters")
-    d = state.params["agg1.w"].shape[0]
-    hidden = state.params["agg1.w"].shape[1]
-    k_layers = 0
-    while f"agg{k_layers + 1}.w" in state.params:
-        k_layers += 1
-    return d, k_layers, hidden

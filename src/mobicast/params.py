@@ -14,7 +14,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import CheckpointError, NumericsError, ShapeError
+from .errors import CheckpointError, NumericsError
 
 MAGIC = b"MOBICAST-CKPT\n"
 FORMAT_VERSION = 1
@@ -22,29 +22,6 @@ FORMAT_VERSION = 1
 
 def clone_params(params: dict) -> dict:
     return {name: np.array(arr, dtype=np.float64, copy=True) for name, arr in params.items()}
-
-
-def flatten_params(params: dict) -> Tuple[np.ndarray, list]:
-    """Concatenate tensors (sorted by name) into one vector plus a shape spec."""
-    spec = [(name, params[name].shape) for name in sorted(params)]
-    if not spec:
-        return np.zeros(0), spec
-    vec = np.concatenate([np.asarray(params[name], dtype=np.float64).reshape(-1)
-                          for name, _ in spec])
-    return vec, spec
-
-
-def restore_params(vec: np.ndarray, spec: list) -> dict:
-    total = sum(int(np.prod(shape)) for _, shape in spec)
-    if vec.size != total:
-        raise ShapeError(f"restore_params: vector has {vec.size} entries, spec needs {total}")
-    out = {}
-    pos = 0
-    for name, shape in spec:
-        n = int(np.prod(shape))
-        out[name] = np.asarray(vec[pos:pos + n], dtype=np.float64).reshape(shape).copy()
-        pos += n
-    return out
 
 
 def _section_header(section: dict) -> list:

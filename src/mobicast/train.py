@@ -112,15 +112,30 @@ def make_splits(dataset: CountryDataset, t: int, j: int, d: int,
     return SplitSpec(t=t, horizon=j, train=train, validation=validation, test=test)
 
 
-def _predict_batch(model, state: ModelState, samples) -> np.ndarray:
+def predict(model, state: ModelState, samples) -> np.ndarray:
+    """Eval-mode forecasts for a batch of samples, stacked; shape (sum n_i,)."""
     tape = tp.Tape()
     pvars = tape.bind(state.params)
     out = model.forward(tape, pvars, state.buffers, samples, "eval", None)
     return out.value[:, 0].copy()
 
 
+def loss_and_grads(model, state: ModelState, batch, rng):
+    """Training-mode mean squared error of one batch and the gradient of every
+    parameter; the gradients are None when the loss is not finite."""
+    tape = tp.Tape(check_finite=False)
+    pvars = tape.bind(state.params)
+    preds = model.forward(tape, pvars, state.buffers, batch, "train", rng)
+    loss = tp.mean_all(tp.square(tp.sub(preds, tape.constant(stack_targets(batch)))))
+    value = float(loss.value[0, 0])
+    if not math.isfinite(value):
+        return value, None
+    tape.backward(loss)
+    return value, {name: tape.grad(var) for name, var in pvars.items()}
+
+
 def _validation_mae(model, state: ModelState, samples) -> float:
-    preds = _predict_batch(model, state, samples)
+    preds = predict(model, state, samples)
     targets = stack_targets(samples)[:, 0]
     return float(np.mean(np.abs(preds - targets)))
 
@@ -151,22 +166,16 @@ def train_model(splits: SplitSpec, model, config: TrainConfig,
         sq_sum = 0.0
         rows = 0
         for start in range(0, len(order), config.batch_size):
-            batch_no = start // config.batch_size
             batch = [train[i] for i in order[start:start + config.batch_size]]
-            tape = tp.Tape(check_finite=False)
-            pvars = tape.bind(state.params)
-            preds = model.forward(tape, pvars, state.buffers, batch, "train", dropout_rng)
-            targets = tape.constant(stack_targets(batch))
-            loss = tp.mean_all(tp.square(tp.sub(preds, targets)))
-            lval = float(loss.value[0, 0])
-            if not math.isfinite(lval):
+            loss, grads = loss_and_grads(model, state, batch, dropout_rng)
+            if grads is None:
                 raise TrainingDivergedError(
-                    f"non-finite loss at epoch {epoch}, batch {batch_no}; "
+                    f"non-finite loss at epoch {epoch}, batch "
+                    f"{start // config.batch_size}; "
                     f"largest parameters: {_param_norms(state.params)}")
-            sq_sum += lval * preds.shape[0]
-            rows += preds.shape[0]
-            tape.backward(loss)
-            grads = {name: tape.grad(var) for name, var in pvars.items()}
+            batch_rows = sum(smp.n for smp in batch)
+            sq_sum += loss * batch_rows
+            rows += batch_rows
             state.params = adam_step(state.params, grads, adam, config.lr)
         val_mae = _validation_mae(model, state, splits.validation)
         if log_fn is not None:
@@ -183,11 +192,6 @@ def train_model(splits: SplitSpec, model, config: TrainConfig,
         best.stopped_epoch = epoch
     best.stopped_epoch = max(best.stopped_epoch, config.max_epochs)
     return best
-
-
-def predict(checkpoint: Checkpoint, sample: GraphSample) -> np.ndarray:
-    """Eval-mode forecast of the checkpointed model on one sample; shape (n,)."""
-    return _predict_batch(checkpoint.model, checkpoint.state, [sample])
 
 
 def save_checkpoint(path: str, checkpoint: Checkpoint, extra_meta: dict | None = None) -> None:

@@ -31,7 +31,7 @@ from mobicast.evaluation import (EvalConfig, ProtocolGrid, ReportRow,
 from mobicast.graphs import GraphSample, normalize_incoming
 from mobicast.meta import MetaConfig, TaskSplit, maml_meta_train, meta_task_step
 from mobicast.models import (BaselineLSTMModel, ModelState, MPNNLSTMModel,
-                             MPNNModel, mpnn_forward, stack_targets)
+                             MPNNModel, stack_targets)
 from mobicast.params import clone_params
 from mobicast.rng import Rng, derive_seed
 from mobicast.train import (TrainConfig, make_splits, mse_loss, predict,
@@ -219,11 +219,15 @@ class TestNormalizationAndEquivariance:
         rng = Rng(9)
         a = normalize_incoming(rng.uniform(0.0, 5.0, (9, 9)))
         x = rng.uniform(0.0, 20.0, (9, 7))
-        base = mpnn_forward(a, x, state)
+        def forecast(a, x):
+            sample = GraphSample(anchor=0, horizon=1, graphs=((a, x),), target=None)
+            return predict(model, state, [sample])
+
+        base = forecast(a, x)
         perm_rng = np.random.default_rng(10)
         for _ in range(100):
             p = perm_rng.permutation(9)
-            shuffled = mpnn_forward(a[np.ix_(p, p)], x[p], state)
+            shuffled = forecast(a[np.ix_(p, p)], x[p])
             assert np.max(np.abs(shuffled - base[p])) < 1e-6
 
 
@@ -340,11 +344,11 @@ class TestSyntheticOrdering:
                                                         t, j))
                     actual = np.asarray(splits.test.target,
                                         dtype=np.float64).reshape(-1)
-                    cold = predict(train_model(splits, model, cell_cfg),
-                                   splits.test)
-                    warm = predict(train_model(splits, model, cell_cfg,
-                                               init_state=shared),
-                                   splits.test)
+                    cold = train_model(splits, model, cell_cfg)
+                    warm = train_model(splits, model, cell_cfg,
+                                       init_state=shared)
+                    cold = predict(model, cold.state, [splits.test])
+                    warm = predict(model, warm.state, [splits.test])
                     cold_err.extend(np.abs(cold - actual))
                     warm_err.extend(np.abs(warm - actual))
             wins += float(np.mean(warm_err)) < float(np.mean(cold_err))

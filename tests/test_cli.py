@@ -382,6 +382,45 @@ class TestEvaluateCommand:
         assert manifest["status"] == "failed"
         assert "missing checkpoint" in manifest["error"]
 
+    def assert_rescore_reproduces_skip(self, tmp_path, capsys, argv, reason):
+        trained = str(tmp_path / "trained")
+        assert main(["train", *argv, "--out", trained]) == 1
+        capsys.readouterr()
+        out = str(tmp_path / "eval")
+        rc = main(["evaluate", *argv, "--checkpoints",
+                   os.path.join(trained, "checkpoints"), "--out", out])
+        assert rc == 1
+        assert reason in capsys.readouterr().err
+        assert read_manifest(out)["status"] == "partial"
+        with open(os.path.join(trained, "rows.csv"), "rb") as fh:
+            expected = fh.read()
+        with open(os.path.join(out, "rows.csv"), "rb") as fh:
+            assert fh.read() == expected
+        rows, skip_lines = load_report_rows(os.path.join(out, "rows.csv"))
+        assert rows and len(skip_lines) == 1 and reason in skip_lines[0]
+
+    def test_rescore_keeps_cells_skipped_for_data(self, tmp_path, capsys):
+        # an 11-day sequence leaves MPNN_LSTM no validation sample at T=14
+        bundle, _ = make_bundle(tmp_path)
+        cfg = write_config(tmp_path, {
+            "train": dict(TINY_CONFIG["train"], seq_len=11)})
+        argv = ["--bundle", bundle, "--model", "mpnn_lstm", "--model", "mpnn",
+                "--t-start", "14", "--t-end", "15", "--horizon", "1",
+                "--config", cfg]
+        self.assert_rescore_reproduces_skip(
+            tmp_path, capsys, argv,
+            "model=MPNN_LSTM T=14 j=1: AA: no validation samples")
+
+    def test_rescore_keeps_transfer_skip_of_lone_country(self, tmp_path, capsys):
+        bundle, _ = make_bundle(tmp_path)
+        cfg = write_config(tmp_path)
+        argv = ["--bundle", bundle, "--model", "mpnn_tl", "--model", "mpnn",
+                "--t", "14", "--horizon", "1", "--config", cfg]
+        self.assert_rescore_reproduces_skip(
+            tmp_path, capsys, argv,
+            "model=MPNN_TL T=14 j=1: transfer initialization needs at least "
+            "one other country")
+
     def test_without_checkpoints_trains_in_place(self, tmp_path):
         bundle, _ = make_bundle(tmp_path)
         out = str(tmp_path / "eval")

@@ -20,7 +20,6 @@ from mobicast.evaluation import (
     correlation_table,
     emit_report,
     error_metric,
-    evaluate_from_checkpoints,
     load_report_rows,
     mobility_totals,
     pearson_shift_correlation,
@@ -539,16 +538,41 @@ class TestCheckpointReuse:
     def test_reload_reproduces_rows(self, tmp_path):
         datasets, grid, cfg, ckpt_dir, report = self.run_with_checkpoints(
             tmp_path, models=("MPNN", "LAST_DAY"))
-        again = evaluate_from_checkpoints(datasets, ["MPNN", "LAST_DAY"],
-                                          grid, cfg, ckpt_dir)
+        again = rolling_evaluate(datasets, ["MPNN", "LAST_DAY"], grid, cfg,
+                                 checkpoint_dir=ckpt_dir, load_only=True)
         assert again.rows == report.rows
+
+    def test_reload_trains_nothing_and_stays_in_process(self, tmp_path,
+                                                        monkeypatch):
+        models = ("MPNN_TL", "TL_BASE", "MPNN_LSTM", "AR")
+        datasets, grid, _, ckpt_dir, report = self.run_with_checkpoints(
+            tmp_path, models=models)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a load-only grid must not train or fork")
+
+        for name in ("maml_meta_train", "train_model", "tl_base_train",
+                     "save_checkpoint", "_run_pool"):
+            monkeypatch.setattr(evaluation, name, forbidden)
+        again = rolling_evaluate(datasets, list(models), grid,
+                                 fast_config(jobs=2), checkpoint_dir=ckpt_dir,
+                                 load_only=True)
+        assert again.rows == report.rows
+        assert again.skipped == report.skipped == []
 
     def test_missing_checkpoint_names_cell(self, tmp_path):
         datasets, grid, cfg, ckpt_dir, _ = self.run_with_checkpoints(tmp_path)
         os.remove(os.path.join(ckpt_dir, "BB__MPNN__T15_j1.ckpt"))
         with pytest.raises(CheckpointError,
                            match="country=BB model=MPNN T=15 j=1"):
-            evaluate_from_checkpoints(datasets, ["MPNN"], grid, cfg, ckpt_dir)
+            rolling_evaluate(datasets, ["MPNN"], grid, cfg,
+                             checkpoint_dir=ckpt_dir, load_only=True)
+
+    def test_load_only_needs_a_directory(self):
+        ds = make_ramp_dataset(n=2, days=18)
+        with pytest.raises(ContractError, match="checkpoint directory"):
+            rolling_evaluate([ds], ["MPNN"], ProtocolGrid(t_end=14, dt=1),
+                             fast_config(), load_only=True)
 
 
 class TestEmitReport:

@@ -5,9 +5,10 @@ import pytest
 
 from conftest import make_ramp_dataset
 from mobicast import graphs
+from mobicast import tape as tp
 from mobicast.errors import ContractError, DataError, ShapeError
 from mobicast.evaluation import EvalConfig, ProtocolGrid, rolling_evaluate
-from mobicast.graphs import (assemble_samples, latent_message, node_features,
+from mobicast.graphs import (assemble_samples, node_features,
                              normalize_incoming, normalized_graphs)
 from mobicast.meta import MetaConfig
 from mobicast.rng import Rng
@@ -82,17 +83,24 @@ class TestNodeFeatures:
             np.testing.assert_array_equal(fw.x[:, col], ds.cases_on(day))
 
 
+def aggregate(a_norm, x):
+    """One aggregation step A_norm @ X as the MPNN trunk computes it."""
+    tape = tp.Tape()
+    return tp.block_diag_matmul([np.asarray(a_norm, dtype=np.float64)],
+                                tape.constant(np.asarray(x, dtype=np.float64))).value
+
+
 class TestLatentMessage:
     def test_identity_passthrough(self):
         x = Rng(0).uniform(0.0, 5.0, (4, 3))
-        np.testing.assert_array_equal(latent_message(np.eye(4), x), x)
+        np.testing.assert_array_equal(aggregate(np.eye(4), x), x)
 
     def test_hand_product(self):
-        z = latent_message([[0.5, 0.5], [0.0, 1.0]], [[2.0], [4.0]])
+        z = aggregate([[0.5, 0.5], [0.0, 1.0]], [[2.0], [4.0]])
         np.testing.assert_array_equal(z, [[3.0], [4.0]])
 
     def test_zero_features(self):
-        np.testing.assert_array_equal(latent_message(np.eye(3), np.zeros((3, 2))),
+        np.testing.assert_array_equal(aggregate(np.eye(3), np.zeros((3, 2))),
                                       np.zeros((3, 2)))
 
     def test_convex_combination_bounds(self):
@@ -100,14 +108,14 @@ class TestLatentMessage:
             rng = Rng(seed)
             a = normalize_incoming(rng.uniform(0.1, 5.0, (6, 6)))  # no zero rows
             x = rng.uniform(0.0, 10.0, (6, 4))
-            z = latent_message(a, x)
+            z = aggregate(a, x)
             lo = x.min(axis=0) - 1e-12
             hi = x.max(axis=0) + 1e-12
             assert np.all(z >= lo) and np.all(z <= hi)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            latent_message(np.eye(3), np.zeros((4, 2)))
+            aggregate(np.eye(3), np.zeros((4, 2)))
 
 
 class TestAssembleSamples:

@@ -1,10 +1,13 @@
-"""Cross-country transfer: task grids, the two-level update, fine-tuning,
-and pooled training."""
+"""Cross-country transfer: task grids, the two-level update, fine-tuning in
+the MPNN_TL grid cells, and pooled training."""
+
+import os
 
 import numpy as np
 import pytest
 
 import mobicast.meta as meta_mod
+from mobicast import evaluation
 from mobicast import tape as tp
 from mobicast.errors import (
     CheckpointError,
@@ -12,13 +15,12 @@ from mobicast.errors import (
     InsufficientDataError,
     TrainingDivergedError,
 )
+from mobicast.evaluation import EvalConfig, ProtocolGrid, error_metric, rolling_evaluate
 from mobicast.graphs import GraphSample, assemble_samples
 from mobicast.meta import (
-    FineTuneResult,
     MetaConfig,
     TaskSplit,
     enumerate_tasks,
-    fine_tune,
     load_meta_state,
     maml_meta_train,
     meta_task_step,
@@ -28,7 +30,8 @@ from mobicast.meta import (
 from mobicast.models import ModelState, MPNNModel, model_spec
 from mobicast.params import save_params
 from mobicast.rng import Rng
-from mobicast.train import Checkpoint, TrainConfig, make_splits, predict, train_model
+from mobicast.train import (Checkpoint, TrainConfig, load_checkpoint, make_splits,
+                            predict, train_model)
 
 from conftest import TracingDataset, make_ramp_dataset
 
@@ -309,77 +312,98 @@ class TestMamlMetaTrain:
         assert state.params["theta"] is not init.params["theta"]
 
 
-class TestFineTune:
-    def test_zero_epochs_keeps_shared_parameters(self):
-        ds = make_ramp_dataset(n=3, days=16)
-        model = tiny_mpnn()
-        shared = model.init_state(Rng(3))
-        cfg = MetaConfig(dt=1, d=3)
-        result = fine_tune(shared, ds, model, cfg,
-                           TrainConfig(max_epochs=0, dropout=0.0))
-        assert set(result.checkpoints) == {(14, 1), (15, 1)}
-        for ckpt in result.checkpoints.values():
-            for key, arr in shared.params.items():
-                assert np.array_equal(ckpt.state.params[key], arr)
+def transfer_config(**train):
+    settings = dict(max_epochs=0, hidden=2, k_layers=1, d=3, dropout=0.0)
+    settings.update(train)
+    return EvalConfig(train=TrainConfig(**settings), meta=MetaConfig(dt=1))
 
-    def test_mean_error_averages_cells(self):
-        ds = make_ramp_dataset(n=3, days=16)
-        model = tiny_mpnn()
-        shared = model.init_state(Rng(3))
-        cfg = MetaConfig(dt=1, d=3)
-        result = fine_tune(shared, ds, model, cfg,
-                           TrainConfig(max_epochs=0, dropout=0.0))
+
+def two_countries(days=16, cls=lambda ds: ds):
+    return [cls(make_ramp_dataset(n=3, days=days, country="AA")),
+            cls(make_ramp_dataset(n=2, days=days, country="BB", seed=1))]
+
+
+class TestFineTune:
+    """MPNN_TL grid cells start from their country's meta-trained state."""
+
+    def test_zero_epochs_keeps_shared_parameters(self, tmp_path):
+        report = rolling_evaluate(two_countries(), ["MPNN_TL"],
+                                  ProtocolGrid(dt=1), transfer_config(),
+                                  checkpoint_dir=str(tmp_path))
+        assert not report.skipped
+        for country in ("AA", "BB"):
+            shared, _, _ = load_meta_state(
+                str(tmp_path / f"{country}__MPNN_TL__meta.ckpt"))
+            for t in (14, 15):
+                ckpt = load_checkpoint(
+                    str(tmp_path / f"{country}__MPNN_TL__T{t}_j1.ckpt"))
+                for key, arr in shared.params.items():
+                    assert np.array_equal(ckpt.state.params[key], arr)
+        assert sorted(os.listdir(tmp_path)) == [
+            f"{c}__MPNN_TL__{cell}.ckpt" for c in ("AA", "BB")
+            for cell in ("T14_j1", "T15_j1", "meta")]
+
+    def test_mean_error_averages_cells(self, tmp_path):
+        datasets = two_countries()
+        report = rolling_evaluate(datasets, ["MPNN_TL"], ProtocolGrid(dt=1),
+                                  transfer_config(), checkpoint_dir=str(tmp_path))
         maes = []
-        for (t, j), ckpt in sorted(result.checkpoints.items()):
-            splits = make_splits(ds, t, j, cfg.d)
-            forecast = predict(ckpt, splits.test)
+        for t in (14, 15):
+            ckpt = load_checkpoint(str(tmp_path / f"AA__MPNN_TL__T{t}_j1.ckpt"))
+            splits = make_splits(datasets[0], t, 1, 3)
+            forecast = predict(ckpt.model, ckpt.state, [splits.test])
             actual = np.asarray(splits.test.target).reshape(-1)
             maes.append(np.mean(np.abs(forecast - actual)))
-        assert result.mean_error == pytest.approx(float(np.mean(maes)), rel=1e-12)
+        rows = [r for r in report.rows if r.country == "AA"]
+        assert error_metric(rows) == pytest.approx(float(np.mean(maes)), rel=1e-12)
 
     def test_cells_without_validation_are_skipped(self):
-        ds = make_ramp_dataset(n=3, days=16)
-        model = MPNNModel(d=13, k_layers=1, hidden=2, dropout_rate=0.0)
-        shared = model.init_state(Rng(0))
-        result = fine_tune(shared, ds, model, MetaConfig(dt=1, d=13),
-                           TrainConfig(max_epochs=0, dropout=0.0))
-        assert set(result.checkpoints) == {(15, 1)}
-        assert [(t, j) for t, j, _ in result.skipped] == [(14, 1)]
+        report = rolling_evaluate(two_countries(), ["MPNN_TL"],
+                                  ProtocolGrid(dt=1), transfer_config(d=13))
+        assert sorted({(r.country, r.t) for r in report.rows}) == [
+            ("AA", 15), ("BB", 15)]
+        assert [(c, t, j) for c, _, t, j, _ in report.skipped] == [
+            ("AA", 14, 1), ("BB", 14, 1)]
+        assert all("no validation samples" in reason
+                   for *_, reason in report.skipped)
 
-    def test_all_cells_skipped_rejected(self):
-        ds = make_ramp_dataset(n=3, days=15)
-        model = MPNNModel(d=13, k_layers=1, hidden=2, dropout_rate=0.0)
-        shared = model.init_state(Rng(0))
-        with pytest.raises(InsufficientDataError, match="every fine-tuning cell"):
-            fine_tune(shared, ds, model, MetaConfig(dt=1, d=13),
-                      TrainConfig(max_epochs=0, dropout=0.0))
-
-    def test_warm_start_stays_near_converged_error(self):
-        ds = make_ramp_dataset(n=3, days=15)
-        model = tiny_mpnn()
-        splits = make_splits(ds, 14, 1, 3)
-        converged = train_model(splits, model,
+    def test_warm_start_stays_near_converged_error(self, monkeypatch):
+        datasets = two_countries(days=15)
+        splits = make_splits(datasets[0], 14, 1, 3)
+        converged = train_model(splits, tiny_mpnn(),
                                 TrainConfig(max_epochs=25, lr=1e-2, dropout=0.0, seed=1))
         actual = np.asarray(splits.test.target).reshape(-1)
-        base = float(np.mean(np.abs(predict(converged, splits.test) - actual)))
-        result = fine_tune(converged.state, ds, model, MetaConfig(dt=1, d=3),
-                           TrainConfig(max_epochs=1, dropout=0.0, seed=2))
-        assert result.mean_error <= base * 1.1 + 0.5
+        forecast = predict(converged.model, converged.state, [splits.test])
+        base = float(np.mean(np.abs(forecast - actual)))
+        monkeypatch.setattr(evaluation, "maml_meta_train",
+                            lambda foreign, model, config: converged.state)
+        report = rolling_evaluate(datasets, ["MPNN_TL"], ProtocolGrid(dt=1),
+                                  transfer_config(max_epochs=1, seed=2))
+        rows = [r for r in report.rows if r.country == "AA"]
+        assert {r.t for r in rows} == {14}
+        assert error_metric(rows) <= base * 1.1 + 0.5
 
-    def test_fine_tune_reads_only_the_target(self):
-        foreign = [TracingDataset(make_ramp_dataset(n=2, days=16, country="AA")),
-                   TracingDataset(make_ramp_dataset(n=2, days=16, country="BB"))]
+    def test_cells_read_only_the_target(self, monkeypatch):
+        foreign = two_countries(cls=TracingDataset)
         target = make_ramp_dataset(n=2, days=16, country="CC")
-        model = tiny_mpnn()
-        cfg = MetaConfig(dt=1, d=3, inner_lr=1e-3, meta_lr=1e-3)
-        shared = maml_meta_train(foreign, model, cfg)
-        reads_before = [(set(ds.case_days_read), set(ds.mobility_days_read))
-                        for ds in foreign]
-        fine_tune(shared, target, model, cfg,
-                  TrainConfig(max_epochs=1, dropout=0.0))
-        reads_after = [(set(ds.case_days_read), set(ds.mobility_days_read))
-                       for ds in foreign]
-        assert reads_before == reads_after
+        real = evaluation.evaluate_cell
+        reads = []
+
+        def traced_cell(ctx, country, model_name, t, j, shared=None):
+            for ds in foreign:   # forget the reads of earlier cells and meta-training
+                ds.case_days_read.clear()
+                ds.mobility_days_read.clear()
+            result = real(ctx, country, model_name, t, j, shared)
+            if country == "CC":
+                reads.append([(ds.case_days_read, ds.mobility_days_read)
+                              for ds in foreign])
+            return result
+
+        monkeypatch.setattr(evaluation, "evaluate_cell", traced_cell)
+        report = rolling_evaluate([*foreign, target], ["MPNN_TL"],
+                                  ProtocolGrid(dt=1), transfer_config(max_epochs=1))
+        assert not report.skipped
+        assert reads == [[(set(), set())] * 2] * 2
 
 
 class TestTlBaseTrain:
@@ -423,7 +447,7 @@ class TestTlBaseTrain:
                              TrainConfig(max_epochs=1, dropout=0.0))
         assert np.isfinite(ckpt.val_error)
         splits = make_splits(datasets[1], 14, 1, 3)
-        assert predict(ckpt, splits.test).shape == (3,)
+        assert predict(ckpt.model, ckpt.state, [splits.test]).shape == (3,)
 
     def test_deterministic_per_seed(self):
         datasets = [make_ramp_dataset(n=2, days=18, country="AA"),

@@ -10,11 +10,22 @@ import pytest
 from conftest import random_sample
 from mobicast import tape as tp
 from mobicast.errors import ContractError, ShapeError
+from mobicast.graphs import GraphSample
 from mobicast.layers import BN_EPS
 from mobicast.models import (BaselineLSTMModel, MPNNLSTMModel, MPNNModel,
-                             ModelState, baseline_lstm_forward, lstm_cell,
-                             mpnn_forward, mpnn_lstm_forward, stack_targets)
+                             ModelState, lstm_cell, stack_targets)
 from mobicast.rng import Rng
+from mobicast.train import predict
+
+
+def graph_sample(a, x):
+    return GraphSample(anchor=0, horizon=1, graphs=((a, x),), target=None)
+
+
+def region_forecast(model, state, sequence):
+    """Baseline LSTM forecast for one region from its own case sequence."""
+    x = np.asarray(sequence, dtype=np.float64).reshape(1, -1)
+    return float(predict(model, state, [graph_sample(np.eye(1), x)])[0])
 
 
 def zero_state(state: ModelState) -> ModelState:
@@ -67,7 +78,7 @@ class TestMPNN:
         model = MPNNModel(d=7, k_layers=2, hidden=6)
         state = zero_state(model.init_state(Rng(0)))
         sample = random_sample(Rng(1), n=4)
-        np.testing.assert_array_equal(model.predict(state, sample), np.zeros(4))
+        np.testing.assert_array_equal(predict(model, state, [sample]), np.zeros(4))
 
     def test_skip_concatenation_exposes_raw_features(self):
         # with unit-variance/zero-mean buffers, eval trunk = [X | bn(relu(AXW))]
@@ -90,7 +101,7 @@ class TestMPNN:
         for name in state.buffers:
             state.buffers[name] = np.abs(Rng(5).normal(state.buffers[name].shape)) + 0.5
         sample = random_sample(Rng(6), n=5)
-        got = model.predict(state, sample)
+        got = predict(model, state, [sample])
         a, x = sample.graphs[-1]
         want = ref_head(state.params, ref_trunk_eval(state.params, state.buffers, 2, a, x))
         np.testing.assert_allclose(got, want[:, 0], rtol=1e-10)
@@ -100,11 +111,12 @@ class TestMPNN:
         state = model.init_state(Rng(7))
         sample = random_sample(Rng(8), n=6)
         a, x = sample.graphs[-1]
-        base = mpnn_forward(a, x, state)
+        base = predict(model, state, [sample])
         rng = Rng(9)
         for _ in range(100):
             perm = rng.permutation(6)
-            permuted = mpnn_forward(a[np.ix_(perm, perm)], x[perm], state)
+            permuted = predict(model, state,
+                               [graph_sample(a[np.ix_(perm, perm)], x[perm])])
             assert np.max(np.abs(permuted - base[perm])) < 1e-6
 
     def test_batch_forward_matches_individual_eval(self):
@@ -115,7 +127,7 @@ class TestMPNN:
         tape = tp.Tape()
         pvars = tape.bind(state.params)
         batch = model.forward(tape, pvars, state.buffers, samples, "eval", None)
-        singles = np.concatenate([model.predict(state, s) for s in samples])
+        singles = np.concatenate([predict(model, state, [s]) for s in samples])
         np.testing.assert_allclose(batch.value[:, 0], singles, rtol=1e-12)
 
     def test_heterogeneous_batch_sizes(self):
@@ -133,13 +145,13 @@ class TestMPNN:
         for seed in range(20):
             model = MPNNModel(d=7, k_layers=2, hidden=6)
             state = model.init_state(Rng(seed))
-            assert np.all(model.predict(state, random_sample(rng, n=4)) >= 0.0)
+            assert np.all(predict(model, state, [random_sample(rng, n=4)]) >= 0.0)
 
     def test_feature_width_mismatch(self):
         model = MPNNModel(d=7, k_layers=2, hidden=6)
         state = model.init_state(Rng(15))
         with pytest.raises(ShapeError):
-            model.predict(state, random_sample(Rng(16), n=4, d=5))
+            predict(model, state, [random_sample(Rng(16), n=4, d=5)])
 
 
 class TestLSTMCell:
@@ -192,7 +204,7 @@ class TestMPNNLSTM:
         model = MPNNLSTMModel(d=7, k_layers=2, hidden=5, seq_len=3)
         state = zero_state(model.init_state(Rng(0)))
         sample = random_sample(Rng(1), n=4, steps=3)
-        np.testing.assert_array_equal(model.predict(state, sample), np.zeros(4))
+        np.testing.assert_array_equal(predict(model, state, [sample]), np.zeros(4))
 
     def _reference_forward(self, model, state, sample):
         hs = cs = None
@@ -211,7 +223,7 @@ class TestMPNNLSTM:
         model = MPNNLSTMModel(d=6, k_layers=2, hidden=5, seq_len=4)
         state = model.init_state(Rng(2))
         sample = random_sample(Rng(3), n=4, d=6, steps=4)
-        np.testing.assert_allclose(model.predict(state, sample),
+        np.testing.assert_allclose(predict(model, state, [sample]),
                                    self._reference_forward(model, state, sample),
                                    rtol=1e-10)
 
@@ -219,7 +231,7 @@ class TestMPNNLSTM:
         model = MPNNLSTMModel(d=5, k_layers=1, hidden=4, seq_len=1)
         state = model.init_state(Rng(4))
         sample = random_sample(Rng(5), n=3, d=5, steps=1)
-        np.testing.assert_allclose(model.predict(state, sample),
+        np.testing.assert_allclose(predict(model, state, [sample]),
                                    self._reference_forward(model, state, sample),
                                    rtol=1e-10)
 
@@ -230,7 +242,7 @@ class TestMPNNLSTM:
         from mobicast.graphs import GraphSample
         sample = GraphSample(anchor=9, horizon=1, graphs=one.graphs * 5,
                              target=one.target)
-        np.testing.assert_allclose(model.predict(state, sample),
+        np.testing.assert_allclose(predict(model, state, [sample]),
                                    self._reference_forward(model, state, sample),
                                    rtol=1e-10)
 
@@ -239,27 +251,31 @@ class TestMPNNLSTM:
         state = model.init_state(Rng(8))
         assert state.params["head.w1"].shape == (4 + 3 * 5, 4)
         sample = random_sample(Rng(9), n=3, d=5, steps=3)
-        assert model.predict(state, sample).shape == (3,)
+        assert predict(model, state, [sample]).shape == (3,)
 
     def test_sequence_length_mismatch(self):
         model = MPNNLSTMModel(d=5, k_layers=1, hidden=4, seq_len=3)
         state = model.init_state(Rng(10))
         with pytest.raises(ShapeError):
-            model.predict(state, random_sample(Rng(11), n=3, d=5, steps=2))
+            predict(model, state, [random_sample(Rng(11), n=3, d=5, steps=2)])
 
     def test_wrapper_matches_model(self):
+        # train.predict is the one eval-mode wrapper around model.forward
         model = MPNNLSTMModel(d=5, k_layers=2, hidden=6, seq_len=3)
         state = model.init_state(Rng(12))
         sample = random_sample(Rng(13), n=4, d=5, steps=3)
-        np.testing.assert_allclose(mpnn_lstm_forward(sample.graphs, state),
-                                   model.predict(state, sample), rtol=1e-12)
+        tape = tp.Tape()
+        pvars = tape.bind(state.params)
+        out = model.forward(tape, pvars, state.buffers, [sample], "eval", None)
+        np.testing.assert_allclose(predict(model, state, [sample]),
+                                   out.value[:, 0], rtol=1e-12)
 
 
 class TestBaselineLSTM:
     def test_zero_parameters_give_zero(self):
         model = BaselineLSTMModel(d=7, hidden=4)
         state = zero_state(model.init_state(Rng(0)))
-        assert baseline_lstm_forward(np.arange(7.0), state) == 0.0
+        assert region_forecast(model, state, np.arange(7.0)) == 0.0
 
     def test_degenerate_recurrence_is_feedforward(self):
         # zero recurrent weights + constant input: every step produces the
@@ -270,7 +286,7 @@ class TestBaselineLSTM:
             if ".u" in name:
                 state.params[name] = np.zeros_like(state.params[name])
         x = np.full(7, 4.0)
-        got = baseline_lstm_forward(x, state)
+        got = region_forecast(model, state, x)
 
         h1 = c1 = np.zeros((1, 3))
         h2 = c2 = np.zeros((1, 3))
@@ -286,20 +302,20 @@ class TestBaselineLSTM:
             model = BaselineLSTMModel(d=7, hidden=2)
             state = model.init_state(Rng(seed))
             seq = rng.uniform(0.0, 50.0, 7)
-            assert baseline_lstm_forward(seq, state) >= 0.0
+            assert region_forecast(model, state, seq) >= 0.0
 
     def test_wrong_length_rejected(self):
         model = BaselineLSTMModel(d=7, hidden=3)
         state = model.init_state(Rng(3))
-        with pytest.raises(ContractError, match="length 7"):
-            baseline_lstm_forward(np.arange(6.0), state)
+        with pytest.raises(ShapeError, match="6 columns, model expects 7"):
+            region_forecast(model, state, np.arange(6.0))
 
     def test_batched_forward_matches_per_region(self):
         model = BaselineLSTMModel(d=7, hidden=4)
         state = model.init_state(Rng(4))
         sample = random_sample(Rng(5), n=5, d=7)
-        batch = model.predict(state, sample)
-        singles = [baseline_lstm_forward(sample.graphs[-1][1][i], state)
+        batch = predict(model, state, [sample])
+        singles = [region_forecast(model, state, sample.graphs[-1][1][i])
                    for i in range(5)]
         np.testing.assert_allclose(batch, singles, rtol=1e-12)
 

@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from mobicast.errors import CheckpointError, NumericsError, ShapeError
-from mobicast.params import (clone_params, flatten_params, load_params,
-                             restore_params, save_params)
+from mobicast.errors import CheckpointError, NumericsError
+from mobicast.params import clone_params, load_params, save_params
 from mobicast.rng import Rng
 
 
@@ -19,27 +18,7 @@ def random_params(seed, n_tensors=5):
     return out
 
 
-class TestFlattenRestore:
-    def test_round_trip(self):
-        for seed in range(10):
-            params = random_params(seed)
-            vec, spec = flatten_params(params)
-            back = restore_params(vec, spec)
-            assert back.keys() == params.keys()
-            for name in params:
-                np.testing.assert_array_equal(back[name], params[name])
-
-    def test_order_is_name_sorted(self):
-        params = {"b": np.array([[2.0]]), "a": np.array([[1.0]])}
-        vec, spec = flatten_params(params)
-        assert [s[0] for s in spec] == ["a", "b"]
-        np.testing.assert_array_equal(vec, [1.0, 2.0])
-
-    def test_size_mismatch(self):
-        _, spec = flatten_params({"a": np.zeros((2, 2))})
-        with pytest.raises(ShapeError):
-            restore_params(np.zeros(3), spec)
-
+class TestCloneParams:
     def test_clone_is_deep(self):
         params = {"a": np.ones((2, 2))}
         cl = clone_params(params)

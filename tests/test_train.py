@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import mobicast.train as train_mod
+from mobicast import tape as tp
 from mobicast.errors import (
     CheckpointError,
     ContractError,
@@ -247,15 +248,18 @@ class TestPredict:
     def test_shape_and_nonnegativity(self):
         splits, model = tiny_setup()
         ckpt = train_model(splits, model, TrainConfig(max_epochs=2, dropout=0.0))
-        out = predict(ckpt, splits.test)
+        out = predict(model, ckpt.state, [splits.test])
         assert out.shape == (3,)
         assert np.all(out >= 0.0)
 
     def test_matches_eval_forward(self):
         splits, model = tiny_setup()
         ckpt = train_model(splits, model, TrainConfig(max_epochs=2, dropout=0.0))
-        direct = train_mod._predict_batch(model, ckpt.state, [splits.test])
-        assert np.array_equal(predict(ckpt, splits.test), direct)
+        samples = [splits.test, *splits.validation]
+        tape = tp.Tape()
+        pvars = tape.bind(ckpt.state.params)
+        direct = model.forward(tape, pvars, ckpt.state.buffers, samples, "eval", None)
+        assert np.array_equal(predict(model, ckpt.state, samples), direct.value[:, 0])
 
 
 class TestCheckpointIO:
@@ -285,7 +289,8 @@ class TestCheckpointIO:
         path = str(tmp_path / "model.ckpt")
         save_checkpoint(path, ckpt)
         loaded = load_checkpoint(path)
-        assert np.array_equal(predict(loaded, splits.test), predict(ckpt, splits.test))
+        assert np.array_equal(predict(loaded.model, loaded.state, [splits.test]),
+                              predict(model, ckpt.state, [splits.test]))
 
     def test_wrong_kind_rejected(self, tmp_path):
         path = str(tmp_path / "other.ckpt")
