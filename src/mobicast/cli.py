@@ -10,6 +10,7 @@ No manifest field depends on wall-clock time, so reruns are byte-identical.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import hashlib
 import json
@@ -52,6 +53,25 @@ from .train import TrainConfig
 
 MANIFEST_NAME = "run.json"
 DATA_DIR_ENV = "MOBICAST_DATA"
+
+
+def keep_heap_resident() -> None:
+    """Keep a training step's freed arrays in the heap for the next step.
+
+    A step's tape arrays, freed at its end, would otherwise go back to the
+    OS (mmapped blocks at once, the heap top past 128 KiB) and be faulted in
+    again by the next batch.  Raising glibc's mmap threshold to 4 MiB keeps
+    such blocks in the heap, and its trim threshold of 16 MiB keeps that much
+    free heap top mapped.  Process-wide; pool workers inherit it through
+    fork.  A no-op where the C library has no mallopt (not glibc).
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-3, 4 << 20)    # M_MMAP_THRESHOLD
+    mallopt(-1, 16 << 20)   # M_TRIM_THRESHOLD
 
 
 # ---------------------------------------------------------------- run config
@@ -483,6 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    keep_heap_resident()
     argv = list(sys.argv[1:] if argv is None else argv)
     args = build_parser().parse_args(argv)
     try:

@@ -12,6 +12,7 @@ import datetime
 import json
 import logging
 import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -443,7 +444,8 @@ def load_bundle(dir_path: str) -> CountryDataset:
                 continue
             if len(row) != 3 or row[0] not in date_idx or row[1] not in regions_idx:
                 raise BundleError(f"{cases_path}:{line_no}: row does not match manifest")
-            cases[regions_idx[row[1]], date_idx[row[0]]] = float(row[2])
+            cases[regions_idx[row[1]], date_idx[row[0]]] = _number(
+                row[2], cases_path, line_no)
             filled[regions_idx[row[1]], date_idx[row[0]]] = True
     if not filled.all():
         raise BundleError(f"{cases_path}: missing (region, date) entries")
@@ -453,9 +455,43 @@ def load_bundle(dir_path: str) -> CountryDataset:
         path = os.path.join(dir_path, "mobility", f"{date}.csv")
         if not os.path.isfile(path):
             raise BundleError(f"{dir_path}: missing mobility matrix for {date}")
-        with open(path, newline="", encoding="utf-8") as fh:
-            rows = [r for r in csv.reader(fh) if r]
-        if len(rows) != n or any(len(r) != n for r in rows):
-            raise BundleError(f"{path}: expected a dense {n}x{n} matrix")
-        mobility.append(np.array([[float(v) for v in r] for r in rows]))
+        mobility.append(_load_matrix(path, n))
     return CountryDataset(manifest["country"], regions, dates, cases, mobility)
+
+
+def _number(cell: str, path: str, line_no: int) -> float:
+    try:
+        return float(cell)
+    except ValueError:
+        raise BundleError(f"{path}:{line_no}: non-numeric cell {cell!r}") from None
+
+
+def _load_matrix(path: str, n: int) -> np.ndarray:
+    """One dense n x n mobility CSV, parsed in one numpy call.
+
+    A file numpy rejects, or of the wrong shape, is re-read cell by cell
+    with float(), which accepts what numpy does not (quoted cells, digit
+    underscores) and names the line of a ragged row or a non-numeric cell.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # an empty file
+            mat = np.loadtxt(path, delimiter=",", comments=None, ndmin=2,
+                             encoding="utf-8")
+        if mat.shape == (n, n):
+            return mat
+    except ValueError:
+        pass
+    rows = []
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != n:
+                raise BundleError(f"{path}:{reader.line_num}: {len(row)} cells, "
+                                  f"expected a dense {n}x{n} matrix")
+            rows.append([_number(v, path, reader.line_num) for v in row])
+    if len(rows) != n:
+        raise BundleError(f"{path}: {len(rows)} rows, expected a dense {n}x{n} matrix")
+    return np.array(rows)

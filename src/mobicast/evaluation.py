@@ -381,7 +381,7 @@ def _cell_checkpoint(ctx: _CellContext, task, splits, shared):
     train_cfg = replace(cfg.train, seed=cell_seed)
     model = build_model(model_name, cfg.train)
     if model_name == "TL_BASE":
-        ckpt = tl_base_train(list(ctx.datasets), country, t, j, model, train_cfg)
+        ckpt = tl_base_train(list(ctx.datasets), country, splits, model, train_cfg)
     else:
         ckpt = train_model(splits, model, train_cfg, init_state=shared)
     if path is not None:

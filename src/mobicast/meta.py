@@ -25,7 +25,6 @@ from .train import (
     SplitSpec,
     TrainConfig,
     loss_and_grads,
-    make_splits,
     train_model,
 )
 
@@ -144,23 +143,24 @@ def maml_meta_train(datasets: list, model, config: MetaConfig,
     return state
 
 
-def tl_base_train(datasets: list, target_country: str, t: int, j: int, model,
-                  train_config: TrainConfig) -> Checkpoint:
+def tl_base_train(datasets: list, target_country: str, splits: SplitSpec,
+                  model, train_config: TrainConfig) -> Checkpoint:
     """Train one model on every other country's full sample set pooled with
-    the target's training split; validation and test stay target-only."""
-    matches = [ds for ds in datasets if ds.country == target_country]
-    if len(matches) != 1:
+    the target's training split; validation and test stay target-only.
+
+    `splits` is the target's cell split at (splits.t, splits.horizon)."""
+    found = sum(ds.country == target_country for ds in datasets)
+    if found != 1:
         raise ContractError(
             f"target country {target_country!r} must appear exactly once, "
-            f"found {len(matches)}")
-    target = matches[0]
-    splits = make_splits(target, t, j, model.d)
+            f"found {found}")
     pooled = []
     for ds in datasets:
         if ds.country != target_country:
-            pooled.extend(assemble_samples(ds, model.d, j, t_end=ds.t_total))
+            pooled.extend(assemble_samples(ds, model.d, splits.horizon,
+                                           t_end=ds.t_total))
     pooled.extend(splits.train)
-    full = SplitSpec(t=t, horizon=j, train=pooled,
+    full = SplitSpec(t=splits.t, horizon=splits.horizon, train=pooled,
                      validation=splits.validation, test=splits.test)
     return train_model(full, model, train_config)
 

@@ -3,7 +3,11 @@
 A `Tape` records one forward computation as a flat list of nodes, each holding
 its value and a backward closure.  Calling `backward` on a 1x1 root replays the
 list in reverse, accumulating gradients for every node on a path to a
-parameter.  Matrices only: scalars travel as 1x1 arrays, vectors as nx1 or 1xn.
+parameter.  Gradients are kept for leaves (parameters and constants) only:
+every consumer of a node sits later on the tape, so an interior node's
+gradient is complete when the replay reaches it, and it is dropped once the
+node's backward closure has consumed it.  Matrices only: scalars travel as
+1x1 arrays, vectors as nx1 or 1xn.
 """
 
 from __future__ import annotations
@@ -98,6 +102,7 @@ class Tape:
             node = self._nodes[i]
             if node.backward is None or not node.requires_grad:
                 continue
+            grads[i] = None  # spent: only leaf gradients outlive backward
             contribs = node.backward(g)
             for p, contrib in zip(node.parents, contribs):
                 if contrib is None or not self._nodes[p].requires_grad:
@@ -112,6 +117,9 @@ class Tape:
     def grad(self, var: Var) -> np.ndarray:
         if self._grads is None:
             raise ContractError("backward has not been called on this tape")
+        if self._nodes[var.idx].backward is not None:
+            raise ContractError("gradients are kept for leaves (parameters, "
+                                "constants) only, not for interior nodes")
         g = self._grads[var.idx]
         if g is None:
             return np.zeros_like(var.value)

@@ -2,10 +2,11 @@
 
 import json
 import os
+from types import SimpleNamespace
 
 import pytest
 
-from mobicast import evaluation
+from mobicast import cli, evaluation
 from mobicast.baselines import last_day_predict
 from mobicast.cli import (
     RunConfig,
@@ -537,3 +538,28 @@ class TestDataDirResolution:
         rc = main(["evaluate", "--bundle", bundle, "--model", "avg",
                    "--t", "14", "--horizon", "1", "--out", out])
         assert rc == 0
+
+
+class TestHeapSettings:
+    def test_sets_both_glibc_thresholds(self, monkeypatch):
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+        monkeypatch.setattr(cli.ctypes, "CDLL",
+                            lambda name: SimpleNamespace(mallopt=mallopt))
+        cli.keep_heap_resident()
+        assert calls == [(-3, 4 << 20), (-1, 16 << 20)]
+
+    def test_noop_without_mallopt(self, monkeypatch):
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: object())
+        assert cli.keep_heap_resident() is None
+
+    def test_main_sets_them_before_any_work(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "keep_heap_resident", lambda: calls.append(1))
+        with pytest.raises(SystemExit):
+            main([])
+        assert calls == [1]

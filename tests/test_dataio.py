@@ -317,6 +317,78 @@ class TestBundles:
         with pytest.raises(BundleError, match=ds.dates[3]):
             load_bundle(str(bdir))
 
+    def saved(self, tmp_path):
+        ds = small_synthetic(seed=9, n=3, days=8)
+        bdir = tmp_path / "b"
+        save_bundle(ds, str(bdir))
+        return ds, bdir
+
+    def test_parsed_matrices_match_per_cell_float(self, tmp_path):
+        ds = small_synthetic(seed=5, n=12, days=10)
+        save_bundle(ds, str(tmp_path / "b"))
+        back = load_bundle(str(tmp_path / "b"))
+        for date, mat in zip(ds.dates, back.mobility):
+            text = (tmp_path / "b" / "mobility" / f"{date}.csv").read_text()
+            cells = [[float(v) for v in line.split(",")]
+                     for line in text.splitlines() if line]
+            assert mat.dtype == np.float64
+            assert mat.tobytes() == np.array(cells).tobytes()
+
+    def test_quoted_cells_still_parse(self, tmp_path):
+        ds, bdir = self.saved(tmp_path)
+        path = bdir / "mobility" / f"{ds.dates[2]}.csv"
+        text = path.read_text()
+        path.write_text("\n".join(",".join(f'"{v}"' for v in line.split(","))
+                                  for line in text.splitlines()) + "\n")
+        np.testing.assert_array_equal(load_bundle(str(bdir)).mobility[2],
+                                      ds.mobility[2])
+
+    def mangle_matrix(self, tmp_path, edit):
+        ds, bdir = self.saved(tmp_path)
+        path = bdir / "mobility" / f"{ds.dates[4]}.csv"
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(edit(lines)) + "\n")
+        return bdir, f"{ds.dates[4]}.csv"
+
+    def test_non_numeric_mobility_cell_names_file_and_line(self, tmp_path):
+        def edit(lines):
+            cells = lines[1].split(",")
+            cells[2] = "abc"
+            return [lines[0], ",".join(cells), *lines[2:]]
+
+        bdir, name = self.mangle_matrix(tmp_path, edit)
+        with pytest.raises(BundleError, match=f"{name}:2: non-numeric cell 'abc'"):
+            load_bundle(str(bdir))
+
+    def test_ragged_mobility_row_names_file_and_line(self, tmp_path):
+        bdir, name = self.mangle_matrix(
+            tmp_path, lambda lines: [lines[0], lines[1], lines[2].rsplit(",", 1)[0]])
+        with pytest.raises(BundleError, match=f"{name}:3: 2 cells, expected a dense 3x3"):
+            load_bundle(str(bdir))
+
+    def test_wrong_mobility_row_count(self, tmp_path):
+        bdir, name = self.mangle_matrix(tmp_path, lambda lines: lines + lines[:1])
+        with pytest.raises(BundleError, match=f"{name}: 4 rows, expected a dense 3x3"):
+            load_bundle(str(bdir))
+        bdir, name = self.mangle_matrix(tmp_path, lambda lines: lines[:2])
+        with pytest.raises(BundleError, match=f"{name}: 2 rows"):
+            load_bundle(str(bdir))
+
+    def test_empty_mobility_file(self, tmp_path):
+        bdir, name = self.mangle_matrix(tmp_path, lambda lines: [])
+        with pytest.raises(BundleError, match=f"{name}: 0 rows"):
+            load_bundle(str(bdir))
+
+    def test_non_numeric_case_count_names_file_and_line(self, tmp_path):
+        _, bdir = self.saved(tmp_path)
+        path = bdir / "cases.csv"
+        lines = path.read_text().splitlines()
+        date, region, _ = lines[5].split(",")
+        lines[5] = f"{date},{region},xyz"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(BundleError, match="cases.csv:6: non-numeric cell 'xyz'"):
+            load_bundle(str(bdir))
+
     def test_save_is_byte_deterministic(self, tmp_path):
         ds = small_synthetic(seed=11, n=3, days=6)
         save_bundle(ds, str(tmp_path / "x"))

@@ -410,7 +410,8 @@ class TestTlBaseTrain:
     def test_empty_foreign_pool_reduces_to_plain_training(self):
         ds = make_ramp_dataset(n=3, days=20, country="XX")
         cfg = TrainConfig(max_epochs=2, dropout=0.0, seed=6)
-        pooled = tl_base_train([ds], "XX", 14, 1, tiny_mpnn(), cfg)
+        pooled = tl_base_train([ds], "XX", make_splits(ds, 14, 1, 3),
+                               tiny_mpnn(), cfg)
         plain = train_model(make_splits(ds, 14, 1, 3), tiny_mpnn(), cfg)
         assert {k: v.tobytes() for k, v in pooled.state.params.items()} == \
                {k: v.tobytes() for k, v in plain.state.params.items()}
@@ -426,11 +427,11 @@ class TestTlBaseTrain:
             return Checkpoint(model, model.init_state(Rng(0)), 0.0, 0, 0)
 
         monkeypatch.setattr(meta_mod, "train_model", recorder)
-        tl_base_train([foreign, target], "BB", 15, 2, tiny_mpnn(),
+        plain = make_splits(target, 15, 2, 3)
+        tl_base_train([foreign, target], "BB", plain, tiny_mpnn(),
                       TrainConfig(dropout=0.0))
         splits = captured["splits"]
         foreign_universe = assemble_samples(foreign, 3, 2, t_end=18)
-        plain = make_splits(target, 15, 2, 3)
         assert len(splits.train) == len(foreign_universe) + len(plain.train)
         assert [s.n for s in splits.train[:len(foreign_universe)]] == \
                [2] * len(foreign_universe)
@@ -443,27 +444,48 @@ class TestTlBaseTrain:
     def test_trains_across_mixed_region_counts(self):
         datasets = [make_ramp_dataset(n=2, days=18, country="AA"),
                     make_ramp_dataset(n=3, days=20, country="BB")]
-        ckpt = tl_base_train(datasets, "BB", 14, 1, tiny_mpnn(),
+        splits = make_splits(datasets[1], 14, 1, 3)
+        ckpt = tl_base_train(datasets, "BB", splits, tiny_mpnn(),
                              TrainConfig(max_epochs=1, dropout=0.0))
         assert np.isfinite(ckpt.val_error)
-        splits = make_splits(datasets[1], 14, 1, 3)
         assert predict(ckpt.model, ckpt.state, [splits.test]).shape == (3,)
 
     def test_deterministic_per_seed(self):
         datasets = [make_ramp_dataset(n=2, days=18, country="AA"),
                     make_ramp_dataset(n=3, days=20, country="BB")]
         cfg = TrainConfig(max_epochs=1, dropout=0.0, seed=11)
-        a = tl_base_train(datasets, "BB", 14, 1, tiny_mpnn(), cfg)
-        b = tl_base_train(datasets, "BB", 14, 1, tiny_mpnn(), cfg)
+        splits = make_splits(datasets[1], 14, 1, 3)
+        a = tl_base_train(datasets, "BB", splits, tiny_mpnn(), cfg)
+        b = tl_base_train(datasets, "BB", splits, tiny_mpnn(), cfg)
         assert {k: v.tobytes() for k, v in a.state.params.items()} == \
                {k: v.tobytes() for k, v in b.state.params.items()}
 
     def test_unknown_or_duplicate_target_rejected(self):
         ds = make_ramp_dataset(n=2, days=18, country="AA")
+        splits = make_splits(ds, 14, 1, 3)
         with pytest.raises(ContractError, match="exactly once"):
-            tl_base_train([ds], "ZZ", 14, 1, tiny_mpnn(), TrainConfig())
+            tl_base_train([ds], "ZZ", splits, tiny_mpnn(), TrainConfig())
         with pytest.raises(ContractError, match="exactly once"):
-            tl_base_train([ds, ds], "AA", 14, 1, tiny_mpnn(), TrainConfig())
+            tl_base_train([ds, ds], "AA", splits, tiny_mpnn(), TrainConfig())
+
+    def test_grid_builds_each_cell_split_once(self, monkeypatch):
+        datasets = [make_ramp_dataset(n=2, days=18, country="AA"),
+                    make_ramp_dataset(n=3, days=20, country="BB")]
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return make_splits(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "make_splits", counting)
+        monkeypatch.setattr(meta_mod, "make_splits", counting, raising=False)
+        grid = ProtocolGrid(t_end=15, dt=1)
+        report = rolling_evaluate(datasets, ["TL_BASE"], grid,
+                                  transfer_config(max_epochs=1))
+        assert not report.skipped
+        cells = sorted({(r.country, r.t, r.horizon) for r in report.rows})
+        assert len(cells) == 4
+        assert len(calls) == len(cells)
 
 
 class TestMetaStateIO:

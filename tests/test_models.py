@@ -363,3 +363,22 @@ class TestTapeLifetime:
         finally:
             gc.enable()
         assert all(np.all(np.isfinite(g)) for g in grads.values())
+
+    def test_backward_keeps_leaf_gradients_only(self):
+        model = MPNNLSTMModel(d=7, k_layers=2, hidden=4, seq_len=3)
+        rng = Rng(31)
+        state = model.init_state(rng.spawn("init"))
+        samples = [random_sample(rng, n=4, d=7, steps=3) for _ in range(2)]
+        tape = tp.Tape()
+        pvars = tape.bind(state.params)
+        preds = model.forward(tape, pvars, state.buffers, samples, "train",
+                              rng.spawn("dropout"))
+        loss = tp.mean_all(tp.square(tp.sub(
+            preds, tape.constant(stack_targets(samples)))))
+        tape.backward(loss)
+        held = {i for i, g in enumerate(tape._grads) if g is not None}
+        leaves = {i for i, node in enumerate(tape._nodes) if node.backward is None}
+        assert held and held <= leaves
+        assert {v.idx for v in pvars.values()} <= held
+        with pytest.raises(ContractError, match="leaves"):
+            tape.grad(preds)

@@ -256,6 +256,17 @@ class TestContracts:
         with pytest.raises(ContractError):
             t.grad(a)
 
+    def test_grad_of_interior_node_rejected(self):
+        t = tp.Tape()
+        a = t.parameter(np.ones((2, 2)))
+        c = t.constant(np.ones((2, 2)))
+        mid = tp.mul(a, c)
+        t.backward(tp.mean_all(mid))
+        with pytest.raises(ContractError, match="leaves"):
+            t.grad(mid)
+        np.testing.assert_allclose(t.grad(a), np.full((2, 2), 0.25))
+        np.testing.assert_array_equal(t.grad(c), np.zeros((2, 2)))
+
     def test_cross_tape_operands(self):
         t1, t2 = tp.Tape(), tp.Tape()
         a = t1.parameter(np.ones((2, 2)))
