@@ -278,8 +278,9 @@ def variant_for(name: str) -> str:
     return "sequence" if name == "MPNN_LSTM" else "static"
 
 
-def checkpoint_name(country: str, model: str, t: int, j: int) -> str:
-    return f"{country}__{model}__T{t}_j{j}.ckpt"
+def checkpoint_name(country: str, model: str, t: int, j: int,
+                    suffix: str = ".ckpt") -> str:
+    return f"{country}__{model}__T{t}_j{j}{suffix}"
 
 
 def _baseline_cell(name: str, dataset: CountryDataset, t: int, j: int,
@@ -364,12 +365,34 @@ def _run_cell(task):
     return evaluate_cell(_CELL_CTX, *task)
 
 
+def _cell_path(ctx: _CellContext, task, suffix: str = ".ckpt") -> Optional[str]:
+    if ctx.checkpoint_dir is None:
+        return None
+    return os.path.join(ctx.checkpoint_dir, checkpoint_name(*task, suffix))
+
+
+def _discard(path: str) -> None:
+    try:
+        os.remove(path)
+    except FileNotFoundError:
+        pass
+
+
+def _record_skip(ctx: _CellContext, task, reason: str) -> str:
+    """Write a trained cell's skip reason to a .skip marker beside its
+    checkpoint, where a load-only rescore finds it, and return the reason."""
+    marker = _cell_path(ctx, task, ".skip")
+    if marker is not None:
+        atomic_write_text(marker, reason)
+        _discard(_cell_path(ctx, task))
+    return reason
+
+
 def _cell_checkpoint(ctx: _CellContext, task, splits, shared):
     """The cell's model: loaded from its checkpoint under ctx.load_only,
     else trained (and saved when ctx has a checkpoint directory)."""
     country, model_name, t, j = task
-    path = (None if ctx.checkpoint_dir is None
-            else os.path.join(ctx.checkpoint_dir, checkpoint_name(*task)))
+    path = _cell_path(ctx, task)
     if ctx.load_only:
         if not os.path.exists(path):
             raise CheckpointError(
@@ -388,6 +411,7 @@ def _cell_checkpoint(ctx: _CellContext, task, splits, shared):
         save_checkpoint(path, ckpt, extra_meta={
             "country": country, "model_name": model_name,
             "t": t, "horizon": j, "cell_seed": cell_seed})
+        _discard(_cell_path(ctx, task, ".skip"))
     return ckpt
 
 
@@ -400,7 +424,9 @@ def evaluate_cell(ctx: _CellContext, country: str, model_name: str, t: int,
     cells only, is the country's meta-trained ModelState or the reason it
     has none.  Returns (task, rows, None) on success and (task, None,
     reason) when the cell lacks the data its model needs, its training
-    diverged or it has no shared initialization.
+    diverged or it has no shared initialization.  The last two leave a
+    .skip marker in place of the checkpoint, which a load-only run reads
+    back as the same skip.
     """
     task = (country, model_name, t, j)
     dataset = ctx.dataset(country)
@@ -408,7 +434,11 @@ def evaluate_cell(ctx: _CellContext, country: str, model_name: str, t: int,
     if model_name == "MPNN_TL" and len(ctx.datasets) == 1:
         return task, None, "transfer initialization needs at least one other country"
     if isinstance(shared, str):
-        return task, None, shared
+        return task, None, _record_skip(ctx, task, shared)
+    marker = _cell_path(ctx, task, ".skip")
+    if ctx.load_only and os.path.exists(marker):
+        with open(marker, encoding="utf-8") as fh:
+            return task, None, fh.read()
     try:
         if model_name in BASELINE_MODELS:
             preds = _baseline_cell(model_name, dataset, t, j, cfg)
@@ -421,7 +451,7 @@ def evaluate_cell(ctx: _CellContext, country: str, model_name: str, t: int,
     except DataError as exc:  # includes InsufficientDataError
         return task, None, str(exc)
     except TrainingDivergedError as exc:
-        return task, None, f"training diverged: {exc}"
+        return task, None, _record_skip(ctx, task, f"training diverged: {exc}")
     actual = dataset.cases_on(t + j)
     rows = [ReportRow(country, model_name, t, j, dataset.regions[v],
                       float(preds[v]), float(actual[v]))

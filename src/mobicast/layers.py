@@ -40,33 +40,47 @@ def batchnorm(x: Var, gamma: Var, beta: Var, running_mean: np.ndarray,
     tape = x.tape
     gv, bv = gamma.value, beta.value
 
+    # One centering serves the variance and xhat; the reductions are the
+    # ones ndarray.mean and ndarray.var run, so every bit matches theirs.
+    n = xv.shape[0]
     if mode == "train":
-        if xv.shape[0] < 1:
+        if n < 1:
             raise ContractError("batchnorm needs at least one row")
         mean = xv.mean(axis=0, keepdims=True)
-        var = xv.var(axis=0, keepdims=True)  # biased, matches eval reconstruction
+        xhat = xv - mean
+        buf = np.square(xhat)
+        var = buf.sum(axis=0, keepdims=True)  # biased, matches eval reconstruction
+        var /= n
         running_mean *= 1.0 - momentum
         running_mean += momentum * mean
         running_var *= 1.0 - momentum
         running_var += momentum * var
     else:
-        mean = running_mean.copy()
+        xhat = xv - running_mean
+        buf = np.empty_like(xv)
         var = running_var.copy()
 
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (xv - mean) * inv_std
-    out = gv * xhat + bv
-    n = xv.shape[0]
+    xhat *= inv_std
+    out = np.multiply(gv, xhat, out=buf)
+    out += bv
 
     def backward(g):
-        dgamma = (g * xhat).sum(axis=0, keepdims=True)
+        t = g * xhat
+        dgamma = t.sum(axis=0, keepdims=True)
         dbeta = g.sum(axis=0, keepdims=True)
+        dx = g * gv
         if mode == "train":
-            dxhat = g * gv
-            dx = (inv_std / n) * (n * dxhat - dxhat.sum(axis=0, keepdims=True)
-                                  - xhat * (dxhat * xhat).sum(axis=0, keepdims=True))
+            s1 = dx.sum(axis=0, keepdims=True)
+            np.multiply(dx, xhat, out=t)
+            s2 = t.sum(axis=0, keepdims=True)
+            dx *= n
+            dx -= s1
+            np.multiply(xhat, s2, out=t)
+            dx -= t
+            np.multiply(inv_std / n, dx, out=dx)  # operand order fixes NaN signs
         else:
-            dx = g * gv * inv_std
+            dx *= inv_std
         return dx, dgamma, dbeta
 
     return tape.node(out, (x, gamma, beta), backward, "batchnorm")
@@ -82,7 +96,7 @@ def dropout(x: Var, p: float, rng: Rng, mode: str) -> Var:
         return x
     if rng is None:
         raise ContractError("dropout in train mode needs an rng")
-    keep = rng.random(x.shape) >= p
+    keep = rng.random_at_least(x.shape, p)
     scale = 1.0 / (1.0 - p)
     mask = keep * scale
 

@@ -10,6 +10,7 @@ state.
 from __future__ import annotations
 
 import hashlib
+import math
 
 import numpy as np
 
@@ -38,6 +39,12 @@ def _mix(z: np.ndarray) -> np.ndarray:
     np.right_shift(z, _S31, out=shifted)
     z ^= shifted
     return z
+
+
+def _shape(size) -> tuple:
+    """An array shape and its element count from an int or a tuple size."""
+    shape = (size,) if isinstance(size, (int, np.integer)) else tuple(size)
+    return shape, int(np.prod(shape)) if shape else 1
 
 
 def derive_seed(base: int, *parts) -> int:
@@ -77,13 +84,26 @@ class Rng:
         """Uniform doubles in [0, 1). Scalar when size is None."""
         if size is None:
             return float(self._raw(1)[0] >> _S11) * _DOUBLE_UNIT
-        shape = (size,) if isinstance(size, (int, np.integer)) else tuple(size)
-        n = int(np.prod(shape)) if shape else 1
+        shape, n = _shape(size)
         raw = self._raw(n)
         raw >>= _S11
         vals = raw.astype(np.float64)
         vals *= _DOUBLE_UNIT
         return vals.reshape(shape)
+
+    def random_at_least(self, size, p: float) -> np.ndarray:
+        """Boolean array equal to `self.random(size) >= p`, for 0 <= p < 1.
+
+        A uniform is k * 2**-53 with k the raw draw's top 53 bits, so
+        u >= p exactly when k >= ceil(p * 2**53) (a power-of-two scaling,
+        hence exact), that is when the raw draw is at least that bound
+        shifted left by 11.  The counter advances as random(size)'s does.
+        """
+        if not 0.0 <= p < 1.0:
+            raise ContractError(f"random_at_least needs 0 <= p < 1, got {p}")
+        shape, n = _shape(size)
+        bound = np.uint64(math.ceil(p * 2.0 ** 53) << 11)
+        return (self._raw(n) >= bound).reshape(shape)
 
     def uniform(self, low: float, high: float, size=None):
         return low + (high - low) * self.random(size)
@@ -92,8 +112,7 @@ class Rng:
         """Standard normals via Box-Muller (two uniforms per pair)."""
         if size is None:
             return float(self.normal(1)[0])
-        shape = (size,) if isinstance(size, (int, np.integer)) else tuple(size)
-        n = int(np.prod(shape)) if shape else 1
+        shape, n = _shape(size)
         m = (n + 1) // 2
         u1 = self.random(m)
         u2 = self.random(m)

@@ -1,5 +1,6 @@
 """Command-line surface: config resolution, subcommands, manifests, exits."""
 
+import hashlib
 import json
 import os
 from types import SimpleNamespace
@@ -52,6 +53,10 @@ def read_tree(root):
             with open(path, "rb") as fh:
                 out[os.path.relpath(path, root)] = fh.read()
     return out
+
+
+def sha256(data):
+    return hashlib.sha256(data).hexdigest()
 
 
 def read_manifest(out_dir):
@@ -347,6 +352,45 @@ class TestTrainCommand:
         assert "unknown config keys: frobnicate" in capsys.readouterr().err
 
 
+class TestPinnedGrid:
+    """A seeded toy grid over every MPNN-step model, pinned byte for byte.
+
+    Dropout is on and two countries of different sizes give MPNN_TL its
+    meta-training and TL_BASE its mixed-n batches, so a change to any
+    elementwise layer, the dropout masks or the meta update that moves
+    a single bit changes one of these digests.
+    """
+
+    ROWS_SHA256 = "c88f2aa912b011752c2e7052438d24001b8285dd9fa0686abffbe78d41d99343"
+    META_SHA256 = {
+        "AA": "c79546a9371b9fdafa1d773787690d9e0d5ac2999af25f7bf72be2bbee53f50e",
+        "BB": "ee7d2457329a3a3bcc6dd63174cf2952d919fd5585737ef9e9b054ed28368cdb"}
+    CELLS_SHA256 = "fc98081a4856021ff05f1cf4c21bbd78eccc6da657080751335d03eefe201daf"
+
+    def test_outputs_match_pinned_digests(self, tmp_path):
+        bundle_a, _ = make_bundle(tmp_path, country="AA", n=3, days=20)
+        bundle_b, _ = make_bundle(tmp_path, country="BB", n=4, days=20, seed=1)
+        cfg = write_config(tmp_path, {
+            "train": dict(TINY_CONFIG["train"], hidden=4, k_layers=2,
+                          dropout=0.5),
+            "meta": {"dt": 2, "d": 3}})
+        out = str(tmp_path / "out")
+        assert main(["train", "--bundle", bundle_a, "--bundle", bundle_b,
+                     "--model", "mpnn", "--model", "mpnn_tl", "--model",
+                     "tl_base", "--model", "mpnn_lstm", "--t-start", "14",
+                     "--t-end", "15", "--horizon", "1", "--horizon", "3",
+                     "--seed", "5", "--config", cfg, "--out", out]) == 0
+        tree = read_tree(out)
+        assert sha256(tree["rows.csv"]) == self.ROWS_SHA256
+        for country, digest in self.META_SHA256.items():
+            name = os.path.join("checkpoints", f"{country}__MPNN_TL__meta.ckpt")
+            assert sha256(tree.pop(name)) == digest
+        cells = sorted(name for name in tree if name.startswith("checkpoints"))
+        assert len(cells) == 32
+        assert sha256(b"".join(name.encode() + tree[name] for name in cells)) \
+            == self.CELLS_SHA256
+
+
 class TestEvaluateCommand:
     def trained(self, tmp_path):
         bundle, _ = make_bundle(tmp_path)
@@ -383,9 +427,15 @@ class TestEvaluateCommand:
         assert manifest["status"] == "failed"
         assert "missing checkpoint" in manifest["error"]
 
-    def assert_rescore_reproduces_skip(self, tmp_path, capsys, argv, reason):
+    def assert_rescore_reproduces_skip(self, tmp_path, capsys, argv, reason,
+                                       train_model=None):
+        """Train (with evaluation.train_model replaced by train_model, if
+        given), then rescore unpatched: same rows.csv, skip line and exit."""
         trained = str(tmp_path / "trained")
-        assert main(["train", *argv, "--out", trained]) == 1
+        with pytest.MonkeyPatch.context() as mp:
+            if train_model is not None:
+                mp.setattr(evaluation, "train_model", train_model)
+            assert main(["train", *argv, "--out", trained]) == 1
         capsys.readouterr()
         out = str(tmp_path / "eval")
         rc = main(["evaluate", *argv, "--checkpoints",
@@ -421,6 +471,48 @@ class TestEvaluateCommand:
             tmp_path, capsys, argv,
             "model=MPNN_TL T=14 j=1: transfer initialization needs at least "
             "one other country")
+
+    def test_rescore_keeps_diverged_cell(self, tmp_path, capsys):
+        bundle, _ = make_bundle(tmp_path)
+        cfg = write_config(tmp_path)
+        argv = ["--bundle", bundle, "--model", "mpnn", "--model", "avg",
+                "--t-start", "14", "--t-end", "15", "--horizon", "1",
+                "--config", cfg]
+        message = "non-finite loss at epoch 1, batch 0"
+        self.assert_rescore_reproduces_skip(
+            tmp_path, capsys, argv,
+            f"model=MPNN T=14 j=1: training diverged: {message}",
+            train_model=diverge_at(14, message))
+        ckpts = sorted(os.listdir(tmp_path / "trained" / "checkpoints"))
+        assert ckpts == ["AA__MPNN__T14_j1.skip", "AA__MPNN__T15_j1.ckpt"]
+
+    def test_rescore_keeps_failed_meta_training(self, tmp_path, capsys):
+        bundle_a, _ = make_bundle(tmp_path, country="AA")
+        # 14 days leave no meta task, so AA's meta-training has nothing to learn
+        bundle_b, _ = make_bundle(tmp_path, country="BB", days=14)
+        cfg = write_config(tmp_path)
+        argv = ["--bundle", bundle_a, "--bundle", bundle_b, "--model", "mpnn_tl",
+                "--model", "mpnn", "--t", "14", "--horizon", "1", "--jobs", "2",
+                "--config", cfg]
+        self.assert_rescore_reproduces_skip(
+            tmp_path, capsys, argv,
+            "model=MPNN_TL T=14 j=1: meta-training failed: BB: no tasks")
+
+    def test_retraining_a_skipped_cell_drops_its_marker(self, tmp_path, monkeypatch):
+        bundle, _ = make_bundle(tmp_path)
+        cfg = write_config(tmp_path)
+        argv = ["train", "--bundle", bundle, "--model", "mpnn", "--t", "14",
+                "--horizon", "1", "--config", cfg, "--out", str(tmp_path / "out")]
+        ckpt_dir = tmp_path / "out" / "checkpoints"
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(evaluation, "train_model", diverge_at(14, "boom"))
+            assert main(argv) == 1
+        assert sorted(os.listdir(ckpt_dir)) == ["AA__MPNN__T14_j1.skip"]
+        assert main(argv) == 0
+        assert sorted(os.listdir(ckpt_dir)) == ["AA__MPNN__T14_j1.ckpt"]
+        monkeypatch.setattr(evaluation, "train_model", diverge_at(14, "boom"))
+        assert main(argv) == 1
+        assert sorted(os.listdir(ckpt_dir)) == ["AA__MPNN__T14_j1.skip"]
 
     def test_without_checkpoints_trains_in_place(self, tmp_path):
         bundle, _ = make_bundle(tmp_path)

@@ -1,8 +1,12 @@
 """Batchnorm, dropout, and init checks, including finite-difference gradients."""
 
+import re
+import tokenize
+
 import numpy as np
 import pytest
 
+from mobicast import layers, models
 from mobicast import tape as tp
 from mobicast.errors import ContractError, ShapeError
 from mobicast.layers import batchnorm, dropout, glorot_init
@@ -123,6 +127,93 @@ class TestBatchnormBackward:
         self._fd(mode, wrt)
 
 
+def _reference_batchnorm(xv, gv, bv, running_mean, running_var, mode, g,
+                         momentum=0.1, eps=1e-5):
+    """The two-pass formulas batchnorm replaced: output, (dx, dgamma, dbeta)."""
+    if mode == "train":
+        mean = xv.mean(axis=0, keepdims=True)
+        var = xv.var(axis=0, keepdims=True)
+        running_mean *= 1.0 - momentum
+        running_mean += momentum * mean
+        running_var *= 1.0 - momentum
+        running_var += momentum * var
+    else:
+        mean = running_mean.copy()
+        var = running_var.copy()
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat = (xv - mean) * inv_std
+    out = gv * xhat + bv
+    n = xv.shape[0]
+    dgamma = (g * xhat).sum(axis=0, keepdims=True)
+    dbeta = g.sum(axis=0, keepdims=True)
+    if mode == "train":
+        dxhat = g * gv
+        dx = (inv_std / n) * (n * dxhat - dxhat.sum(axis=0, keepdims=True)
+                              - xhat * (dxhat * xhat).sum(axis=0, keepdims=True))
+    else:
+        dx = g * gv * inv_std
+    return out, (dx, dgamma, dbeta)
+
+
+class TestBatchnormBitIdentity:
+    """One-pass batchnorm against the two-pass formulas, byte for byte."""
+
+    @staticmethod
+    def assert_matches_reference(x, mode, seed):
+        rng = Rng(seed)
+        (n, d), shape = x.shape, x.shape
+        gamma = rng.uniform(0.5, 1.5, (1, d))
+        beta = rng.normal((1, d))
+        g = rng.normal(shape)
+        rm0, rv0 = rng.normal((1, d)), rng.uniform(0.1, 4.0, (1, d))
+
+        rm, rv = rm0.copy(), rv0.copy()
+        t = tp.Tape(check_finite=False)
+        handles = [t.parameter(x), t.parameter(gamma), t.parameter(beta)]
+        out = batchnorm(*handles, rm, rv, mode)
+        t.backward(tp.mean_all(tp.mul(out, t.constant(g))))
+
+        ref_rm, ref_rv = rm0.copy(), rv0.copy()
+        upstream = np.full(shape, 1.0 / (n * d)) * g  # what mul hands batchnorm
+        ref_out, ref_grads = _reference_batchnorm(x, gamma, beta, ref_rm, ref_rv,
+                                                  mode, upstream)
+        assert out.value.tobytes() == ref_out.tobytes()
+        for h, want in zip(handles, ref_grads):
+            assert t.grad(h).tobytes() == want.tobytes()
+        assert rm.tobytes() == ref_rm.tobytes()
+        assert rv.tobytes() == ref_rv.tobytes()
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    @pytest.mark.parametrize("shape", [(1, 3), (5, 4), (37, 16), (320, 64)])
+    def test_output_gradients_and_buffers(self, mode, shape):
+        rng = Rng(shape[0] * 100 + shape[1])
+        # columns on very different scales and offsets, a constant column
+        x = rng.normal(shape) * rng.uniform(1e-3, 1e3, (1, shape[1]))
+        x += rng.normal((1, shape[1])) * 50.0
+        x[:, 0] = 2.5
+        self.assert_matches_reference(x, mode, seed=shape[0])
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_special_values(self, mode):
+        tiny = 5e-324
+        x = np.array([[0.0, tiny, np.inf, np.nan, 1e308, 1.0],
+                      [-0.0, -tiny, 1.0, 2.0, 1e308, -1.0],
+                      [0.0, 3 * tiny, -2.0, 3.0, -1e308, 2.0],
+                      [-0.0, tiny, 0.5, -np.nan, 1e308, -2.0]])
+        with np.errstate(all="ignore"):
+            self.assert_matches_reference(x, mode, seed=4)
+
+    def test_backward_leaves_upstream_gradient_alone(self):
+        x, gamma, beta = _bn_setup()
+        t = tp.Tape()
+        out = batchnorm(t.parameter(x), t.parameter(gamma), t.parameter(beta),
+                        np.zeros((1, 3)), np.ones((1, 3)), "train")
+        g = Rng(2).normal(out.shape)
+        g_before = g.copy()
+        t._nodes[out.idx].backward(g)
+        assert g.tobytes() == g_before.tobytes()
+
+
 class TestDropout:
     def test_eval_and_zero_rate_are_identity(self):
         t = tp.Tape()
@@ -161,6 +252,30 @@ class TestDropout:
         assert np.array_equal(run(9), run(9))
         assert not np.array_equal(run(9), run(10))
 
+    @pytest.mark.parametrize("p", [0.5, 0.3])
+    def test_matches_finite_differences_with_fixed_mask(self, p):
+        # a fresh Rng(8) per evaluation draws the same mask every time
+        x = Rng(3).normal((6, 5))
+        t = tp.Tape()
+        xv = t.parameter(x)
+        t.backward(tp.mean_all(tp.square(dropout(xv, p, Rng(8), "train"))))
+
+        def loss(vals):
+            t2 = tp.Tape()
+            return float(tp.mean_all(tp.square(
+                dropout(t2.parameter(vals), p, Rng(8), "train"))).value[0, 0])
+
+        eps = 1e-6
+        fd = np.zeros_like(x)
+        for idx in np.ndindex(x.shape):
+            bumped = x.copy()
+            bumped[idx] += eps
+            hi = loss(bumped)
+            bumped[idx] -= 2 * eps
+            fd[idx] = (hi - loss(bumped)) / (2 * eps)
+        assert np.any(fd == 0.0) and np.any(fd != 0.0)  # the mask drops and keeps
+        np.testing.assert_allclose(t.grad(xv), fd, rtol=1e-6, atol=1e-9)
+
     def test_rejects_bad_rate(self):
         t = tp.Tape()
         x = t.parameter(np.ones((2, 2)))
@@ -168,3 +283,40 @@ class TestDropout:
             dropout(x, 1.0, Rng(0), "train")
         with pytest.raises(ContractError):
             dropout(x, -0.1, Rng(0), "train")
+
+
+class TestNoMaskedSelects:
+    """The MPNN step's modules build masked values without branching selects.
+
+    numpy runs where-style selects with one branch per element, which
+    mispredicts on the near-random masks of relu and dropout; the step
+    uses bit masks and multiplies instead.  Comments and strings are not
+    code, so they may name the forbidden calls.
+    """
+
+    FORBIDDEN = [re.compile(r"np\.where\("), re.compile(r"np\.putmask\("),
+                 re.compile(r"np\.select\("),
+                 re.compile(r"np\.copyto\((?:[^()]|\([^()]*\))*\bwhere=")]
+
+    @staticmethod
+    def code_text(path):
+        with open(path, "rb") as fh:
+            tokens = list(tokenize.tokenize(fh.readline))
+        return "".join(tok.string for tok in tokens
+                       if tok.type not in (tokenize.COMMENT, tokenize.STRING))
+
+    def test_forbidden_calls_are_recognised(self):
+        def hits(src):
+            return [p.pattern for p in self.FORBIDDEN if p.search(src.replace(" ", ""))]
+
+        assert hits("np.where(m, a, 0.0)")
+        assert hits("np.copyto(out, f(a), where=m)")
+        assert hits("np.putmask(a, m, 0.0)") and hits("np.select([m], [a])")
+        assert not hits("np.copyto(out, a)") and not hits("np.multiply(a, m)")
+
+    @pytest.mark.parametrize("module", [tp, layers, models])
+    def test_step_modules_use_no_masked_select(self, module):
+        code = self.code_text(module.__file__)
+        assert code
+        found = [p.pattern for p in self.FORBIDDEN if p.search(code)]
+        assert not found, f"{module.__name__} uses {found}"

@@ -1,6 +1,7 @@
 """Determinism and distribution checks for the SplitMix64 stream."""
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -93,6 +94,52 @@ class TestDistributions:
     def test_poisson_rejects_negative(self):
         with pytest.raises(ContractError):
             Rng(0).poisson(-1.0)
+
+
+class TestRandomAtLeast:
+    """random_at_least(size, p) against random(size) >= p, bit for bit."""
+
+    RATES = [0.5, 0.3, 1.0 / 3.0, 1e-300, 1.0 - 2.0 ** -53, 0.0]
+
+    @pytest.mark.parametrize("p", RATES)
+    def test_equals_float_comparison(self, p):
+        for size in [(40, 25), 1000, (3, 1)]:
+            got = Rng(12).random_at_least(size, p)
+            want = Rng(12).random(size) >= p
+            assert got.dtype == np.bool_ and got.shape == want.shape
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("p", RATES)
+    def test_raw_draws_at_the_bound(self, p):
+        # raw values straddling the bound, where an off-by-one would show
+        bound = math.ceil(p * 2.0 ** 53) << 11
+        edges = [0, 1, 2047, 2048, 2 ** 64 - 1, 2 ** 64 - 2048, 2 ** 64 - 2049]
+        edges += [b for b in (bound - 2049, bound - 2048, bound - 1, bound,
+                              bound + 1, bound + 2047, bound + 2048)
+                  if 0 <= b < 2 ** 64]
+        raw = np.array(edges, dtype=np.uint64)
+
+        class FixedRng(Rng):
+            __slots__ = ()
+
+            def _raw(self, n):
+                assert n == raw.size
+                return raw.copy()
+
+        got = FixedRng(0).random_at_least(raw.size, p)
+        np.testing.assert_array_equal(got, FixedRng(0).random(raw.size) >= p)
+
+    def test_advances_counter_like_random(self):
+        a, b = Rng(5), Rng(5)
+        a.random_at_least((7, 9), 0.5)
+        b.random((7, 9))
+        assert a.random() == b.random()
+        np.testing.assert_array_equal(a.random(16), b.random(16))
+
+    @pytest.mark.parametrize("p", [1.0, -0.1, float("nan")])
+    def test_rejects_rate_outside_unit_interval(self, p):
+        with pytest.raises(ContractError):
+            Rng(0).random_at_least(4, p)
 
 
 class TestPermutation:

@@ -161,6 +161,42 @@ class TestSigmoid:
         np.testing.assert_array_equal(t.grad(a), [[0.0, 0.0]])
 
 
+class TestReluBits:
+    """The AND-mask relu against the select it replaces, byte for byte."""
+
+    SPECIAL = [np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324,
+               2.2250738585072014e-308, -2.2250738585072014e-308, 1e308, -1e308,
+               1.0, -1.0]
+
+    def assert_matches_select(self, av):
+        t = tp.Tape(check_finite=False)
+        got = tp.relu(t.constant(av)).value
+        want = np.where(av > 0.0, av, 0.0)
+        assert got.dtype == np.float64 and got.shape == av.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_special_values(self):
+        special = np.array([self.SPECIAL])
+        self.assert_matches_select(special)
+        self.assert_matches_select(special.T.copy())
+        # a NaN with its payload and sign bit set survives as +0.0, like a select
+        payload = np.array([[0xFFF8_0000_DEAD_BEEF]], dtype=np.uint64).view(np.float64)
+        self.assert_matches_select(payload)
+
+    def test_random_batch(self):
+        rng = Rng(31)
+        av = rng.normal((320, 64))
+        av[::7, ::5] = -0.0
+        av[::11, ::3] = 0.0
+        self.assert_matches_select(av)
+
+    def test_backward_masks_gradient(self):
+        t = tp.Tape()
+        a = t.parameter([[2.0, -3.0, 0.0, -0.0]])
+        t.backward(tp.mean_all(tp.relu(a)))
+        assert t.grad(a).tobytes() == np.array([[0.25, 0.0, 0.0, 0.0]]).tobytes()
+
+
 class TestBlockDiagMatmul:
     def test_matches_dense_block_diagonal(self):
         rng = Rng(8)
