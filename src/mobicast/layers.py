@@ -98,9 +98,10 @@ def dropout(x: Var, p: float, rng: Rng, mode: str) -> Var:
         raise ContractError("dropout in train mode needs an rng")
     keep = rng.random_at_least(x.shape, p)
     scale = 1.0 / (1.0 - p)
-    mask = keep * scale
 
+    # The float mask keep * scale is rebuilt in backward rather than kept:
+    # the boolean mask is an eighth of its size.
     def backward(g):
-        return (g * mask,)
+        return (g * (keep * scale),)
 
-    return x.tape.node(x.value * mask, (x,), backward, "dropout")
+    return x.tape.node(x.value * (keep * scale), (x,), backward, "dropout")

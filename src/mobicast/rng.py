@@ -16,7 +16,8 @@ import numpy as np
 
 from .errors import ContractError
 
-_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_GAMMA_INT = 0x9E3779B97F4A7C15
+_GAMMA = np.uint64(_GAMMA_INT)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _S30 = np.uint64(30)
@@ -25,6 +26,23 @@ _S31 = np.uint64(31)
 _S11 = np.uint64(11)
 _DOUBLE_UNIT = 2.0 ** -53
 _MASK64 = (1 << 64) - 1
+# Longest counter ramp kept between draws (1 MiB); dropout's largest masks fit.
+_RAMP_CACHE = 1 << 17
+_ramp_cache = np.empty(0, dtype=np.uint64)
+
+
+def _ramp(n: int) -> np.ndarray:
+    """(k + 1) * GAMMA mod 2**64 for k < n, read-only: the counter part of n
+    consecutive draws, the same for every stream and offset."""
+    global _ramp_cache
+    if n <= _ramp_cache.size:
+        return _ramp_cache[:n]
+    ramp = np.arange(1, n + 1, dtype=np.uint64)
+    ramp *= _GAMMA
+    ramp.flags.writeable = False
+    if n <= _RAMP_CACHE:
+        _ramp_cache = ramp
+    return ramp
 
 
 def _mix(z: np.ndarray) -> np.ndarray:
@@ -73,12 +91,12 @@ class Rng:
         self._counter = 0
 
     def _raw(self, n: int) -> np.ndarray:
-        z = np.arange(self._counter + 1, self._counter + n + 1, dtype=np.uint64)
+        # Draw c + k + 1 mixes seed + (c + k + 1) * GAMMA, which is the shared
+        # ramp plus one per-call offset: one pass instead of three.
+        offset = np.uint64((self.seed + self._counter * _GAMMA_INT) & _MASK64)
         self._counter += n
         with np.errstate(over="ignore"):
-            z *= _GAMMA
-            z += np.uint64(self.seed)
-            return _mix(z)
+            return _mix(np.add(_ramp(n), offset))
 
     def random(self, size=None):
         """Uniform doubles in [0, 1). Scalar when size is None."""

@@ -1,13 +1,17 @@
 """Reverse-mode automatic differentiation over dense 2-D float64 arrays.
 
 A `Tape` records one forward computation as a flat list of nodes, each holding
-its value and a backward closure.  Calling `backward` on a 1x1 root replays the
-list in reverse, accumulating gradients for every node on a path to a
-parameter.  Gradients are kept for leaves (parameters and constants) only:
-every consumer of a node sits later on the tape, so an interior node's
-gradient is complete when the replay reaches it, and it is dropped once the
-node's backward closure has consumed it.  Matrices only: scalars travel as
-1x1 arrays, vectors as nx1 or 1xn.
+its parents and a backward closure; the value lives in the `Var` handle the
+op returns.  An intermediate is therefore freed by refcount as soon as the
+model code drops its handle, unless a backward closure captured it, and every
+closure captures only what its backward reads.  Calling `backward` on a 1x1
+root replays the list in reverse, accumulating gradients for every node on a
+path to a parameter, and drops each closure (and the arrays it captured) once
+it has run; a tape is replayed once.  Gradients are kept for leaves
+(parameters and constants) only: every consumer of a node sits later on the
+tape, so an interior node's gradient is complete when the replay reaches it,
+and it is dropped once the node's backward closure has consumed it.
+Matrices only: scalars travel as 1x1 arrays, vectors as nx1 or 1xn.
 """
 
 from __future__ import annotations
@@ -20,35 +24,32 @@ from .errors import ContractError, NumericsError, ShapeError
 
 
 class _Node:
-    __slots__ = ("value", "parents", "backward", "requires_grad")
+    __slots__ = ("parents", "backward", "requires_grad")
 
-    def __init__(self, value, parents, backward, requires_grad):
-        self.value = value
+    def __init__(self, parents, backward, requires_grad):
         self.parents = parents
         self.backward = backward
         self.requires_grad = requires_grad
 
 
+def _spent(g):
+    raise ContractError("this backward closure has already run")
+
+
 class Var:
-    """Handle to one node on a tape."""
+    """Handle to one node on a tape; it owns the node's value."""
 
-    __slots__ = ("tape", "idx")
+    __slots__ = ("tape", "idx", "value", "requires_grad")
 
-    def __init__(self, tape: "Tape", idx: int):
+    def __init__(self, tape: "Tape", idx: int, value: np.ndarray, requires_grad: bool):
         self.tape = tape
         self.idx = idx
-
-    @property
-    def value(self) -> np.ndarray:
-        return self.tape._nodes[self.idx].value
+        self.value = value
+        self.requires_grad = requires_grad
 
     @property
     def shape(self):
         return self.value.shape
-
-    @property
-    def requires_grad(self) -> bool:
-        return self.tape._nodes[self.idx].requires_grad
 
 
 def _as_matrix(value) -> np.ndarray:
@@ -85,14 +86,16 @@ class Tape:
     def _push(self, value, parent_idx, backward, requires_grad, opname) -> Var:
         if self.check_finite and not np.all(np.isfinite(value)):
             raise NumericsError(f"{opname}: produced non-finite values")
-        self._nodes.append(_Node(value, parent_idx, backward, requires_grad))
-        return Var(self, len(self._nodes) - 1)
+        self._nodes.append(_Node(parent_idx, backward, requires_grad))
+        return Var(self, len(self._nodes) - 1, value, requires_grad)
 
     def backward(self, root: Var) -> None:
         if root.tape is not self:
             raise ContractError("root belongs to a different tape")
         if root.shape != (1, 1):
             raise ShapeError(f"backward root must be 1x1, got {root.shape}")
+        if self._grads is not None:
+            raise ContractError("backward has already run on this tape")
         grads = [None] * len(self._nodes)
         grads[root.idx] = np.ones((1, 1))
         for i in range(root.idx, -1, -1):
@@ -104,6 +107,7 @@ class Tape:
                 continue
             grads[i] = None  # spent: only leaf gradients outlive backward
             contribs = node.backward(g)
+            node.backward = _spent  # frees what the closure captured
             for p, contrib in zip(node.parents, contribs):
                 if contrib is None or not self._nodes[p].requires_grad:
                     continue
@@ -202,8 +206,10 @@ def block_diag_matmul(blocks: Sequence[np.ndarray], x: Var) -> Var:
         r += m.shape[1]
         s += m.shape[0]
 
+    in_shape = xv.shape
+
     def backward(g):
-        dx = np.empty_like(xv)
+        dx = np.empty(in_shape)
         for m, (r0, s0) in zip(mats, spans):
             dx[r0:r0 + m.shape[1]] = m.T @ g[s0:s0 + m.shape[0]]
         return (dx,)
@@ -299,11 +305,11 @@ def hconcat(*vars_: Var) -> Var:
 
 def mean_all(a: Var) -> Var:
     av = a.value
-    n = av.size
+    shape, n = av.shape, av.size
     if n == 0:
         raise ContractError("mean_all of an empty matrix")
 
     def backward(g):
-        return (np.full(av.shape, float(g[0, 0]) / n),)
+        return (np.full(shape, float(g[0, 0]) / n),)
 
     return a.tape.node(np.array([[av.mean()]]), (a,), backward, "mean_all")

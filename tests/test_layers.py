@@ -285,6 +285,45 @@ class TestDropout:
             dropout(x, -0.1, Rng(0), "train")
 
 
+class TestDropoutBitIdentity:
+    """dropout keeps its boolean mask; forward and backward stay byte-equal
+    to multiplying by the float mask keep * scale."""
+
+    SPECIALS = [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -1e308]
+
+    @staticmethod
+    def assert_matches_float_mask(x, g, p, seed):
+        keep = Rng(seed).random_at_least(x.shape, p)
+        mask = keep * (1.0 / (1.0 - p))
+        t = tp.Tape(check_finite=False)
+        with np.errstate(all="ignore"):
+            out = dropout(t.parameter(x), p, Rng(seed), "train")
+            (dx,) = t._nodes[out.idx].backward(g)
+            want_out, want_dx = x * mask, g * mask
+        assert out.value.tobytes() == want_out.tobytes()
+        assert dx.tobytes() == want_dx.tobytes()
+
+    @pytest.mark.parametrize("p", [0.5, 0.3, 0.9])
+    @pytest.mark.parametrize("shape", [(240, 64), (7, 3), (1, 1)])
+    def test_random_batches(self, p, shape):
+        rng = Rng(shape[0] + int(p * 10))
+        x = rng.normal(shape) * 10.0
+        g = rng.normal(shape)
+        self.assert_matches_float_mask(x, g, p, seed=shape[1])
+
+    @pytest.mark.parametrize("p", [0.5, 0.2])
+    def test_special_values(self, p):
+        rng = Rng(61)
+        x = rng.normal((16, 8))
+        g = rng.normal((16, 8))
+        # every special value in both operands, on kept and dropped entries
+        for k, v in enumerate(self.SPECIALS):
+            x[k, :] = v
+            g[:, k] = v
+            g[8 + k, :] = v
+        self.assert_matches_float_mask(x, g, p, seed=62)
+
+
 class TestNoMaskedSelects:
     """The MPNN step's modules build masked values without branching selects.
 

@@ -41,6 +41,18 @@ class TestRawStream:
         b = [int(v) for v in rng._raw(5)]
         assert a + b == splitmix_reference(7, 10)
 
+    def test_sizes_around_the_cached_ramp(self):
+        # draws shorter, longer and far longer than the cached counter ramp,
+        # in an order that grows it, reuses it and bypasses it
+        rng = Rng(11)
+        start = 0
+        for n in [3, 300, 5, (1 << 17) + 9, 300, 2]:
+            got = rng._raw(n)
+            for k in (0, n // 2, n - 1):
+                assert int(got[k]) == splitmix_reference(11, 1, start + k)[0], (n, k)
+            start += n
+        assert rng.random() == Rng(11).random(start + 1)[-1]
+
     def test_same_seed_same_stream(self):
         a = Rng(99).random(1000)
         b = Rng(99).random(1000)

@@ -1,10 +1,13 @@
 """Gradient checks for the reverse-mode tape against central finite differences."""
 
+import weakref
+
 import numpy as np
 import pytest
 
 from mobicast import tape as tp
 from mobicast.errors import ContractError, NumericsError, ShapeError
+from mobicast.layers import dropout
 from mobicast.rng import Rng
 
 EPS = 1e-6
@@ -303,6 +306,17 @@ class TestContracts:
         np.testing.assert_allclose(t.grad(a), np.full((2, 2), 0.25))
         np.testing.assert_array_equal(t.grad(c), np.zeros((2, 2)))
 
+    def test_second_backward_rejected(self):
+        # closures are released as the first replay runs them, so a second
+        # replay could only skip them and return wrong gradients
+        t = tp.Tape()
+        a = t.parameter(np.full((2, 2), 3.0))
+        loss = tp.mean_all(tp.square(a))
+        t.backward(loss)
+        with pytest.raises(ContractError, match="already run"):
+            t.backward(loss)
+        np.testing.assert_array_equal(t.grad(a), np.full((2, 2), 1.5))
+
     def test_cross_tape_operands(self):
         t1, t2 = tp.Tape(), tp.Tape()
         a = t1.parameter(np.ones((2, 2)))
@@ -336,3 +350,46 @@ class TestContracts:
         with np.errstate(over="ignore"):
             out = tp.square(a)
         assert np.isinf(out.value[0, 0])
+
+
+class TestRelease:
+    """What a tape keeps: only the arrays backward reads, until it has run."""
+
+    def test_backward_releases_captured_arrays(self):
+        t = tp.Tape()
+        a = t.parameter(Rng(40).normal((3, 4)))
+        y = tp.tanh(a)
+        alive = weakref.ref(y.value)
+        loss = tp.mean_all(tp.mul(y, y))
+        del y
+        assert alive() is not None  # the tanh and mul closures hold it
+        t.backward(loss)
+        assert alive() is None
+        assert t.grad(a).shape == (3, 4)
+
+    @pytest.mark.parametrize("op", [
+        tp.mean_all, tp.relu, tp.sigmoid, tp.tanh, tp.hconcat,
+        lambda v: tp.block_diag_matmul([np.eye(2), np.ones((3, 1))], v),
+        lambda v: dropout(v, 0.5, Rng(43), "train"),
+    ], ids=["mean_all", "relu", "sigmoid", "tanh", "hconcat",
+            "block_diag_matmul", "dropout"])
+    def test_input_not_read_by_backward_dies_with_its_handle(self, op):
+        t = tp.Tape()
+        a = t.parameter(Rng(41).normal((3, 4)))
+        sq = tp.square(a)
+        alive = weakref.ref(sq.value)
+        out = op(sq)
+        del sq
+        assert alive() is None
+        t.backward(tp.mean_all(tp.square(out)))
+        assert np.all(np.isfinite(t.grad(a)))
+
+    @pytest.mark.parametrize("g", [1.0, -3.5, 0.0, -0.0, np.inf, -np.inf,
+                                   np.nan, -np.nan, 5e-324])
+    def test_mean_all_backward_unchanged(self, g):
+        t = tp.Tape(check_finite=False)
+        av = Rng(42).normal((5, 3))
+        m = tp.mean_all(t.parameter(av))
+        (dx,) = t._nodes[m.idx].backward(np.array([[g]]))
+        want = np.full(av.shape, float(g) / av.size)
+        assert dx.shape == av.shape and dx.tobytes() == want.tobytes()
