@@ -77,18 +77,13 @@ def keep_heap_resident() -> None:
 # ---------------------------------------------------------------- run config
 
 @dataclasses.dataclass(frozen=True)
-class RunConfig:
+class RunConfig(EvalConfig):
     """One run's resolved settings: defaults, then config file, then flags."""
-    train: TrainConfig = TrainConfig()
-    meta: MetaConfig = MetaConfig()
     grid: ProtocolGrid = ProtocolGrid()
     models: tuple = ("MPNN",)
-    seed: int = 0
-    jobs: int = 1
-    ar_order: int = 7
-    ar_differencing: int = 1
 
     def __post_init__(self):
+        super().__post_init__()
         names = tuple(str(m).upper() for m in self.models)
         object.__setattr__(self, "models", names)
         if not names:
@@ -97,11 +92,6 @@ class RunConfig:
             if name not in MODEL_NAMES:
                 raise ContractError(f"unknown model {name!r}; choose from "
                                     f"{', '.join(MODEL_NAMES)}")
-
-    def eval_config(self) -> EvalConfig:
-        return EvalConfig(train=self.train, meta=self.meta, seed=self.seed,
-                          jobs=self.jobs, ar_order=self.ar_order,
-                          ar_differencing=self.ar_differencing)
 
 
 def config_to_dict(cfg: RunConfig) -> dict:
@@ -208,7 +198,8 @@ def data_dir() -> str:
 
 
 def resolve_input(path: str) -> str:
-    """Relative input paths resolve against the default data directory."""
+    """Relative bundle and raw-data paths resolve against the default data
+    directory; run outputs (checkpoints, report directories) never do."""
     base = data_dir()
     if base and not os.path.isabs(path):
         return os.path.join(base, path)
@@ -309,14 +300,14 @@ def cmd_correlate(args, argv) -> int:
     return 0
 
 
-def _grid_run(args, argv, checkpoint_dir=None, load_only=False) -> int:
+def _grid_run(args, argv, checkpoint_dir, load_only=False) -> int:
     """Evaluate the configured grid; write the report and the manifest."""
     cfg = resolve_run_config(args)
     datasets = load_bundles(args.bundle)
     os.makedirs(args.out, exist_ok=True)
     try:
-        report = rolling_evaluate(datasets, list(cfg.models), cfg.grid,
-                                  cfg.eval_config(), checkpoint_dir=checkpoint_dir,
+        report = rolling_evaluate(datasets, list(cfg.models), cfg.grid, cfg,
+                                  checkpoint_dir=checkpoint_dir,
                                   load_only=load_only)
     except MobicastError as exc:
         write_manifest(args.out, argv, config_to_dict(cfg), cfg.seed,
@@ -343,9 +334,7 @@ def cmd_train(args, argv) -> int:
 
 
 def cmd_evaluate(args, argv) -> int:
-    if not args.checkpoints:
-        return _grid_run(args, argv)
-    return _grid_run(args, argv, resolve_input(args.checkpoints), load_only=True)
+    return _grid_run(args, argv, args.checkpoints, load_only=True)
 
 
 def cmd_meta_train(args, argv) -> int:
@@ -356,7 +345,7 @@ def cmd_meta_train(args, argv) -> int:
         raise ContractError("meta-training needs at least one bundle for a "
                             "country other than the target")
     os.makedirs(args.out, exist_ok=True)
-    meta_train_target(args.target, pool, cfg.eval_config(), args.out)
+    meta_train_target(args.target, pool, cfg, args.out)
     write_manifest(args.out, argv, config_to_dict(cfg), cfg.seed, "complete",
                    {"target": args.target,
                     "pool": [ds.country for ds in pool]})
@@ -380,7 +369,7 @@ def cmd_report(args, argv) -> int:
     rows = []
     skipped = []
     for src in args.inputs:
-        path = os.path.join(resolve_input(src), "rows.csv")
+        path = os.path.join(src, "rows.csv")
         got, skip_lines = load_report_rows(path)
         rows.extend(got)
         skipped.extend(_parse_skip_line(ln, path) for ln in skip_lines)
@@ -424,8 +413,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="mobicast",
         description="Forecast daily epidemic case counts per region from "
                     "inter-region mobility graphs.",
-        epilog=f"Relative bundle paths resolve against ${DATA_DIR_ENV} "
-               f"when it is set.")
+        epilog=f"Relative bundle and raw-data paths resolve against "
+               f"${DATA_DIR_ENV} when it is set; run outputs never do.")
     parser.add_argument("--version", action="version",
                         version=f"mobicast {__version__}")
     sub = parser.add_subparsers(dest="command", required=True,
@@ -486,10 +475,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_meta_train)
 
     p = sub.add_parser("evaluate",
-                       help="score the grid from checkpoints, or retrain "
-                            "in place when no checkpoint directory is given")
+                       help="score the grid from the checkpoints a train "
+                            "run wrote, training nothing",
+                       description="Rescore the grid: every trainable cell "
+                                   "loads its checkpoint from --checkpoints "
+                                   "and nothing is trained or meta-trained.")
     p.add_argument("--bundle", action="append", required=True, metavar="DIR")
-    p.add_argument("--checkpoints", metavar="DIR")
+    p.add_argument("--checkpoints", required=True, metavar="DIR",
+                   help="checkpoint directory of a train run")
     p.add_argument("--out", required=True, metavar="DIR")
     _add_run_flags(p)
     p.set_defaults(handler=cmd_evaluate)

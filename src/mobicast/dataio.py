@@ -67,6 +67,10 @@ class CountryDataset:
         cases = np.asarray(cases, dtype=np.float64).copy()
         mobility = tuple(np.asarray(m, dtype=np.float64).copy() for m in mobility)
         n, t = len(regions), len(dates)
+        for name in (str(country), *regions):
+            if any(ch in name for ch in ",\r\n"):
+                raise DataError(f"id {name!r} contains a comma or line break, "
+                                f"which report rows cannot hold")
         if len(set(regions)) != n:
             raise DataError(f"{country}: duplicate region ids")
         if cases.shape != (n, t):

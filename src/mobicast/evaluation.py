@@ -6,7 +6,7 @@ from __future__ import annotations
 import concurrent.futures
 import json
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -103,9 +103,7 @@ class ReportRow:
 @dataclass
 class ErrorReport:
     rows: list
-    skipped: list                      # (country, model, t, j, reason)
-    correlations: Optional[list] = None  # (country, region, shift, value|None)
-    case_stats: Optional[list] = None    # (country, day, date, mean, std, max_diff)
+    skipped: list   # (country, model, t, j, reason)
 
 
 # ---------------------------------------------------------------- metrics
@@ -118,88 +116,26 @@ def error_metric(rows) -> float:
     return float(np.mean([r.abs_error for r in rows]))
 
 
-def per_horizon_errors(rows) -> dict:
-    """(model, horizon) -> mean absolute error."""
-    groups = {}
-    for r in rows:
-        groups.setdefault((r.model, r.horizon), []).append(r.abs_error)
-    return {key: float(np.mean(vals)) for key, vals in sorted(groups.items())}
-
-
-def range_summary(rows, ranges=SUMMARY_RANGES) -> dict:
-    """Per-model mean error over horizon ranges, keyed like "1-14".
+def range_summary(rows) -> dict:
+    """Per-model mean error over horizon ranges, keyed like "1-14", and over
+    each single horizon present, keyed like "7-7".
 
     Each range averages over every available row whose horizon falls inside
     it, so horizons contribute in proportion to their completed cells.
     """
+    by_model = {}
+    for r in rows:
+        by_model.setdefault(r.model, []).append(r)
+    singles = tuple((j, j) for j in sorted({r.horizon for r in rows}))
     out = {}
-    for model in sorted({r.model for r in rows}):
+    for model in sorted(by_model):
         entry = {}
-        for lo, hi in ranges:
-            in_range = [r for r in rows
-                        if r.model == model and lo <= r.horizon <= hi]
+        for lo, hi in SUMMARY_RANGES + singles:
+            in_range = [r for r in by_model[model] if lo <= r.horizon <= hi]
             if in_range:
                 entry[f"{lo}-{hi}"] = error_metric(in_range)
         out[model] = entry
     return out
-
-
-@dataclass
-class RelativeErrorResult:
-    per_region: dict   # (country, region) -> ratio, or None if all windows skipped
-    pooled: float
-    terms: int
-    skipped: int       # windows dropped for zero actual cases
-
-
-def relative_error(rows, w: int = 5) -> RelativeErrorResult:
-    """Deviation of w-day predicted case sums from actual sums, per region.
-
-    At every anchor T carrying all horizons 1..w, the w predictions are
-    summed and compared with the actual sum; windows with zero actual cases
-    are skipped and counted.  Anchors missing any of the w horizons do not
-    form windows.
-    """
-    rows = list(rows)
-    if w < 1:
-        raise ContractError(f"window must be >= 1, got {w}")
-    if not rows:
-        raise ContractError("relative_error of an empty row set")
-    models = {r.model for r in rows}
-    if len(models) != 1:
-        raise ContractError(f"rows must come from one model, got {sorted(models)}")
-    table = {}
-    for r in rows:
-        table.setdefault((r.country, r.region), {}).setdefault(r.t, {})[
-            r.horizon] = (r.prediction, r.actual)
-    per_region = {}
-    pooled_terms = []
-    skipped = 0
-    for key in sorted(table):
-        terms = []
-        complete = 0
-        for t in sorted(table[key]):
-            by_horizon = table[key][t]
-            if any(h not in by_horizon for h in range(1, w + 1)):
-                continue
-            complete += 1
-            predicted = sum(by_horizon[h][0] for h in range(1, w + 1))
-            actual = sum(by_horizon[h][1] for h in range(1, w + 1))
-            if actual == 0:
-                skipped += 1
-                continue
-            terms.append(abs(predicted - actual) / actual)
-        if terms:
-            per_region[key] = float(np.mean(terms))
-            pooled_terms.extend(terms)
-        elif complete:
-            per_region[key] = None
-    if not pooled_terms:
-        raise DataError("relative error undefined: every window was skipped "
-                        "or incomplete")
-    return RelativeErrorResult(per_region=per_region,
-                               pooled=float(np.mean(pooled_terms)),
-                               terms=len(pooled_terms), skipped=skipped)
 
 
 def pearson_shift_correlation(m, c, s: int):
@@ -338,13 +274,13 @@ def meta_train_target(target: str, foreign: list, config: EvalConfig,
     (seed, "meta", target), and saves <target>__MPNN_TL__meta.ckpt into
     checkpoint_dir when one is given.
     """
-    meta_cfg = replace(config.meta, d=config.train.d,
-                       seed=derive_seed(config.seed, "meta", target))
+    seed = derive_seed(config.seed, "meta", target)
     model = build_model("MPNN", config.train)
-    state = maml_meta_train(foreign, model, meta_cfg)
+    state = maml_meta_train(foreign, model, config.meta, seed)
     if checkpoint_dir is not None:
         save_meta_state(os.path.join(checkpoint_dir, meta_checkpoint_name(target)),
-                        state, model, [ds.country for ds in foreign], meta_cfg)
+                        state, model, [ds.country for ds in foreign], config.meta,
+                        seed)
     return state
 
 
@@ -401,12 +337,12 @@ def _cell_checkpoint(ctx: _CellContext, task, splits, shared):
         return load_checkpoint(path)
     cfg = ctx.config
     cell_seed = derive_seed(cfg.seed, country, t, j)
-    train_cfg = replace(cfg.train, seed=cell_seed)
     model = build_model(model_name, cfg.train)
     if model_name == "TL_BASE":
-        ckpt = tl_base_train(list(ctx.datasets), country, splits, model, train_cfg)
+        ckpt = tl_base_train(list(ctx.datasets), country, splits, model,
+                             cfg.train, cell_seed)
     else:
-        ckpt = train_model(splits, model, train_cfg, init_state=shared)
+        ckpt = train_model(splits, model, cfg.train, cell_seed, init_state=shared)
     if path is not None:
         save_checkpoint(path, ckpt, extra_meta={
             "country": country, "model_name": model_name,
@@ -571,7 +507,7 @@ def correlation_lines(correlations) -> list:
     """correlations.csv lines; regions are country-qualified, missing values
     are empty cells."""
     lines = ["region,shift,pearson"]
-    for country, region, shift, value in correlations or []:
+    for country, region, shift, value in correlations:
         cell = "" if value is None else _float_cell(value)
         lines.append(f"{country}/{region},{shift},{cell}")
     return lines
@@ -582,17 +518,16 @@ def case_stat_lines(case_stats) -> list:
     lines.extend(
         f"{country},{day},{date},{_float_cell(mean)},{_float_cell(std)},"
         f"{_float_cell(diff)}"
-        for country, day, date, mean, std, diff in case_stats or [])
+        for country, day, date, mean, std, diff in case_stats)
     return lines
 
 
 def emit_report(report: ErrorReport, out_dir: str) -> dict:
-    """Write rows.csv, summary.json, correlations.csv, and case_stats.csv.
+    """Write rows.csv and summary.json.
 
     Output is byte-deterministic for a fixed report.  Skipped cells appear
-    as comment lines above the rows.csv header; missing correlations are
-    empty cells; absent correlation/case-stat sections give header-only
-    files.  Returns the path of each artifact.
+    as comment lines above the rows.csv header.  Returns the path of each
+    artifact.
     """
     try:
         os.makedirs(out_dir, exist_ok=True)
@@ -615,14 +550,6 @@ def emit_report(report: ErrorReport, out_dir: str) -> dict:
     paths["summary"] = os.path.join(out_dir, "summary.json")
     atomic_write_text(paths["summary"],
                       json.dumps(summary, sort_keys=True, indent=2) + "\n")
-
-    paths["correlations"] = os.path.join(out_dir, "correlations.csv")
-    atomic_write_text(paths["correlations"],
-                      "\n".join(correlation_lines(report.correlations)) + "\n")
-
-    paths["case_stats"] = os.path.join(out_dir, "case_stats.csv")
-    atomic_write_text(paths["case_stats"],
-                      "\n".join(case_stat_lines(report.case_stats)) + "\n")
     return paths
 
 

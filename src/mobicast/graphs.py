@@ -1,4 +1,4 @@
-"""Per-day normalized graphs, feature windows, and supervised samples."""
+"""Per-day normalized graphs and supervised samples."""
 
 from __future__ import annotations
 
@@ -9,13 +9,6 @@ import numpy as np
 
 from .dataio import CountryDataset
 from .errors import ContractError, ShapeError
-
-
-@dataclass(frozen=True)
-class FeatureWindow:
-    t: int  # anchor day (1-based)
-    d: int
-    x: np.ndarray  # n x d, row u = cases over days t-d+1..t, oldest first
 
 
 @dataclass(frozen=True)
@@ -67,11 +60,6 @@ def normalized_graphs(dataset: CountryDataset) -> tuple:
     return cache
 
 
-def node_features(dataset: CountryDataset, t: int, d: int) -> FeatureWindow:
-    """Case window of the d days ending at t, per region (oldest column first)."""
-    return FeatureWindow(t, d, dataset.case_window(t, d))
-
-
 def _graph_on(dataset: CountryDataset, day: int) -> np.ndarray:
     dataset.mobility_on(day)  # checks the day; access tracing records the read
     return normalized_graphs(dataset)[day - 1]
@@ -83,7 +71,7 @@ def _sample_at(dataset: CountryDataset, t: int, d: int, j: int,
         days = [t]
     else:
         days = list(range(t - s + 1, t + 1))
-    pairs = tuple((_graph_on(dataset, day), node_features(dataset, day, d).x)
+    pairs = tuple((_graph_on(dataset, day), dataset.case_window(day, d))
                   for day in days)
     target_day = t + j
     target = dataset.cases_on(target_day).copy() if target_day <= dataset.t_total else None

@@ -5,19 +5,13 @@ baseline."""
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Optional
 
 from .dataio import CountryDataset
-from .errors import (
-    CheckpointError,
-    ContractError,
-    InsufficientDataError,
-    TrainingDivergedError,
-)
+from .errors import ContractError, InsufficientDataError, TrainingDivergedError
 from .graphs import GraphSample, assemble_samples
-from .models import ModelState, model_from_spec, model_spec
+from .models import ModelState, model_spec
 from .optim import sgd_step
-from .params import clone_params, load_params, save_params
+from .params import clone_params, save_params
 from .rng import Rng
 from .train import (
     PROTOCOL_START_DAY,
@@ -37,14 +31,12 @@ class MetaConfig:
     t_start: int = PROTOCOL_START_DAY
     meta_epochs: int = 1
     batch_size: int = 8
-    d: int = 7
-    seed: int = 0
 
     def __post_init__(self):
         if self.inner_lr < 0 or self.meta_lr < 0:
             raise ContractError("step sizes must be >= 0")
-        if self.dt < 1 or self.batch_size < 1 or self.d < 1 or self.meta_epochs < 0:
-            raise ContractError("dt/batch_size/d must be >= 1 and meta_epochs >= 0")
+        if self.dt < 1 or self.batch_size < 1 or self.meta_epochs < 0:
+            raise ContractError("dt/batch_size must be >= 1 and meta_epochs >= 0")
         if self.t_start < PROTOCOL_START_DAY:
             raise ContractError(
                 f"t_start must be >= {PROTOCOL_START_DAY}, got {self.t_start}")
@@ -61,8 +53,9 @@ class TaskSplit:
     test: GraphSample
 
 
-def enumerate_tasks(dataset: CountryDataset, config: MetaConfig) -> list:
-    """Task grid over (t, horizon), t ascending then horizon ascending.
+def enumerate_tasks(dataset: CountryDataset, config: MetaConfig, d: int) -> list:
+    """Task grid over (t, horizon), t ascending then horizon ascending, with
+    d-day feature windows.
 
     Cells whose held-out target day would fall beyond the data are skipped;
     an empty grid is an error.
@@ -72,7 +65,7 @@ def enumerate_tasks(dataset: CountryDataset, config: MetaConfig) -> list:
         for j in range(1, config.dt + 1):
             if t + j > dataset.t_total:
                 continue
-            universe = assemble_samples(dataset, config.d, j, t_end=t,
+            universe = assemble_samples(dataset, d, j, t_end=t,
                                         include_test=True)
             tasks.append(TaskSplit(country=dataset.country, t=t, horizon=j,
                                    train=universe[:-1], test=universe[-1]))
@@ -111,8 +104,7 @@ def meta_task_step(model, state: ModelState, task: TaskSplit, inner_lr: float,
     state.params = sgd_step(state.params, grads([task.test], "meta step"), meta_step)
 
 
-def maml_meta_train(datasets: list, model, config: MetaConfig,
-                    init_state: Optional[ModelState] = None) -> ModelState:
+def maml_meta_train(datasets: list, model, config: MetaConfig, seed: int) -> ModelState:
     """Learn a shared initialization from several countries' task grids.
 
     Countries are visited in the given order, tasks in grid order; the shared
@@ -121,18 +113,9 @@ def maml_meta_train(datasets: list, model, config: MetaConfig,
     """
     if not datasets:
         raise ContractError("meta-training needs at least one country")
-    rng = Rng(config.seed)
-    if init_state is not None:
-        template = model.init_state(rng.spawn("shape-check"))
-        if set(template.params) != set(init_state.params) or any(
-                template.params[k].shape != init_state.params[k].shape
-                for k in template.params):
-            raise ContractError("init_state does not match the model's "
-                                "parameter layout")
-        state = init_state.clone()
-    else:
-        state = model.init_state(rng.spawn("init"))
-    task_lists = [enumerate_tasks(ds, config) for ds in datasets]
+    rng = Rng(seed)
+    state = model.init_state(rng.spawn("init"))
+    task_lists = [enumerate_tasks(ds, config, model.d) for ds in datasets]
     step = config.meta_lr / len(datasets)
     dropout_rng = rng.spawn("dropout")
     for _ in range(config.meta_epochs):
@@ -144,7 +127,7 @@ def maml_meta_train(datasets: list, model, config: MetaConfig,
 
 
 def tl_base_train(datasets: list, target_country: str, splits: SplitSpec,
-                  model, train_config: TrainConfig) -> Checkpoint:
+                  model, train_config: TrainConfig, seed: int) -> Checkpoint:
     """Train one model on every other country's full sample set pooled with
     the target's training split; validation and test stay target-only.
 
@@ -162,23 +145,16 @@ def tl_base_train(datasets: list, target_country: str, splits: SplitSpec,
     pooled.extend(splits.train)
     full = SplitSpec(t=splits.t, horizon=splits.horizon, train=pooled,
                      validation=splits.validation, test=splits.test)
-    return train_model(full, model, train_config)
+    return train_model(full, model, train_config, seed)
 
 
 def save_meta_state(path: str, state: ModelState, model, countries: list,
-                    config: MetaConfig) -> None:
+                    config: MetaConfig, seed: int) -> None:
+    """Write a shared initialization; the header's config records the
+    feature window d and the seed meta-training used."""
     save_params(path, state.params, state.buffers, {
         "kind": "mobicast-meta",
         "model": model_spec(model),
         "countries": list(countries),
-        "config": asdict(config),
+        "config": {**asdict(config), "d": model.d, "seed": seed},
     })
-
-
-def load_meta_state(path: str):
-    """Returns (state, model, countries) from a saved shared initialization."""
-    params, buffers, meta = load_params(path)
-    if meta.get("kind") != "mobicast-meta":
-        raise CheckpointError(f"{path!r} is not a meta-training state")
-    return (ModelState(params, buffers), model_from_spec(meta["model"]),
-            list(meta["countries"]))

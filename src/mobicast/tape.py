@@ -1,10 +1,11 @@
 """Reverse-mode automatic differentiation over dense 2-D float64 arrays.
 
 A `Tape` records one forward computation as a flat list of nodes, each holding
-its parents and a backward closure; the value lives in the `Var` handle the
-op returns.  An intermediate is therefore freed by refcount as soon as the
-model code drops its handle, unless a backward closure captured it, and every
-closure captures only what its backward reads.  Calling `backward` on a 1x1
+its parents and, if it needs a gradient, a backward closure; the value lives
+in the `Var` handle the op returns.  An intermediate is therefore freed by
+refcount as soon as the model code drops its handle, unless a backward closure
+captured it, and every closure captures only what its backward reads.  A
+forward over constants only (an eval pass) keeps no closure at all.  Calling `backward` on a 1x1
 root replays the list in reverse, accumulating gradients for every node on a
 path to a parameter, and drops each closure (and the arrays it captured) once
 it has run; a tape is replayed once.  Gradients are kept for leaves
@@ -86,7 +87,8 @@ class Tape:
     def _push(self, value, parent_idx, backward, requires_grad, opname) -> Var:
         if self.check_finite and not np.all(np.isfinite(value)):
             raise NumericsError(f"{opname}: produced non-finite values")
-        self._nodes.append(_Node(parent_idx, backward, requires_grad))
+        self._nodes.append(_Node(parent_idx, backward if requires_grad else None,
+                                 requires_grad))
         return Var(self, len(self._nodes) - 1, value, requires_grad)
 
     def backward(self, root: Var) -> None:
@@ -103,7 +105,7 @@ class Tape:
             if g is None:
                 continue
             node = self._nodes[i]
-            if node.backward is None or not node.requires_grad:
+            if node.backward is None:
                 continue
             grads[i] = None  # spent: only leaf gradients outlive backward
             contribs = node.backward(g)
@@ -121,7 +123,7 @@ class Tape:
     def grad(self, var: Var) -> np.ndarray:
         if self._grads is None:
             raise ContractError("backward has not been called on this tape")
-        if self._nodes[var.idx].backward is not None:
+        if self._nodes[var.idx].parents:
             raise ContractError("gradients are kept for leaves (parameters, "
                                 "constants) only, not for interior nodes")
         g = self._grads[var.idx]
@@ -238,11 +240,6 @@ def mul(a: Var, b: Var) -> Var:
     tape = _binary_elementwise(a, b, "mul")
     av, bv = a.value, b.value
     return tape.node(av * bv, (a, b), lambda g: (g * bv, g * av), "mul")
-
-
-def smul(a: Var, c: float) -> Var:
-    c = float(c)
-    return a.tape.node(a.value * c, (a,), lambda g: (g * c,), "smul")
 
 
 def add_row(a: Var, row: Var) -> Var:

@@ -43,7 +43,6 @@ class TrainConfig:
     k_layers: int = 2
     seq_len: int = 7
     feature_mode: str = "last"
-    seed: int = 0
 
     def __post_init__(self):
         if self.max_epochs < 0 or self.patience < 1 or self.patience_start_epoch < 0:
@@ -64,9 +63,6 @@ class SplitSpec:
     validation: list
     test: GraphSample
 
-    def validation_targets(self) -> list:
-        return sorted(s.target_day for s in self.validation)
-
 
 @dataclass
 class Checkpoint:
@@ -75,17 +71,6 @@ class Checkpoint:
     val_error: float
     epoch: int          # epoch whose parameters are stored (0 = initialization)
     stopped_epoch: int  # epochs the loop actually ran
-
-
-def mse_loss(predictions, targets) -> float:
-    """Mean over all (region, sample) entries of the squared difference."""
-    p = np.asarray(predictions, dtype=np.float64)
-    y = np.asarray(targets, dtype=np.float64)
-    if p.shape != y.shape:
-        raise ContractError(f"mse_loss: shapes {p.shape} and {y.shape} differ")
-    if p.size == 0:
-        raise ContractError("mse_loss of empty arrays")
-    return float(np.mean((p - y) ** 2))
 
 
 def make_splits(dataset: CountryDataset, t: int, j: int, d: int,
@@ -113,9 +98,12 @@ def make_splits(dataset: CountryDataset, t: int, j: int, d: int,
 
 
 def predict(model, state: ModelState, samples) -> np.ndarray:
-    """Eval-mode forecasts for a batch of samples, stacked; shape (sum n_i,)."""
+    """Eval-mode forecasts for a batch of samples, stacked; shape (sum n_i,).
+
+    The parameters enter as constants, so the tape keeps no backward closure.
+    """
     tape = tp.Tape()
-    pvars = tape.bind(state.params)
+    pvars = {name: tape.constant(arr) for name, arr in state.params.items()}
     out = model.forward(tape, pvars, state.buffers, samples, "eval", None)
     return out.value[:, 0].copy()
 
@@ -145,13 +133,13 @@ def _param_norms(params: dict) -> str:
     return ", ".join(f"{k}: |max|={np.abs(params[k]).max():.3e}" for k in worst)
 
 
-def train_model(splits: SplitSpec, model, config: TrainConfig,
+def train_model(splits: SplitSpec, model, config: TrainConfig, seed: int,
                 init_state: Optional[ModelState] = None,
                 log_fn: Optional[Callable[[dict], None]] = None) -> Checkpoint:
     """Adam training with seeded shuffling and early stopping; returns the best state."""
     if not splits.train or not splits.validation:
         raise InsufficientDataError("train_model needs nonempty train and validation sets")
-    rng = Rng(config.seed)
+    rng = Rng(seed)
     state = init_state.clone() if init_state is not None else model.init_state(rng.spawn("init"))
     shuffle_rng = rng.spawn("shuffle")
     dropout_rng = rng.spawn("dropout")

@@ -3,9 +3,11 @@
 import numpy as np
 
 from mobicast import evaluation
+from mobicast import tape as tp
 from mobicast.dataio import CountryDataset, SyntheticConfig, generate_synthetic
 from mobicast.errors import TrainingDivergedError
 from mobicast.graphs import GraphSample, normalize_incoming
+from mobicast.models import ModelState
 from mobicast.rng import Rng
 
 
@@ -37,6 +39,28 @@ def random_sample(rng, n=4, d=7, steps=1, horizon=1, with_target=True):
     target = rng.uniform(0.0, 30.0, n) if with_target else None
     return GraphSample(anchor=d + steps - 1, horizon=horizon,
                        graphs=tuple(pairs), target=target)
+
+
+class FirstFeatureModel:
+    """Predicts w times each region's first feature; w starts at 1, so a
+    sample's features are its predictions."""
+
+    d = 1
+
+    def init_state(self, rng):
+        return ModelState({"w": np.ones((1, 1))}, {})
+
+    def forward(self, tape, pvars, buffers, samples, mode, rng):
+        x = np.vstack([s.graphs[-1][1][:, :1] for s in samples])
+        return tp.matmul(tape.constant(x), pvars["w"])
+
+
+def prediction_sample(preds, targets):
+    """A one-graph sample that FirstFeatureModel forecasts as `preds`."""
+    preds = np.asarray(preds, dtype=np.float64)
+    return GraphSample(anchor=1, horizon=1,
+                       graphs=((np.eye(preds.size), preds.reshape(-1, 1)),),
+                       target=np.asarray(targets, dtype=np.float64))
 
 
 class TracingDataset:
@@ -75,9 +99,9 @@ def diverge_at(t_bad, message):
     """evaluation.train_model stand-in: diverges for anchor t_bad, trains elsewhere."""
     real = evaluation.train_model
 
-    def train_model(splits, model, config, init_state=None):
+    def train_model(splits, model, config, seed, init_state=None):
         if splits.t == t_bad:
             raise TrainingDivergedError(message)
-        return real(splits, model, config, init_state=init_state)
+        return real(splits, model, config, seed, init_state=init_state)
 
     return train_model

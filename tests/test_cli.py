@@ -1,5 +1,6 @@
 """Command-line surface: config resolution, subcommands, manifests, exits."""
 
+import csv
 import hashlib
 import json
 import os
@@ -25,7 +26,7 @@ from conftest import diverge_at, make_ramp_dataset
 TINY_CONFIG = {
     "train": {"max_epochs": 1, "hidden": 2, "k_layers": 1, "d": 3,
               "dropout": 0.0, "seq_len": 4},
-    "meta": {"dt": 1, "d": 3},
+    "meta": {"dt": 1},
 }
 
 
@@ -78,6 +79,16 @@ class TestRunConfig:
         assert cfg.grid == ProtocolGrid(t_start=15, t_end=20, dt=3)
         assert cfg.train.hidden == 8 and cfg.meta.inner_lr == 0.01
         assert run_config_from_dict(config_to_dict(cfg)) == cfg
+
+    @pytest.mark.parametrize("section,key", [("train", "seed"), ("meta", "seed"),
+                                             ("meta", "d")])
+    def test_keys_the_grid_sets_rejected(self, section, key):
+        # the cell seed, meta seed and meta feature window derive from the
+        # top-level seed and train.d; a config setting them is an error
+        with pytest.raises(ContractError,
+                           match=f"unknown {section} config keys: {key}"):
+            run_config_from_dict({section: {key: 3}})
+        assert key not in config_to_dict(RunConfig())[section]
 
     def test_unknown_keys_rejected_at_every_level(self):
         with pytest.raises(ContractError, match="unknown config keys: frobnicate"):
@@ -205,6 +216,27 @@ class TestIngest:
         assert rc == 0
         assert load_bundle(out).regions == ("a", "b", "c")
 
+    def test_region_id_with_comma_rejected(self, tmp_path, capsys):
+        regions = ["Bolzano, South Tyrol", "b"]
+        dates = ["2020-03-01", "2020-03-02"]
+        (tmp_path / "regions.txt").write_text("\n".join(regions) + "\n")
+        with open(tmp_path / "cases.csv", "w", newline="") as fh:
+            csv.writer(fh).writerows([["date", "region", "new_cases"]]
+                                     + [[d, r, 5] for d in dates for r in regions])
+        with open(tmp_path / "mobility.csv", "w", newline="") as fh:
+            csv.writer(fh).writerows(
+                [["date", "origin", "destination", "count"]]
+                + [[d, o, t, 2.0] for d in dates for o in regions for t in regions])
+        out = str(tmp_path / "bundle")
+        rc = main(["ingest", "--country", "XX",
+                   "--cases", str(tmp_path / "cases.csv"),
+                   "--mobility", str(tmp_path / "mobility.csv"),
+                   "--regions-file", str(tmp_path / "regions.txt"),
+                   "--min-total-cases", "0", "--out", out])
+        assert rc == 1
+        assert "'Bolzano, South Tyrol' contains a comma" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     def test_unmapped_region_fails_with_location(self, tmp_path, capsys):
         self.write_raw(tmp_path, mobility_names=("nowhere", "b", "c"))
         out = str(tmp_path / "bundle")
@@ -234,6 +266,8 @@ class TestTrainCommand:
         with open(os.path.join(out, "summary.json"), encoding="utf-8") as fh:
             assert json.load(fh) == range_summary(rows)
         assert read_manifest(out)["status"] == "complete"
+        assert sorted(os.listdir(out)) == ["checkpoints", "rows.csv", "run.json",
+                                           "summary.json"]
 
     def test_neural_cell_writes_checkpoints(self, tmp_path):
         bundle, _ = make_bundle(tmp_path)
@@ -373,7 +407,7 @@ class TestPinnedGrid:
         cfg = write_config(tmp_path, {
             "train": dict(TINY_CONFIG["train"], hidden=4, k_layers=2,
                           dropout=0.5),
-            "meta": {"dt": 2, "d": 3}})
+            "meta": {"dt": 2}})
         out = str(tmp_path / "out")
         assert main(["train", "--bundle", bundle_a, "--bundle", bundle_b,
                      "--model", "mpnn", "--model", "mpnn_tl", "--model",
@@ -514,14 +548,16 @@ class TestEvaluateCommand:
         assert main(argv) == 1
         assert sorted(os.listdir(ckpt_dir)) == ["AA__MPNN__T14_j1.skip"]
 
-    def test_without_checkpoints_trains_in_place(self, tmp_path):
+    def test_checkpoints_required(self, tmp_path, capsys):
+        # without checkpoints, evaluate would only be a train that keeps none
         bundle, _ = make_bundle(tmp_path)
         out = str(tmp_path / "eval")
-        rc = main(["evaluate", "--bundle", bundle, "--model", "avg",
-                   "--t", "14", "--horizon", "1", "--out", out])
-        assert rc == 0
-        rows, _ = load_report_rows(os.path.join(out, "rows.csv"))
-        assert len(rows) == 2
+        with pytest.raises(SystemExit) as err:
+            main(["evaluate", "--bundle", bundle, "--model", "avg",
+                  "--t", "14", "--horizon", "1", "--out", out])
+        assert err.value.code == 2
+        assert "--checkpoints" in capsys.readouterr().err
+        assert not os.path.exists(out)
 
 
 class TestMetaTrainCommand:
@@ -619,7 +655,7 @@ class TestDataDirResolution:
         make_bundle(tmp_path, country="AA")
         monkeypatch.setenv("MOBICAST_DATA", str(tmp_path / "bundles"))
         out = str(tmp_path / "out")
-        rc = main(["evaluate", "--bundle", "AA", "--model", "avg",
+        rc = main(["train", "--bundle", "AA", "--model", "avg",
                    "--t", "14", "--horizon", "1", "--out", out])
         assert rc == 0
 
@@ -627,9 +663,27 @@ class TestDataDirResolution:
         bundle, _ = make_bundle(tmp_path, country="AA")
         monkeypatch.setenv("MOBICAST_DATA", str(tmp_path / "elsewhere"))
         out = str(tmp_path / "out")
-        rc = main(["evaluate", "--bundle", bundle, "--model", "avg",
+        rc = main(["train", "--bundle", bundle, "--model", "avg",
                    "--t", "14", "--horizon", "1", "--out", out])
         assert rc == 0
+
+    def test_run_outputs_resolve_where_train_wrote_them(self, tmp_path,
+                                                        monkeypatch):
+        make_bundle(tmp_path, country="AA")
+        cfg = write_config(tmp_path)
+        monkeypatch.setenv("MOBICAST_DATA", str(tmp_path / "bundles"))
+        monkeypatch.chdir(tmp_path)
+        argv = ["--bundle", "AA", "--model", "mpnn", "--t", "14",
+                "--horizon", "1", "--config", cfg]
+        assert main(["train", *argv, "--checkpoints", "ck",
+                     "--out", "trained"]) == 0
+        assert main(["evaluate", *argv, "--checkpoints", "ck",
+                     "--out", "rescored"]) == 0
+        assert main(["report", "trained", "rescored", "--out", "merged"]) == 0
+        rows, _ = load_report_rows(os.path.join("merged", "rows.csv"))
+        assert len(rows) == 2 * 2
+        assert rows[:2] == rows[2:]
+        assert not os.path.exists(tmp_path / "bundles" / "ck")
 
 
 class TestHeapSettings:

@@ -1,7 +1,9 @@
 """Ingestion, alignment, synthetic generation, and bundle round trips."""
 
+import csv
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -217,6 +219,16 @@ class TestCountryDataset:
         with pytest.raises(DataError, match="negative mobility"):
             CountryDataset("X", ["a"], ["2020-03-01"], [[1]], [np.array([[-1.0]])])
 
+    @pytest.mark.parametrize("name", ["Bolzano, South Tyrol", "line\nbreak",
+                                      "carriage\rreturn"])
+    def test_id_that_report_rows_cannot_hold_rejected(self, name):
+        # rows.csv does not quote its cells
+        with pytest.raises(DataError, match=re.escape(repr(name))):
+            CountryDataset("X", ["a", name], ["2020-03-01"], [[1], [2]],
+                           [np.eye(2)])
+        with pytest.raises(DataError, match="comma or line break"):
+            CountryDataset(name, ["a"], ["2020-03-01"], [[1]], [np.eye(1)])
+
 
 class TestSyntheticGeneration:
     def test_deterministic_per_seed(self):
@@ -284,6 +296,22 @@ class TestBundles:
         np.testing.assert_array_equal(back.cases, ds.cases)
         for ma, mb in zip(ds.mobility, back.mobility):
             np.testing.assert_array_equal(ma, mb)
+
+    def test_region_id_with_comma_rejected(self, tmp_path):
+        ds = small_synthetic(seed=9, n=3, days=8)
+        bdir = tmp_path / "b"
+        save_bundle(ds, str(bdir))
+        old, new = ds.regions[0], "Bolzano, South Tyrol"
+        manifest = json.loads((bdir / "manifest.json").read_text())
+        manifest["regions"][0] = new
+        (bdir / "manifest.json").write_text(json.dumps(manifest))
+        with open(bdir / "cases.csv", newline="", encoding="utf-8") as fh:
+            rows = [[new if cell == old else cell for cell in row]
+                    for row in csv.reader(fh)]
+        with open(bdir / "cases.csv", "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(rows)
+        with pytest.raises(DataError, match="'Bolzano, South Tyrol' contains a comma"):
+            load_bundle(str(bdir))
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(BundleError, match="manifest"):

@@ -17,15 +17,14 @@ from mobicast.evaluation import (
     ProtocolGrid,
     ReportRow,
     case_stats_table,
+    correlation_lines,
     correlation_table,
     emit_report,
     error_metric,
     load_report_rows,
     mobility_totals,
     pearson_shift_correlation,
-    per_horizon_errors,
     range_summary,
-    relative_error,
     rolling_evaluate,
 )
 from mobicast.meta import MetaConfig
@@ -38,7 +37,7 @@ from conftest import diverge_at, make_ramp_dataset
 def fast_config(**overrides):
     train = TrainConfig(max_epochs=1, hidden=2, k_layers=1, d=3, dropout=0.0,
                         seq_len=4, patience=50)
-    meta = MetaConfig(dt=1, d=3)
+    meta = MetaConfig(dt=1)
     defaults = {"train": train, "meta": meta, "seed": 0}
     defaults.update(overrides)
     return EvalConfig(**defaults)
@@ -133,7 +132,26 @@ class TestAggregates:
         rows = [make_row(model="A", j=1, pred=0, actual=1),
                 make_row(model="A", j=1, pred=0, actual=3),
                 make_row(model="A", j=2, pred=0, actual=10)]
-        assert per_horizon_errors(rows) == {("A", 1): 2.0, ("A", 2): 10.0}
+        summary = range_summary(rows)["A"]
+        assert (summary["1-1"], summary["2-2"]) == (2.0, 10.0)
+        assert set(summary) == {"1-1", "2-2", "1-3", "1-7", "1-14"}
+
+    def test_single_horizon_entries_are_mean_error_per_horizon(self):
+        rng = Rng(33)
+        rows = [make_row(model=m, t=t, j=j, pred=float(rng.random(1)[0]),
+                         actual=float(rng.random(1)[0]), region=f"R{v}")
+                for m in ("A", "B") for t in (14, 15) for j in (1, 3, 7, 14)
+                for v in range(3) if (m, j) != ("B", 7)]
+        summary = range_summary(rows)
+        for model in ("A", "B"):
+            for j in (1, 3, 7, 14):
+                errors = [abs(r.prediction - r.actual) for r in rows
+                          if r.model == model and r.horizon == j]
+                if not errors:
+                    assert f"{j}-{j}" not in summary[model]
+                    continue
+                assert summary[model][f"{j}-{j}"] == pytest.approx(
+                    sum(errors) / len(errors), abs=1e-12)
 
     def test_range_summary_weights_by_rows(self):
         rows = ([make_row(model="A", j=1, pred=0, actual=1)] * 3
@@ -143,7 +161,7 @@ class TestAggregates:
         assert summary["A"]["1-3"] == pytest.approx(1.0)
         assert summary["A"]["1-7"] == pytest.approx((3 * 1 + 9) / 4)
         assert summary["A"]["1-14"] == pytest.approx(3.0)
-        assert summary["B"] == {"1-3": 5.0, "1-7": 5.0, "1-14": 5.0}
+        assert summary["B"] == {"1-3": 5.0, "1-7": 5.0, "1-14": 5.0, "2-2": 5.0}
 
     def test_range_summary_recomputable_from_per_horizon(self):
         rng = Rng(31)
@@ -155,88 +173,13 @@ class TestAggregates:
                                          pred=float(rng.random(1)[0]),
                                          actual=float(rng.random(1)[0]),
                                          region=f"R{v}"))
-        by_j = per_horizon_errors(rows)
+        summary = range_summary(rows)["A"]
         counts = {j: sum(1 for r in rows if r.horizon == j) for j in range(1, 15)}
         for lo, hi in ((1, 3), (1, 7), (1, 14)):
-            weighted = sum(by_j[("A", j)] * counts[j] for j in range(lo, hi + 1))
+            weighted = sum(summary[f"{j}-{j}"] * counts[j] for j in range(lo, hi + 1))
             weighted /= sum(counts[j] for j in range(lo, hi + 1))
-            assert range_summary(rows)["A"][f"{lo}-{hi}"] == pytest.approx(
+            assert summary[f"{lo}-{hi}"] == pytest.approx(
                 weighted, abs=1e-12)
-
-
-class TestRelativeError:
-    def window_rows(self, preds, actuals, t=20, region="R00", country="AA"):
-        return [make_row(model="M", t=t, j=j + 1, pred=p, actual=a,
-                         region=region, country=country)
-                for j, (p, a) in enumerate(zip(preds, actuals))]
-
-    def test_240_versus_200_gives_exactly_point_two(self):
-        rows = self.window_rows([48.0] * 5, [40.0] * 5)
-        result = relative_error(rows)
-        assert result.pooled == 0.2
-        assert result.per_region[("AA", "R00")] == 0.2
-        assert result.terms == 1 and result.skipped == 0
-
-    def test_perfect_predictions(self):
-        rows = self.window_rows([7.0, 8.0, 9.0, 10.0, 11.0],
-                                [7.0, 8.0, 9.0, 10.0, 11.0])
-        assert relative_error(rows).pooled == 0.0
-
-    def test_zero_actual_window_skipped_and_counted(self):
-        rows = (self.window_rows([48.0] * 5, [40.0] * 5, t=20)
-                + self.window_rows([3.0] * 5, [0.0] * 5, t=21))
-        result = relative_error(rows)
-        assert result.pooled == 0.2
-        assert result.skipped == 1 and result.terms == 1
-
-    def test_region_with_only_zero_windows_is_missing_value(self):
-        rows = (self.window_rows([48.0] * 5, [40.0] * 5, region="R00")
-                + self.window_rows([3.0] * 5, [0.0] * 5, region="R01"))
-        result = relative_error(rows)
-        assert result.per_region[("AA", "R00")] == 0.2
-        assert result.per_region[("AA", "R01")] is None
-
-    def test_incomplete_anchor_forms_no_window(self):
-        rows = (self.window_rows([48.0] * 5, [40.0] * 5, t=20)
-                + self.window_rows([9.0] * 4, [1.0] * 4, t=21))  # j=5 missing
-        result = relative_error(rows)
-        assert result.terms == 1
-        assert result.pooled == 0.2
-
-    def test_all_windows_skipped_rejected(self):
-        rows = self.window_rows([3.0] * 5, [0.0] * 5)
-        with pytest.raises(DataError, match="relative error undefined"):
-            relative_error(rows)
-
-    def test_mixed_models_rejected(self):
-        rows = self.window_rows([1.0] * 5, [2.0] * 5)
-        rows.append(make_row(model="OTHER", t=30, j=1))
-        with pytest.raises(ContractError, match="one model"):
-            relative_error(rows)
-
-    def test_matches_brute_force_on_random_grid(self):
-        rng = Rng(32)
-        rows = []
-        anchors = (20, 21, 22)
-        regions = ("R00", "R01")
-        values = {}
-        for t in anchors:
-            for region in regions:
-                preds = rng.uniform(0.0, 30.0, (1, 5))[0]
-                actuals = rng.uniform(1.0, 30.0, (1, 5))[0]
-                values[(t, region)] = (preds, actuals)
-                rows.extend(self.window_rows(preds, actuals, t=t, region=region))
-        result = relative_error(rows)
-        expected_terms = []
-        for (t, region), (preds, actuals) in sorted(values.items()):
-            expected_terms.append(abs(preds.sum() - actuals.sum()) / actuals.sum())
-        assert result.pooled == pytest.approx(float(np.mean(expected_terms)),
-                                              abs=1e-12)
-        for region in regions:
-            per = [abs(p.sum() - a.sum()) / a.sum()
-                   for (t, rg), (p, a) in values.items() if rg == region]
-            assert result.per_region[("AA", region)] == pytest.approx(
-                float(np.mean(per)), abs=1e-12)
 
 
 class TestPearsonShiftCorrelation:
@@ -451,7 +394,7 @@ class TestDivergedCells:
         datasets = [make_ramp_dataset(n=2, days=18, country="AA"),
                     make_ramp_dataset(n=2, days=18, country="BB")]
 
-        def maml_meta_train(foreign, model, config):
+        def maml_meta_train(foreign, model, config, seed):
             raise TrainingDivergedError("non-finite loss during adaptation")
 
         monkeypatch.setattr(evaluation, "maml_meta_train", maml_meta_train)
@@ -500,10 +443,10 @@ class TestPoolMetaTraining:
                                  fast_config(jobs=2))
         real = evaluation.maml_meta_train
 
-        def maml_meta_train(foreign, model, config):
+        def maml_meta_train(foreign, model, config, seed):
             if [ds.country for ds in foreign] == ["BB"]:   # target AA
                 raise TrainingDivergedError("non-finite loss during adaptation")
-            return real(foreign, model, config)
+            return real(foreign, model, config, seed)
 
         monkeypatch.setattr(evaluation, "maml_meta_train", maml_meta_train)
         report = rolling_evaluate(self.two_countries(), self.MODELS, self.GRID,
@@ -581,8 +524,6 @@ class TestEmitReport:
         grid = ProtocolGrid(t_end=16, dt=2)
         report = rolling_evaluate([ds], ["LAST_DAY", "AVG"], grid, fast_config())
         report.skipped.append((ds.country, "MPNN_LSTM", 14, 1, "window too wide"))
-        report.correlations = correlation_table(ds, shifts=(1, 2))
-        report.case_stats = case_stats_table(ds)
         return report
 
     def test_round_trip_preserves_aggregates(self, tmp_path):
@@ -611,10 +552,7 @@ class TestEmitReport:
                                  "actual,abs_error\n")
         with open(paths["summary"], encoding="utf-8") as fh:
             assert json.load(fh) == {}
-        with open(paths["correlations"], encoding="utf-8") as fh:
-            assert fh.read() == "region,shift,pearson\n"
-        with open(paths["case_stats"], encoding="utf-8") as fh:
-            assert fh.read() == "country,day,date,mean,std,max_diff\n"
+        assert sorted(os.listdir(tmp_path)) == ["rows.csv", "summary.json"]
 
     def test_skip_lines_precede_header(self, tmp_path):
         report = self.sample_report()
@@ -624,13 +562,9 @@ class TestEmitReport:
         assert lines[0].startswith("# skipped country=")
         assert lines[1] == "country,model,T,horizon,region,prediction,actual,abs_error"
 
-    def test_missing_correlation_is_empty_cell(self, tmp_path):
-        report = ErrorReport(rows=[], skipped=[],
-                             correlations=[("AA", "R00", 1, None),
-                                           ("AA", "R01", 1, 0.5)])
-        paths = emit_report(report, str(tmp_path))
-        with open(paths["correlations"], encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+    def test_missing_correlation_is_empty_cell(self):
+        lines = correlation_lines([("AA", "R00", 1, None), ("AA", "R01", 1, 0.5)])
+        assert lines[0] == "region,shift,pearson"
         assert lines[1] == "AA/R00,1,"
         assert lines[2] == "AA/R01,1,0.5"
 

@@ -8,8 +8,8 @@ from mobicast import graphs
 from mobicast import tape as tp
 from mobicast.errors import ContractError, DataError, ShapeError
 from mobicast.evaluation import EvalConfig, ProtocolGrid, rolling_evaluate
-from mobicast.graphs import (assemble_samples, node_features,
-                             normalize_incoming, normalized_graphs)
+from mobicast.graphs import (assemble_samples, normalize_incoming,
+                             normalized_graphs)
 from mobicast.meta import MetaConfig
 from mobicast.rng import Rng
 from mobicast.train import TrainConfig
@@ -61,26 +61,28 @@ class TestNormalizeIncoming:
 
 
 class TestNodeFeatures:
+    """Feature windows, as samples read them through CountryDataset.case_window."""
+
     def test_window_slicing(self):
         ds = make_ramp_dataset(n=1, days=4)  # cases row = [1, 2, 3, 4]
-        fw = node_features(ds, 4, 2)
-        np.testing.assert_array_equal(fw.x, [[3.0, 4.0]])
+        x = ds.case_window(4, 2)
+        np.testing.assert_array_equal(x, [[3.0, 4.0]])
 
     def test_single_day_window(self):
         ds = make_ramp_dataset(n=2, days=5)
-        fw = node_features(ds, 3, 1)
-        np.testing.assert_array_equal(fw.x[:, 0], ds.cases_on(3))
+        x = ds.case_window(3, 1)
+        np.testing.assert_array_equal(x[:, 0], ds.cases_on(3))
 
     def test_window_error_at_start(self):
         ds = make_ramp_dataset(n=2, days=5)
         with pytest.raises(DataError):
-            node_features(ds, 1, 2)
+            ds.case_window(1, 2)
 
     def test_columns_oldest_to_newest(self):
         ds = make_ramp_dataset(n=3, days=10)
-        fw = node_features(ds, 9, 4)
+        x = ds.case_window(9, 4)
         for col, day in enumerate(range(6, 10)):
-            np.testing.assert_array_equal(fw.x[:, col], ds.cases_on(day))
+            np.testing.assert_array_equal(x[:, col], ds.cases_on(day))
 
 
 def aggregate(a_norm, x):
@@ -225,7 +227,7 @@ class TestGraphCache:
                     make_ramp_dataset(n=3, days=18, country="BB", seed=1)]
         cfg = EvalConfig(train=TrainConfig(max_epochs=1, hidden=2, k_layers=1,
                                            d=3, dropout=0.0, seq_len=4),
-                         meta=MetaConfig(dt=1, d=3))
+                         meta=MetaConfig(dt=1))
         report = rolling_evaluate(
             datasets, ["MPNN", "MPNN_LSTM", "MPNN_TL", "TL_BASE"],
             ProtocolGrid(t_end=15, dt=2), cfg)

@@ -2,6 +2,7 @@
 the MPNN_TL grid cells, and pooled training."""
 
 import os
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -21,14 +22,13 @@ from mobicast.meta import (
     MetaConfig,
     TaskSplit,
     enumerate_tasks,
-    load_meta_state,
     maml_meta_train,
     meta_task_step,
     save_meta_state,
     tl_base_train,
 )
 from mobicast.models import ModelState, MPNNModel, model_spec
-from mobicast.params import save_params
+from mobicast.params import load_params
 from mobicast.rng import Rng
 from mobicast.train import (Checkpoint, TrainConfig, load_checkpoint, make_splits,
                             predict, train_model)
@@ -101,18 +101,18 @@ class TestMetaConfig:
 class TestEnumerateTasks:
     def test_grid_with_boundary_skips(self):
         ds = make_ramp_dataset(n=2, days=16)
-        tasks = enumerate_tasks(ds, MetaConfig(dt=2))
+        tasks = enumerate_tasks(ds, MetaConfig(dt=2), 7)
         assert [(t.t, t.horizon) for t in tasks] == [(14, 1), (14, 2), (15, 1)]
 
     def test_single_task(self):
         ds = make_ramp_dataset(n=2, days=15)
-        tasks = enumerate_tasks(ds, MetaConfig(dt=1))
+        tasks = enumerate_tasks(ds, MetaConfig(dt=1), 7)
         assert [(t.t, t.horizon) for t in tasks] == [(14, 1)]
 
     def test_matches_brute_force_grid(self):
         ds = make_ramp_dataset(n=2, days=20)
         cfg = MetaConfig(dt=3)
-        tasks = enumerate_tasks(ds, cfg)
+        tasks = enumerate_tasks(ds, cfg, 7)
         got = [(t.t, t.horizon) for t in tasks]
         expected = sorted((t, j) for t in range(14, 21) for j in range(1, 4)
                           if t + j <= 20)
@@ -121,7 +121,7 @@ class TestEnumerateTasks:
 
     def test_task_contents(self):
         ds = make_ramp_dataset(n=2, days=18)
-        for task in enumerate_tasks(ds, MetaConfig(dt=2)):
+        for task in enumerate_tasks(ds, MetaConfig(dt=2), 7):
             assert task.country == ds.country
             assert all(s.target_day <= task.t for s in task.train)
             assert task.test.target_day == task.t + task.horizon
@@ -130,7 +130,7 @@ class TestEnumerateTasks:
     def test_empty_grid_rejected(self):
         ds = make_ramp_dataset(n=2, days=14)  # day 15 never exists
         with pytest.raises(InsufficientDataError, match="no tasks"):
-            enumerate_tasks(ds, MetaConfig(dt=14))
+            enumerate_tasks(ds, MetaConfig(dt=14), 7)
 
 
 class TestMetaTaskStep:
@@ -234,7 +234,7 @@ def shared_scalar_reference(datasets, cfg):
     """Plain-float replay of the two-level update with the scalar model."""
     theta = 0.0
     step = cfg.meta_lr / len(datasets)
-    task_lists = [enumerate_tasks(ds, cfg) for ds in datasets]
+    task_lists = [enumerate_tasks(ds, cfg, ThetaModel.d) for ds in datasets]
     for _ in range(cfg.meta_epochs):
         for tasks in task_lists:
             for task in tasks:
@@ -251,7 +251,7 @@ class TestMamlMetaTrain:
     def test_single_country_matches_reference(self):
         ds = make_ramp_dataset(n=1, days=16)
         cfg = MetaConfig(inner_lr=0.1, meta_lr=0.1, dt=2, batch_size=3)
-        state = maml_meta_train([ds], ThetaModel(), cfg)
+        state = maml_meta_train([ds], ThetaModel(), cfg, 0)
         expected = shared_scalar_reference([ds], cfg)
         assert abs(state.params["theta"][0, 0] - expected) < 1e-12
 
@@ -259,57 +259,40 @@ class TestMamlMetaTrain:
         datasets = [make_ramp_dataset(n=1, days=15, country="AA"),
                     make_ramp_dataset(n=1, days=15, country="BB")]
         cfg = MetaConfig(inner_lr=0.1, meta_lr=0.1, dt=1)
-        state = maml_meta_train(datasets, ThetaModel(), cfg)
+        state = maml_meta_train(datasets, ThetaModel(), cfg, 0)
         expected = shared_scalar_reference(datasets, cfg)
         assert abs(state.params["theta"][0, 0] - expected) < 1e-12
-        lone = maml_meta_train([datasets[0]], ThetaModel(), cfg)
+        lone = maml_meta_train([datasets[0]], ThetaModel(), cfg, 0)
         assert state.params["theta"][0, 0] != lone.params["theta"][0, 0]
 
     def test_multiple_epochs(self):
         ds = make_ramp_dataset(n=1, days=15)
         cfg = MetaConfig(inner_lr=0.05, meta_lr=0.05, dt=1, meta_epochs=3)
-        state = maml_meta_train([ds], ThetaModel(), cfg)
+        state = maml_meta_train([ds], ThetaModel(), cfg, 0)
         expected = shared_scalar_reference([ds], cfg)
         assert abs(state.params["theta"][0, 0] - expected) < 1e-12
 
     def test_deterministic_for_seed(self):
         datasets = [make_ramp_dataset(n=2, days=16, country="AA"),
                     make_ramp_dataset(n=3, days=16, country="BB")]
-        cfg = MetaConfig(inner_lr=1e-3, meta_lr=1e-3, dt=1, d=3, seed=4)
-        a = maml_meta_train(datasets, tiny_mpnn(), cfg)
-        b = maml_meta_train(datasets, tiny_mpnn(), cfg)
+        cfg = MetaConfig(inner_lr=1e-3, meta_lr=1e-3, dt=1)
+        a = maml_meta_train(datasets, tiny_mpnn(), cfg, 4)
+        b = maml_meta_train(datasets, tiny_mpnn(), cfg, 4)
         assert {k: v.tobytes() for k, v in a.params.items()} == \
                {k: v.tobytes() for k, v in b.params.items()}
 
     def test_zero_meta_lr_returns_initialization(self):
         ds = make_ramp_dataset(n=2, days=16)
-        cfg = MetaConfig(meta_lr=0.0, dt=1, d=3, seed=9)
+        cfg = MetaConfig(meta_lr=0.0, dt=1)
         model = tiny_mpnn()
-        state = maml_meta_train([ds], model, cfg)
+        state = maml_meta_train([ds], model, cfg, 9)
         init = model.init_state(Rng(9).spawn("init"))
         for key, arr in init.params.items():
             assert np.array_equal(state.params[key], arr)
 
     def test_no_countries_rejected(self):
         with pytest.raises(ContractError, match="at least one country"):
-            maml_meta_train([], tiny_mpnn(), MetaConfig())
-
-    def test_mismatched_init_state_rejected(self):
-        ds = make_ramp_dataset(n=2, days=16)
-        bad = ModelState({"theta": np.zeros((1, 1))}, {})
-        with pytest.raises(ContractError, match="parameter layout"):
-            maml_meta_train([ds], tiny_mpnn(), MetaConfig(dt=1, d=3),
-                            init_state=bad)
-
-    def test_init_state_used_and_not_mutated(self):
-        ds = make_ramp_dataset(n=1, days=15)
-        model = ThetaModel()
-        init = ModelState({"theta": np.full((1, 1), 5.0)}, {})
-        cfg = MetaConfig(inner_lr=0.1, meta_lr=0.0, dt=1)
-        state = maml_meta_train([ds], model, cfg, init_state=init)
-        assert state.params["theta"][0, 0] == 5.0
-        assert init.params["theta"][0, 0] == 5.0
-        assert state.params["theta"] is not init.params["theta"]
+            maml_meta_train([], tiny_mpnn(), MetaConfig(), 0)
 
 
 def transfer_config(**train):
@@ -332,12 +315,12 @@ class TestFineTune:
                                   checkpoint_dir=str(tmp_path))
         assert not report.skipped
         for country in ("AA", "BB"):
-            shared, _, _ = load_meta_state(
+            shared, _, _ = load_params(
                 str(tmp_path / f"{country}__MPNN_TL__meta.ckpt"))
             for t in (14, 15):
                 ckpt = load_checkpoint(
                     str(tmp_path / f"{country}__MPNN_TL__T{t}_j1.ckpt"))
-                for key, arr in shared.params.items():
+                for key, arr in shared.items():
                     assert np.array_equal(ckpt.state.params[key], arr)
         assert sorted(os.listdir(tmp_path)) == [
             f"{c}__MPNN_TL__{cell}.ckpt" for c in ("AA", "BB")
@@ -371,14 +354,14 @@ class TestFineTune:
         datasets = two_countries(days=15)
         splits = make_splits(datasets[0], 14, 1, 3)
         converged = train_model(splits, tiny_mpnn(),
-                                TrainConfig(max_epochs=25, lr=1e-2, dropout=0.0, seed=1))
+                                TrainConfig(max_epochs=25, lr=1e-2, dropout=0.0), 1)
         actual = np.asarray(splits.test.target).reshape(-1)
         forecast = predict(converged.model, converged.state, [splits.test])
         base = float(np.mean(np.abs(forecast - actual)))
         monkeypatch.setattr(evaluation, "maml_meta_train",
-                            lambda foreign, model, config: converged.state)
+                            lambda foreign, model, config, seed: converged.state)
         report = rolling_evaluate(datasets, ["MPNN_TL"], ProtocolGrid(dt=1),
-                                  transfer_config(max_epochs=1, seed=2))
+                                  transfer_config(max_epochs=1))
         rows = [r for r in report.rows if r.country == "AA"]
         assert {r.t for r in rows} == {14}
         assert error_metric(rows) <= base * 1.1 + 0.5
@@ -409,10 +392,10 @@ class TestFineTune:
 class TestTlBaseTrain:
     def test_empty_foreign_pool_reduces_to_plain_training(self):
         ds = make_ramp_dataset(n=3, days=20, country="XX")
-        cfg = TrainConfig(max_epochs=2, dropout=0.0, seed=6)
+        cfg = TrainConfig(max_epochs=2, dropout=0.0)
         pooled = tl_base_train([ds], "XX", make_splits(ds, 14, 1, 3),
-                               tiny_mpnn(), cfg)
-        plain = train_model(make_splits(ds, 14, 1, 3), tiny_mpnn(), cfg)
+                               tiny_mpnn(), cfg, 6)
+        plain = train_model(make_splits(ds, 14, 1, 3), tiny_mpnn(), cfg, 6)
         assert {k: v.tobytes() for k, v in pooled.state.params.items()} == \
                {k: v.tobytes() for k, v in plain.state.params.items()}
         assert pooled.val_error == plain.val_error
@@ -422,14 +405,14 @@ class TestTlBaseTrain:
         target = make_ramp_dataset(n=3, days=20, country="BB")
         captured = {}
 
-        def recorder(splits, model, config, init_state=None, log_fn=None):
+        def recorder(splits, model, config, seed, init_state=None, log_fn=None):
             captured["splits"] = splits
             return Checkpoint(model, model.init_state(Rng(0)), 0.0, 0, 0)
 
         monkeypatch.setattr(meta_mod, "train_model", recorder)
         plain = make_splits(target, 15, 2, 3)
         tl_base_train([foreign, target], "BB", plain, tiny_mpnn(),
-                      TrainConfig(dropout=0.0))
+                      TrainConfig(dropout=0.0), 0)
         splits = captured["splits"]
         foreign_universe = assemble_samples(foreign, 3, 2, t_end=18)
         assert len(splits.train) == len(foreign_universe) + len(plain.train)
@@ -446,17 +429,17 @@ class TestTlBaseTrain:
                     make_ramp_dataset(n=3, days=20, country="BB")]
         splits = make_splits(datasets[1], 14, 1, 3)
         ckpt = tl_base_train(datasets, "BB", splits, tiny_mpnn(),
-                             TrainConfig(max_epochs=1, dropout=0.0))
+                             TrainConfig(max_epochs=1, dropout=0.0), 0)
         assert np.isfinite(ckpt.val_error)
         assert predict(ckpt.model, ckpt.state, [splits.test]).shape == (3,)
 
     def test_deterministic_per_seed(self):
         datasets = [make_ramp_dataset(n=2, days=18, country="AA"),
                     make_ramp_dataset(n=3, days=20, country="BB")]
-        cfg = TrainConfig(max_epochs=1, dropout=0.0, seed=11)
+        cfg = TrainConfig(max_epochs=1, dropout=0.0)
         splits = make_splits(datasets[1], 14, 1, 3)
-        a = tl_base_train(datasets, "BB", splits, tiny_mpnn(), cfg)
-        b = tl_base_train(datasets, "BB", splits, tiny_mpnn(), cfg)
+        a = tl_base_train(datasets, "BB", splits, tiny_mpnn(), cfg, 11)
+        b = tl_base_train(datasets, "BB", splits, tiny_mpnn(), cfg, 11)
         assert {k: v.tobytes() for k, v in a.state.params.items()} == \
                {k: v.tobytes() for k, v in b.state.params.items()}
 
@@ -464,9 +447,9 @@ class TestTlBaseTrain:
         ds = make_ramp_dataset(n=2, days=18, country="AA")
         splits = make_splits(ds, 14, 1, 3)
         with pytest.raises(ContractError, match="exactly once"):
-            tl_base_train([ds], "ZZ", splits, tiny_mpnn(), TrainConfig())
+            tl_base_train([ds], "ZZ", splits, tiny_mpnn(), TrainConfig(), 0)
         with pytest.raises(ContractError, match="exactly once"):
-            tl_base_train([ds, ds], "AA", splits, tiny_mpnn(), TrainConfig())
+            tl_base_train([ds, ds], "AA", splits, tiny_mpnn(), TrainConfig(), 0)
 
     def test_grid_builds_each_cell_split_once(self, monkeypatch):
         datasets = [make_ramp_dataset(n=2, days=18, country="AA"),
@@ -493,18 +476,23 @@ class TestMetaStateIO:
         model = tiny_mpnn()
         state = model.init_state(Rng(2))
         path = str(tmp_path / "shared.ckpt")
-        cfg = MetaConfig(dt=2, d=3, seed=5)
-        save_meta_state(path, state, model, ["AA", "BB"], cfg)
-        loaded_state, loaded_model, countries = load_meta_state(path)
-        assert countries == ["AA", "BB"]
-        assert model_spec(loaded_model) == model_spec(model)
+        cfg = MetaConfig(dt=2)
+        save_meta_state(path, state, model, ["AA", "BB"], cfg, 5)
+        params, buffers, meta = load_params(path)
+        assert meta["kind"] == "mobicast-meta"
+        assert meta["countries"] == ["AA", "BB"]
+        assert meta["model"] == model_spec(model)
+        assert meta["config"] == {**asdict(cfg), "d": 3, "seed": 5}
         for key, arr in state.params.items():
-            assert np.array_equal(loaded_state.params[key], arr)
+            assert np.array_equal(params[key], arr)
         for key, arr in state.buffers.items():
-            assert np.array_equal(loaded_state.buffers[key], arr)
+            assert np.array_equal(buffers[key], arr)
 
     def test_wrong_kind_rejected(self, tmp_path):
-        path = str(tmp_path / "other.ckpt")
-        save_params(path, {"w": np.zeros((1, 1))}, {}, {"kind": "mobicast-checkpoint"})
-        with pytest.raises(CheckpointError, match="not a meta-training state"):
-            load_meta_state(path)
+        # a shared initialization is not a cell checkpoint
+        model = tiny_mpnn()
+        path = str(tmp_path / "shared.ckpt")
+        save_meta_state(path, model.init_state(Rng(2)), model, ["AA"],
+                        MetaConfig(), 0)
+        with pytest.raises(CheckpointError, match="not a model checkpoint"):
+            load_checkpoint(path)

@@ -63,11 +63,15 @@ class TestOpGradients:
 
         check_grads(build, arrays)
 
-    def test_smul_add_row(self):
+    def test_scaled_add_row(self):
         rng = Rng(3)
         arrays = {"a": rng.normal((4, 3)), "r": rng.normal((1, 3))}
-        check_grads(lambda t, v: tp.mean_all(tp.square(tp.smul(tp.add_row(v["a"], v["r"]), 2.5))),
-                    arrays)
+
+        def build(t, v):
+            scale = t.constant(np.full((4, 3), 2.5))
+            return tp.mean_all(tp.square(tp.mul(tp.add_row(v["a"], v["r"]), scale)))
+
+        check_grads(build, arrays)
 
     def test_activations(self):
         # keep inputs away from the relu kink so FD is valid
@@ -306,6 +310,16 @@ class TestContracts:
         np.testing.assert_allclose(t.grad(a), np.full((2, 2), 0.25))
         np.testing.assert_array_equal(t.grad(c), np.zeros((2, 2)))
 
+    def test_grad_of_interior_node_without_gradient_rejected(self):
+        t = tp.Tape()
+        a = t.parameter(np.ones((2, 2)))
+        c = t.constant(np.full((2, 2), 2.0))
+        const_only = tp.square(c)
+        t.backward(tp.mean_all(tp.mul(a, const_only)))
+        with pytest.raises(ContractError, match="leaves"):
+            t.grad(const_only)
+        np.testing.assert_array_equal(t.grad(a), np.ones((2, 2)))
+
     def test_second_backward_rejected(self):
         # closures are released as the first replay runs them, so a second
         # replay could only skip them and return wrong gradients
@@ -366,6 +380,20 @@ class TestRelease:
         t.backward(loss)
         assert alive() is None
         assert t.grad(a).shape == (3, 4)
+
+    def test_node_needing_no_gradient_keeps_no_closure(self):
+        # an eval forward over constants holds none of its inputs for a
+        # backward that never runs
+        t = tp.Tape()
+        c = t.constant(Rng(44).normal((3, 4)))
+        y = tp.tanh(c)
+        alive = weakref.ref(y.value)
+        out = tp.mul(y, y)
+        del y
+        assert alive() is None
+        assert t._nodes[out.idx].backward is None
+        a = t.parameter(np.ones((3, 4)))
+        assert t._nodes[tp.mul(a, out).idx].backward is not None
 
     @pytest.mark.parametrize("op", [
         tp.mean_all, tp.relu, tp.sigmoid, tp.tanh, tp.hconcat,

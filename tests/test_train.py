@@ -19,14 +19,14 @@ from mobicast.train import (
     Checkpoint,
     TrainConfig,
     load_checkpoint,
+    loss_and_grads,
     make_splits,
-    mse_loss,
     predict,
     save_checkpoint,
     train_model,
 )
 
-from conftest import make_ramp_dataset
+from conftest import FirstFeatureModel, make_ramp_dataset, prediction_sample
 
 
 def tiny_model(dropout=0.0):
@@ -64,7 +64,7 @@ class TestMakeSplits:
         # T=14, j=1, d=7: targets 8..14; held out for validation: 13, 11, 9
         ds = make_ramp_dataset(n=3, days=20)
         splits = make_splits(ds, t=14, j=1, d=7)
-        assert splits.validation_targets() == [9, 11, 13]
+        assert sorted(s.target_day for s in splits.validation) == [9, 11, 13]
         assert sorted(s.target_day for s in splits.train) == [8, 10, 12, 14]
         assert splits.test.anchor == 14
         assert splits.test.target_day == 15
@@ -114,37 +114,35 @@ class TestMakeSplits:
     def test_sequence_variant(self):
         ds = make_ramp_dataset(n=3, days=25)
         splits = make_splits(ds, t=20, j=1, d=7, variant="sequence", s=7)
-        assert splits.validation_targets() == [15, 17, 19]
+        assert sorted(s.target_day for s in splits.validation) == [15, 17, 19]
         assert all(len(s.graphs) == 7 for s in splits.train + [splits.test])
 
 
 class TestMseLoss:
     def test_hand_value(self):
-        assert mse_loss([1.0, 2.0], [3.0, 0.0]) == pytest.approx(4.0)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ContractError, match="shapes"):
-            mse_loss(np.zeros(3), np.zeros(4))
-
-    def test_empty(self):
-        with pytest.raises(ContractError, match="empty"):
-            mse_loss(np.zeros(0), np.zeros(0))
+        # predictions [1, 2] against targets [3, 0]: mean of (-2)^2 and 2^2
+        # is 4; d/dw of the mean of (w x - y)^2 is mean(2 (p - y) x) = 2
+        model = FirstFeatureModel()
+        sample = prediction_sample([1.0, 2.0], [3.0, 0.0])
+        loss, grads = loss_and_grads(model, model.init_state(None), [sample], None)
+        assert loss == 4.0
+        assert grads["w"].tolist() == [[2.0]]
 
 
 class TestTrainModel:
     def test_loss_decreases_on_learnable_data(self):
         splits, model = tiny_setup(dropout=0.0)
         logs = []
-        cfg = TrainConfig(max_epochs=30, lr=1e-2, dropout=0.0, seed=3)
-        train_model(splits, model, cfg, log_fn=logs.append)
+        cfg = TrainConfig(max_epochs=30, lr=1e-2, dropout=0.0)
+        train_model(splits, model, cfg, 3, log_fn=logs.append)
         assert len(logs) == 30
         assert logs[-1]["train_loss"] < logs[0]["train_loss"]
 
     def test_best_checkpoint_tracks_validation(self):
         splits, model = tiny_setup(dropout=0.0)
         logs = []
-        cfg = TrainConfig(max_epochs=20, lr=1e-2, dropout=0.0, seed=3)
-        ckpt = train_model(splits, model, cfg, log_fn=logs.append)
+        cfg = TrainConfig(max_epochs=20, lr=1e-2, dropout=0.0)
+        ckpt = train_model(splits, model, cfg, 3, log_fn=logs.append)
         assert ckpt.val_error <= min(r["val_mae"] for r in logs)
         replayed = train_mod._validation_mae(model, ckpt.state, splits.validation)
         assert replayed == pytest.approx(ckpt.val_error, rel=1e-12)
@@ -153,7 +151,7 @@ class TestTrainModel:
     def test_frozen_validation_stops_at_150(self, monkeypatch):
         splits, model = tiny_setup()
         monkeypatch.setattr(train_mod, "_validation_mae", lambda *a: 1.0)
-        ckpt = train_model(splits, model, TrainConfig(dropout=0.0, seed=0))
+        ckpt = train_model(splits, model, TrainConfig(dropout=0.0), 0)
         assert ckpt.stopped_epoch == 150
         assert ckpt.epoch == 0
         assert ckpt.val_error == 1.0
@@ -167,7 +165,7 @@ class TestTrainModel:
             return 1000.0 - calls["n"] if calls["n"] <= 120 else 2000.0
 
         monkeypatch.setattr(train_mod, "_validation_mae", fake)
-        ckpt = train_model(splits, model, TrainConfig(dropout=0.0, seed=0))
+        ckpt = train_model(splits, model, TrainConfig(dropout=0.0), 0)
         assert ckpt.epoch == 120
         assert ckpt.stopped_epoch == 170
         assert ckpt.val_error == 880.0
@@ -181,7 +179,7 @@ class TestTrainModel:
             return 1000.0 - calls["n"]
 
         monkeypatch.setattr(train_mod, "_validation_mae", fake)
-        ckpt = train_model(splits, model, TrainConfig(max_epochs=120, dropout=0.0, seed=0))
+        ckpt = train_model(splits, model, TrainConfig(max_epochs=120, dropout=0.0), 0)
         assert ckpt.epoch == 120
         assert ckpt.stopped_epoch == 120
 
@@ -189,7 +187,7 @@ class TestTrainModel:
         splits, model = tiny_setup()
         init = model.init_state(Rng(99))
         before = {k: v.copy() for k, v in init.params.items()}
-        ckpt = train_model(splits, model, TrainConfig(max_epochs=0), init_state=init)
+        ckpt = train_model(splits, model, TrainConfig(max_epochs=0), 0, init_state=init)
         assert ckpt.epoch == 0 and ckpt.stopped_epoch == 0
         for key, arr in before.items():
             assert np.array_equal(ckpt.state.params[key], arr)
@@ -200,8 +198,8 @@ class TestTrainModel:
         results = []
         for _ in range(2):
             splits, model = tiny_setup(dropout=0.5)
-            cfg = TrainConfig(max_epochs=3, dropout=0.5, seed=7)
-            results.append(train_model(splits, model, cfg))
+            cfg = TrainConfig(max_epochs=3, dropout=0.5)
+            results.append(train_model(splits, model, cfg, 7))
         a, b = results
         assert a.val_error == b.val_error
         assert params_bytes(a.state) == params_bytes(b.state)
@@ -210,15 +208,15 @@ class TestTrainModel:
 
     def test_different_seed_differs(self):
         splits, model = tiny_setup()
-        a = train_model(splits, model, TrainConfig(max_epochs=1, dropout=0.0, seed=0))
-        b = train_model(splits, model, TrainConfig(max_epochs=1, dropout=0.0, seed=1))
+        a = train_model(splits, model, TrainConfig(max_epochs=1, dropout=0.0), 0)
+        b = train_model(splits, model, TrainConfig(max_epochs=1, dropout=0.0), 1)
         assert params_bytes(a.state) != params_bytes(b.state)
 
     def test_init_state_not_mutated(self):
         splits, model = tiny_setup()
         init = model.init_state(Rng(5))
         before = params_bytes(init)
-        train_model(splits, model, TrainConfig(max_epochs=2, dropout=0.0, seed=5),
+        train_model(splits, model, TrainConfig(max_epochs=2, dropout=0.0), 5,
                     init_state=init)
         assert params_bytes(init) == before
 
@@ -229,16 +227,16 @@ class TestTrainModel:
         with np.errstate(over="ignore"):
             with pytest.raises(TrainingDivergedError,
                                match=r"non-finite loss at epoch 1, batch 0"):
-                train_model(splits, model, TrainConfig(max_epochs=1, dropout=0.0),
+                train_model(splits, model, TrainConfig(max_epochs=1, dropout=0.0), 0,
                             init_state=init)
             with pytest.raises(TrainingDivergedError, match="largest parameters"):
-                train_model(splits, model, TrainConfig(max_epochs=1, dropout=0.0),
+                train_model(splits, model, TrainConfig(max_epochs=1, dropout=0.0), 0,
                             init_state=init)
 
     def test_log_records_sequential_epochs(self):
         splits, model = tiny_setup()
         logs = []
-        train_model(splits, model, TrainConfig(max_epochs=4, dropout=0.0),
+        train_model(splits, model, TrainConfig(max_epochs=4, dropout=0.0), 0,
                     log_fn=logs.append)
         assert [r["epoch"] for r in logs] == [1, 2, 3, 4]
         assert all(set(r) == {"epoch", "train_loss", "val_mae"} for r in logs)
@@ -247,14 +245,14 @@ class TestTrainModel:
 class TestPredict:
     def test_shape_and_nonnegativity(self):
         splits, model = tiny_setup()
-        ckpt = train_model(splits, model, TrainConfig(max_epochs=2, dropout=0.0))
+        ckpt = train_model(splits, model, TrainConfig(max_epochs=2, dropout=0.0), 0)
         out = predict(model, ckpt.state, [splits.test])
         assert out.shape == (3,)
         assert np.all(out >= 0.0)
 
     def test_matches_eval_forward(self):
         splits, model = tiny_setup()
-        ckpt = train_model(splits, model, TrainConfig(max_epochs=2, dropout=0.0))
+        ckpt = train_model(splits, model, TrainConfig(max_epochs=2, dropout=0.0), 0)
         samples = [splits.test, *splits.validation]
         tape = tp.Tape()
         pvars = tape.bind(ckpt.state.params)
@@ -265,7 +263,7 @@ class TestPredict:
 class TestCheckpointIO:
     def test_round_trip(self, tmp_path):
         splits, model = tiny_setup()
-        ckpt = train_model(splits, model, TrainConfig(max_epochs=2, dropout=0.0))
+        ckpt = train_model(splits, model, TrainConfig(max_epochs=2, dropout=0.0), 0)
         path = str(tmp_path / "model.ckpt")
         save_checkpoint(path, ckpt, extra_meta={"country": "IT"})
         loaded = load_checkpoint(path)
@@ -275,7 +273,7 @@ class TestCheckpointIO:
 
     def test_reload_reproduces_validation_error(self, tmp_path):
         splits, model = tiny_setup()
-        ckpt = train_model(splits, model, TrainConfig(max_epochs=3, dropout=0.0))
+        ckpt = train_model(splits, model, TrainConfig(max_epochs=3, dropout=0.0), 0)
         path = str(tmp_path / "model.ckpt")
         save_checkpoint(path, ckpt)
         loaded = load_checkpoint(path)
@@ -285,7 +283,7 @@ class TestCheckpointIO:
 
     def test_loaded_model_predicts_identically(self, tmp_path):
         splits, model = tiny_setup()
-        ckpt = train_model(splits, model, TrainConfig(max_epochs=2, dropout=0.0))
+        ckpt = train_model(splits, model, TrainConfig(max_epochs=2, dropout=0.0), 0)
         path = str(tmp_path / "model.ckpt")
         save_checkpoint(path, ckpt)
         loaded = load_checkpoint(path)
