@@ -48,8 +48,6 @@ from .evaluation import (
     meta_train_target,
     rolling_evaluate,
 )
-from .meta import MetaConfig
-from .train import TrainConfig
 
 MANIFEST_NAME = "run.json"
 DATA_DIR_ENV = "MOBICAST_DATA"
@@ -78,12 +76,16 @@ def keep_heap_resident() -> None:
 
 @dataclasses.dataclass(frozen=True)
 class RunConfig(EvalConfig):
-    """One run's resolved settings: defaults, then config file, then flags."""
+    """One run's resolved settings: defaults, then config file, then flags.
+
+    A config file and run.json's `config` hold its fields, nested as here."""
     grid: ProtocolGrid = ProtocolGrid()
     models: tuple = ("MPNN",)
 
     def __post_init__(self):
         super().__post_init__()
+        if not isinstance(self.models, (list, tuple)):
+            raise ContractError("config key 'models' must be a list of names")
         names = tuple(str(m).upper() for m in self.models)
         object.__setattr__(self, "models", names)
         if not names:
@@ -94,63 +96,31 @@ class RunConfig(EvalConfig):
                                     f"{', '.join(MODEL_NAMES)}")
 
 
-def config_to_dict(cfg: RunConfig) -> dict:
-    grid = cfg.grid
-    return {
-        "train": dataclasses.asdict(cfg.train),
-        "meta": dataclasses.asdict(cfg.meta),
-        "grid": {"t_start": grid.t_start, "t_end": grid.t_end, "dt": grid.dt,
-                 "horizons": None if grid.horizons is None
-                 else list(grid.horizons)},
-        "models": list(cfg.models),
-        "seed": cfg.seed,
-        "jobs": cfg.jobs,
-        "ar_order": cfg.ar_order,
-        "ar_differencing": cfg.ar_differencing,
-    }
-
-
 def config_digest(doc: dict) -> str:
     blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def _sub_config(cls, doc, section: str):
-    if not isinstance(doc, dict):
-        raise ContractError(f"config section {section!r} must be an object")
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(doc) - known)
+def _from_dict(cls, doc: dict, prefix: str = ""):
+    """cls built from a JSON object over its fields; a field whose default
+    is a dataclass is read the same way from a nested object."""
+    fields = {f.name: f.default for f in dataclasses.fields(cls)}
+    unknown = sorted(set(doc) - set(fields))
     if unknown:
-        raise ContractError(f"unknown {section} config keys: {', '.join(unknown)}")
-    return cls(**doc)
+        raise ContractError(f"unknown {prefix}config keys: {', '.join(unknown)}")
+    kwargs = dict(doc)
+    for key, default in fields.items():
+        if key in doc and dataclasses.is_dataclass(default):
+            if not isinstance(doc[key], dict):
+                raise ContractError(f"config section {key!r} must be an object")
+            kwargs[key] = _from_dict(type(default), doc[key], f"{key} ")
+    return cls(**kwargs)
 
 
 def run_config_from_dict(doc) -> RunConfig:
     if not isinstance(doc, dict):
         raise ContractError("run config must be a JSON object")
-    known = {"train", "meta", "grid", "models", "seed", "jobs",
-             "ar_order", "ar_differencing"}
-    unknown = sorted(set(doc) - known)
-    if unknown:
-        raise ContractError(f"unknown config keys: {', '.join(unknown)}")
-    grid_doc = doc.get("grid", {})
-    if isinstance(grid_doc, dict):
-        grid_doc = dict(grid_doc)
-        if isinstance(grid_doc.get("horizons"), list):
-            grid_doc["horizons"] = tuple(grid_doc["horizons"])
-    kwargs = {
-        "train": _sub_config(TrainConfig, doc.get("train", {}), "train"),
-        "meta": _sub_config(MetaConfig, doc.get("meta", {}), "meta"),
-        "grid": _sub_config(ProtocolGrid, grid_doc, "grid"),
-    }
-    for key in ("seed", "jobs", "ar_order", "ar_differencing"):
-        if key in doc:
-            kwargs[key] = doc[key]
-    if "models" in doc:
-        if not isinstance(doc["models"], list):
-            raise ContractError("config key 'models' must be a list of names")
-        kwargs["models"] = tuple(doc["models"])
-    return RunConfig(**kwargs)
+    return _from_dict(RunConfig, doc)
 
 
 def load_run_config(path: str) -> RunConfig:
@@ -310,12 +280,12 @@ def _grid_run(args, argv, checkpoint_dir, load_only=False) -> int:
                                   checkpoint_dir=checkpoint_dir,
                                   load_only=load_only)
     except MobicastError as exc:
-        write_manifest(args.out, argv, config_to_dict(cfg), cfg.seed,
+        write_manifest(args.out, argv, dataclasses.asdict(cfg), cfg.seed,
                        "failed", {"error": str(exc)})
         raise
     paths = emit_report(report, args.out)
     status = "complete" if not report.skipped else "partial"
-    write_manifest(args.out, argv, config_to_dict(cfg), cfg.seed, status, {
+    write_manifest(args.out, argv, dataclasses.asdict(cfg), cfg.seed, status, {
         "rows": len(report.rows), "skipped_cells": len(report.skipped),
         "countries": [ds.country for ds in datasets]})
     print(f"wrote {paths['rows']} ({len(report.rows)} rows, "
@@ -346,7 +316,7 @@ def cmd_meta_train(args, argv) -> int:
                             "country other than the target")
     os.makedirs(args.out, exist_ok=True)
     meta_train_target(args.target, pool, cfg, args.out)
-    write_manifest(args.out, argv, config_to_dict(cfg), cfg.seed, "complete",
+    write_manifest(args.out, argv, dataclasses.asdict(cfg), cfg.seed, "complete",
                    {"target": args.target,
                     "pool": [ds.country for ds in pool]})
     print(f"wrote {os.path.join(args.out, meta_checkpoint_name(args.target))}")
@@ -368,11 +338,21 @@ def _parse_skip_line(line: str, path: str):
 def cmd_report(args, argv) -> int:
     rows = []
     skipped = []
+    owner = {}   # (country, model, T, j) -> the input that holds the cell
     for src in args.inputs:
         path = os.path.join(src, "rows.csv")
         got, skip_lines = load_report_rows(path)
+        skips = [_parse_skip_line(ln, path) for ln in skip_lines]
+        cells = {(r.country, r.model, r.t, r.horizon) for r in got}
+        cells.update(skip[:4] for skip in skips)
+        clash = min(cells & owner.keys(), default=None)
+        if clash is not None:
+            c, m, t, j = clash
+            raise DataError(f"cell country={c} model={m} T={t} j={j} is in both "
+                            f"{owner[clash]} and {src}")
+        owner.update(dict.fromkeys(cells, src))
         rows.extend(got)
-        skipped.extend(_parse_skip_line(ln, path) for ln in skip_lines)
+        skipped.extend(skips)
     paths = emit_report(ErrorReport(rows=rows, skipped=skipped), args.out)
     write_manifest(args.out, argv, {"inputs": list(args.inputs)}, None,
                    "complete", {"rows": len(rows),

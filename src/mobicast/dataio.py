@@ -217,8 +217,8 @@ def load_mobility(path: str, regions, region_map: dict | None = None) -> dict:
     return out
 
 
-def load_cases(path: str, regions, dates=None, region_map: dict | None = None):
-    """Read a cases CSV into an n x T matrix over `dates` (default: the file's span).
+def load_cases(path: str, regions, region_map: dict | None = None):
+    """Read a cases CSV into an n x T matrix over the file's span of dates.
 
     Returns (dates, matrix, IngestStats).  Negative values (reporting
     corrections) are clamped to 0; absent (region, day) pairs become 0.  Both
@@ -246,20 +246,15 @@ def load_cases(path: str, regions, dates=None, region_map: dict | None = None):
             records.append((date, ridx, value))
     if not records:
         raise DataError(f"{path}: no case records")
-    if dates is None:
-        lo = min(r[0] for r in records)
-        hi = max(r[0] for r in records)
-        dates = [(lo + datetime.timedelta(days=k)).isoformat()
-                 for k in range((hi - lo).days + 1)]
-    dates = [str(d) for d in dates]
-    date_idx = {d: k for k, d in enumerate(dates)}
+    lo = min(r[0] for r in records)
+    hi = max(r[0] for r in records)
+    dates = [(lo + datetime.timedelta(days=k)).isoformat()
+             for k in range((hi - lo).days + 1)]
     stats = IngestStats()
     matrix = np.zeros((len(regions), len(dates)))
     seen = set()
     for date, ridx, value in records:
-        k = date_idx.get(date.isoformat())
-        if k is None:
-            continue  # outside the requested span
+        k = (date - lo).days
         if value < 0:
             stats.clamped += 1
             value = 0.0

@@ -6,7 +6,7 @@ from __future__ import annotations
 import concurrent.futures
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -17,7 +17,7 @@ from .errors import (CheckpointError, ContractError, DataError, InsufficientData
                      TrainingDivergedError)
 from .graphs import normalized_graphs
 from .meta import MetaConfig, maml_meta_train, save_meta_state, tl_base_train
-from .models import BaselineLSTMModel, ModelState, MPNNLSTMModel, MPNNModel
+from .models import ModelState, model_from_spec
 from .rng import derive_seed
 from .train import (
     PROTOCOL_START_DAY,
@@ -31,7 +31,9 @@ from .train import (
 
 MODEL_NAMES = ("AVG", "AVG_WINDOW", "LAST_DAY", "AR", "LSTM", "MPNN",
                "MPNN_LSTM", "MPNN_TL", "TL_BASE")
-BASELINE_MODELS = frozenset({"AVG", "AVG_WINDOW", "LAST_DAY", "AR"})
+# the model kind each trainable grid name builds; every other name is a baseline
+TRAINABLE_KINDS = {"LSTM": "lstm", "MPNN": "mpnn", "MPNN_LSTM": "mpnn_lstm",
+                   "MPNN_TL": "mpnn", "TL_BASE": "mpnn"}
 SUMMARY_RANGES = ((1, 3), (1, 7), (1, 14))
 
 
@@ -198,20 +200,11 @@ def case_stats_table(dataset: CountryDataset) -> list:
 # ------------------------------------------------------- protocol driver
 
 def build_model(name: str, cfg: TrainConfig):
-    if name in ("MPNN", "MPNN_TL", "TL_BASE"):
-        return MPNNModel(d=cfg.d, k_layers=cfg.k_layers, hidden=cfg.hidden,
-                         dropout_rate=cfg.dropout)
-    if name == "MPNN_LSTM":
-        return MPNNLSTMModel(d=cfg.d, k_layers=cfg.k_layers, hidden=cfg.hidden,
-                             dropout_rate=cfg.dropout, seq_len=cfg.seq_len,
-                             feature_mode=cfg.feature_mode)
-    if name == "LSTM":
-        return BaselineLSTMModel(d=cfg.d, hidden=cfg.hidden)
-    raise ContractError(f"unknown trainable model {name!r}")
-
-
-def variant_for(name: str) -> str:
-    return "sequence" if name == "MPNN_LSTM" else "static"
+    """The grid model `name`, its architecture read from the same-named
+    fields of cfg."""
+    if name not in TRAINABLE_KINDS:
+        raise ContractError(f"unknown trainable model {name!r}")
+    return model_from_spec({**asdict(cfg), "kind": TRAINABLE_KINDS[name]})
 
 
 def checkpoint_name(country: str, model: str, t: int, j: int,
@@ -324,9 +317,9 @@ def _record_skip(ctx: _CellContext, task, reason: str) -> str:
     return reason
 
 
-def _cell_checkpoint(ctx: _CellContext, task, splits, shared):
+def _cell_checkpoint(ctx: _CellContext, task, model, splits, shared):
     """The cell's model: loaded from its checkpoint under ctx.load_only,
-    else trained (and saved when ctx has a checkpoint directory)."""
+    else `model` trained (and saved when ctx has a checkpoint directory)."""
     country, model_name, t, j = task
     path = _cell_path(ctx, task)
     if ctx.load_only:
@@ -337,7 +330,6 @@ def _cell_checkpoint(ctx: _CellContext, task, splits, shared):
         return load_checkpoint(path)
     cfg = ctx.config
     cell_seed = derive_seed(cfg.seed, country, t, j)
-    model = build_model(model_name, cfg.train)
     if model_name == "TL_BASE":
         ckpt = tl_base_train(list(ctx.datasets), country, splits, model,
                              cfg.train, cell_seed)
@@ -376,13 +368,12 @@ def evaluate_cell(ctx: _CellContext, country: str, model_name: str, t: int,
         with open(marker, encoding="utf-8") as fh:
             return task, None, fh.read()
     try:
-        if model_name in BASELINE_MODELS:
+        if model_name not in TRAINABLE_KINDS:
             preds = _baseline_cell(model_name, dataset, t, j, cfg)
         else:
-            splits = make_splits(dataset, t, j, cfg.train.d,
-                                 variant=variant_for(model_name),
-                                 s=cfg.train.seq_len)
-            ckpt = _cell_checkpoint(ctx, task, splits, shared)
+            model = build_model(model_name, cfg.train)
+            splits = make_splits(dataset, t, j, model.d, model.seq_len)
+            ckpt = _cell_checkpoint(ctx, task, model, splits, shared)
             preds = predict(ckpt.model, ckpt.state, [splits.test])
     except DataError as exc:  # includes InsufficientDataError
         return task, None, str(exc)
@@ -466,7 +457,8 @@ def rolling_evaluate(datasets, models, grid: ProtocolGrid, config: EvalConfig,
     tasks = _grid_tasks(datasets, models, grid)
     if load_only and checkpoint_dir is None:
         raise ContractError("load_only needs a checkpoint directory")
-    if checkpoint_dir is not None and not load_only:
+    if (checkpoint_dir is not None and not load_only
+            and any(name in TRAINABLE_KINDS for name in models)):
         os.makedirs(checkpoint_dir, exist_ok=True)
     for ds in datasets:
         normalized_graphs(ds)   # once, before any worker forks

@@ -1,4 +1,5 @@
-"""Per-day normalized graphs and supervised samples."""
+"""Per-day normalized graphs and supervised samples; a sample reads the
+graph and case window of each of the seq_len days ending at its anchor."""
 
 from __future__ import annotations
 
@@ -15,9 +16,9 @@ from .errors import ContractError, ShapeError
 class GraphSample:
     """One supervised instance: graph/feature inputs at an anchor, target at t+j.
 
-    `graphs` holds one (a_norm, x) pair for static models or S pairs (oldest
-    first, ending at the anchor day) for sequence models.  `target` is None
-    when the target day lies beyond the dataset (pure-forecast sample).
+    `graphs` holds one (a_norm, x) pair per day the sample reads, oldest
+    first, ending at the anchor day.  `target` is None when the target day
+    lies beyond the dataset (pure-forecast sample).
     """
     anchor: int
     horizon: int
@@ -66,38 +67,32 @@ def _graph_on(dataset: CountryDataset, day: int) -> np.ndarray:
 
 
 def _sample_at(dataset: CountryDataset, t: int, d: int, j: int,
-               variant: str, s: int) -> GraphSample:
-    if variant == "static":
-        days = [t]
-    else:
-        days = list(range(t - s + 1, t + 1))
+               seq_len: int) -> GraphSample:
     pairs = tuple((_graph_on(dataset, day), dataset.case_window(day, d))
-                  for day in days)
+                  for day in range(t - seq_len + 1, t + 1))
     target_day = t + j
     target = dataset.cases_on(target_day).copy() if target_day <= dataset.t_total else None
     return GraphSample(anchor=t, horizon=j, graphs=pairs, target=target)
 
 
 def assemble_samples(dataset: CountryDataset, d: int, j: int, t_end: int,
-                     variant: str = "static", s: int = 7,
-                     include_test: bool = False) -> list:
+                     seq_len: int = 1, include_test: bool = False) -> list:
     """Build the training universe for last-observed-day `t_end` at horizon j.
 
-    Returns one sample per anchor t with a full feature window and target
-    t+j <= t_end, ordered by target day.  With include_test, the single
-    anchor-t_end sample (target beyond t_end, possibly unlabeled) is appended.
+    Each sample reads days t-seq_len+1..t of its anchor t.  Returns one
+    sample per anchor with full feature windows and target t+j <= t_end,
+    ordered by target day.  With include_test, the single anchor-t_end
+    sample (target beyond t_end, possibly unlabeled) is appended.
     """
-    if variant not in ("static", "sequence"):
-        raise ContractError(f"variant must be 'static' or 'sequence', got {variant!r}")
     if j < 1:
         raise ContractError(f"horizon must be >= 1, got {j}")
     if not 1 <= t_end <= dataset.t_total:
         raise ContractError(f"t_end {t_end} outside dataset range 1..{dataset.t_total}")
-    if variant == "sequence" and s < 1:
-        raise ContractError(f"sequence length must be >= 1, got {s}")
-    min_anchor = d if variant == "static" else d + s - 1
-    out = [_sample_at(dataset, t, d, j, variant, s)
+    if seq_len < 1:
+        raise ContractError(f"sequence length must be >= 1, got {seq_len}")
+    min_anchor = d + seq_len - 1
+    out = [_sample_at(dataset, t, d, j, seq_len)
            for t in range(min_anchor, t_end - j + 1)]
     if include_test and t_end >= min_anchor:
-        out.append(_sample_at(dataset, t_end, d, j, variant, s))
+        out.append(_sample_at(dataset, t_end, d, j, seq_len))
     return out

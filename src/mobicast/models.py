@@ -5,7 +5,9 @@ All models share the same surface: `init_state(rng)` builds a ModelState
 rng)` returns stacked per-region predictions as a (sum n_i) x 1 tape Var.
 Batches mix whole-graph samples; block-diagonal aggregation keeps the graphs
 independent while batchnorm statistics span all rows, and a final ReLU keeps
-every forecast nonnegative.
+every forecast nonnegative.  Each class declares its checkpoint `kind`, the
+`spec_fields` its constructor takes and `seq_len`, the graph days a sample
+holds.
 """
 
 from __future__ import annotations
@@ -78,16 +80,18 @@ def _head(pvars: dict, rep: tp.Var) -> tp.Var:
 class MPNNModel:
     """Message-passing network over one day's graph and case-window features."""
 
-    variant = "static"
+    kind = "mpnn"
+    spec_fields = ("d", "k_layers", "hidden", "dropout")
+    seq_len = 1   # graph days per sample
 
     def __init__(self, d: int = 7, k_layers: int = 2, hidden: int = 64,
-                 dropout_rate: float = 0.5):
+                 dropout: float = 0.5):
         if min(d, k_layers, hidden) < 1:
             raise ContractError("d, k_layers and hidden must be >= 1")
         self.d = d
         self.k_layers = k_layers
         self.hidden = hidden
-        self.dropout_rate = dropout_rate
+        self.dropout = dropout
 
     @property
     def rep_width(self) -> int:
@@ -119,7 +123,7 @@ class MPNNModel:
             z = tp.relu(tp.matmul(z, pvars[f"agg{layer}.w"]))
             z = batchnorm(z, pvars[f"agg{layer}.bn.gamma"], pvars[f"agg{layer}.bn.beta"],
                           buffers[f"agg{layer}.bn.mean"], buffers[f"agg{layer}.bn.var"], mode)
-            z = dropout(z, self.dropout_rate, rng, mode)
+            z = dropout(z, self.dropout, rng, mode)
             reps.append(z)
             h = z
         return tp.hconcat(*reps)  # skip concatenation: raw features + every layer
@@ -140,12 +144,13 @@ class MPNNLSTMModel(MPNNModel):
     in the source description; last-day is the default reading).
     """
 
-    variant = "sequence"
+    kind = "mpnn_lstm"
+    spec_fields = MPNNModel.spec_fields + ("seq_len", "feature_mode")
 
     def __init__(self, d: int = 7, k_layers: int = 2, hidden: int = 64,
-                 dropout_rate: float = 0.5, seq_len: int = 7,
+                 dropout: float = 0.5, seq_len: int = 7,
                  feature_mode: str = "last"):
-        super().__init__(d, k_layers, hidden, dropout_rate)
+        super().__init__(d, k_layers, hidden, dropout)
         if seq_len < 1:
             raise ContractError(f"seq_len must be >= 1, got {seq_len}")
         if feature_mode not in ("last", "all"):
@@ -188,7 +193,9 @@ class MPNNLSTMModel(MPNNModel):
 class BaselineLSTMModel:
     """Two-layer LSTM over each region's own case history; no graph input."""
 
-    variant = "static"
+    kind = "lstm"
+    spec_fields = ("d", "hidden")
+    seq_len = 1
 
     def __init__(self, d: int = 7, hidden: int = 64):
         if d < 1 or hidden < 1:
@@ -219,28 +226,18 @@ class BaselineLSTMModel:
         return tp.relu(out)
 
 
+MODEL_KINDS = {cls.kind: cls for cls in (MPNNModel, MPNNLSTMModel, BaselineLSTMModel)}
+
+
 def model_spec(model) -> dict:
     """Serializable description of a model's architecture (for checkpoints)."""
-    if isinstance(model, MPNNLSTMModel):
-        return {"kind": "mpnn_lstm", "d": model.d, "k_layers": model.k_layers,
-                "hidden": model.hidden, "dropout": model.dropout_rate,
-                "seq_len": model.seq_len, "feature_mode": model.feature_mode}
-    if isinstance(model, MPNNModel):
-        return {"kind": "mpnn", "d": model.d, "k_layers": model.k_layers,
-                "hidden": model.hidden, "dropout": model.dropout_rate}
-    if isinstance(model, BaselineLSTMModel):
-        return {"kind": "lstm", "d": model.d, "hidden": model.hidden}
-    raise ContractError(f"unknown model type {type(model).__name__}")
+    return {"kind": model.kind, **{f: getattr(model, f) for f in model.spec_fields}}
 
 
 def model_from_spec(spec: dict):
+    """The model a spec describes; keys outside its kind's fields are ignored."""
     kind = spec.get("kind")
-    if kind == "mpnn":
-        return MPNNModel(spec["d"], spec["k_layers"], spec["hidden"], spec["dropout"])
-    if kind == "mpnn_lstm":
-        return MPNNLSTMModel(spec["d"], spec["k_layers"], spec["hidden"],
-                             spec["dropout"], spec["seq_len"], spec["feature_mode"])
-    if kind == "lstm":
-        return BaselineLSTMModel(spec["d"], spec["hidden"])
-    raise ContractError(f"unknown model kind {kind!r}")
-
+    cls = MODEL_KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ContractError(f"unknown model kind {kind!r}")
+    return cls(**{f: spec[f] for f in cls.spec_fields})

@@ -74,12 +74,12 @@ class Checkpoint:
 
 
 def make_splits(dataset: CountryDataset, t: int, j: int, d: int,
-                variant: str = "static", s: int = 7) -> SplitSpec:
-    """Carve the day-T training universe into train/validation plus the test sample."""
+                seq_len: int = 1) -> SplitSpec:
+    """Carve the day-T training universe into train/validation plus the test
+    sample; each sample reads `seq_len` days of d-day windows."""
     if t < PROTOCOL_START_DAY:
         raise ContractError(f"protocol requires T >= {PROTOCOL_START_DAY}, got {t}")
-    universe = assemble_samples(dataset, d, j, t_end=t, variant=variant, s=s,
-                                include_test=True)
+    universe = assemble_samples(dataset, d, j, t, seq_len, include_test=True)
     if not universe or universe[-1].anchor != t:
         raise InsufficientDataError(
             f"{dataset.country}: no test anchor at T={t} for d={d}, j={j}")

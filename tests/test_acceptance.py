@@ -87,11 +87,11 @@ class TestGradientAccuracy:
     def test_autodiff_matches_central_differences(self):
         start = time.monotonic()
         rng = Rng(11)
-        graph_model = MPNNModel(d=7, k_layers=2, hidden=5, dropout_rate=0.0)
+        graph_model = MPNNModel(d=7, k_layers=2, hidden=5, dropout=0.0)
         static = [random_sample(rng, n=6, d=7) for _ in range(2)]
         assert fd_worst_rel_error(graph_model, static) < FD_TOL
         seq_model = MPNNLSTMModel(d=7, k_layers=2, hidden=5,
-                                  dropout_rate=0.0, seq_len=3)
+                                  dropout=0.0, seq_len=3)
         seq = [random_sample(rng, n=6, d=7, steps=3) for _ in range(2)]
         assert fd_worst_rel_error(seq_model, seq) < FD_TOL
         history_model = BaselineLSTMModel(d=7, hidden=4)
@@ -209,7 +209,7 @@ class TestNormalizationAndEquivariance:
             assert np.max(np.abs(scaled - norm)) <= 1e-12
 
     def test_eval_predictions_commute_with_region_permutation(self):
-        model = MPNNModel(d=7, k_layers=2, hidden=8, dropout_rate=0.0)
+        model = MPNNModel(d=7, k_layers=2, hidden=8, dropout=0.0)
         state = model.init_state(Rng(3))
         rng = Rng(9)
         a = normalize_incoming(rng.uniform(0.0, 5.0, (9, 9)))

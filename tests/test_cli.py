@@ -1,6 +1,7 @@
 """Command-line surface: config resolution, subcommands, manifests, exits."""
 
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -13,7 +14,6 @@ from mobicast.baselines import last_day_predict
 from mobicast.cli import (
     RunConfig,
     config_digest,
-    config_to_dict,
     main,
     run_config_from_dict,
 )
@@ -78,7 +78,8 @@ class TestRunConfig:
         assert cfg.models == ("AVG", "MPNN")
         assert cfg.grid == ProtocolGrid(t_start=15, t_end=20, dt=3)
         assert cfg.train.hidden == 8 and cfg.meta.inner_lr == 0.01
-        assert run_config_from_dict(config_to_dict(cfg)) == cfg
+        doc = json.loads(json.dumps(dataclasses.asdict(cfg)))
+        assert run_config_from_dict(doc) == cfg
 
     @pytest.mark.parametrize("section,key", [("train", "seed"), ("meta", "seed"),
                                              ("meta", "d")])
@@ -88,7 +89,7 @@ class TestRunConfig:
         with pytest.raises(ContractError,
                            match=f"unknown {section} config keys: {key}"):
             run_config_from_dict({section: {key: 3}})
-        assert key not in config_to_dict(RunConfig())[section]
+        assert key not in dataclasses.asdict(RunConfig())[section]
 
     def test_unknown_keys_rejected_at_every_level(self):
         with pytest.raises(ContractError, match="unknown config keys: frobnicate"):
@@ -100,6 +101,17 @@ class TestRunConfig:
         with pytest.raises(ContractError, match="unknown grid config keys"):
             run_config_from_dict({"grid": {"start": 14}})
 
+    def test_malformed_documents_rejected(self):
+        with pytest.raises(ContractError, match="^run config must be a JSON object$"):
+            run_config_from_dict([])
+        for section in ("train", "meta", "grid"):
+            with pytest.raises(ContractError, match=f"^config section '{section}' "
+                                                    f"must be an object$"):
+                run_config_from_dict({section: [1]})
+        with pytest.raises(ContractError,
+                           match="^config key 'models' must be a list of names$"):
+            run_config_from_dict({"models": "MPNN"})
+
     def test_bad_model_name_rejected(self):
         with pytest.raises(ContractError, match="unknown model 'PROPHET'"):
             run_config_from_dict({"models": ["prophet"]})
@@ -109,10 +121,29 @@ class TestRunConfig:
         assert cfg.grid.horizons == (1, 5)
 
     def test_digest_is_order_insensitive_and_seed_sensitive(self):
-        a = config_to_dict(RunConfig(seed=1))
+        a = dataclasses.asdict(RunConfig(seed=1))
         b = json.loads(json.dumps(a))
         assert config_digest(a) == config_digest(b)
-        assert config_digest(a) != config_digest(config_to_dict(RunConfig(seed=2)))
+        assert config_digest(a) != config_digest(dataclasses.asdict(RunConfig(seed=2)))
+
+    @pytest.mark.parametrize("doc,digest", [
+        ({}, "4c0c16d918b34fe52b46baf24052a19e5e948c05df358219ff142e911954aa58"),
+        ({"train": {"max_epochs": 4, "patience_start_epoch": 4},
+          "grid": {"t_start": 40, "t_end": 40, "horizons": [7, 1]},
+          "models": ["MPNN_TL", "TL_BASE", "MPNN"], "meta": {"dt": 2},
+          "seed": 7, "jobs": 2},
+         "2b908fbc7108684dcbaa1810dfb9c797386ac081df47707162c04e72cafce0c1"),
+    ], ids=["defaults", "transfer"])
+    def test_digest_pinned(self, doc, digest):
+        # run.json's config_hash of these documents, as written before the
+        # config schema was derived from the dataclasses
+        assert config_digest(dataclasses.asdict(run_config_from_dict(doc))) == digest
+
+    def test_settable_values_counted(self):
+        def leaves(cls):
+            return sum(leaves(type(f.default)) if dataclasses.is_dataclass(f.default)
+                       else 1 for f in dataclasses.fields(cls))
+        assert leaves(RunConfig) == 26
 
 
 class TestUsageErrors:
@@ -266,8 +297,7 @@ class TestTrainCommand:
         with open(os.path.join(out, "summary.json"), encoding="utf-8") as fh:
             assert json.load(fh) == range_summary(rows)
         assert read_manifest(out)["status"] == "complete"
-        assert sorted(os.listdir(out)) == ["checkpoints", "rows.csv", "run.json",
-                                           "summary.json"]
+        assert sorted(os.listdir(out)) == ["rows.csv", "run.json", "summary.json"]
 
     def test_neural_cell_writes_checkpoints(self, tmp_path):
         bundle, _ = make_bundle(tmp_path)
@@ -642,6 +672,29 @@ class TestReportCommand:
         with open(os.path.join(merged, "summary.json"), encoding="utf-8") as fh:
             assert json.load(fh) == range_summary(rows)
 
+    def test_cell_in_two_inputs_rejected(self, tmp_path, capsys):
+        # a run merged with its own rescore would count every cell twice
+        bundle, _ = make_bundle(tmp_path)
+        cfg = write_config(tmp_path)
+        argv = ["--bundle", bundle, "--t", "14", "--horizon", "1", "--config", cfg]
+        ck = str(tmp_path / "ck")
+        outs = [str(tmp_path / name) for name in ("trained", "rescored", "s1", "s2")]
+        assert main(["train", *argv, "--model", "mpnn", "--checkpoints", ck,
+                     "--out", outs[0]]) == 0
+        assert main(["evaluate", *argv, "--model", "mpnn", "--checkpoints", ck,
+                     "--out", outs[1]]) == 0
+        for out in outs[2:]:   # a lone MPNN_TL cell is a skip line
+            assert main(["train", *argv, "--model", "mpnn_tl", "--out", out]) == 1
+        capsys.readouterr()
+        merged = str(tmp_path / "merged")
+        for first, second, model in ((outs[0], outs[1], "MPNN"),
+                                     (outs[2], outs[3], "MPNN_TL")):
+            assert main(["report", first, second, "--out", merged]) == 1
+            err = capsys.readouterr().err
+            assert f"cell country=AA model={model} T=14 j=1 is in both " \
+                   f"{first} and {second}" in err
+            assert not os.path.exists(merged)
+
     def test_missing_input_fails(self, tmp_path, capsys):
         rc = main(["report", str(tmp_path / "nope"),
                    "--out", str(tmp_path / "merged")])
@@ -679,10 +732,10 @@ class TestDataDirResolution:
                      "--out", "trained"]) == 0
         assert main(["evaluate", *argv, "--checkpoints", "ck",
                      "--out", "rescored"]) == 0
-        assert main(["report", "trained", "rescored", "--out", "merged"]) == 0
+        assert main(["report", "rescored", "--out", "merged"]) == 0
         rows, _ = load_report_rows(os.path.join("merged", "rows.csv"))
-        assert len(rows) == 2 * 2
-        assert rows[:2] == rows[2:]
+        trained, _ = load_report_rows(os.path.join("trained", "rows.csv"))
+        assert len(rows) == 2 and rows == trained
         assert not os.path.exists(tmp_path / "bundles" / "ck")
 
 

@@ -131,16 +131,6 @@ class TestLoadCases:
         with pytest.raises(DataError, match=":3:"):
             load_cases(path, REGIONS)
 
-    def test_explicit_date_universe(self, tmp_path):
-        path = write(tmp_path / "c.csv",
-                     "date,region,new_cases\n"
-                     "2020-03-01,a,1\n"
-                     "2020-03-05,a,9\n")
-        dates, matrix, _ = load_cases(path, REGIONS,
-                                      dates=["2020-03-04", "2020-03-05"])
-        assert dates == ("2020-03-04", "2020-03-05")
-        assert matrix[0, 1] == 9.0  # record outside the span is ignored
-
 
 class TestAlignAndFilter:
     def _raw(self, case_days, mob_days, cases):

@@ -137,7 +137,7 @@ class TestAssembleSamples:
 
     def test_sequence_packs_trailing_days(self):
         ds = make_ramp_dataset(n=2, days=30)
-        samples = assemble_samples(ds, d=7, j=1, t_end=14, variant="sequence", s=7)
+        samples = assemble_samples(ds, d=7, j=1, t_end=14, seq_len=7)
         assert [s.anchor for s in samples] == [13]  # earliest anchor is d+s-1
         sample = samples[0]
         assert len(sample.graphs) == 7
@@ -178,18 +178,15 @@ class TestAssembleSamples:
         with pytest.raises(ContractError):
             assemble_samples(ds, d=7, j=1, t_end=25)
         with pytest.raises(ContractError):
-            assemble_samples(ds, d=7, j=1, t_end=14, variant="sequence", s=0)
-        with pytest.raises(ContractError):
-            assemble_samples(ds, d=7, j=1, t_end=14, variant="nope")
+            assemble_samples(ds, d=7, j=1, t_end=14, seq_len=0)
 
 
 class TestGraphCache:
     def test_every_sample_graph_is_its_own_day(self):
         ds = make_ramp_dataset(n=3, days=30)
-        for variant, s in (("static", 1), ("sequence", 4)):
+        for s in (1, 4):
             for j in (1, 3):
-                samples = assemble_samples(ds, d=5, j=j, t_end=25,
-                                           variant=variant, s=s,
+                samples = assemble_samples(ds, d=5, j=j, t_end=25, seq_len=s,
                                            include_test=True)
                 assert samples
                 for smp in samples:

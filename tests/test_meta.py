@@ -79,7 +79,7 @@ class BufferPokingModel(ThetaModel):
 
 
 def tiny_mpnn():
-    return MPNNModel(d=3, k_layers=1, hidden=2, dropout_rate=0.0)
+    return MPNNModel(d=3, k_layers=1, hidden=2, dropout=0.0)
 
 
 class TestMetaConfig:

@@ -13,10 +13,12 @@ from mobicast import tape as tp
 from mobicast.errors import ContractError, ShapeError
 from mobicast.graphs import GraphSample
 from mobicast.layers import BN_EPS
+from mobicast.evaluation import build_model
 from mobicast.models import (BaselineLSTMModel, MPNNLSTMModel, MPNNModel,
-                             ModelState, _init_lstm, lstm_cell, stack_targets)
+                             ModelState, _init_lstm, lstm_cell, model_from_spec,
+                             model_spec, stack_targets)
 from mobicast.rng import Rng
-from mobicast.train import loss_and_grads, predict
+from mobicast.train import TrainConfig, loss_and_grads, predict
 
 
 def graph_sample(a, x):
@@ -319,6 +321,50 @@ class TestBaselineLSTM:
         singles = [region_forecast(model, state, sample.graphs[-1][1][i])
                    for i in range(5)]
         np.testing.assert_allclose(batch, singles, rtol=1e-12)
+
+
+# Checkpoint headers written before the spec was derived from the classes.
+SPECS = [
+    (MPNNModel(d=3, k_layers=1, hidden=2, dropout=0.25),
+     {"kind": "mpnn", "d": 3, "k_layers": 1, "hidden": 2, "dropout": 0.25}),
+    (MPNNLSTMModel(d=3, k_layers=1, hidden=2, dropout=0.25, seq_len=4,
+                   feature_mode="all"),
+     {"kind": "mpnn_lstm", "d": 3, "k_layers": 1, "hidden": 2, "dropout": 0.25,
+      "seq_len": 4, "feature_mode": "all"}),
+    (BaselineLSTMModel(d=3, hidden=2), {"kind": "lstm", "d": 3, "hidden": 2}),
+]
+
+
+class TestModelSpec:
+    @pytest.mark.parametrize("model,spec", SPECS, ids=["mpnn", "mpnn_lstm", "lstm"])
+    def test_spec_matches_checkpoint_header(self, model, spec):
+        assert model_spec(model) == spec
+
+    @pytest.mark.parametrize("model,spec", SPECS, ids=["mpnn", "mpnn_lstm", "lstm"])
+    def test_round_trip(self, model, spec):
+        back = model_from_spec(spec)
+        assert type(back) is type(model)
+        assert model_spec(back) == spec
+        assert back.seq_len == model.seq_len
+
+    def test_unknown_kind_rejected(self):
+        for spec in ({"kind": "gru", "d": 3}, {"d": 3}, {"kind": ["mpnn"]}):
+            with pytest.raises(ContractError, match="unknown model kind"):
+                model_from_spec(spec)
+
+    def test_build_model_reads_train_config(self):
+        cfg = TrainConfig(d=3, k_layers=1, hidden=2, dropout=0.25, seq_len=4,
+                          feature_mode="all")
+        for name in ("MPNN", "MPNN_TL", "TL_BASE"):
+            assert model_spec(build_model(name, cfg)) == SPECS[0][1]
+        assert model_spec(build_model("MPNN_LSTM", cfg)) == SPECS[1][1]
+        assert model_spec(build_model("LSTM", cfg)) == SPECS[2][1]
+        assert [build_model(n, cfg).seq_len for n in ("MPNN", "MPNN_LSTM", "LSTM")] \
+            == [1, 4, 1]
+
+    def test_baseline_name_rejected(self):
+        with pytest.raises(ContractError, match="unknown trainable model 'AVG'"):
+            build_model("AVG", TrainConfig())
 
 
 class TestStackTargets:

@@ -30,7 +30,7 @@ from conftest import FirstFeatureModel, make_ramp_dataset, prediction_sample
 
 
 def tiny_model(dropout=0.0):
-    return MPNNModel(d=3, k_layers=1, hidden=2, dropout_rate=dropout)
+    return MPNNModel(d=3, k_layers=1, hidden=2, dropout=dropout)
 
 
 def tiny_setup(dropout=0.0, days=20):
@@ -113,7 +113,7 @@ class TestMakeSplits:
 
     def test_sequence_variant(self):
         ds = make_ramp_dataset(n=3, days=25)
-        splits = make_splits(ds, t=20, j=1, d=7, variant="sequence", s=7)
+        splits = make_splits(ds, t=20, j=1, d=7, seq_len=7)
         assert sorted(s.target_day for s in splits.validation) == [15, 17, 19]
         assert all(len(s.graphs) == 7 for s in splits.train + [splits.test])
 
