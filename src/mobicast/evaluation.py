@@ -215,20 +215,14 @@ def checkpoint_name(country: str, model: str, t: int, j: int,
 def _baseline_cell(name: str, dataset: CountryDataset, t: int, j: int,
                    cfg: EvalConfig) -> np.ndarray:
     history = dataset.case_window(t, t)
-    out = np.empty(dataset.n)
-    for v in range(dataset.n):
-        series = history[v]
-        if name == "AVG":
-            out[v] = avg_predict(series, j)
-        elif name == "AVG_WINDOW":
-            out[v] = avg_window_predict(series, d=cfg.train.d, j=j)
-        elif name == "LAST_DAY":
-            out[v] = last_day_predict(series, j)
-        else:
-            fit = ar_fit(series, p=cfg.ar_order,
-                         differencing=cfg.ar_differencing)
-            out[v] = ar_predict(fit, series, j=j)
-    return out
+    if name == "AVG":
+        return avg_predict(history)
+    if name == "AVG_WINDOW":
+        return avg_window_predict(history, d=cfg.train.d)
+    if name == "LAST_DAY":
+        return last_day_predict(history)
+    fit = ar_fit(history, p=cfg.ar_order, differencing=cfg.ar_differencing)
+    return ar_predict(fit, history, j=j)
 
 
 # Worker-process context for parallel grid evaluation; populated once per

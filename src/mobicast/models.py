@@ -42,6 +42,11 @@ def stack_targets(samples) -> np.ndarray:
     return np.vstack(cols)
 
 
+def check_feature_mode(mode: str) -> None:
+    if mode not in ("last", "all"):
+        raise ContractError(f"feature_mode must be 'last' or 'all', got {mode!r}")
+
+
 def lstm_cell(x: tp.Var, h_prev: tp.Var, c_prev: tp.Var, pvars: dict, prefix: str):
     """Standard LSTM step; gate tensors looked up as {prefix}.{w,u,b}{i,f,g,o}."""
     def gate(name, act):
@@ -153,8 +158,7 @@ class MPNNLSTMModel(MPNNModel):
         super().__init__(d, k_layers, hidden, dropout)
         if seq_len < 1:
             raise ContractError(f"seq_len must be >= 1, got {seq_len}")
-        if feature_mode not in ("last", "all"):
-            raise ContractError(f"feature_mode must be 'last' or 'all', got {feature_mode!r}")
+        check_feature_mode(feature_mode)
         self.seq_len = seq_len
         self.feature_mode = feature_mode
 

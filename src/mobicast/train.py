@@ -21,7 +21,8 @@ from .dataio import CountryDataset
 from .errors import (CheckpointError, ContractError, InsufficientDataError,
                      TrainingDivergedError)
 from .graphs import GraphSample, assemble_samples
-from .models import ModelState, model_from_spec, model_spec, stack_targets
+from .models import (ModelState, check_feature_mode, model_from_spec, model_spec,
+                     stack_targets)
 from .optim import adam_init, adam_step
 from .params import load_params, save_params
 from .rng import Rng
@@ -53,6 +54,7 @@ class TrainConfig:
             raise ContractError("dropout must be in [0, 1)")
         if min(self.d, self.k_layers, self.hidden, self.seq_len) < 1:
             raise ContractError("architecture sizes must be >= 1")
+        check_feature_mode(self.feature_mode)
 
 
 @dataclass

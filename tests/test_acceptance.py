@@ -265,20 +265,24 @@ class TestBaselineOracles:
         rng = np.random.default_rng(6)
         for _ in range(300):
             n = int(rng.integers(1, 40))
-            series = rng.integers(0, 500, n).astype(float)
-            assert avg_predict(series) == math.fsum(series) / n
+            history = rng.integers(0, 500, (int(rng.integers(1, 6)), n)).astype(float)
             d = int(rng.integers(1, 12))
-            tail = series[-min(d, n):]
-            assert avg_window_predict(series, d=d) == math.fsum(tail) / len(tail)
-            assert last_day_predict(series) == series[-1]
+            avg = avg_predict(history)
+            window = avg_window_predict(history, d=d)
+            last = last_day_predict(history)
+            for v, series in enumerate(history):
+                assert avg[v] == math.fsum(series) / n
+                tail = series[-min(d, n):]
+                assert window[v] == math.fsum(tail) / len(tail)
+                assert last[v] == series[-1]
 
     def test_ar_recovers_exact_linear_recursion(self):
         series = [10.0]
         for _ in range(29):
             series.append(0.5 * series[-1] + 1.0)
-        fit = ar_fit(series, p=1, differencing=0)
-        assert abs(fit.coef[0] - 0.5) < 1e-8
-        assert abs(fit.intercept - 1.0) < 1e-8
+        fit = ar_fit([series], p=1, differencing=0)
+        assert abs(fit.coef[0, 0] - 0.5) < 1e-8
+        assert abs(fit.intercept[0] - 1.0) < 1e-8
 
 
 ORDERING_TRAIN = TrainConfig(max_epochs=30, patience=15,

@@ -7,6 +7,7 @@ import json
 import os
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from mobicast import cli, evaluation
@@ -17,7 +18,7 @@ from mobicast.cli import (
     main,
     run_config_from_dict,
 )
-from mobicast.dataio import load_bundle, save_bundle
+from mobicast.dataio import CountryDataset, load_bundle, save_bundle
 from mobicast.errors import ContractError
 from mobicast.evaluation import ProtocolGrid, load_report_rows, range_summary
 
@@ -115,6 +116,12 @@ class TestRunConfig:
     def test_bad_model_name_rejected(self):
         with pytest.raises(ContractError, match="unknown model 'PROPHET'"):
             run_config_from_dict({"models": ["prophet"]})
+
+    def test_bad_feature_mode_rejected(self):
+        # checked at load time, not at the first MPNN_LSTM cell of a grid
+        with pytest.raises(ContractError,
+                           match="^feature_mode must be 'last' or 'all', got 'x'$"):
+            run_config_from_dict({"train": {"feature_mode": "x"}})
 
     def test_horizon_list_becomes_sorted_tuple(self):
         cfg = run_config_from_dict({"grid": {"horizons": [5, 1]}})
@@ -292,8 +299,8 @@ class TestTrainCommand:
         assert len(rows) == 6 * ds.n
         for row in rows:
             v = ds.regions.index(row.region)
-            series = ds.case_window(row.t, row.t)[v]
-            assert row.prediction == last_day_predict(series, row.horizon)
+            history = ds.case_window(row.t, row.t)
+            assert row.prediction == last_day_predict(history)[v]
         with open(os.path.join(out, "summary.json"), encoding="utf-8") as fh:
             assert json.load(fh) == range_summary(rows)
         assert read_manifest(out)["status"] == "complete"
@@ -455,6 +462,56 @@ class TestPinnedGrid:
             == self.CELLS_SHA256
 
 
+class TestPinnedBaselineGrid:
+    """The four baselines on one country, pinned byte for byte.
+
+    The regions hold random counts, a linear ramp and a constant series
+    (both singular once differenced, so AR takes its ridge path), an
+    all-zero series and a decay whose forecasts go negative and clamp;
+    horizons up to 14 sum more than eight forecast differences.  The
+    undifferenced AR(13) run also records a too-short-history skip at T=14.
+    """
+
+    ROWS_SHA256 = {
+        1: "8526118e7747816f7bc301085eca5fc5c22507c4879720ddfa3c9604e1187060",
+        0: "0a735ae0494e7d9481e9ea42cf154e75130c707f698dd0648997e4055933b04d",
+    }
+
+    @staticmethod
+    def bundle(tmp_path):
+        ds = make_ramp_dataset(n=6, days=40, country="CC", seed=2)
+        rng = np.random.default_rng(3)
+        day = np.arange(1.0, 41.0)
+        cases = np.vstack([
+            rng.integers(0, 200, 40).astype(float),
+            3.0 * day + 5.0,
+            np.full(40, 8.0),
+            np.zeros(40),
+            np.maximum(0.0, 400.0 - 12.0 * day + rng.uniform(0.0, 30.0, 40)),
+            10.0 * 1.1 ** day + rng.uniform(0.0, 1.0, 40),
+        ])
+        ds = CountryDataset(ds.country, ds.regions, ds.dates, cases, ds.mobility)
+        path = str(tmp_path / "bundles" / "CC")
+        save_bundle(ds, path)
+        return path
+
+    @pytest.mark.parametrize("differencing", [1, 0])
+    def test_rows_match_pinned_digest(self, tmp_path, differencing):
+        config = {"ar_differencing": differencing}
+        if not differencing:
+            config["ar_order"] = 13
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = str(tmp_path / "out")
+        rc = main(["train", "--bundle", self.bundle(tmp_path), "--model", "avg",
+                   "--model", "avg_window", "--model", "last_day", "--model",
+                   "ar", "--t-start", "14", "--t-end", "26", "--dt", "14",
+                   "--config", str(cfg), "--out", out])
+        assert rc == (0 if differencing else 1)   # AR(13) skips T=14
+        with open(os.path.join(out, "rows.csv"), "rb") as fh:
+            assert sha256(fh.read()) == self.ROWS_SHA256[differencing]
+
+
 class TestEvaluateCommand:
     def trained(self, tmp_path):
         bundle, _ = make_bundle(tmp_path)
@@ -525,6 +582,18 @@ class TestEvaluateCommand:
         self.assert_rescore_reproduces_skip(
             tmp_path, capsys, argv,
             "model=MPNN_LSTM T=14 j=1: AA: no validation samples")
+
+    def test_rescore_keeps_ar_skip_for_short_history(self, tmp_path, capsys):
+        # AR(13) on the undifferenced history needs 15 days; T=14 has 14
+        bundle, _ = make_bundle(tmp_path)
+        cfg = write_config(tmp_path, {"ar_order": 13, "ar_differencing": 0})
+        argv = ["--bundle", bundle, "--model", "ar", "--model", "mpnn",
+                "--t-start", "14", "--t-end", "15", "--horizon", "1",
+                "--config", cfg]
+        self.assert_rescore_reproduces_skip(
+            tmp_path, capsys, argv,
+            "model=AR T=14 j=1: need at least 15 points after differencing, "
+            "have 14")
 
     def test_rescore_keeps_transfer_skip_of_lone_country(self, tmp_path, capsys):
         bundle, _ = make_bundle(tmp_path)

@@ -267,8 +267,8 @@ class TestRollingEvaluate:
         assert len(report.rows) == len(grid.cells(20)) * 2
         for row in report.rows:
             v = ds.regions.index(row.region)
-            series = ds.case_window(row.t, row.t)[v]
-            assert row.prediction == last_day_predict(series, row.horizon)
+            history = ds.case_window(row.t, row.t)
+            assert row.prediction == last_day_predict(history)[v]
             assert row.actual == ds.cases_on(row.t + row.horizon)[v]
 
     def test_avg_window_and_ar_wiring(self):
@@ -278,14 +278,14 @@ class TestRollingEvaluate:
         report = rolling_evaluate([ds], ["AVG_WINDOW", "AR"], grid, cfg)
         for row in report.rows:
             v = ds.regions.index(row.region)
-            series = ds.case_window(row.t, row.t)[v]
+            history = ds.case_window(row.t, row.t)
             if row.model == "AVG_WINDOW":
-                expected = avg_window_predict(series, d=cfg.train.d, j=row.horizon)
+                expected = avg_window_predict(history, d=cfg.train.d)
             else:
-                fit = ar_fit(series, p=cfg.ar_order,
+                fit = ar_fit(history, p=cfg.ar_order,
                              differencing=cfg.ar_differencing)
-                expected = ar_predict(fit, series, j=row.horizon)
-            assert row.prediction == expected
+                expected = ar_predict(fit, history, j=row.horizon)
+            assert row.prediction == expected[v]
 
     def test_persistence_is_exact_on_constant_series(self):
         ds = constant_dataset(n=2, days=20, level=6.0)

@@ -59,6 +59,13 @@ class TestTrainConfig:
                 TrainConfig(**kwargs)
 
 
+    def test_feature_mode_checked_with_the_model_message(self):
+        for mode in ("last", "all"):
+            assert TrainConfig(feature_mode=mode).feature_mode == mode
+        with pytest.raises(ContractError,
+                           match="^feature_mode must be 'last' or 'all', got 'x'$"):
+            TrainConfig(feature_mode="x")
+
 class TestMakeSplits:
     def test_canonical_example(self):
         # T=14, j=1, d=7: targets 8..14; held out for validation: 13, 11, 9
