@@ -12,7 +12,6 @@ import datetime
 import json
 import logging
 import os
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +21,7 @@ from .rng import Rng, derive_seed
 
 log = logging.getLogger(__name__)
 
-BUNDLE_FORMAT_VERSION = "1"
+BUNDLE_FORMAT_VERSION = "2"
 
 
 # ---------------------------------------------------------------- records
@@ -54,7 +53,9 @@ class CountryDataset:
 
     Days are 1-based in every accessor: day 1 is dates[0].  All case reads by
     downstream code go through the accessors, which makes train/test isolation
-    checkable by wrapping them.  `graph_cache` holds every day's normalized
+    checkable by wrapping them.  `mobility` is one read-only C-contiguous
+    (T, n, n) float64 array: a read-only one passed in is kept as it is,
+    anything else is copied.  `graph_cache` holds every day's normalized
     mobility once `graphs.normalized_graphs` has filled it, None before.
     """
 
@@ -65,7 +66,9 @@ class CountryDataset:
         regions = tuple(str(r) for r in regions)
         dates = tuple(str(d) for d in dates)
         cases = np.asarray(cases, dtype=np.float64).copy()
-        mobility = tuple(np.asarray(m, dtype=np.float64).copy() for m in mobility)
+        mobility = np.asarray(mobility, dtype=np.float64, order="C")
+        if mobility.flags.writeable:  # share only an array its owner froze
+            mobility = mobility.copy()
         n, t = len(regions), len(dates)
         for name in (str(country), *regions):
             if any(ch in name for ch in ",\r\n"):
@@ -75,21 +78,20 @@ class CountryDataset:
             raise DataError(f"{country}: duplicate region ids")
         if cases.shape != (n, t):
             raise DataError(f"{country}: cases shape {cases.shape}, expected ({n}, {t})")
-        if len(mobility) != t:
-            raise DataError(f"{country}: {len(mobility)} mobility matrices for {t} dates")
-        for k, m in enumerate(mobility):
-            if m.shape != (n, n):
-                raise DataError(f"{country}: mobility[{k}] shape {m.shape}, expected ({n}, {n})")
-            if np.any(m < 0):
-                raise DataError(f"{country}: negative mobility entry on {dates[k]}")
+        if mobility.shape != (t, n, n):
+            raise DataError(f"{country}: mobility shape {mobility.shape}, "
+                            f"expected ({t}, {n}, {n})")
+        for bad, what in ((~np.isfinite(mobility), "non-finite"), (mobility < 0, "negative")):
+            days = np.flatnonzero(bad.any(axis=(1, 2)))
+            if days.size:
+                raise DataError(f"{country}: {what} mobility entry on {dates[days[0]]}")
         if np.any(cases < 0):
             raise DataError(f"{country}: negative case values (clamp on ingestion)")
         if not np.all(np.isfinite(cases)):
             raise DataError(f"{country}: non-finite case values")
         _check_contiguous(list(dates), country)
         cases.setflags(write=False)
-        for m in mobility:
-            m.setflags(write=False)
+        mobility.setflags(write=False)
         self.country = country
         self.regions = regions
         self.dates = dates
@@ -125,7 +127,8 @@ class CountryDataset:
         return self.cases[:, hi - d + 1:hi + 1]
 
     def mobility_on(self, day: int) -> np.ndarray:
-        """Raw (unnormalized) mobility matrix for a 1-based day; shape (n, n)."""
+        """Raw (unnormalized) mobility matrix for a 1-based day; a read-only
+        (n, n) view of `mobility`."""
         return self.mobility[self._day_index(day)]
 
 
@@ -243,6 +246,8 @@ def load_cases(path: str, regions, region_map: dict | None = None):
                 value = float(row[2])
             except ValueError as exc:
                 raise DataError(f"{path}:{line_no}: bad case count {row[2]!r}") from exc
+            if not np.isfinite(value):
+                raise DataError(f"{path}:{line_no}: case count must be finite, got {value}")
             records.append((date, ridx, value))
     if not records:
         raise DataError(f"{path}: no case records")
@@ -284,7 +289,8 @@ def align_and_filter(raw: RawCountryData, min_total_cases: int = 10) -> CountryD
     keep = np.flatnonzero(totals >= min_total_cases)
     if keep.size == 0:
         raise DataError(f"{raw.country}: no region has >= {min_total_cases} total cases")
-    dropped = [raw.regions[i] for i in range(len(raw.regions)) if i not in set(keep.tolist())]
+    kept = set(keep.tolist())
+    dropped = [raw.regions[i] for i in range(len(raw.regions)) if i not in kept]
     if dropped:
         log.info("%s: dropping %d low-case regions: %s",
                  raw.country, len(dropped), ", ".join(map(str, dropped)))
@@ -377,8 +383,12 @@ def generate_synthetic(config: SyntheticConfig) -> list:
 # ---------------------------------------------------------------- bundles
 
 def save_bundle(dataset: CountryDataset, dir_path: str) -> None:
-    """Write manifest.json, cases.csv, and mobility/<date>.csv (lossless)."""
-    os.makedirs(os.path.join(dir_path, "mobility"), exist_ok=True)
+    """Write a format-2 bundle: manifest.json, cases.csv, and mobility.npy.
+
+    mobility.npy holds every day's matrix as one (t_total, n, n) little-endian
+    float64 array in dates order, so loading it restores the same bits.
+    """
+    os.makedirs(dir_path, exist_ok=True)
     manifest = {
         "format_version": BUNDLE_FORMAT_VERSION,
         "country": dataset.country,
@@ -396,15 +406,17 @@ def save_bundle(dataset: CountryDataset, dir_path: str) -> None:
         for k, date in enumerate(dataset.dates):
             for i, region in enumerate(dataset.regions):
                 writer.writerow([date, region, repr(float(dataset.cases[i, k]))])
-    for k, date in enumerate(dataset.dates):
-        path = os.path.join(dir_path, "mobility", f"{date}.csv")
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            for row in dataset.mobility[k]:
-                writer.writerow([repr(float(v)) for v in row])
+    with open(os.path.join(dir_path, "mobility.npy"), "wb") as fh:
+        np.save(fh, dataset.mobility.astype("<f8", copy=False), allow_pickle=False)
 
 
 def load_bundle(dir_path: str) -> CountryDataset:
+    """Read a bundle that save_bundle wrote.
+
+    A bundle of another format version, or whose files are missing,
+    unreadable or disagree with its manifest, raises BundleError naming the
+    file; data the dataset rejects (say, negative mobility) raises DataError.
+    """
     manifest_path = os.path.join(dir_path, "manifest.json")
     if not os.path.isfile(manifest_path):
         raise BundleError(f"{dir_path}: missing manifest.json")
@@ -413,9 +425,11 @@ def load_bundle(dir_path: str) -> CountryDataset:
             manifest = json.load(fh)
     except json.JSONDecodeError as exc:
         raise BundleError(f"{manifest_path}: invalid JSON: {exc}") from exc
-    if manifest.get("format_version") != BUNDLE_FORMAT_VERSION:
-        raise BundleError(f"{dir_path}: unsupported bundle format_version "
-                          f"{manifest.get('format_version')!r}")
+    version = manifest.get("format_version")
+    if version != BUNDLE_FORMAT_VERSION:
+        raise BundleError(f"{dir_path}: unsupported bundle format_version {version!r} "
+                          f"(this version reads {BUNDLE_FORMAT_VERSION!r}); re-create "
+                          f"the bundle with `mobicast ingest` or `mobicast synth`")
     for key in ("country", "n", "t_total", "dates", "regions"):
         if key not in manifest:
             raise BundleError(f"{dir_path}: manifest missing key {key!r}")
@@ -443,54 +457,32 @@ def load_bundle(dir_path: str) -> CountryDataset:
                 continue
             if len(row) != 3 or row[0] not in date_idx or row[1] not in regions_idx:
                 raise BundleError(f"{cases_path}:{line_no}: row does not match manifest")
-            cases[regions_idx[row[1]], date_idx[row[0]]] = _number(
-                row[2], cases_path, line_no)
+            try:
+                value = float(row[2])
+            except ValueError:
+                raise BundleError(f"{cases_path}:{line_no}: non-numeric cell "
+                                  f"{row[2]!r}") from None
+            cases[regions_idx[row[1]], date_idx[row[0]]] = value
             filled[regions_idx[row[1]], date_idx[row[0]]] = True
     if not filled.all():
         raise BundleError(f"{cases_path}: missing (region, date) entries")
 
-    mobility = []
-    for date in dates:
-        path = os.path.join(dir_path, "mobility", f"{date}.csv")
-        if not os.path.isfile(path):
-            raise BundleError(f"{dir_path}: missing mobility matrix for {date}")
-        mobility.append(_load_matrix(path, n))
+    mobility_path = os.path.join(dir_path, "mobility.npy")
+    if not os.path.isfile(mobility_path):
+        raise BundleError(f"{mobility_path}: missing mobility file")
+    try:
+        with open(mobility_path, "rb") as fh:
+            # np.load minus its .npz and pickle branches: anything but one
+            # .npy array (a bad header, short data, an object array) is a
+            # ValueError here
+            mobility = np.lib.format.read_array(fh, allow_pickle=False)
+    except (OSError, ValueError) as exc:
+        raise BundleError(f"{mobility_path}: unreadable or truncated .npy file: "
+                          f"{exc}") from None
+    if mobility.dtype != np.dtype("<f8"):
+        raise BundleError(f"{mobility_path}: dtype {mobility.dtype.str}, expected <f8")
+    if mobility.shape != (t_total, n, n):
+        raise BundleError(f"{mobility_path}: shape {mobility.shape}, expected "
+                          f"{(t_total, n, n)} from the manifest")
+    mobility.setflags(write=False)  # no one else holds it: the dataset need not copy
     return CountryDataset(manifest["country"], regions, dates, cases, mobility)
-
-
-def _number(cell: str, path: str, line_no: int) -> float:
-    try:
-        return float(cell)
-    except ValueError:
-        raise BundleError(f"{path}:{line_no}: non-numeric cell {cell!r}") from None
-
-
-def _load_matrix(path: str, n: int) -> np.ndarray:
-    """One dense n x n mobility CSV, parsed in one numpy call.
-
-    A file numpy rejects, or of the wrong shape, is re-read cell by cell
-    with float(), which accepts what numpy does not (quoted cells, digit
-    underscores) and names the line of a ragged row or a non-numeric cell.
-    """
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # an empty file
-            mat = np.loadtxt(path, delimiter=",", comments=None, ndmin=2,
-                             encoding="utf-8")
-        if mat.shape == (n, n):
-            return mat
-    except ValueError:
-        pass
-    rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != n:
-                raise BundleError(f"{path}:{reader.line_num}: {len(row)} cells, "
-                                  f"expected a dense {n}x{n} matrix")
-            rows.append([_number(v, path, reader.line_num) for v in row])
-    if len(rows) != n:
-        raise BundleError(f"{path}: {len(rows)} rows, expected a dense {n}x{n} matrix")
-    return np.array(rows)

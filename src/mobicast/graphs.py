@@ -39,8 +39,8 @@ def normalize_incoming(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ShapeError(f"mobility matrix must be square, got {m.shape}")
-    if np.any(m < 0):
-        raise ContractError("mobility entries must be >= 0")
+    if not np.all(m >= 0):
+        raise ContractError("mobility entries must be >= 0 (NaN is not)")
     sums = m.sum(axis=1, keepdims=True)
     return np.divide(m, sums, out=np.zeros_like(m), where=sums > 0)
 

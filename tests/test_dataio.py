@@ -1,6 +1,7 @@
 """Ingestion, alignment, synthetic generation, and bundle round trips."""
 
 import csv
+import hashlib
 import json
 import os
 import re
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import small_synthetic
+from mobicast.cli import main
 from mobicast.dataio import (CountryDataset, RawCountryData, SyntheticConfig,
                              align_and_filter, generate_synthetic, load_bundle,
                              load_cases, load_mobility, load_region_map,
@@ -131,6 +133,16 @@ class TestLoadCases:
         with pytest.raises(DataError, match=":3:"):
             load_cases(path, REGIONS)
 
+    @pytest.mark.parametrize("count", ["nan", "inf", "-inf"])
+    def test_non_finite_count_reports_line(self, tmp_path, count):
+        # a NaN total would otherwise drop the region as "low-case" silently
+        path = write(tmp_path / "c.csv",
+                     "date,region,new_cases\n"
+                     "2020-03-01,a,20\n"
+                     f"2020-03-01,b,{count}\n")
+        with pytest.raises(DataError, match=r"c\.csv:3: case count must be finite"):
+            load_cases(path, REGIONS)
+
 
 class TestAlignAndFilter:
     def _raw(self, case_days, mob_days, cases):
@@ -199,6 +211,22 @@ class TestCountryDataset:
         ds = self._ds()
         with pytest.raises(ValueError):
             ds.cases[0, 0] = 99.0
+        with pytest.raises(ValueError):
+            ds.mobility_on(1)[0, 0] = 99.0
+
+    def test_mobility_is_one_contiguous_array(self):
+        ds = self._ds()
+        assert ds.mobility.shape == (3, 2, 2) and ds.mobility.dtype == np.float64
+        assert ds.mobility.flags.c_contiguous
+        assert np.shares_memory(ds.mobility_on(2), ds.mobility)
+        # a writable input is copied, a frozen one kept as it is
+        mine = np.ones((3, 2, 2))
+        ds = CountryDataset(ds.country, ds.regions, ds.dates, ds.cases, mine)
+        mine[0, 0, 0] = 5.0
+        assert ds.mobility[0, 0, 0] == 1.0 and mine.flags.writeable
+        mine.setflags(write=False)
+        assert CountryDataset(ds.country, ds.regions, ds.dates, ds.cases,
+                              mine).mobility is mine
 
     def test_invalid_construction(self):
         with pytest.raises(DataError, match="duplicate"):
@@ -208,6 +236,18 @@ class TestCountryDataset:
                            [[1, 2]], [np.eye(1)] * 2)
         with pytest.raises(DataError, match="negative mobility"):
             CountryDataset("X", ["a"], ["2020-03-01"], [[1]], [np.array([[-1.0]])])
+        with pytest.raises(DataError, match=re.escape("mobility shape (1, 2, 2), "
+                                                      "expected (2, 2, 2)")):
+            CountryDataset("X", ["a", "b"], ["2020-03-01", "2020-03-02"],
+                           [[1, 2], [3, 4]], [np.eye(2)])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_mobility_names_date(self, value):
+        mobility = np.ones((3, 2, 2))
+        mobility[1, 0, 1] = value
+        with pytest.raises(DataError, match="non-finite mobility entry on 2020-03-02"):
+            CountryDataset("X", ["a", "b"], ["2020-03-01", "2020-03-02", "2020-03-03"],
+                           [[1, 2, 3], [4, 5, 6]], mobility)
 
     @pytest.mark.parametrize("name", ["Bolzano, South Tyrol", "line\nbreak",
                                       "carriage\rreturn"])
@@ -322,17 +362,10 @@ class TestBundles:
         bdir = tmp_path / "b"
         save_bundle(ds, str(bdir))
         manifest = json.loads((bdir / "manifest.json").read_text())
-        manifest["format_version"] = "2"
+        manifest["format_version"] = "1"
         (bdir / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(BundleError, match="format_version"):
-            load_bundle(str(bdir))
-
-    def test_missing_mobility_file(self, tmp_path):
-        ds = small_synthetic(seed=9, n=3, days=8)
-        bdir = tmp_path / "b"
-        save_bundle(ds, str(bdir))
-        os.remove(bdir / "mobility" / f"{ds.dates[3]}.csv")
-        with pytest.raises(BundleError, match=ds.dates[3]):
+        with pytest.raises(BundleError, match="format_version '1'.*re-create the "
+                           "bundle with `mobicast ingest` or `mobicast synth`"):
             load_bundle(str(bdir))
 
     def saved(self, tmp_path):
@@ -341,60 +374,67 @@ class TestBundles:
         save_bundle(ds, str(bdir))
         return ds, bdir
 
-    def test_parsed_matrices_match_per_cell_float(self, tmp_path):
+    def test_missing_mobility_file(self, tmp_path):
+        _, bdir = self.saved(tmp_path)
+        os.remove(bdir / "mobility.npy")
+        with pytest.raises(BundleError, match="mobility.npy: missing"):
+            load_bundle(str(bdir))
+
+    def test_mobility_file_holds_the_same_bits(self, tmp_path):
         ds = small_synthetic(seed=5, n=12, days=10)
         save_bundle(ds, str(tmp_path / "b"))
+        stored = np.load(tmp_path / "b" / "mobility.npy", allow_pickle=False)
+        assert stored.dtype.str == "<f8" and stored.shape == (10, 12, 12)
+        assert stored.tobytes() == ds.mobility.tobytes()
         back = load_bundle(str(tmp_path / "b"))
-        for date, mat in zip(ds.dates, back.mobility):
-            text = (tmp_path / "b" / "mobility" / f"{date}.csv").read_text()
-            cells = [[float(v) for v in line.split(",")]
-                     for line in text.splitlines() if line]
-            assert mat.dtype == np.float64
-            assert mat.tobytes() == np.array(cells).tobytes()
+        assert back.mobility.tobytes() == ds.mobility.tobytes()
+        assert back.mobility.flags.c_contiguous and not back.mobility.flags.writeable
 
-    def test_quoted_cells_still_parse(self, tmp_path):
+    def replace_mobility(self, tmp_path, array=None, raw=None):
+        """A saved bundle whose mobility.npy holds `array`, or the bytes `raw`."""
         ds, bdir = self.saved(tmp_path)
-        path = bdir / "mobility" / f"{ds.dates[2]}.csv"
-        text = path.read_text()
-        path.write_text("\n".join(",".join(f'"{v}"' for v in line.split(","))
-                                  for line in text.splitlines()) + "\n")
-        np.testing.assert_array_equal(load_bundle(str(bdir)).mobility[2],
-                                      ds.mobility[2])
+        path = bdir / "mobility.npy"
+        if raw is not None:
+            path.write_bytes(raw)
+        else:
+            np.save(path, array, allow_pickle=True)
+        return ds, bdir
 
-    def mangle_matrix(self, tmp_path, edit):
+    def test_truncated_mobility_file_names_file(self, tmp_path):
         ds, bdir = self.saved(tmp_path)
-        path = bdir / "mobility" / f"{ds.dates[4]}.csv"
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(edit(lines)) + "\n")
-        return bdir, f"{ds.dates[4]}.csv"
+        raw = (bdir / "mobility.npy").read_bytes()
+        for cut in (len(raw) - 8, 40):  # short data, then a short header
+            (bdir / "mobility.npy").write_bytes(raw[:cut])
+            with pytest.raises(BundleError, match="mobility.npy: unreadable or truncated"):
+                load_bundle(str(bdir))
 
-    def test_non_numeric_mobility_cell_names_file_and_line(self, tmp_path):
-        def edit(lines):
-            cells = lines[1].split(",")
-            cells[2] = "abc"
-            return [lines[0], ",".join(cells), *lines[2:]]
-
-        bdir, name = self.mangle_matrix(tmp_path, edit)
-        with pytest.raises(BundleError, match=f"{name}:2: non-numeric cell 'abc'"):
+    def test_pickled_object_array_rejected(self, tmp_path):
+        ds, _ = self.saved(tmp_path)
+        objects = np.empty(ds.mobility.shape, dtype=object)
+        objects[...] = 1.0
+        _, bdir = self.replace_mobility(tmp_path, objects)
+        with pytest.raises(BundleError, match="mobility.npy: .*allow_pickle=False"):
             load_bundle(str(bdir))
 
-    def test_ragged_mobility_row_names_file_and_line(self, tmp_path):
-        bdir, name = self.mangle_matrix(
-            tmp_path, lambda lines: [lines[0], lines[1], lines[2].rsplit(",", 1)[0]])
-        with pytest.raises(BundleError, match=f"{name}:3: 2 cells, expected a dense 3x3"):
-            load_bundle(str(bdir))
+    def test_wrong_mobility_dtype_names_file(self, tmp_path):
+        ds, _ = self.saved(tmp_path)
+        for dtype in ("<f4", ">f8", "<i8"):
+            _, bdir = self.replace_mobility(tmp_path, ds.mobility.astype(dtype))
+            with pytest.raises(BundleError,
+                               match=f"mobility.npy: dtype {dtype}, expected <f8"):
+                load_bundle(str(bdir))
 
     def test_wrong_mobility_row_count(self, tmp_path):
-        bdir, name = self.mangle_matrix(tmp_path, lambda lines: lines + lines[:1])
-        with pytest.raises(BundleError, match=f"{name}: 4 rows, expected a dense 3x3"):
-            load_bundle(str(bdir))
-        bdir, name = self.mangle_matrix(tmp_path, lambda lines: lines[:2])
-        with pytest.raises(BundleError, match=f"{name}: 2 rows"):
-            load_bundle(str(bdir))
+        ds, _ = self.saved(tmp_path)
+        for shape in ((8, 4, 4), (7, 3, 3), (8, 9)):
+            _, bdir = self.replace_mobility(tmp_path, np.ones(shape))
+            with pytest.raises(BundleError, match=re.escape(
+                    f"mobility.npy: shape {shape}, expected (8, 3, 3)")):
+                load_bundle(str(bdir))
 
     def test_empty_mobility_file(self, tmp_path):
-        bdir, name = self.mangle_matrix(tmp_path, lambda lines: [])
-        with pytest.raises(BundleError, match=f"{name}: 0 rows"):
+        _, bdir = self.replace_mobility(tmp_path, raw=b"")
+        with pytest.raises(BundleError, match="mobility.npy: unreadable or truncated"):
             load_bundle(str(bdir))
 
     def test_non_numeric_case_count_names_file_and_line(self, tmp_path):
@@ -411,5 +451,19 @@ class TestBundles:
         ds = small_synthetic(seed=11, n=3, days=6)
         save_bundle(ds, str(tmp_path / "x"))
         save_bundle(ds, str(tmp_path / "y"))
-        for name in ["manifest.json", "cases.csv", f"mobility/{ds.dates[0]}.csv"]:
+        for name in ["manifest.json", "cases.csv", "mobility.npy"]:
             assert (tmp_path / "x" / name).read_bytes() == (tmp_path / "y" / name).read_bytes()
+        assert sorted(os.listdir(tmp_path / "x")) == ["cases.csv", "manifest.json",
+                                                      "mobility.npy"]
+
+    def test_synth_bundle_matches_pinned_digests(self, tmp_path):
+        # any change to the bundle format, or to what synth generates, moves these
+        assert main(["synth", "--regions", "3", "--days", "5", "--countries", "1",
+                     "--seed", "3", "--out", str(tmp_path)]) == 0
+        digests = {name: hashlib.sha256((tmp_path / "C0" / name).read_bytes()).hexdigest()
+                   for name in sorted(os.listdir(tmp_path / "C0"))}
+        assert digests == {
+            "cases.csv": "c39247d19d88352372cdb840621550ddf29741294742db0024bbaea5c769d14c",
+            "manifest.json": "379267f8e999facf24dc80d366175d4a885412c1d9ceb792325984ec82fe09d0",
+            "mobility.npy": "8a03e4cec83103774860661b187fdf69b1612ea68891b2683a50fba59ef08905",
+        }

@@ -56,6 +56,8 @@ class TestNormalizeIncoming:
     def test_rejects_negative_and_nonsquare(self):
         with pytest.raises(ContractError):
             normalize_incoming([[1.0, -0.1], [0.0, 1.0]])
+        with pytest.raises(ContractError):
+            normalize_incoming([[1.0, np.nan], [0.0, 1.0]])
         with pytest.raises(ShapeError):
             normalize_incoming(np.ones((2, 3)))
 
@@ -216,7 +218,7 @@ class TestGraphCache:
         real = graphs.normalize_incoming
 
         def counting(m):
-            inputs.append(id(m))
+            inputs.append(m.ctypes.data)  # each day is a view into dataset.mobility
             return real(m)
 
         monkeypatch.setattr(graphs, "normalize_incoming", counting)
