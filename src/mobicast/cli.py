@@ -1,5 +1,5 @@
 """Command-line surface: dataset ingestion and synthesis, correlation tables,
-grid training and evaluation, meta-training, and report merging.
+grid training and rescoring (both from one EvalConfig), and report merging.
 
 Every command that produces a directory also writes a run.json manifest there
 (command line, resolved configuration, its hash, seed, package and bundle
@@ -17,6 +17,7 @@ import json
 import os
 import re
 import sys
+import typing
 
 from . import __version__
 from .dataio import (
@@ -36,7 +37,6 @@ from .evaluation import (
     MODEL_NAMES,
     ErrorReport,
     EvalConfig,
-    ProtocolGrid,
     atomic_write_text,
     case_stat_lines,
     case_stats_table,
@@ -44,8 +44,6 @@ from .evaluation import (
     correlation_table,
     emit_report,
     load_report_rows,
-    meta_checkpoint_name,
-    meta_train_target,
     rolling_evaluate,
 )
 
@@ -74,56 +72,50 @@ def keep_heap_resident() -> None:
 
 # ---------------------------------------------------------------- run config
 
-@dataclasses.dataclass(frozen=True)
-class RunConfig(EvalConfig):
-    """One run's resolved settings: defaults, then config file, then flags.
-
-    A config file and run.json's `config` hold its fields, nested as here."""
-    grid: ProtocolGrid = ProtocolGrid()
-    models: tuple = ("MPNN",)
-
-    def __post_init__(self):
-        super().__post_init__()
-        if not isinstance(self.models, (list, tuple)):
-            raise ContractError("config key 'models' must be a list of names")
-        names = tuple(str(m).upper() for m in self.models)
-        object.__setattr__(self, "models", names)
-        if not names:
-            raise ContractError("models must name at least one model")
-        for name in names:
-            if name not in MODEL_NAMES:
-                raise ContractError(f"unknown model {name!r}; choose from "
-                                    f"{', '.join(MODEL_NAMES)}")
-
-
 def config_digest(doc: dict) -> str:
     blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+def _check_type(key: str, value, hint, prefix: str) -> None:
+    """Reject a JSON value that does not fit a field annotated int, float,
+    str or Optional of one; an int fits a float and a bool fits neither."""
+    types = typing.get_args(hint) or (hint,)   # Optional[int] -> (int, NoneType)
+    if not {int, float, str} & set(types):
+        return   # list fields (models, grid horizons) check their own values
+    accepted = types + (int,) if float in types else types
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        names = " or ".join("null" if t is type(None) else t.__name__ for t in types)
+        raise ContractError(f"{prefix}config key {key!r} must be {names}, got {value!r}")
+
+
 def _from_dict(cls, doc: dict, prefix: str = ""):
     """cls built from a JSON object over its fields; a field whose default
-    is a dataclass is read the same way from a nested object."""
+    is a dataclass is read the same way from a nested object, and every
+    other value must be of its field's JSON type."""
     fields = {f.name: f.default for f in dataclasses.fields(cls)}
     unknown = sorted(set(doc) - set(fields))
     if unknown:
         raise ContractError(f"unknown {prefix}config keys: {', '.join(unknown)}")
+    hints = typing.get_type_hints(cls)
     kwargs = dict(doc)
-    for key, default in fields.items():
-        if key in doc and dataclasses.is_dataclass(default):
-            if not isinstance(doc[key], dict):
+    for key, value in doc.items():
+        if dataclasses.is_dataclass(fields[key]):
+            if not isinstance(value, dict):
                 raise ContractError(f"config section {key!r} must be an object")
-            kwargs[key] = _from_dict(type(default), doc[key], f"{key} ")
+            kwargs[key] = _from_dict(type(fields[key]), value, f"{key} ")
+        else:
+            _check_type(key, value, hints[key], prefix)
     return cls(**kwargs)
 
 
-def run_config_from_dict(doc) -> RunConfig:
+def run_config_from_dict(doc) -> EvalConfig:
     if not isinstance(doc, dict):
         raise ContractError("run config must be a JSON object")
-    return _from_dict(RunConfig, doc)
+    return _from_dict(EvalConfig, doc)
 
 
-def load_run_config(path: str) -> RunConfig:
+def load_run_config(path: str) -> EvalConfig:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -134,27 +126,26 @@ def load_run_config(path: str) -> RunConfig:
     return run_config_from_dict(doc)
 
 
-def resolve_run_config(args) -> RunConfig:
+def resolve_run_config(args) -> EvalConfig:
     """Defaults, overlaid by --config file, overlaid by explicit flags."""
-    path = getattr(args, "config", None)
-    cfg = load_run_config(path) if path else RunConfig()
+    cfg = load_run_config(args.config) if args.config else EvalConfig()
     updates = {}
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         updates["seed"] = args.seed
-    if getattr(args, "jobs", None) is not None:
+    if args.jobs is not None:
         updates["jobs"] = args.jobs
-    if getattr(args, "model", None):
+    if args.model:
         updates["models"] = tuple(args.model)
     grid = cfg.grid
-    if getattr(args, "t", None) is not None:
+    if args.t is not None:
         grid = dataclasses.replace(grid, t_start=args.t, t_end=args.t)
-    if getattr(args, "t_start", None) is not None:
+    if args.t_start is not None:
         grid = dataclasses.replace(grid, t_start=args.t_start)
-    if getattr(args, "t_end", None) is not None:
+    if args.t_end is not None:
         grid = dataclasses.replace(grid, t_end=args.t_end)
-    if getattr(args, "dt", None) is not None:
+    if args.dt is not None:
         grid = dataclasses.replace(grid, dt=args.dt, horizons=None)
-    if getattr(args, "horizon", None):
+    if args.horizon:
         grid = dataclasses.replace(grid, horizons=tuple(args.horizon))
     if grid != cfg.grid:
         updates["grid"] = grid
@@ -163,14 +154,10 @@ def resolve_run_config(args) -> RunConfig:
 
 # ---------------------------------------------------------------- plumbing
 
-def data_dir() -> str:
-    return os.environ.get(DATA_DIR_ENV, "")
-
-
 def resolve_input(path: str) -> str:
     """Relative bundle and raw-data paths resolve against the default data
     directory; run outputs (checkpoints, report directories) never do."""
-    base = data_dir()
+    base = os.environ.get(DATA_DIR_ENV, "")
     if base and not os.path.isabs(path):
         return os.path.join(base, path)
     return path
@@ -276,8 +263,7 @@ def _grid_run(args, argv, checkpoint_dir, load_only=False) -> int:
     datasets = load_bundles(args.bundle)
     os.makedirs(args.out, exist_ok=True)
     try:
-        report = rolling_evaluate(datasets, list(cfg.models), cfg.grid, cfg,
-                                  checkpoint_dir=checkpoint_dir,
+        report = rolling_evaluate(datasets, cfg, checkpoint_dir=checkpoint_dir,
                                   load_only=load_only)
     except MobicastError as exc:
         write_manifest(args.out, argv, dataclasses.asdict(cfg), cfg.seed,
@@ -305,22 +291,6 @@ def cmd_train(args, argv) -> int:
 
 def cmd_evaluate(args, argv) -> int:
     return _grid_run(args, argv, args.checkpoints, load_only=True)
-
-
-def cmd_meta_train(args, argv) -> int:
-    cfg = resolve_run_config(args)
-    datasets = load_bundles(args.bundle)
-    pool = [ds for ds in datasets if ds.country != args.target]
-    if not pool:
-        raise ContractError("meta-training needs at least one bundle for a "
-                            "country other than the target")
-    os.makedirs(args.out, exist_ok=True)
-    meta_train_target(args.target, pool, cfg, args.out)
-    write_manifest(args.out, argv, dataclasses.asdict(cfg), cfg.seed, "complete",
-                   {"target": args.target,
-                    "pool": [ds.country for ds in pool]})
-    print(f"wrote {os.path.join(args.out, meta_checkpoint_name(args.target))}")
-    return 0
 
 
 _SKIP_LINE = re.compile(
@@ -363,29 +333,27 @@ def cmd_report(args, argv) -> int:
 
 # ---------------------------------------------------------------- parser
 
-def _add_run_flags(p: argparse.ArgumentParser, with_models: bool = True,
-                   with_grid: bool = True) -> None:
+def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", metavar="FILE",
                    help="JSON run configuration (unknown keys rejected)")
     p.add_argument("--seed", type=int, default=None,
                    help="global seed (default 0)")
     p.add_argument("--jobs", type=int, default=None,
-                   help="parallel grid cells (default 1)")
-    if with_models:
-        p.add_argument("--model", action="append", metavar="NAME",
-                       help="model to run, repeatable; one of "
-                            + ", ".join(MODEL_NAMES))
-    if with_grid:
-        p.add_argument("--t", type=int, default=None,
-                       help="single anchor day T")
-        p.add_argument("--t-start", type=int, default=None,
-                       help="first anchor day (default 14)")
-        p.add_argument("--t-end", type=int, default=None,
-                       help="last anchor day (default: data end)")
-        p.add_argument("--dt", type=int, default=None,
-                       help="forecast horizons 1..dt (default 14)")
-        p.add_argument("--horizon", action="append", type=int, metavar="J",
-                       help="explicit horizon, repeatable (overrides --dt)")
+                   help="worker processes for grid cells and meta-training "
+                        "(default 1; never more than the tasks or CPUs)")
+    p.add_argument("--model", action="append", metavar="NAME",
+                   help="model to run, repeatable; one of "
+                        + ", ".join(MODEL_NAMES))
+    p.add_argument("--t", type=int, default=None,
+                   help="single anchor day T")
+    p.add_argument("--t-start", type=int, default=None,
+                   help="first anchor day (default 14)")
+    p.add_argument("--t-end", type=int, default=None,
+                   help="last anchor day (default: data end)")
+    p.add_argument("--dt", type=int, default=None,
+                   help="forecast horizons 1..dt (default 14)")
+    p.add_argument("--horizon", action="append", type=int, metavar="J",
+                   help="explicit horizon, repeatable (overrides --dt)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -442,17 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, metavar="DIR")
     _add_run_flags(p)
     p.set_defaults(handler=cmd_train)
-
-    p = sub.add_parser("meta-train",
-                       help="meta-train a shared initialization for a target "
-                            "country from the other bundles")
-    p.add_argument("--bundle", action="append", required=True, metavar="DIR")
-    p.add_argument("--target", required=True, metavar="COUNTRY",
-                   help="country the initialization is for (its bundle, if "
-                        "listed, is excluded from the pool)")
-    p.add_argument("--out", required=True, metavar="DIR")
-    _add_run_flags(p, with_models=False, with_grid=False)
-    p.set_defaults(handler=cmd_meta_train)
 
     p = sub.add_parser("evaluate",
                        help="score the grid from the checkpoints a train "

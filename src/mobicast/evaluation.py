@@ -17,7 +17,7 @@ from .errors import (CheckpointError, ContractError, DataError, InsufficientData
                      TrainingDivergedError)
 from .graphs import normalized_graphs
 from .meta import MetaConfig, maml_meta_train, save_meta_state, tl_base_train
-from .models import ModelState, model_from_spec
+from .models import model_from_spec
 from .rng import derive_seed
 from .train import (
     PROTOCOL_START_DAY,
@@ -55,6 +55,9 @@ class ProtocolGrid:
         if self.dt < 1:
             raise ContractError(f"dt must be >= 1, got {self.dt}")
         if self.horizons is not None:
+            if not isinstance(self.horizons, (list, tuple)) or any(
+                    isinstance(j, bool) or not isinstance(j, int) for j in self.horizons):
+                raise ContractError("horizons must be a list of integers")
             hs = tuple(self.horizons)
             if not hs or any(j < 1 for j in hs) or len(set(hs)) != len(hs):
                 raise ContractError("horizons must be distinct and >= 1")
@@ -73,18 +76,32 @@ class ProtocolGrid:
 
 @dataclass(frozen=True)
 class EvalConfig:
+    """One grid run's settings: defaults, then config file, then flags.  A
+    config file and run.json's `config` hold its fields, nested as here."""
     train: TrainConfig = TrainConfig()
     meta: MetaConfig = MetaConfig()
     seed: int = 0
     jobs: int = 1
     ar_order: int = 7
     ar_differencing: int = 1
+    grid: ProtocolGrid = ProtocolGrid()
+    models: tuple = ("MPNN",)
 
     def __post_init__(self):
         if self.jobs < 1:
             raise ContractError(f"jobs must be >= 1, got {self.jobs}")
         if self.ar_order < 1 or self.ar_differencing not in (0, 1):
             raise ContractError("ar_order must be >= 1 and ar_differencing 0 or 1")
+        if not isinstance(self.models, (list, tuple)):
+            raise ContractError("config key 'models' must be a list of names")
+        names = tuple(str(m).upper() for m in self.models)
+        object.__setattr__(self, "models", names)
+        if not names:
+            raise ContractError("models must name at least one model")
+        for name in names:
+            if name not in MODEL_NAMES:
+                raise ContractError(f"unknown model {name!r}; choose from "
+                                    f"{', '.join(MODEL_NAMES)}")
 
 
 @dataclass(frozen=True)
@@ -249,35 +266,26 @@ class _CellContext:
         raise ContractError(f"unknown country {country!r}")
 
 
-def meta_checkpoint_name(country: str) -> str:
-    return f"{country}__MPNN_TL__meta.ckpt"
-
-
-def meta_train_target(target: str, foreign: list, config: EvalConfig,
-                      checkpoint_dir: Optional[str] = None) -> ModelState:
-    """Meta-train the shared MPNN_TL initialization of one target country.
-
-    Learns from the foreign countries' task grids with a seed derived from
-    (seed, "meta", target), and saves <target>__MPNN_TL__meta.ckpt into
-    checkpoint_dir when one is given.
-    """
-    seed = derive_seed(config.seed, "meta", target)
-    model = build_model("MPNN", config.train)
-    state = maml_meta_train(foreign, model, config.meta, seed)
-    if checkpoint_dir is not None:
-        save_meta_state(os.path.join(checkpoint_dir, meta_checkpoint_name(target)),
-                        state, model, [ds.country for ds in foreign], config.meta,
-                        seed)
-    return state
-
-
 def _meta_task(ctx: _CellContext, target: str):
-    """The target's shared initialization, or why meta-training failed."""
+    """The target's shared MPNN_TL initialization, or why meta-training failed.
+
+    Learns from every other country's task grid with a seed derived from
+    (seed, "meta", target), and saves <target>__MPNN_TL__meta.ckpt into the
+    checkpoint directory when there is one.
+    """
+    cfg = ctx.config
     foreign = [ds for ds in ctx.datasets if ds.country != target]
+    seed = derive_seed(cfg.seed, "meta", target)
+    model = build_model("MPNN", cfg.train)
     try:
-        return meta_train_target(target, foreign, ctx.config, ctx.checkpoint_dir)
+        state = maml_meta_train(foreign, model, cfg.meta, seed)
     except (InsufficientDataError, TrainingDivergedError) as exc:
         return f"meta-training failed: {exc}"
+    if ctx.checkpoint_dir is not None:
+        path = os.path.join(ctx.checkpoint_dir, f"{target}__MPNN_TL__meta.ckpt")
+        save_meta_state(path, state, model, [ds.country for ds in foreign],
+                        cfg.meta, seed)
+    return state
 
 
 def _run_cell(task):
@@ -380,25 +388,19 @@ def evaluate_cell(ctx: _CellContext, country: str, model_name: str, t: int,
     return task, rows, None
 
 
-def _check_request(datasets, models):
+def _check_request(datasets):
     if not datasets:
         raise ContractError("evaluation needs at least one country")
     names = [ds.country for ds in datasets]
     if len(set(names)) != len(names):
         raise ContractError(f"duplicate countries in {names}")
-    for name in models:
-        if name not in MODEL_NAMES:
-            raise ContractError(f"unknown model {name!r}; choose from "
-                                f"{', '.join(MODEL_NAMES)}")
-    if not models:
-        raise ContractError("evaluation needs at least one model")
 
 
-def _grid_tasks(datasets, models, grid):
+def _grid_tasks(datasets, config: EvalConfig):
     tasks = []
     for ds in datasets:
-        cells = grid.cells(ds.t_total)
-        for model in models:
+        cells = config.grid.cells(ds.t_total)
+        for model in config.models:
             tasks.extend((ds.country, model, t, j) for t, j in cells)
     if not tasks:
         raise ContractError("protocol grid is empty for every requested country")
@@ -415,8 +417,10 @@ def _run_pool(ctx: _CellContext, tasks, targets) -> list:
     a target's MPNN_TL cells follow as soon as its meta task returns."""
     futures = {}
     waiting = {}     # target -> indices of its MPNN_TL cells
+    # a fork-started pool starts every worker at its first submit
+    workers = min(ctx.config.jobs, len(targets) + len(tasks), os.cpu_count() or 1)
     with concurrent.futures.ProcessPoolExecutor(
-            max_workers=ctx.config.jobs, initializer=_init_cell_worker,
+            max_workers=workers, initializer=_init_cell_worker,
             initargs=(ctx,)) as pool:
         meta = {pool.submit(_run_cell, target): target for target in targets}
         for k, task in enumerate(tasks):
@@ -431,10 +435,10 @@ def _run_pool(ctx: _CellContext, tasks, targets) -> list:
         return [futures[k].result() for k in range(len(tasks))]
 
 
-def rolling_evaluate(datasets, models, grid: ProtocolGrid, config: EvalConfig,
+def rolling_evaluate(datasets, config: EvalConfig,
                      checkpoint_dir: Optional[str] = None,
                      load_only: bool = False) -> ErrorReport:
-    """Train and score every requested (country, model, T, horizon) cell.
+    """Train and score every (country, model, T, horizon) cell of the config.
 
     Each cell trains its own model with a seed derived from (seed, country,
     T, horizon), so cells are reproducible independently of execution order;
@@ -447,19 +451,19 @@ def rolling_evaluate(datasets, models, grid: ProtocolGrid, config: EvalConfig,
     cells run in-process whatever `config.jobs` says, and a missing
     checkpoint is a CheckpointError naming the cell.
     """
-    _check_request(datasets, models)
-    tasks = _grid_tasks(datasets, models, grid)
+    _check_request(datasets)
+    tasks = _grid_tasks(datasets, config)
     if load_only and checkpoint_dir is None:
         raise ContractError("load_only needs a checkpoint directory")
     if (checkpoint_dir is not None and not load_only
-            and any(name in TRAINABLE_KINDS for name in models)):
+            and any(name in TRAINABLE_KINDS for name in config.models)):
         os.makedirs(checkpoint_dir, exist_ok=True)
     for ds in datasets:
         normalized_graphs(ds)   # once, before any worker forks
     ctx = _CellContext(datasets=tuple(datasets), config=config,
                        checkpoint_dir=checkpoint_dir, load_only=load_only)
     # one meta-training per target country, each on all the others
-    targets = ([ds.country for ds in datasets] if "MPNN_TL" in models
+    targets = ([ds.country for ds in datasets] if "MPNN_TL" in config.models
                and len(datasets) > 1 and not load_only else [])
     run = _run_serial if config.jobs == 1 or load_only else _run_pool
     rows = []

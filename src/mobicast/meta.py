@@ -57,11 +57,12 @@ def enumerate_tasks(dataset: CountryDataset, config: MetaConfig, d: int) -> list
     """Task grid over (t, horizon), t ascending then horizon ascending, with
     d-day feature windows.
 
-    Cells whose held-out target day would fall beyond the data are skipped;
-    an empty grid is an error.
+    Anchors before day d, which have no full feature window, and cells whose
+    held-out target day would fall beyond the data are skipped; an empty grid
+    is an error.
     """
     tasks = []
-    for t in range(config.t_start, dataset.t_total + 1):
+    for t in range(max(config.t_start, d), dataset.t_total + 1):
         for j in range(1, config.dt + 1):
             if t + j > dataset.t_total:
                 continue

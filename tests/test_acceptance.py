@@ -305,9 +305,9 @@ class TestSyntheticOrdering:
             held = generate_synthetic(SyntheticConfig(noise_seed=seed))[0]
             grid = ProtocolGrid(t_start=22, t_end=26, dt=4,
                                 horizons=tuple(range(1, 15)))
-            report = rolling_evaluate([held], ("MPNN", "AVG_WINDOW"), grid,
-                                      EvalConfig(train=ORDERING_TRAIN,
-                                                 seed=seed))
+            cfg = EvalConfig(train=ORDERING_TRAIN, seed=seed,
+                             models=("MPNN", "AVG_WINDOW"), grid=grid)
+            report = rolling_evaluate([held], cfg)
             assert not report.skipped
             mpnn = error_metric([r for r in report.rows if r.model == "MPNN"])
             avgw = error_metric([r for r in report.rows
@@ -409,8 +409,9 @@ class TestSuppliedBundleOrdering:
         grid = ProtocolGrid(t_start=21, dt=14,
                             horizons=tuple(range(1, min(14, horizon_cap) + 1)))
         cfg = EvalConfig(train=ORDERING_TRAIN,
-                         meta=MetaConfig(dt=7, meta_epochs=1), seed=0)
-        report = rolling_evaluate(datasets, ("MPNN", "MPNN_TL"), grid, cfg)
+                         meta=MetaConfig(dt=7, meta_epochs=1), seed=0,
+                         models=("MPNN", "MPNN_TL"), grid=grid)
+        report = rolling_evaluate(datasets, cfg)
         counted = 0
         wins = 0
         for ds in datasets:

@@ -44,7 +44,7 @@ class TestHistoryBaselines:
     def test_avg_ignores_horizon(self):
         ds = make_ramp_dataset(n=3, days=30)
         grid = ProtocolGrid(t_start=14, t_end=14, horizons=(1, 14))
-        report = rolling_evaluate([ds], ["AVG"], grid, EvalConfig())
+        report = rolling_evaluate([ds], EvalConfig(models=["AVG"], grid=grid))
         by_horizon = {}
         for row in report.rows:
             by_horizon.setdefault(row.horizon, []).append(row.prediction)

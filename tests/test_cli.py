@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,15 +13,11 @@ import pytest
 
 from mobicast import cli, evaluation
 from mobicast.baselines import last_day_predict
-from mobicast.cli import (
-    RunConfig,
-    config_digest,
-    main,
-    run_config_from_dict,
-)
+from mobicast.cli import config_digest, main, run_config_from_dict
 from mobicast.dataio import CountryDataset, load_bundle, save_bundle
 from mobicast.errors import ContractError
-from mobicast.evaluation import ProtocolGrid, load_report_rows, range_summary
+from mobicast.evaluation import (EvalConfig, ProtocolGrid, load_report_rows,
+                                 range_summary)
 
 from conftest import diverge_at, make_ramp_dataset
 
@@ -68,7 +65,7 @@ def read_manifest(out_dir):
 
 class TestRunConfig:
     def test_empty_document_gives_defaults(self):
-        assert run_config_from_dict({}) == RunConfig()
+        assert run_config_from_dict({}) == EvalConfig()
 
     def test_round_trips_through_dict(self):
         cfg = run_config_from_dict({
@@ -90,7 +87,7 @@ class TestRunConfig:
         with pytest.raises(ContractError,
                            match=f"unknown {section} config keys: {key}"):
             run_config_from_dict({section: {key: 3}})
-        assert key not in dataclasses.asdict(RunConfig())[section]
+        assert key not in dataclasses.asdict(EvalConfig())[section]
 
     def test_unknown_keys_rejected_at_every_level(self):
         with pytest.raises(ContractError, match="unknown config keys: frobnicate"):
@@ -113,6 +110,31 @@ class TestRunConfig:
                            match="^config key 'models' must be a list of names$"):
             run_config_from_dict({"models": "MPNN"})
 
+    WRONG_TYPES = [
+        ({"jobs": "2"}, "config key 'jobs' must be int, got '2'"),
+        ({"seed": "a"}, "config key 'seed' must be int, got 'a'"),
+        ({"jobs": True}, "config key 'jobs' must be int, got True"),
+        ({"train": {"max_epochs": "3"}},
+         "train config key 'max_epochs' must be int, got '3'"),
+        ({"train": {"dropout": None}},
+         "train config key 'dropout' must be float, got None"),
+        ({"train": {"feature_mode": 1}},
+         "train config key 'feature_mode' must be str, got 1"),
+        ({"grid": {"t_end": "20"}},
+         "grid config key 't_end' must be int or null, got '20'"),
+        ({"grid": {"horizons": 5}}, "horizons must be a list of integers"),
+        ({"grid": {"horizons": ["a"]}}, "horizons must be a list of integers"),
+    ]
+
+    def test_values_checked_against_field_types(self):
+        for doc, message in self.WRONG_TYPES:
+            with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
+                run_config_from_dict(doc)
+        # an int fits a float key, and null an Optional one
+        cfg = run_config_from_dict({"meta": {"inner_lr": 0},
+                                    "grid": {"t_end": None}})
+        assert cfg.meta.inner_lr == 0 and cfg.grid.t_end is None
+
     def test_bad_model_name_rejected(self):
         with pytest.raises(ContractError, match="unknown model 'PROPHET'"):
             run_config_from_dict({"models": ["prophet"]})
@@ -128,10 +150,10 @@ class TestRunConfig:
         assert cfg.grid.horizons == (1, 5)
 
     def test_digest_is_order_insensitive_and_seed_sensitive(self):
-        a = dataclasses.asdict(RunConfig(seed=1))
+        a = dataclasses.asdict(EvalConfig(seed=1))
         b = json.loads(json.dumps(a))
         assert config_digest(a) == config_digest(b)
-        assert config_digest(a) != config_digest(dataclasses.asdict(RunConfig(seed=2)))
+        assert config_digest(a) != config_digest(dataclasses.asdict(EvalConfig(seed=2)))
 
     @pytest.mark.parametrize("doc,digest", [
         ({}, "4c0c16d918b34fe52b46baf24052a19e5e948c05df358219ff142e911954aa58"),
@@ -150,7 +172,7 @@ class TestRunConfig:
         def leaves(cls):
             return sum(leaves(type(f.default)) if dataclasses.is_dataclass(f.default)
                        else 1 for f in dataclasses.fields(cls))
-        assert leaves(RunConfig) == 26
+        assert leaves(EvalConfig) == 26
 
 
 class TestUsageErrors:
@@ -375,6 +397,23 @@ class TestTrainCommand:
         assert "BB__MPNN_TL__meta.ckpt" in ckpts
         assert "AA__MPNN_TL__meta.ckpt" not in ckpts
 
+    def test_transfer_with_window_wider_than_first_meta_anchor(self, tmp_path):
+        # train.d=16 above meta.t_start=14: meta-training starts at day 16
+        bundle_a, _ = make_bundle(tmp_path, country="AA", days=22)
+        bundle_b, _ = make_bundle(tmp_path, country="BB", days=22)
+        cfg = write_config(tmp_path, {"train": {**TINY_CONFIG["train"], "d": 16}})
+        out = str(tmp_path / "out")
+        rc = main(["train", "--bundle", bundle_a, "--bundle", bundle_b,
+                   "--model", "mpnn_tl", "--t", "20", "--horizon", "1",
+                   "--config", cfg, "--out", out])
+        assert rc == 0
+        assert read_manifest(out)["status"] == "complete"
+        rows, _ = load_report_rows(os.path.join(out, "rows.csv"))
+        assert {(r.country, r.model, r.t) for r in rows} == {
+            ("AA", "MPNN_TL", 20), ("BB", "MPNN_TL", 20)}
+        ckpts = os.listdir(os.path.join(out, "checkpoints"))
+        assert {"AA__MPNN_TL__meta.ckpt", "BB__MPNN_TL__meta.ckpt"} <= set(ckpts)
+
     def test_same_seed_reruns_are_byte_identical(self, tmp_path):
         bundle, _ = make_bundle(tmp_path)
         cfg = write_config(tmp_path)
@@ -421,6 +460,14 @@ class TestTrainCommand:
                    "--out", str(tmp_path / "out")])
         assert rc == 1
         assert "unknown config keys: frobnicate" in capsys.readouterr().err
+
+    def test_config_value_of_wrong_type_exits_with_message(self, tmp_path, capsys):
+        bundle, _ = make_bundle(tmp_path)
+        cfg = write_config(tmp_path, extra={"jobs": "2"})
+        rc = main(["train", "--bundle", bundle, "--config", cfg,
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert "config key 'jobs' must be int" in capsys.readouterr().err
 
 
 class TestPinnedGrid:
@@ -657,44 +704,6 @@ class TestEvaluateCommand:
         assert err.value.code == 2
         assert "--checkpoints" in capsys.readouterr().err
         assert not os.path.exists(out)
-
-
-class TestMetaTrainCommand:
-    def test_matches_pipeline_meta_checkpoint(self, tmp_path):
-        bundle_a, _ = make_bundle(tmp_path, country="AA")
-        bundle_b, _ = make_bundle(tmp_path, country="BB")
-        cfg = write_config(tmp_path)
-        train_out = str(tmp_path / "train")
-        rc = main(["train", "--bundle", bundle_a, "--bundle", bundle_b,
-                   "--model", "mpnn_tl", "--t", "14", "--horizon", "1",
-                   "--config", cfg, "--out", train_out])
-        assert rc == 0
-        meta_out = str(tmp_path / "meta")
-        rc = main(["meta-train", "--bundle", bundle_a, "--bundle", bundle_b,
-                   "--target", "AA", "--config", cfg, "--out", meta_out])
-        assert rc == 0
-        with open(os.path.join(train_out, "checkpoints",
-                               "AA__MPNN_TL__meta.ckpt"), "rb") as fh:
-            expected = fh.read()
-        with open(os.path.join(meta_out, "AA__MPNN_TL__meta.ckpt"), "rb") as fh:
-            assert fh.read() == expected
-
-    def test_target_without_own_bundle(self, tmp_path):
-        bundle_b, _ = make_bundle(tmp_path, country="BB")
-        cfg = write_config(tmp_path)
-        out = str(tmp_path / "meta")
-        rc = main(["meta-train", "--bundle", bundle_b, "--target", "ZZ",
-                   "--config", cfg, "--out", out])
-        assert rc == 0
-        assert os.path.exists(os.path.join(out, "ZZ__MPNN_TL__meta.ckpt"))
-
-    def test_pool_of_only_the_target_rejected(self, tmp_path, capsys):
-        bundle_a, _ = make_bundle(tmp_path, country="AA")
-        cfg = write_config(tmp_path)
-        rc = main(["meta-train", "--bundle", bundle_a, "--target", "AA",
-                   "--config", cfg, "--out", str(tmp_path / "meta")])
-        assert rc == 1
-        assert "other than the target" in capsys.readouterr().err
 
 
 class TestCorrelateCommand:

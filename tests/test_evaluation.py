@@ -1,7 +1,9 @@
 """Protocol grid, metrics, correlations, the rolling driver, and reports."""
 
+import concurrent.futures
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -262,7 +264,7 @@ class TestRollingEvaluate:
     def test_last_day_wiring_matches_baselines_module(self):
         ds = make_ramp_dataset(n=2, days=20)
         grid = ProtocolGrid(t_end=16, dt=2)
-        report = rolling_evaluate([ds], ["LAST_DAY"], grid, fast_config())
+        report = rolling_evaluate([ds], fast_config(models=["LAST_DAY"], grid=grid))
         assert not report.skipped
         assert len(report.rows) == len(grid.cells(20)) * 2
         for row in report.rows:
@@ -274,8 +276,8 @@ class TestRollingEvaluate:
     def test_avg_window_and_ar_wiring(self):
         ds = make_ramp_dataset(n=2, days=20)
         grid = ProtocolGrid(t_end=14, dt=1)
-        cfg = fast_config()
-        report = rolling_evaluate([ds], ["AVG_WINDOW", "AR"], grid, cfg)
+        cfg = fast_config(models=["AVG_WINDOW", "AR"], grid=grid)
+        report = rolling_evaluate([ds], cfg)
         for row in report.rows:
             v = ds.regions.index(row.region)
             history = ds.case_window(row.t, row.t)
@@ -290,13 +292,13 @@ class TestRollingEvaluate:
     def test_persistence_is_exact_on_constant_series(self):
         ds = constant_dataset(n=2, days=20, level=6.0)
         grid = ProtocolGrid(t_end=17, dt=2)
-        report = rolling_evaluate([ds], ["LAST_DAY"], grid, fast_config())
+        report = rolling_evaluate([ds], fast_config(models=["LAST_DAY"], grid=grid))
         assert report.rows and all(r.abs_error == 0.0 for r in report.rows)
 
     def test_neural_cells_and_row_order(self):
         ds = make_ramp_dataset(n=2, days=20)
         grid = ProtocolGrid(t_end=15, dt=1)
-        report = rolling_evaluate([ds], ["MPNN", "AVG"], grid, fast_config())
+        report = rolling_evaluate([ds], fast_config(models=["MPNN", "AVG"], grid=grid))
         assert not report.skipped
         keys = [(r.country, r.model, r.t, r.horizon, r.region)
                 for r in report.rows]
@@ -308,8 +310,9 @@ class TestRollingEvaluate:
     def test_insufficient_cells_skipped_with_reason(self):
         ds = make_ramp_dataset(n=2, days=16)
         cfg = fast_config(train=TrainConfig(max_epochs=1, hidden=2, k_layers=1,
-                                            d=13, dropout=0.0))
-        report = rolling_evaluate([ds], ["MPNN"], ProtocolGrid(t_end=15, dt=1), cfg)
+                                            d=13, dropout=0.0),
+                          models=["MPNN"], grid=ProtocolGrid(t_end=15, dt=1))
+        report = rolling_evaluate([ds], cfg)
         assert [(c, m, t, j) for c, m, t, j, _ in report.skipped] == \
                [(ds.country, "MPNN", 14, 1)]
         assert "validation" in report.skipped[0][4]
@@ -317,8 +320,8 @@ class TestRollingEvaluate:
 
     def test_transfer_needs_second_country(self):
         ds = make_ramp_dataset(n=2, days=16)
-        report = rolling_evaluate([ds], ["MPNN_TL"], ProtocolGrid(t_end=14, dt=1),
-                                  fast_config())
+        report = rolling_evaluate([ds], fast_config(
+            models=["MPNN_TL"], grid=ProtocolGrid(t_end=14, dt=1)))
         assert not report.rows
         assert all("other country" in reason for *_, reason in report.skipped)
 
@@ -326,16 +329,16 @@ class TestRollingEvaluate:
         datasets = [make_ramp_dataset(n=2, days=18, country="AA"),
                     make_ramp_dataset(n=2, days=18, country="BB")]
         grid = ProtocolGrid(t_end=14, dt=1)
-        report = rolling_evaluate(datasets, ["MPNN_TL"], grid, fast_config())
+        report = rolling_evaluate(datasets, fast_config(models=["MPNN_TL"], grid=grid))
         assert not report.skipped
         assert {r.country for r in report.rows} == {"AA", "BB"}
 
     def test_cells_reproducible_regardless_of_grid(self):
         ds = make_ramp_dataset(n=2, days=20)
-        cfg = fast_config()
-        wide = rolling_evaluate([ds], ["MPNN"], ProtocolGrid(t_end=16, dt=1), cfg)
-        narrow = rolling_evaluate([ds], ["MPNN"], ProtocolGrid(t_start=16, t_end=16, dt=1),
-                                  cfg)
+        cfg = fast_config(models=["MPNN"], grid=ProtocolGrid(t_end=16, dt=1))
+        wide = rolling_evaluate([ds], cfg)
+        narrow = rolling_evaluate([ds], replace(
+            cfg, grid=ProtocolGrid(t_start=16, t_end=16, dt=1)))
         wide_cell = [r for r in wide.rows if r.t == 16]
         assert wide_cell == narrow.rows
 
@@ -343,35 +346,35 @@ class TestRollingEvaluate:
         datasets = [make_ramp_dataset(n=2, days=18, country="AA"),
                     make_ramp_dataset(n=2, days=18, country="BB")]
         grid = ProtocolGrid(t_end=15, dt=1)
-        cfg = fast_config()
-        models = ["MPNN", "LAST_DAY", "TL_BASE"]
-        a = rolling_evaluate(datasets, models, grid, cfg)
-        b = rolling_evaluate(datasets, models, grid, cfg)
+        cfg = fast_config(models=["MPNN", "LAST_DAY", "TL_BASE"], grid=grid)
+        a = rolling_evaluate(datasets, cfg)
+        b = rolling_evaluate(datasets, cfg)
         assert a.rows == b.rows and a.skipped == b.skipped
 
     def test_parallel_matches_serial(self):
         ds = make_ramp_dataset(n=2, days=18)
         grid = ProtocolGrid(t_end=15, dt=1)
-        serial = rolling_evaluate([ds], ["MPNN", "AVG"], grid, fast_config())
-        parallel = rolling_evaluate([ds], ["MPNN", "AVG"], grid,
-                                    fast_config(jobs=2))
+        cfg = fast_config(models=["MPNN", "AVG"], grid=grid)
+        serial = rolling_evaluate([ds], cfg)
+        parallel = rolling_evaluate([ds], replace(cfg, jobs=2))
         assert serial.rows == parallel.rows
         assert serial.skipped == parallel.skipped
 
     def test_bad_requests_rejected(self):
         ds = make_ramp_dataset(n=2, days=20)
         grid = ProtocolGrid(dt=1)
+        # a bad model list is rejected when the config is built
         with pytest.raises(ContractError, match="unknown model"):
-            rolling_evaluate([ds], ["PROPHET"], grid, fast_config())
+            fast_config(models=["PROPHET"], grid=grid)
         with pytest.raises(ContractError, match="at least one model"):
-            rolling_evaluate([ds], [], grid, fast_config())
+            fast_config(models=[], grid=grid)
         with pytest.raises(ContractError, match="duplicate countries"):
-            rolling_evaluate([ds, ds], ["AVG"], grid, fast_config())
+            rolling_evaluate([ds, ds], fast_config(models=["AVG"], grid=grid))
         with pytest.raises(ContractError, match="at least one country"):
-            rolling_evaluate([], ["AVG"], grid, fast_config())
+            rolling_evaluate([], fast_config(models=["AVG"], grid=grid))
         short = make_ramp_dataset(n=2, days=14)
         with pytest.raises(ContractError, match="grid is empty"):
-            rolling_evaluate([short], ["AVG"], grid, fast_config())
+            rolling_evaluate([short], fast_config(models=["AVG"], grid=grid))
 
 
 class TestDivergedCells:
@@ -381,10 +384,10 @@ class TestDivergedCells:
     def test_diverged_cell_skipped_and_other_rows_kept(self, monkeypatch):
         ds = make_ramp_dataset(n=2, days=18)
         grid = ProtocolGrid(t_end=15, dt=1)
-        models = ["MPNN", "AVG"]
-        clean = rolling_evaluate([ds], models, grid, fast_config())
+        cfg = fast_config(models=["MPNN", "AVG"], grid=grid)
+        clean = rolling_evaluate([ds], cfg)
         monkeypatch.setattr(evaluation, "train_model", diverge_at(14, self.MESSAGE))
-        report = rolling_evaluate([ds], models, grid, fast_config())
+        report = rolling_evaluate([ds], cfg)
         assert report.skipped == [(ds.country, "MPNN", 14, 1,
                                    f"training diverged: {self.MESSAGE}")]
         assert report.rows == [r for r in clean.rows
@@ -398,8 +401,8 @@ class TestDivergedCells:
             raise TrainingDivergedError("non-finite loss during adaptation")
 
         monkeypatch.setattr(evaluation, "maml_meta_train", maml_meta_train)
-        report = rolling_evaluate(datasets, ["MPNN_TL", "LAST_DAY"],
-                                  ProtocolGrid(t_end=14, dt=1), fast_config())
+        report = rolling_evaluate(datasets, fast_config(
+            models=["MPNN_TL", "LAST_DAY"], grid=ProtocolGrid(t_end=14, dt=1)))
         assert [(c, m) for c, m, *_ in report.skipped] == [("AA", "MPNN_TL"),
                                                          ("BB", "MPNN_TL")]
         assert all("meta-training failed: non-finite loss" in reason
@@ -417,10 +420,12 @@ class TestPoolMetaTraining:
         return [make_ramp_dataset(n=2, days=18, country="AA"),
                 make_ramp_dataset(n=3, days=18, country="BB", seed=1)]
 
+    def config(self, jobs):
+        return fast_config(jobs=jobs, models=self.MODELS, grid=self.GRID)
+
     def run(self, tmp_path, name, jobs):
         ckpt_dir = tmp_path / name
-        report = rolling_evaluate(self.two_countries(), self.MODELS, self.GRID,
-                                  fast_config(jobs=jobs),
+        report = rolling_evaluate(self.two_countries(), self.config(jobs),
                                   checkpoint_dir=str(ckpt_dir))
         files = {p.name: p.read_bytes() for p in ckpt_dir.iterdir()}
         return report, files
@@ -439,8 +444,7 @@ class TestPoolMetaTraining:
 
     def test_failed_meta_training_in_worker_skips_only_its_target(
             self, monkeypatch):
-        clean = rolling_evaluate(self.two_countries(), self.MODELS, self.GRID,
-                                 fast_config(jobs=2))
+        clean = rolling_evaluate(self.two_countries(), self.config(jobs=2))
         real = evaluation.maml_meta_train
 
         def maml_meta_train(foreign, model, config, seed):
@@ -449,8 +453,7 @@ class TestPoolMetaTraining:
             return real(foreign, model, config, seed)
 
         monkeypatch.setattr(evaluation, "maml_meta_train", maml_meta_train)
-        report = rolling_evaluate(self.two_countries(), self.MODELS, self.GRID,
-                                  fast_config(jobs=2))
+        report = rolling_evaluate(self.two_countries(), self.config(jobs=2))
         assert report.skipped == [
             ("AA", "MPNN_TL", t, 1,
              "meta-training failed: non-finite loss during adaptation")
@@ -459,19 +462,74 @@ class TestPoolMetaTraining:
                                if (r.country, r.model) != ("AA", "MPNN_TL")]
 
 
+class RecordingExecutor:
+    """Stands in for ProcessPoolExecutor: records max_workers and runs each
+    submitted task in-process, so no worker is ever started."""
+    max_workers = []
+
+    def __init__(self, max_workers, initializer, initargs):
+        self.max_workers.append(max_workers)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
+
+
+class TestWorkerCount:
+    @pytest.fixture(autouse=True)
+    def recording_pool(self, monkeypatch):
+        RecordingExecutor.max_workers = []
+        monkeypatch.setattr(evaluation, "_CELL_CTX", None)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            RecordingExecutor)
+
+    def test_never_more_workers_than_tasks(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        ds = make_ramp_dataset(n=2, days=18)
+        cfg = fast_config(models=["LAST_DAY"], grid=ProtocolGrid(t_end=15, dt=1))
+        report = rolling_evaluate([ds], replace(cfg, jobs=1000))
+        assert RecordingExecutor.max_workers == [2]
+        assert report == rolling_evaluate([ds], cfg)
+
+    def test_meta_tasks_count_as_work(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        datasets = [make_ramp_dataset(n=2, days=18, country="AA"),
+                    make_ramp_dataset(n=2, days=18, country="BB")]
+        cfg = fast_config(models=["MPNN_TL"], grid=ProtocolGrid(t_end=14, dt=1),
+                          jobs=1000)
+        report = rolling_evaluate(datasets, cfg)
+        assert RecordingExecutor.max_workers == [4]   # 2 meta tasks, 2 cells
+        assert not report.skipped
+
+    @pytest.mark.parametrize("cpus,workers", [(3, 3), (None, 1)])
+    def test_never_more_workers_than_cpus(self, monkeypatch, cpus, workers):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        ds = make_ramp_dataset(n=2, days=20)
+        cfg = fast_config(models=["LAST_DAY", "AVG"], jobs=1000,
+                          grid=ProtocolGrid(t_end=19, dt=1))
+        rolling_evaluate([ds], cfg)
+        assert RecordingExecutor.max_workers == [workers]
+
+
 class TestCheckpointReuse:
     def run_with_checkpoints(self, tmp_path, models=("MPNN",)):
         datasets = [make_ramp_dataset(n=2, days=18, country="AA"),
                     make_ramp_dataset(n=2, days=18, country="BB")]
-        grid = ProtocolGrid(t_end=15, dt=1)
-        cfg = fast_config()
+        cfg = fast_config(models=models, grid=ProtocolGrid(t_end=15, dt=1))
         ckpt_dir = str(tmp_path / "ckpts")
-        report = rolling_evaluate(datasets, list(models), grid, cfg,
-                                  checkpoint_dir=ckpt_dir)
-        return datasets, grid, cfg, ckpt_dir, report
+        report = rolling_evaluate(datasets, cfg, checkpoint_dir=ckpt_dir)
+        return datasets, cfg, ckpt_dir, report
 
     def test_checkpoint_files_written(self, tmp_path):
-        _, _, _, ckpt_dir, _ = self.run_with_checkpoints(
+        _, _, ckpt_dir, _ = self.run_with_checkpoints(
             tmp_path, models=("MPNN", "MPNN_TL"))
         names = sorted(os.listdir(ckpt_dir))
         assert "AA__MPNN__T14_j1.ckpt" in names
@@ -479,16 +537,16 @@ class TestCheckpointReuse:
         assert "BB__MPNN_TL__T15_j1.ckpt" in names
 
     def test_reload_reproduces_rows(self, tmp_path):
-        datasets, grid, cfg, ckpt_dir, report = self.run_with_checkpoints(
+        datasets, cfg, ckpt_dir, report = self.run_with_checkpoints(
             tmp_path, models=("MPNN", "LAST_DAY"))
-        again = rolling_evaluate(datasets, ["MPNN", "LAST_DAY"], grid, cfg,
-                                 checkpoint_dir=ckpt_dir, load_only=True)
+        again = rolling_evaluate(datasets, cfg, checkpoint_dir=ckpt_dir,
+                                 load_only=True)
         assert again.rows == report.rows
 
     def test_reload_trains_nothing_and_stays_in_process(self, tmp_path,
                                                         monkeypatch):
         models = ("MPNN_TL", "TL_BASE", "MPNN_LSTM", "AR")
-        datasets, grid, _, ckpt_dir, report = self.run_with_checkpoints(
+        datasets, cfg, ckpt_dir, report = self.run_with_checkpoints(
             tmp_path, models=models)
 
         def forbidden(*args, **kwargs):
@@ -497,32 +555,33 @@ class TestCheckpointReuse:
         for name in ("maml_meta_train", "train_model", "tl_base_train",
                      "save_checkpoint", "_run_pool"):
             monkeypatch.setattr(evaluation, name, forbidden)
-        again = rolling_evaluate(datasets, list(models), grid,
-                                 fast_config(jobs=2), checkpoint_dir=ckpt_dir,
-                                 load_only=True)
+        again = rolling_evaluate(datasets, replace(cfg, jobs=2),
+                                 checkpoint_dir=ckpt_dir, load_only=True)
         assert again.rows == report.rows
         assert again.skipped == report.skipped == []
 
     def test_missing_checkpoint_names_cell(self, tmp_path):
-        datasets, grid, cfg, ckpt_dir, _ = self.run_with_checkpoints(tmp_path)
+        datasets, cfg, ckpt_dir, _ = self.run_with_checkpoints(tmp_path)
         os.remove(os.path.join(ckpt_dir, "BB__MPNN__T15_j1.ckpt"))
         with pytest.raises(CheckpointError,
                            match="country=BB model=MPNN T=15 j=1"):
-            rolling_evaluate(datasets, ["MPNN"], grid, cfg,
-                             checkpoint_dir=ckpt_dir, load_only=True)
+            rolling_evaluate(datasets, cfg, checkpoint_dir=ckpt_dir,
+                             load_only=True)
 
     def test_load_only_needs_a_directory(self):
         ds = make_ramp_dataset(n=2, days=18)
         with pytest.raises(ContractError, match="checkpoint directory"):
-            rolling_evaluate([ds], ["MPNN"], ProtocolGrid(t_end=14, dt=1),
-                             fast_config(), load_only=True)
+            rolling_evaluate([ds], fast_config(models=["MPNN"],
+                                               grid=ProtocolGrid(t_end=14, dt=1)),
+                             load_only=True)
 
 
 class TestEmitReport:
     def sample_report(self):
         ds = make_ramp_dataset(n=2, days=20)
         grid = ProtocolGrid(t_end=16, dt=2)
-        report = rolling_evaluate([ds], ["LAST_DAY", "AVG"], grid, fast_config())
+        report = rolling_evaluate([ds], fast_config(models=["LAST_DAY", "AVG"],
+                                                    grid=grid))
         report.skipped.append((ds.country, "MPNN_LSTM", 14, 1, "window too wide"))
         return report
 

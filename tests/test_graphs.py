@@ -226,10 +226,10 @@ class TestGraphCache:
                     make_ramp_dataset(n=3, days=18, country="BB", seed=1)]
         cfg = EvalConfig(train=TrainConfig(max_epochs=1, hidden=2, k_layers=1,
                                            d=3, dropout=0.0, seq_len=4),
-                         meta=MetaConfig(dt=1))
-        report = rolling_evaluate(
-            datasets, ["MPNN", "MPNN_LSTM", "MPNN_TL", "TL_BASE"],
-            ProtocolGrid(t_end=15, dt=2), cfg)
+                         meta=MetaConfig(dt=1),
+                         models=("MPNN", "MPNN_LSTM", "MPNN_TL", "TL_BASE"),
+                         grid=ProtocolGrid(t_end=15, dt=2))
+        report = rolling_evaluate(datasets, cfg)
         assert report.rows and not report.skipped
         assert inputs
         assert len(inputs) == len(set(inputs))  # each mobility matrix once

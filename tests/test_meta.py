@@ -127,6 +127,15 @@ class TestEnumerateTasks:
             assert task.test.target_day == task.t + task.horizon
             assert task.test.target is not None
 
+    def test_anchors_start_at_the_first_full_window(self):
+        # with d above t_start, anchors 14 and 15 have no d-day window
+        ds = make_ramp_dataset(n=2, days=19)
+        tasks = enumerate_tasks(ds, MetaConfig(dt=2), 16)
+        assert [(t.t, t.horizon) for t in tasks] == [(16, 1), (16, 2), (17, 1),
+                                                     (17, 2), (18, 1)]
+        assert tasks[0].train == [] and tasks[0].test.anchor == 16
+        assert all(s.anchor >= 16 for t in tasks for s in t.train)
+
     def test_empty_grid_rejected(self):
         ds = make_ramp_dataset(n=2, days=14)  # day 15 never exists
         with pytest.raises(InsufficientDataError, match="no tasks"):
@@ -295,10 +304,11 @@ class TestMamlMetaTrain:
             maml_meta_train([], tiny_mpnn(), MetaConfig(), 0)
 
 
-def transfer_config(**train):
+def transfer_config(models=("MPNN_TL",), grid=ProtocolGrid(dt=1), **train):
     settings = dict(max_epochs=0, hidden=2, k_layers=1, d=3, dropout=0.0)
     settings.update(train)
-    return EvalConfig(train=TrainConfig(**settings), meta=MetaConfig(dt=1))
+    return EvalConfig(train=TrainConfig(**settings), meta=MetaConfig(dt=1),
+                      models=models, grid=grid)
 
 
 def two_countries(days=16, cls=lambda ds: ds):
@@ -310,8 +320,7 @@ class TestFineTune:
     """MPNN_TL grid cells start from their country's meta-trained state."""
 
     def test_zero_epochs_keeps_shared_parameters(self, tmp_path):
-        report = rolling_evaluate(two_countries(), ["MPNN_TL"],
-                                  ProtocolGrid(dt=1), transfer_config(),
+        report = rolling_evaluate(two_countries(), transfer_config(),
                                   checkpoint_dir=str(tmp_path))
         assert not report.skipped
         for country in ("AA", "BB"):
@@ -328,8 +337,8 @@ class TestFineTune:
 
     def test_mean_error_averages_cells(self, tmp_path):
         datasets = two_countries()
-        report = rolling_evaluate(datasets, ["MPNN_TL"], ProtocolGrid(dt=1),
-                                  transfer_config(), checkpoint_dir=str(tmp_path))
+        report = rolling_evaluate(datasets, transfer_config(),
+                                  checkpoint_dir=str(tmp_path))
         maes = []
         for t in (14, 15):
             ckpt = load_checkpoint(str(tmp_path / f"AA__MPNN_TL__T{t}_j1.ckpt"))
@@ -341,8 +350,7 @@ class TestFineTune:
         assert error_metric(rows) == pytest.approx(float(np.mean(maes)), rel=1e-12)
 
     def test_cells_without_validation_are_skipped(self):
-        report = rolling_evaluate(two_countries(), ["MPNN_TL"],
-                                  ProtocolGrid(dt=1), transfer_config(d=13))
+        report = rolling_evaluate(two_countries(), transfer_config(d=13))
         assert sorted({(r.country, r.t) for r in report.rows}) == [
             ("AA", 15), ("BB", 15)]
         assert [(c, t, j) for c, _, t, j, _ in report.skipped] == [
@@ -360,8 +368,7 @@ class TestFineTune:
         base = float(np.mean(np.abs(forecast - actual)))
         monkeypatch.setattr(evaluation, "maml_meta_train",
                             lambda foreign, model, config, seed: converged.state)
-        report = rolling_evaluate(datasets, ["MPNN_TL"], ProtocolGrid(dt=1),
-                                  transfer_config(max_epochs=1))
+        report = rolling_evaluate(datasets, transfer_config(max_epochs=1))
         rows = [r for r in report.rows if r.country == "AA"]
         assert {r.t for r in rows} == {14}
         assert error_metric(rows) <= base * 1.1 + 0.5
@@ -383,8 +390,8 @@ class TestFineTune:
             return result
 
         monkeypatch.setattr(evaluation, "evaluate_cell", traced_cell)
-        report = rolling_evaluate([*foreign, target], ["MPNN_TL"],
-                                  ProtocolGrid(dt=1), transfer_config(max_epochs=1))
+        report = rolling_evaluate([*foreign, target],
+                                  transfer_config(max_epochs=1))
         assert not report.skipped
         assert reads == [[(set(), set())] * 2] * 2
 
@@ -463,8 +470,8 @@ class TestTlBaseTrain:
         monkeypatch.setattr(evaluation, "make_splits", counting)
         monkeypatch.setattr(meta_mod, "make_splits", counting, raising=False)
         grid = ProtocolGrid(t_end=15, dt=1)
-        report = rolling_evaluate(datasets, ["TL_BASE"], grid,
-                                  transfer_config(max_epochs=1))
+        report = rolling_evaluate(datasets, transfer_config(
+            models=["TL_BASE"], grid=grid, max_epochs=1))
         assert not report.skipped
         cells = sorted({(r.country, r.t, r.horizon) for r in report.rows})
         assert len(cells) == 4

@@ -46,7 +46,8 @@ class TestCheckpointFile:
         params = random_params(4)
         save_params(a, params, {}, {"k": 1})
         save_params(b, dict(reversed(list(params.items()))), {}, {"k": 1})
-        assert open(a, "rb").read() == open(b, "rb").read()
+        with open(a, "rb") as fa, open(b, "rb") as fb:
+            assert fa.read() == fb.read()
 
     def test_rejects_bad_magic(self, tmp_path):
         path = str(tmp_path / "bad.ckpt")
@@ -58,7 +59,8 @@ class TestCheckpointFile:
     def test_rejects_truncated_blob(self, tmp_path):
         path = str(tmp_path / "model.ckpt")
         save_params(path, {"w": np.ones((3, 3))}, {}, {})
-        raw = open(path, "rb").read()
+        with open(path, "rb") as fh:
+            raw = fh.read()
         with open(path, "wb") as fh:
             fh.write(raw[:-8])
         with pytest.raises(CheckpointError, match="blob too short"):
@@ -76,7 +78,8 @@ class TestCheckpointFile:
         import json
         path = str(tmp_path / "model.ckpt")
         save_params(path, {}, {}, {})
-        raw = open(path, "rb").read()
+        with open(path, "rb") as fh:
+            raw = fh.read()
         magic_len = raw.index(b"\n") + 1
         hlen = int.from_bytes(raw[magic_len:magic_len + 8], "little")
         header = json.loads(raw[magic_len + 8:magic_len + 8 + hlen])
