@@ -189,7 +189,7 @@ def _read_regions_file(path: str) -> list:
         with open(path, encoding="utf-8") as fh:
             regions = [ln.strip() for ln in fh
                        if ln.strip() and not ln.startswith("#")]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read regions file {path}: {exc}") from exc
     if not regions:
         raise DataError(f"{path}: no region ids")

@@ -32,18 +32,41 @@ class IngestStats:
     missing: int = 0  # (region, day) pairs absent from the file, filled with 0
 
 
-def _parse_date(text: str, line_no: int, path: str) -> datetime.date:
+def _parse_date(text: str, where: str) -> datetime.date:
     try:
-        return datetime.date.fromisoformat(text.strip())
+        return datetime.date.fromisoformat(text)
     except ValueError as exc:
-        raise DataError(f"{path}:{line_no}: unparseable date {text!r}: {exc}") from exc
+        raise DataError(f"{where}: unparseable date {text!r}: {exc}") from exc
 
 
 def _check_contiguous(dates: list[str], context: str) -> None:
-    parsed = [datetime.date.fromisoformat(d) for d in dates]
+    parsed = [_parse_date(d, context) for d in dates]
     for a, b in zip(parsed, parsed[1:]):
         if (b - a).days != 1:
             raise DataError(f"{context}: dates must be contiguous, gap between {a} and {b}")
+
+
+def _csv_rows(path: str, *headers: str) -> tuple:
+    """(header, [(line_no, row), ...]) of a CSV file whose header, its cells
+    stripped and comma-joined, is one of `headers`.
+
+    Blank rows are skipped.  A file that cannot be read, another header or a
+    row of another width raises DataError naming the file (and the line).
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = ",".join(cell.strip() for cell in next(reader, []))
+            rows = [(line_no, row) for line_no, row in enumerate(reader, start=2) if row]
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    if header not in headers:
+        raise DataError(f"{path}: expected header {' or '.join(headers)}, got {header!r}")
+    width = header.count(",") + 1
+    for line_no, row in rows:
+        if len(row) != width:
+            raise DataError(f"{path}:{line_no}: expected {width} columns, got {len(row)}")
+    return header, rows
 
 
 # ---------------------------------------------------------------- dataset
@@ -146,19 +169,8 @@ class RawCountryData:
 
 def load_region_map(path: str) -> dict:
     """Two-column CSV source_name,region_id used to reconcile naming schemes."""
-    out = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["source_name", "region_id"]:
-            raise DataError(f"{path}: expected header source_name,region_id")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise DataError(f"{path}:{line_no}: expected 2 columns, got {len(row)}")
-            out[row[0].strip()] = row[1].strip()
-    return out
+    _, rows = _csv_rows(path, "source_name,region_id")
+    return {source.strip(): region.strip() for _, (source, region) in rows}
 
 
 def _resolve_region(name: str, regions_idx: dict, region_map, path: str, line_no: int) -> int:
@@ -180,43 +192,26 @@ def load_mobility(path: str, regions, region_map: dict | None = None) -> dict:
     regions = [str(r) for r in regions]
     regions_idx = {r: i for i, r in enumerate(regions)}
     n = len(regions)
+    header, rows = _csv_rows(path, "date,time_of_day,origin,destination,count",
+                             "date,origin,destination,count")
+    has_tod = "time_of_day" in header
     out: dict = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise DataError(f"{path}: empty file")
-        header = [h.strip() for h in header]
-        if header == ["date", "time_of_day", "origin", "destination", "count"]:
-            has_tod = True
-        elif header == ["date", "origin", "destination", "count"]:
-            has_tod = False
-        else:
-            raise DataError(f"{path}: unrecognized mobility header {header}")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise DataError(f"{path}:{line_no}: expected {len(header)} columns")
-            date = _parse_date(row[0], line_no, path).isoformat()
-            col = 1
-            if has_tod:
-                tod = row[col].strip()
-                if tod not in ("0", "1", "2"):
-                    raise DataError(f"{path}:{line_no}: time_of_day must be 0, 1 or 2, "
-                                    f"got {tod!r}")
-                col += 1
-            origin = _resolve_region(row[col], regions_idx, region_map, path, line_no)
-            dest = _resolve_region(row[col + 1], regions_idx, region_map, path, line_no)
-            try:
-                count = float(row[col + 2])
-            except ValueError as exc:
-                raise DataError(f"{path}:{line_no}: bad count {row[col + 2]!r}") from exc
-            if not np.isfinite(count) or count < 0:
-                raise DataError(f"{path}:{line_no}: count must be finite and >= 0, got {count}")
-            if date not in out:
-                out[date] = np.zeros((n, n))
-            out[date][dest, origin] += count
+    for line_no, row in rows:
+        date = _parse_date(row[0].strip(), f"{path}:{line_no}").isoformat()
+        if has_tod and row[1].strip() not in ("0", "1", "2"):
+            raise DataError(f"{path}:{line_no}: time_of_day must be 0, 1 or 2, "
+                            f"got {row[1].strip()!r}")
+        origin = _resolve_region(row[-3], regions_idx, region_map, path, line_no)
+        dest = _resolve_region(row[-2], regions_idx, region_map, path, line_no)
+        try:
+            count = float(row[-1])
+        except ValueError as exc:
+            raise DataError(f"{path}:{line_no}: bad count {row[-1]!r}") from exc
+        if not np.isfinite(count) or count < 0:
+            raise DataError(f"{path}:{line_no}: count must be finite and >= 0, got {count}")
+        if date not in out:
+            out[date] = np.zeros((n, n))
+        out[date][dest, origin] += count
     return out
 
 
@@ -229,26 +224,18 @@ def load_cases(path: str, regions, region_map: dict | None = None):
     """
     regions = [str(r) for r in regions]
     regions_idx = {r: i for i, r in enumerate(regions)}
+    _, rows = _csv_rows(path, "date,region,new_cases")
     records = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["date", "region", "new_cases"]:
-            raise DataError(f"{path}: expected header date,region,new_cases")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise DataError(f"{path}:{line_no}: expected 3 columns, got {len(row)}")
-            date = _parse_date(row[0], line_no, path)
-            ridx = _resolve_region(row[1], regions_idx, region_map, path, line_no)
-            try:
-                value = float(row[2])
-            except ValueError as exc:
-                raise DataError(f"{path}:{line_no}: bad case count {row[2]!r}") from exc
-            if not np.isfinite(value):
-                raise DataError(f"{path}:{line_no}: case count must be finite, got {value}")
-            records.append((date, ridx, value))
+    for line_no, (day, region, cell) in rows:
+        date = _parse_date(day.strip(), f"{path}:{line_no}")
+        ridx = _resolve_region(region, regions_idx, region_map, path, line_no)
+        try:
+            value = float(cell)
+        except ValueError as exc:
+            raise DataError(f"{path}:{line_no}: bad case count {cell!r}") from exc
+        if not np.isfinite(value):
+            raise DataError(f"{path}:{line_no}: case count must be finite, got {value}")
+        records.append((date, ridx, value))
     if not records:
         raise DataError(f"{path}: no case records")
     lo = min(r[0] for r in records)
@@ -415,7 +402,8 @@ def load_bundle(dir_path: str) -> CountryDataset:
 
     A bundle of another format version, or whose files are missing,
     unreadable or disagree with its manifest, raises BundleError naming the
-    file; data the dataset rejects (say, negative mobility) raises DataError.
+    file; data the dataset rejects (say, negative mobility or a date that
+    does not exist) raises DataError.
     """
     manifest_path = os.path.join(dir_path, "manifest.json")
     if not os.path.isfile(manifest_path):
@@ -423,47 +411,49 @@ def load_bundle(dir_path: str) -> CountryDataset:
     try:
         with open(manifest_path, encoding="utf-8") as fh:
             manifest = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise BundleError(f"{manifest_path}: invalid JSON: {exc}") from exc
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
+        raise BundleError(f"{manifest_path}: unreadable or invalid JSON: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise BundleError(f"{manifest_path}: expected a JSON object, "
+                          f"got {type(manifest).__name__}")
     version = manifest.get("format_version")
     if version != BUNDLE_FORMAT_VERSION:
         raise BundleError(f"{dir_path}: unsupported bundle format_version {version!r} "
                           f"(this version reads {BUNDLE_FORMAT_VERSION!r}); re-create "
                           f"the bundle with `mobicast ingest` or `mobicast synth`")
-    for key in ("country", "n", "t_total", "dates", "regions"):
-        if key not in manifest:
-            raise BundleError(f"{dir_path}: manifest missing key {key!r}")
+    for key, kind in (("country", str), ("n", int), ("t_total", int),
+                      ("dates", list), ("regions", list)):
+        if not isinstance(manifest.get(key), kind):
+            raise BundleError(f"{dir_path}: manifest key {key!r} missing or not "
+                              f"a JSON {kind.__name__}")
     n, t_total = manifest["n"], manifest["t_total"]
     regions, dates = manifest["regions"], manifest["dates"]
+    if not all(isinstance(name, str) for name in regions + dates):
+        raise BundleError(f"{dir_path}: manifest regions and dates must be strings")
     if len(regions) != n:
         raise BundleError(f"{dir_path}: manifest lists {len(regions)} regions, n={n}")
     if len(dates) != t_total:
         raise BundleError(f"{dir_path}: manifest lists {len(dates)} dates, t_total={t_total}")
 
+    cases_path = os.path.join(dir_path, "cases.csv")
+    try:
+        _, rows = _csv_rows(cases_path, "date,region,new_cases")
+    except DataError as exc:
+        raise BundleError(str(exc)) from exc
     regions_idx = {r: i for i, r in enumerate(regions)}
     date_idx = {d: k for k, d in enumerate(dates)}
     cases = np.zeros((n, t_total))
     filled = np.zeros((n, t_total), dtype=bool)
-    cases_path = os.path.join(dir_path, "cases.csv")
-    if not os.path.isfile(cases_path):
-        raise BundleError(f"{dir_path}: missing cases.csv")
-    with open(cases_path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["date", "region", "new_cases"]:
-            raise BundleError(f"{cases_path}: bad header {header}")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3 or row[0] not in date_idx or row[1] not in regions_idx:
-                raise BundleError(f"{cases_path}:{line_no}: row does not match manifest")
-            try:
-                value = float(row[2])
-            except ValueError:
-                raise BundleError(f"{cases_path}:{line_no}: non-numeric cell "
-                                  f"{row[2]!r}") from None
-            cases[regions_idx[row[1]], date_idx[row[0]]] = value
-            filled[regions_idx[row[1]], date_idx[row[0]]] = True
+    for line_no, (date, region, cell) in rows:
+        i, k = regions_idx.get(region), date_idx.get(date)
+        if i is None or k is None:
+            raise BundleError(f"{cases_path}:{line_no}: row does not match manifest")
+        try:
+            cases[i, k] = float(cell)
+        except ValueError:
+            raise BundleError(f"{cases_path}:{line_no}: non-numeric cell "
+                              f"{cell!r}") from None
+        filled[i, k] = True
     if not filled.all():
         raise BundleError(f"{cases_path}: missing (region, date) entries")
 

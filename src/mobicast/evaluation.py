@@ -98,6 +98,8 @@ class EvalConfig:
         object.__setattr__(self, "models", names)
         if not names:
             raise ContractError("models must name at least one model")
+        if len(set(names)) != len(names):
+            raise ContractError("models must be distinct")
         for name in names:
             if name not in MODEL_NAMES:
                 raise ContractError(f"unknown model {name!r}; choose from "
@@ -422,17 +424,21 @@ def _run_pool(ctx: _CellContext, tasks, targets) -> list:
     with concurrent.futures.ProcessPoolExecutor(
             max_workers=workers, initializer=_init_cell_worker,
             initargs=(ctx,)) as pool:
-        meta = {pool.submit(_run_cell, target): target for target in targets}
-        for k, task in enumerate(tasks):
-            if task[1] == "MPNN_TL" and task[0] in targets:
-                waiting.setdefault(task[0], []).append(k)
-            else:
-                futures[k] = pool.submit(_run_cell, task)
-        for done in concurrent.futures.as_completed(meta):
-            shared = done.result()
-            for k in waiting.get(meta[done], ()):
-                futures[k] = pool.submit(_run_cell, (*tasks[k], shared))
-        return [futures[k].result() for k in range(len(tasks))]
+        try:
+            meta = {pool.submit(_run_cell, target): target for target in targets}
+            for k, task in enumerate(tasks):
+                if task[1] == "MPNN_TL" and task[0] in targets:
+                    waiting.setdefault(task[0], []).append(k)
+                else:
+                    futures[k] = pool.submit(_run_cell, task)
+            for done in concurrent.futures.as_completed(meta):
+                shared = done.result()
+                for k in waiting.get(meta[done], ()):
+                    futures[k] = pool.submit(_run_cell, (*tasks[k], shared))
+            return [futures[k].result() for k in range(len(tasks))]
+        except BaseException:
+            pool.shutdown(cancel_futures=True)  # start no queued cell after a failure
+            raise
 
 
 def rolling_evaluate(datasets, config: EvalConfig,

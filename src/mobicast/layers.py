@@ -21,8 +21,7 @@ def glorot_init(fan_in: int, fan_out: int, rng: Rng) -> np.ndarray:
 
 
 def batchnorm(x: Var, gamma: Var, beta: Var, running_mean: np.ndarray,
-              running_var: np.ndarray, mode: str,
-              momentum: float = BN_MOMENTUM, eps: float = BN_EPS) -> Var:
+              running_var: np.ndarray, mode: str) -> Var:
     """Column-wise batch normalization with learned scale and shift.
 
     Train mode normalizes by batch statistics (biased variance) and folds them
@@ -51,16 +50,16 @@ def batchnorm(x: Var, gamma: Var, beta: Var, running_mean: np.ndarray,
         buf = np.square(xhat)
         var = buf.sum(axis=0, keepdims=True)  # biased, matches eval reconstruction
         var /= n
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mean
-        running_var *= 1.0 - momentum
-        running_var += momentum * var
+        running_mean *= 1.0 - BN_MOMENTUM
+        running_mean += BN_MOMENTUM * mean
+        running_var *= 1.0 - BN_MOMENTUM
+        running_var += BN_MOMENTUM * var
     else:
         xhat = xv - running_mean
         buf = np.empty_like(xv)
         var = running_var.copy()
 
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + BN_EPS)
     xhat *= inv_std
     out = np.multiply(gv, xhat, out=buf)
     out += bv

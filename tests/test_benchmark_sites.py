@@ -6,8 +6,10 @@ sites exists records no calls, and its layer silently reads zero; this test
 catches that without running the benchmark.
 """
 
+import dataclasses
 import importlib
 import importlib.util
+import inspect
 import os
 
 import pytest
@@ -40,3 +42,25 @@ def test_every_span_resolves_to_a_package_attribute(span):
     sites = TRACER.SPANS[span]
     assert any(site_exists(module_name, attr) for module_name, attr in sites), \
         f"span {span!r}: none of {sites} exists"
+
+
+def parameter_names(func) -> list:
+    return list(inspect.signature(func).parameters)
+
+
+def test_hooks_outside_spans_still_fit():
+    """install() patches _run_cell, Tape.node and Tape._push outside SPANS,
+    and its hooks read arguments by position and results by name; a rename
+    breaks the trace, not the package."""
+    from mobicast import evaluation, params, tape, train
+
+    assert callable(getattr(evaluation, "_run_cell", None))
+    assert parameter_names(tape.Tape.node)[:5] == ["self", "value", "parents",
+                                                   "backward", "name"]
+    assert callable(getattr(tape.Tape, "_push", None))
+    # _after_cell reads the model name as args[2]
+    assert parameter_names(evaluation.evaluate_cell)[2] == "model_name"
+    # _after_train_model reads result.stopped_epoch
+    assert "stopped_epoch" in {f.name for f in dataclasses.fields(train.Checkpoint)}
+    # _after_save_params reads the file size of args[0]
+    assert parameter_names(params.save_params)[0] == "path"

@@ -139,6 +139,10 @@ class TestRunConfig:
         with pytest.raises(ContractError, match="unknown model 'PROPHET'"):
             run_config_from_dict({"models": ["prophet"]})
 
+    def test_repeated_model_name_rejected(self):
+        with pytest.raises(ContractError, match="^models must be distinct$"):
+            run_config_from_dict({"models": ["avg", "AVG"]})
+
     def test_bad_feature_mode_rejected(self):
         # checked at load time, not at the first MPNN_LSTM cell of a grid
         with pytest.raises(ContractError,
@@ -296,6 +300,33 @@ class TestIngest:
         assert rc == 1
         assert "'Bolzano, South Tyrol' contains a comma" in capsys.readouterr().err
         assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("flag", ["--cases", "--mobility", "--region-map"])
+    def test_missing_input_file_exits_with_message(self, tmp_path, capsys, flag):
+        self.write_raw(tmp_path)
+        inputs = {"--cases": tmp_path / "cases.csv",
+                  "--mobility": tmp_path / "mobility.csv",
+                  "--regions-file": tmp_path / "regions.txt"}
+        missing = str(tmp_path / "nope.csv")
+        inputs[flag] = missing
+        argv = ["ingest", "--country", "XX", "--out", str(tmp_path / "bundle")]
+        for name, path in inputs.items():
+            argv += [name, str(path)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {missing}: ")
+        assert "Traceback" not in err
+
+    def test_regions_file_not_utf8_exits_with_message(self, tmp_path, capsys):
+        self.write_raw(tmp_path)
+        (tmp_path / "regions.txt").write_bytes(b"a\n\xffb\n")
+        rc = main(["ingest", "--country", "XX",
+                   "--cases", str(tmp_path / "cases.csv"),
+                   "--mobility", str(tmp_path / "mobility.csv"),
+                   "--regions-file", str(tmp_path / "regions.txt"),
+                   "--out", str(tmp_path / "bundle")])
+        assert rc == 1
+        assert "error: cannot read regions file" in capsys.readouterr().err
 
     def test_unmapped_region_fails_with_location(self, tmp_path, capsys):
         self.write_raw(tmp_path, mobility_names=("nowhere", "b", "c"))
@@ -460,6 +491,15 @@ class TestTrainCommand:
                    "--out", str(tmp_path / "out")])
         assert rc == 1
         assert "unknown config keys: frobnicate" in capsys.readouterr().err
+
+    def test_repeated_model_flag_exits_before_any_cell(self, tmp_path, capsys):
+        bundle, _ = make_bundle(tmp_path)
+        out = tmp_path / "out"
+        rc = main(["train", "--bundle", bundle, "--model", "avg", "--model", "AVG",
+                   "--out", str(out)])
+        assert rc == 1
+        assert "error: models must be distinct" in capsys.readouterr().err
+        assert not (out / "rows.csv").exists()
 
     def test_config_value_of_wrong_type_exits_with_message(self, tmp_path, capsys):
         bundle, _ = make_bundle(tmp_path)

@@ -144,6 +144,57 @@ class TestLoadCases:
             load_cases(path, REGIONS)
 
 
+class TestCsvReader:
+    """Every table dataio reads shares one reader: its header, width and
+    read faults name the file and line."""
+
+    LOADERS = [
+        pytest.param(load_region_map, "source_name,region_id", "x,a\n", id="map"),
+        pytest.param(lambda p: load_cases(p, REGIONS), "date,region,new_cases",
+                     "2020-03-01,a,1\n", id="cases"),
+        pytest.param(lambda p: load_mobility(p, REGIONS), "date,origin,destination,count",
+                     "2020-03-01,a,b,1\n", id="mobility"),
+    ]
+
+    @pytest.mark.parametrize("load,header,row", LOADERS)
+    def test_missing_file_names_path(self, tmp_path, load, header, row):
+        path = str(tmp_path / "absent.csv")
+        with pytest.raises(DataError, match=f"^cannot read {re.escape(path)}: "):
+            load(path)
+
+    @pytest.mark.parametrize("load,header,row", LOADERS)
+    def test_wrong_header_names_expected_one(self, tmp_path, load, header, row):
+        path = write(tmp_path / "t.csv", "what,ever\n" + row)
+        with pytest.raises(DataError, match=r"t\.csv: expected header (.* or )?"
+                           + re.escape(f"{header}, got 'what,ever'")):
+            load(path)
+        empty = write(tmp_path / "e.csv", "")
+        with pytest.raises(DataError, match=r"e\.csv: expected header .*, got ''$"):
+            load(empty)
+
+    @pytest.mark.parametrize("load,header,row", LOADERS)
+    def test_blank_rows_skipped_and_width_checked(self, tmp_path, load, header, row):
+        width = header.count(",") + 1
+        load(write(tmp_path / "ok.csv", f" {header.replace(',', ' , ')}\n\n{row}\n"))
+        path = write(tmp_path / "t.csv", f"{header}\n{row}\n{row.rstrip()},extra\n")
+        with pytest.raises(DataError, match=re.escape(
+                f"t.csv:4: expected {width} columns, got {width + 1}")):
+            load(path)
+
+    @pytest.mark.parametrize("load,header,row", LOADERS)
+    def test_non_utf8_file_names_path(self, tmp_path, load, header, row):
+        path = tmp_path / "t.csv"
+        path.write_bytes(f"{header}\n".encode() + b"\xff\xfe,a,1\n")
+        with pytest.raises(DataError, match="cannot read .*t.csv: .*utf-8"):
+            load(str(path))
+
+    def test_mobility_accepts_either_header(self, tmp_path):
+        path = write(tmp_path / "m.csv", "date,time_of_day,origin,destination\n")
+        with pytest.raises(DataError, match="expected header date,time_of_day,origin,"
+                           "destination,count or date,origin,destination,count, got"):
+            load_mobility(path, REGIONS)
+
+
 class TestAlignAndFilter:
     def _raw(self, case_days, mob_days, cases):
         mobility = {d: np.full((2, 2), 5.0) for d in mob_days}
@@ -445,6 +496,61 @@ class TestBundles:
         lines[5] = f"{date},{region},xyz"
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(BundleError, match="cases.csv:6: non-numeric cell 'xyz'"):
+            load_bundle(str(bdir))
+
+    def test_manifest_holding_a_list_rejected(self, tmp_path):
+        _, bdir = self.saved(tmp_path)
+        (bdir / "manifest.json").write_text("[1, 2]\n")
+        with pytest.raises(BundleError,
+                           match="manifest.json: expected a JSON object, got list"):
+            load_bundle(str(bdir))
+
+    def test_manifest_not_utf8_rejected(self, tmp_path):
+        _, bdir = self.saved(tmp_path)
+        raw = (bdir / "manifest.json").read_bytes()
+        (bdir / "manifest.json").write_bytes(raw.replace(b'"C', b'"\xffC', 1))
+        with pytest.raises(BundleError, match="manifest.json: unreadable or invalid JSON"):
+            load_bundle(str(bdir))
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("regions", 3, "manifest key 'regions' missing or not a JSON list"),
+        ("n", "3", "manifest key 'n' missing or not a JSON int"),
+        ("regions", [["R00"], "R01", "R02"], "regions and dates must be strings"),
+    ], ids=["regions-int", "n-str", "region-list"])
+    def test_manifest_value_of_wrong_type_rejected(self, tmp_path, key, value, message):
+        _, bdir = self.saved(tmp_path)
+        manifest = json.loads((bdir / "manifest.json").read_text())
+        manifest[key] = value
+        (bdir / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(BundleError, match=message):
+            load_bundle(str(bdir))
+
+    def test_impossible_date_named(self, tmp_path):
+        ds = small_synthetic(seed=9, n=3, days=8)
+        bdir = tmp_path / "b"
+        save_bundle(ds, str(bdir))
+        # manifest and cases.csv agree on a day February does not have
+        old, new = ds.dates[-1], "2020-02-30"
+        for name in ("manifest.json", "cases.csv"):
+            path = bdir / name
+            path.write_text(path.read_text().replace(old, new))
+        with pytest.raises(DataError, match="unparseable date '2020-02-30'"):
+            load_bundle(str(bdir))
+
+    @pytest.mark.parametrize("text,message", [
+        (None, r"cannot read .*cases\.csv: "),
+        ("date,region\n", r"cases\.csv: expected header date,region,new_cases"),
+        ("date,region,new_cases\n2020-03-01,R00\n",
+         r"cases\.csv:2: expected 3 columns, got 2"),
+    ], ids=["missing", "header", "width"])
+    def test_cases_file_faults_are_bundle_errors(self, tmp_path, text, message):
+        _, bdir = self.saved(tmp_path)
+        path = bdir / "cases.csv"
+        if text is None:
+            os.remove(path)
+        else:
+            path.write_text(text)
+        with pytest.raises(BundleError, match=message):
             load_bundle(str(bdir))
 
     def test_save_is_byte_deterministic(self, tmp_path):

@@ -3,6 +3,7 @@
 import concurrent.futures
 import json
 import os
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -95,6 +96,11 @@ class TestEvalConfig:
             EvalConfig(jobs=0)
         with pytest.raises(ContractError, match="ar_order"):
             EvalConfig(ar_differencing=2)
+
+    def test_repeated_model_names_rejected(self):
+        # each name is one set of cells, and each cell one checkpoint path
+        with pytest.raises(ContractError, match="^models must be distinct$"):
+            EvalConfig(models=("avg", "LAST_DAY", "AVG"))
 
 
 class TestErrorMetric:
@@ -460,6 +466,28 @@ class TestPoolMetaTraining:
             for t in (14, 15)]
         assert report.rows == [r for r in clean.rows
                                if (r.country, r.model) != ("AA", "MPNN_TL")]
+
+
+class TestPoolFailure:
+    def test_error_in_one_cell_cancels_queued_cells(self, tmp_path, monkeypatch):
+        real = evaluation.train_model
+
+        def train_model(splits, model, config, seed, init_state=None):
+            if splits.t == 14:
+                raise ContractError("cell T=14 fails")
+            time.sleep(0.3)
+            return real(splits, model, config, seed, init_state=init_state)
+
+        monkeypatch.setattr(evaluation, "train_model", train_model)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        ds = make_ramp_dataset(n=2, days=35)
+        cfg = fast_config(models=["MPNN"], jobs=2, grid=ProtocolGrid(t_end=33, dt=1))
+        ckpt_dir = tmp_path / "ckpts"
+        with pytest.raises(ContractError, match="cell T=14 fails"):
+            rolling_evaluate([ds], cfg, checkpoint_dir=str(ckpt_dir))
+        # only cells already handed to the 2 workers finish; the other 19 would
+        # take about 3 s at 0.3 s each
+        assert len(list(ckpt_dir.glob("*.ckpt"))) < 10
 
 
 class RecordingExecutor:

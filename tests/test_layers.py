@@ -56,12 +56,13 @@ class TestBatchnormForward:
         np.testing.assert_allclose(rm, 0.9 * 2.0 + 0.1 * x.mean(axis=0, keepdims=True))
         np.testing.assert_allclose(rv, 0.9 * 5.0 + 0.1 * x.var(axis=0, keepdims=True))
 
-    def test_momentum_one_then_eval_reproduces_train_output(self):
+    def test_momentum_one_then_eval_reproduces_train_output(self, monkeypatch):
+        monkeypatch.setattr(layers, "BN_MOMENTUM", 1.0)
         x, gamma, beta = _bn_setup(seed=3)
         rm, rv = np.zeros((1, 3)), np.ones((1, 3))
         t = tp.Tape()
         g, b = t.parameter(gamma), t.parameter(beta)
-        train_out = batchnorm(t.constant(x), g, b, rm, rv, "train", momentum=1.0)
+        train_out = batchnorm(t.constant(x), g, b, rm, rv, "train")
         eval_out = batchnorm(t.constant(x), g, b, rm, rv, "eval")
         np.testing.assert_allclose(eval_out.value, train_out.value, rtol=1e-12)
 
