@@ -15,7 +15,6 @@ import dataclasses
 import hashlib
 import json
 import os
-import re
 import sys
 import typing
 
@@ -30,20 +29,22 @@ from .dataio import (
     load_cases,
     load_mobility,
     load_region_map,
+    make_dir,
     save_bundle,
+    write_file,
 )
 from .errors import ContractError, DataError, MobicastError
 from .evaluation import (
     MODEL_NAMES,
     ErrorReport,
     EvalConfig,
-    atomic_write_text,
     case_stat_lines,
     case_stats_table,
     correlation_lines,
     correlation_table,
     emit_report,
     load_report_rows,
+    parse_skip_line,
     rolling_evaluate,
 )
 
@@ -177,11 +178,10 @@ def write_manifest(out_dir: str, command, config_doc: dict, seed, status: str,
         "package_version": __version__,
         "bundle_format_version": BUNDLE_FORMAT_VERSION,
         "status": status,
+        **(extra or {}),
     }
-    if extra:
-        doc.update(extra)
-    atomic_write_text(os.path.join(out_dir, MANIFEST_NAME),
-                      json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    write_file(os.path.join(out_dir, MANIFEST_NAME),
+               json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
 def _read_regions_file(path: str) -> list:
@@ -229,7 +229,6 @@ def cmd_synth(args, argv) -> int:
                           underreporting=args.underreporting,
                           noise_seed=args.seed, jitter=not args.no_jitter)
     datasets = generate_synthetic(cfg)
-    os.makedirs(args.out, exist_ok=True)
     for ds in datasets:
         save_bundle(ds, os.path.join(args.out, ds.country))
     write_manifest(args.out, argv, dataclasses.asdict(cfg), args.seed,
@@ -246,11 +245,10 @@ def cmd_correlate(args, argv) -> int:
     for ds in datasets:
         correlations.extend(correlation_table(ds, shifts=shifts))
         stats.extend(case_stats_table(ds))
-    os.makedirs(args.out, exist_ok=True)
-    atomic_write_text(os.path.join(args.out, "correlations.csv"),
-                      "\n".join(correlation_lines(correlations)) + "\n")
-    atomic_write_text(os.path.join(args.out, "case_stats.csv"),
-                      "\n".join(case_stat_lines(stats)) + "\n")
+    write_file(os.path.join(args.out, "correlations.csv"),
+               "\n".join(correlation_lines(correlations)) + "\n")
+    write_file(os.path.join(args.out, "case_stats.csv"),
+               "\n".join(case_stat_lines(stats)) + "\n")
     config_doc = {"bundles": list(args.bundle), "max_shift": args.max_shift}
     write_manifest(args.out, argv, config_doc, None, "complete")
     print(f"wrote correlations for {len(datasets)} countries to {args.out}")
@@ -261,15 +259,15 @@ def _grid_run(args, argv, checkpoint_dir, load_only=False) -> int:
     """Evaluate the configured grid; write the report and the manifest."""
     cfg = resolve_run_config(args)
     datasets = load_bundles(args.bundle)
-    os.makedirs(args.out, exist_ok=True)
+    make_dir(args.out)   # a bad path fails before any cell trains
     try:
         report = rolling_evaluate(datasets, cfg, checkpoint_dir=checkpoint_dir,
                                   load_only=load_only)
+        paths = emit_report(report, args.out)
     except MobicastError as exc:
         write_manifest(args.out, argv, dataclasses.asdict(cfg), cfg.seed,
                        "failed", {"error": str(exc)})
         raise
-    paths = emit_report(report, args.out)
     status = "complete" if not report.skipped else "partial"
     write_manifest(args.out, argv, dataclasses.asdict(cfg), cfg.seed, status, {
         "rows": len(report.rows), "skipped_cells": len(report.skipped),
@@ -293,18 +291,6 @@ def cmd_evaluate(args, argv) -> int:
     return _grid_run(args, argv, args.checkpoints, load_only=True)
 
 
-_SKIP_LINE = re.compile(
-    r"^# skipped country=(?P<c>.*) model=(?P<m>\S+) "
-    r"T=(?P<t>\d+) j=(?P<j>\d+): (?P<reason>.*)$")
-
-
-def _parse_skip_line(line: str, path: str):
-    m = _SKIP_LINE.match(line)
-    if not m:
-        raise DataError(f"{path}: unrecognized skip line {line!r}")
-    return (m["c"], m["m"], int(m["t"]), int(m["j"]), m["reason"])
-
-
 def cmd_report(args, argv) -> int:
     rows = []
     skipped = []
@@ -312,7 +298,7 @@ def cmd_report(args, argv) -> int:
     for src in args.inputs:
         path = os.path.join(src, "rows.csv")
         got, skip_lines = load_report_rows(path)
-        skips = [_parse_skip_line(ln, path) for ln in skip_lines]
+        skips = [parse_skip_line(ln, path) for ln in skip_lines]
         cells = {(r.country, r.model, r.t, r.horizon) for r in got}
         cells.update(skip[:4] for skip in skips)
         clash = min(cells & owner.keys(), default=None)

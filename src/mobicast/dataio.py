@@ -1,4 +1,5 @@
-"""Ingestion of mobility/case files, alignment, synthetic epidemics, bundles.
+"""Ingestion of mobility/case files, alignment, synthetic epidemics, bundles,
+and the one atomic file writer every output of the package goes through.
 
 Matrix convention everywhere: mobility M[u][v] is the number of people moving
 FROM region v INTO region u on that day (row = destination, column = origin);
@@ -9,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import datetime
+import io
 import json
 import logging
 import os
@@ -16,12 +18,45 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BundleError, DataError
+from .errors import BundleError, ContractError, DataError, ShapeError, WriteError
 from .rng import Rng, derive_seed
 
 log = logging.getLogger(__name__)
 
 BUNDLE_FORMAT_VERSION = "2"
+
+
+def normalize_incoming(m: np.ndarray) -> np.ndarray:
+    """Scale each row to sum to 1 (incoming-edge normalization); zero rows stay zero."""
+    m = np.asarray(m, dtype=np.float64)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ShapeError(f"mobility matrix must be square, got {m.shape}")
+    if not np.all(m >= 0):
+        raise ContractError("mobility entries must be >= 0 (NaN is not)")
+    sums = m.sum(axis=1, keepdims=True)
+    return np.divide(m, sums, out=np.zeros_like(m), where=sums > 0)
+
+
+# ---------------------------------------------------------------- files
+
+def make_dir(path: str) -> None:
+    """Create directory `path` and its parents; an existing one is kept."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise WriteError(f"cannot create directory {path}: {exc}") from exc
+
+
+def write_file(path: str, data) -> None:
+    """Write `data` (str, as UTF-8, or bytes) to path + ".tmp", creating the parent
+    directory, then rename it over `path`: no reader ever sees half a file."""
+    make_dir(os.path.dirname(path) or ".")
+    try:
+        with open(path + ".tmp", "wb") as fh:
+            fh.write(data.encode("utf-8") if isinstance(data, str) else data)
+        os.replace(path + ".tmp", path)
+    except OSError as exc:
+        raise WriteError(f"cannot write {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------- records
@@ -309,12 +344,6 @@ class SyntheticConfig:
             raise DataError("rates must be >= 0")
 
 
-def _row_normalize(m: np.ndarray) -> np.ndarray:
-    sums = m.sum(axis=1, keepdims=True)
-    out = np.divide(m, sums, out=np.zeros_like(m), where=sums > 0)
-    return out
-
-
 def generate_synthetic(config: SyntheticConfig) -> list:
     """Seeded multi-country epidemics whose spread follows the mobility graph.
 
@@ -354,7 +383,7 @@ def generate_synthetic(config: SyntheticConfig) -> list:
             latent[:, t] = infected
             beta_t = config.base_rate if t < start + wave_len else config.base_rate * decay ** (
                 t - start - wave_len + 1)
-            infected = beta_t * (_row_normalize(m_t) @ infected)
+            infected = beta_t * (normalize_incoming(m_t) @ infected)
             if config.jitter:
                 infected = infected + infected * rng.uniform(0.0, 0.02, n)
 
@@ -375,7 +404,6 @@ def save_bundle(dataset: CountryDataset, dir_path: str) -> None:
     mobility.npy holds every day's matrix as one (t_total, n, n) little-endian
     float64 array in dates order, so loading it restores the same bits.
     """
-    os.makedirs(dir_path, exist_ok=True)
     manifest = {
         "format_version": BUNDLE_FORMAT_VERSION,
         "country": dataset.country,
@@ -384,17 +412,18 @@ def save_bundle(dataset: CountryDataset, dir_path: str) -> None:
         "dates": list(dataset.dates),
         "regions": list(dataset.regions),
     }
-    with open(os.path.join(dir_path, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(os.path.join(dir_path, "cases.csv"), "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["date", "region", "new_cases"])
-        for k, date in enumerate(dataset.dates):
-            for i, region in enumerate(dataset.regions):
-                writer.writerow([date, region, repr(float(dataset.cases[i, k]))])
-    with open(os.path.join(dir_path, "mobility.npy"), "wb") as fh:
-        np.save(fh, dataset.mobility.astype("<f8", copy=False), allow_pickle=False)
+    write_file(os.path.join(dir_path, "manifest.json"),
+               json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    cases = io.StringIO(newline="")   # csv.writer ends each row with \r\n
+    writer = csv.writer(cases)
+    writer.writerow(["date", "region", "new_cases"])
+    for k, date in enumerate(dataset.dates):
+        for i, region in enumerate(dataset.regions):
+            writer.writerow([date, region, repr(float(dataset.cases[i, k]))])
+    write_file(os.path.join(dir_path, "cases.csv"), cases.getvalue())
+    mobility = io.BytesIO()
+    np.save(mobility, dataset.mobility.astype("<f8", copy=False), allow_pickle=False)
+    write_file(os.path.join(dir_path, "mobility.npy"), mobility.getvalue())
 
 
 def load_bundle(dir_path: str) -> CountryDataset:

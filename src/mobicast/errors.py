@@ -25,6 +25,10 @@ class BundleError(DataError):
     """A dataset bundle directory is missing pieces or fails schema checks."""
 
 
+class WriteError(MobicastError):
+    """A file or directory of the run's output cannot be written."""
+
+
 class NumericsError(MobicastError):
     """A computation produced non-finite values."""
 

@@ -6,13 +6,14 @@ from __future__ import annotations
 import concurrent.futures
 import json
 import os
+import re
 from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
 
 from .baselines import ar_fit, ar_predict, avg_predict, avg_window_predict, last_day_predict
-from .dataio import CountryDataset
+from .dataio import CountryDataset, make_dir, write_file
 from .errors import (CheckpointError, ContractError, DataError, InsufficientDataError,
                      TrainingDivergedError)
 from .graphs import normalized_graphs
@@ -316,7 +317,7 @@ def _record_skip(ctx: _CellContext, task, reason: str) -> str:
     checkpoint, where a load-only rescore finds it, and return the reason."""
     marker = _cell_path(ctx, task, ".skip")
     if marker is not None:
-        atomic_write_text(marker, reason)
+        write_file(marker, reason)
         _discard(_cell_path(ctx, task))
     return reason
 
@@ -463,7 +464,7 @@ def rolling_evaluate(datasets, config: EvalConfig,
         raise ContractError("load_only needs a checkpoint directory")
     if (checkpoint_dir is not None and not load_only
             and any(name in TRAINABLE_KINDS for name in config.models)):
-        os.makedirs(checkpoint_dir, exist_ok=True)
+        make_dir(checkpoint_dir)   # a bad path fails before any cell trains
     for ds in datasets:
         normalized_graphs(ds)   # once, before any worker forks
     ctx = _CellContext(datasets=tuple(datasets), config=config,
@@ -488,17 +489,6 @@ def _float_cell(x) -> str:
     return repr(float(x))
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    """Write a report artifact through a temp file so readers never see halves."""
-    tmp = path + ".tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except OSError as exc:
-        raise DataError(f"cannot write report file {path}: {exc}") from exc
-
-
 def correlation_lines(correlations) -> list:
     """correlations.csv lines; regions are country-qualified, missing values
     are empty cells."""
@@ -518,35 +508,41 @@ def case_stat_lines(case_stats) -> list:
     return lines
 
 
+ROWS_HEADER = "country,model,T,horizon,region,prediction,actual,abs_error"
+_SKIP_LINE = re.compile(
+    r"^# skipped country=(?P<c>.*) model=(?P<m>\S+) "
+    r"T=(?P<t>\d+) j=(?P<j>\d+): (?P<reason>.*)$")
+
+
 def emit_report(report: ErrorReport, out_dir: str) -> dict:
     """Write rows.csv and summary.json.
 
     Output is byte-deterministic for a fixed report.  Skipped cells appear
-    as comment lines above the rows.csv header.  Returns the path of each
-    artifact.
+    as comment lines above the rows.csv header, in the form parse_skip_line
+    reads back.  Returns the path of each artifact.
     """
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-    except OSError as exc:
-        raise DataError(f"cannot create report directory {out_dir}: {exc}") from exc
-    paths = {}
-
+    paths = {"rows": os.path.join(out_dir, "rows.csv"),
+             "summary": os.path.join(out_dir, "summary.json")}
     lines = [f"# skipped country={c} model={m} T={t} j={j}: {reason}"
              for c, m, t, j, reason in report.skipped]
-    lines.append("country,model,T,horizon,region,prediction,actual,abs_error")
+    lines.append(ROWS_HEADER)
     lines.extend(
         f"{r.country},{r.model},{r.t},{r.horizon},{r.region},"
         f"{_float_cell(r.prediction)},{_float_cell(r.actual)},"
         f"{_float_cell(r.abs_error)}"
         for r in report.rows)
-    paths["rows"] = os.path.join(out_dir, "rows.csv")
-    atomic_write_text(paths["rows"], "\n".join(lines) + "\n")
-
-    summary = range_summary(report.rows) if report.rows else {}
-    paths["summary"] = os.path.join(out_dir, "summary.json")
-    atomic_write_text(paths["summary"],
-                      json.dumps(summary, sort_keys=True, indent=2) + "\n")
+    write_file(paths["rows"], "\n".join(lines) + "\n")
+    write_file(paths["summary"],
+               json.dumps(range_summary(report.rows), sort_keys=True, indent=2) + "\n")
     return paths
+
+
+def parse_skip_line(line: str, path: str):
+    """(country, model, t, j, reason) of a rows.csv skip line."""
+    m = _SKIP_LINE.match(line)
+    if not m:
+        raise DataError(f"{path}: unrecognized skip line {line!r}")
+    return (m["c"], m["m"], int(m["t"]), int(m["j"]), m["reason"])
 
 
 def load_report_rows(path: str):
@@ -558,13 +554,14 @@ def load_report_rows(path: str):
         raise DataError(f"cannot read report file {path}: {exc}") from exc
     skipped_lines = [ln for ln in lines if ln.startswith("#")]
     body = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not body or body[0] != "country,model,T,horizon,region,prediction,actual,abs_error":
+    if not body or body[0] != ROWS_HEADER:
         raise DataError(f"{path}: not a rows.csv report")
     rows = []
     for ln in body[1:]:
-        parts = ln.split(",")
-        if len(parts) != 8:
-            raise DataError(f"{path}: malformed row {ln!r}")
-        rows.append(ReportRow(parts[0], parts[1], int(parts[2]), int(parts[3]),
-                              parts[4], float(parts[5]), float(parts[6])))
+        try:   # a wrong width fails the unpacking, a bad number its parse
+            country, model, t, j, region, pred, actual, _ = ln.split(",")
+            rows.append(ReportRow(country, model, int(t), int(j), region,
+                                  float(pred), float(actual)))
+        except ValueError:
+            raise DataError(f"{path}: malformed row {ln!r}") from None
     return rows, skipped_lines

@@ -8,8 +8,8 @@ from typing import Optional
 
 import numpy as np
 
-from .dataio import CountryDataset
-from .errors import ContractError, ShapeError
+from .dataio import CountryDataset, normalize_incoming
+from .errors import ContractError
 
 
 @dataclass(frozen=True)
@@ -32,17 +32,6 @@ class GraphSample:
     @property
     def target_day(self) -> int:
         return self.anchor + self.horizon
-
-
-def normalize_incoming(m: np.ndarray) -> np.ndarray:
-    """Scale each row to sum to 1 (incoming-edge normalization); zero rows stay zero."""
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ShapeError(f"mobility matrix must be square, got {m.shape}")
-    if not np.all(m >= 0):
-        raise ContractError("mobility entries must be >= 0 (NaN is not)")
-    sums = m.sum(axis=1, keepdims=True)
-    return np.divide(m, sums, out=np.zeros_like(m), where=sums > 0)
 
 
 def normalized_graphs(dataset: CountryDataset) -> tuple:

@@ -63,6 +63,16 @@ def lstm_cell(x: tp.Var, h_prev: tp.Var, c_prev: tp.Var, pvars: dict, prefix: st
     return h, c
 
 
+def _two_layer_lstm(tape, pvars: dict, steps, rows: int, hidden: int) -> tp.Var:
+    """lstm2's last hidden state after lstm1, then lstm2, ran over `steps`
+    from a zero state; a generator of steps builds each just before it runs."""
+    h1 = c1 = h2 = c2 = tape.constant(np.zeros((rows, hidden)))
+    for x in steps:
+        h1, c1 = lstm_cell(x, h1, c1, pvars, "lstm1")
+        h2, c2 = lstm_cell(h1, h2, c2, pvars, "lstm2")
+    return h2
+
+
 def _init_lstm(params: dict, prefix: str, in_dim: int, hidden: int, rng: Rng) -> None:
     for name in "ifgo":
         params[f"{prefix}.w{name}"] = glorot_init(in_dim, hidden, rng)
@@ -179,14 +189,9 @@ class MPNNLSTMModel(MPNNModel):
             if len(smp.graphs) != steps:
                 raise ShapeError("samples in a batch disagree on sequence length")
         day_x = [np.vstack([smp.graphs[s][1] for smp in samples]) for s in range(steps)]
-        rows = day_x[0].shape[0]
-        zero = tape.constant(np.zeros((rows, self.hidden)))
-        h1 = c1 = h2 = c2 = zero
-        for s in range(steps):
-            blocks = [smp.graphs[s][0] for smp in samples]
-            rep = self._trunk(tape, pvars, buffers, blocks, day_x[s], mode, rng)
-            h1, c1 = lstm_cell(rep, h1, c1, pvars, "lstm1")
-            h2, c2 = lstm_cell(h1, h2, c2, pvars, "lstm2")
+        reps = (self._trunk(tape, pvars, buffers, [smp.graphs[s][0] for smp in samples],
+                            day_x[s], mode, rng) for s in range(steps))
+        h2 = _two_layer_lstm(tape, pvars, reps, day_x[0].shape[0], self.hidden)
         if self.feature_mode == "last":
             raw = [tape.constant(day_x[-1])]
         else:
@@ -219,13 +224,8 @@ class BaselineLSTMModel:
         x = np.vstack([smp.graphs[-1][1] for smp in samples])
         if x.shape[1] != self.d:
             raise ShapeError(f"features have {x.shape[1]} columns, model expects {self.d}")
-        rows = x.shape[0]
-        zero = tape.constant(np.zeros((rows, self.hidden)))
-        h1 = c1 = h2 = c2 = zero
-        for s in range(self.d):
-            step = tape.constant(x[:, s:s + 1])
-            h1, c1 = lstm_cell(step, h1, c1, pvars, "lstm1")
-            h2, c2 = lstm_cell(h1, h2, c2, pvars, "lstm2")
+        steps = (tape.constant(x[:, s:s + 1]) for s in range(self.d))
+        h2 = _two_layer_lstm(tape, pvars, steps, x.shape[0], self.hidden)
         out = tp.add_row(tp.matmul(h2, pvars["head.w"]), pvars["head.b"])
         return tp.relu(out)
 

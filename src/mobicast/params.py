@@ -9,11 +9,11 @@ the header's (sorted) order.
 from __future__ import annotations
 
 import json
-import os
 from typing import Tuple
 
 import numpy as np
 
+from .dataio import write_file
 from .errors import CheckpointError, NumericsError
 
 MAGIC = b"MOBICAST-CKPT\n"
@@ -41,15 +41,9 @@ def save_params(path: str, params: dict, buffers: dict, meta: dict) -> None:
         "buffers": _section_header(buffers),
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(len(blob).to_bytes(8, "little"))
-        fh.write(blob)
-        for section in (params, buffers):
-            for name in sorted(section):
-                fh.write(np.ascontiguousarray(section[name], dtype="<f8").tobytes())
-    os.replace(tmp, path)
+    tensors = [np.ascontiguousarray(section[name], dtype="<f8").tobytes()
+               for section in (params, buffers) for name in sorted(section)]
+    write_file(path, b"".join([MAGIC, len(blob).to_bytes(8, "little"), blob, *tensors]))
 
 
 def load_params(path: str) -> Tuple[dict, dict, dict]:

@@ -820,6 +820,75 @@ class TestReportCommand:
         assert "rows.csv" in capsys.readouterr().err
 
 
+class TestUnwritableOutputs:
+    """A path that cannot be created or written ends the command with one
+    error line and exit 1, never a traceback; a grid run that has its run
+    directory records the failure in run.json."""
+
+    def argv(self, tmp_path, command, out):
+        if command == "ingest":
+            TestIngest().write_raw(tmp_path)
+            return ["ingest", "--country", "XX",
+                    "--cases", str(tmp_path / "cases.csv"),
+                    "--mobility", str(tmp_path / "mobility.csv"),
+                    "--regions-file", str(tmp_path / "regions.txt"),
+                    "--out", out]
+        if command == "synth":
+            return ["synth", "--regions", "3", "--days", "16", "--countries",
+                    "1", "--out", out]
+        bundle, _ = make_bundle(tmp_path)
+        if command == "correlate":
+            return ["correlate", "--bundle", bundle, "--max-shift", "2",
+                    "--out", out]
+        argv = [command, "--bundle", bundle, "--model", "last_day", "--t", "14",
+                "--horizon", "1", "--out", out]
+        return argv + (["--checkpoints", str(tmp_path)] if command == "evaluate"
+                       else [])
+
+    def assert_clean_failure(self, capsys, rc, message):
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["train", "evaluate", "synth",
+                                         "correlate", "ingest"])
+    def test_out_naming_a_file(self, tmp_path, capsys, command):
+        out = tmp_path / "taken"
+        out.write_text("a file, not a directory")
+        rc = main(self.argv(tmp_path, command, str(out)))
+        self.assert_clean_failure(capsys, rc, f"cannot create directory {out}")
+        assert out.read_text() == "a file, not a directory"
+
+    def test_checkpoints_naming_a_file(self, tmp_path, capsys):
+        bundle, _ = make_bundle(tmp_path)
+        ck = tmp_path / "ck"
+        ck.write_text("a file, not a directory")
+        out = str(tmp_path / "out")
+        rc = main(["train", "--bundle", bundle, "--model", "mpnn", "--t", "14",
+                   "--horizon", "1", "--config", write_config(tmp_path),
+                   "--checkpoints", str(ck), "--out", out])
+        self.assert_clean_failure(capsys, rc, f"cannot create directory {ck}: ")
+        manifest = read_manifest(out)
+        assert manifest["status"] == "failed"
+        assert manifest["error"].startswith(f"cannot create directory {ck}: ")
+        assert not os.path.exists(os.path.join(out, "rows.csv"))
+
+    def test_checkpoint_write_failing_in_a_worker(self, tmp_path, capsys):
+        bundle, _ = make_bundle(tmp_path)
+        out = str(tmp_path / "out")
+        ckpt = os.path.join(out, "checkpoints", "AA__MPNN__T14_j1.ckpt")
+        os.makedirs(ckpt + ".tmp")   # root may write anywhere; a directory blocks it
+        rc = main(["train", "--bundle", bundle, "--model", "mpnn",
+                   "--t-start", "14", "--t-end", "15", "--horizon", "1",
+                   "--jobs", "2", "--config", write_config(tmp_path),
+                   "--out", out])
+        self.assert_clean_failure(capsys, rc, f"cannot write {ckpt}: ")
+        assert read_manifest(out)["status"] == "failed"
+        # a failed write is no skipped cell: no report claims the cell
+        assert not os.path.exists(os.path.join(out, "rows.csv"))
+
+
 class TestDataDirResolution:
     def test_relative_bundles_resolve_against_env_var(self, tmp_path,
                                                       monkeypatch):

@@ -1,6 +1,8 @@
 """Ingestion, alignment, synthetic generation, and bundle round trips."""
 
+import ast
 import csv
+import glob
 import hashlib
 import json
 import os
@@ -14,8 +16,8 @@ from mobicast.cli import main
 from mobicast.dataio import (CountryDataset, RawCountryData, SyntheticConfig,
                              align_and_filter, generate_synthetic, load_bundle,
                              load_cases, load_mobility, load_region_map,
-                             save_bundle)
-from mobicast.errors import BundleError, DataError
+                             make_dir, save_bundle, write_file)
+from mobicast.errors import BundleError, DataError, WriteError
 
 REGIONS = ["a", "b", "c"]
 
@@ -573,3 +575,89 @@ class TestBundles:
             "manifest.json": "379267f8e999facf24dc80d366175d4a885412c1d9ceb792325984ec82fe09d0",
             "mobility.npy": "8a03e4cec83103774860661b187fdf69b1612ea68891b2683a50fba59ef08905",
         }
+
+
+class TestWriteFile:
+    def test_writes_text_and_bytes_through_a_temp_file(self, tmp_path):
+        path = tmp_path / "new" / "dir" / "out.txt"
+        write_file(str(path), "caf\u00e9\r\n")
+        assert path.read_bytes() == "caf\u00e9\r\n".encode("utf-8")
+        write_file(str(path), b"\x00\xff")
+        assert path.read_bytes() == b"\x00\xff"
+        assert os.listdir(path.parent) == ["out.txt"]
+
+    def test_failed_write_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("old")
+        os.mkdir(str(path) + ".tmp")   # blocks the temp file, even for root
+        with pytest.raises(WriteError, match=f"cannot write {re.escape(str(path))}: ") as exc:
+            write_file(str(path), "new")
+        assert not isinstance(exc.value, DataError)
+        assert path.read_text() == "old"
+
+    def test_make_dir_over_a_file_fails_cleanly(self, tmp_path):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a file")
+        make_dir(str(tmp_path / "fresh" / "nested"))
+        make_dir(str(tmp_path / "fresh"))   # an existing directory is kept
+        assert os.path.isdir(tmp_path / "fresh" / "nested")
+        for path in (blocker, blocker / "below"):
+            with pytest.raises(WriteError, match=f"cannot create directory "
+                               f"{re.escape(str(path))}: "):
+                make_dir(str(path))
+
+
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "mobicast")
+
+
+def disk_writes(source: str) -> list:
+    """Calls in `source` that write to disk: os.replace, os.rename,
+    os.makedirs, os.mkdir, np.save, np.savez, and open with a mode that
+    writes, appends or creates (or a mode that is not a literal)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+                and (func.value.id, func.attr) in {
+                    ("os", "replace"), ("os", "rename"), ("os", "makedirs"),
+                    ("os", "mkdir"), ("np", "save"), ("np", "savez")}):
+            found.append(f"{func.value.id}.{func.attr}")
+        elif isinstance(func, ast.Name) and func.id == "open":
+            mode = node.args[1] if len(node.args) > 1 else next(
+                (kw.value for kw in node.keywords if kw.arg == "mode"), None)
+            if mode is None:
+                continue
+            if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)) \
+                    or set(mode.value) & set("wax+"):
+                found.append(f"open({ast.unparse(mode)})")
+    return found
+
+
+class TestOneWriter:
+    """dataio.write_file and make_dir are the package's only way to disk, so
+    every output is atomic and every failure to write is a WriteError."""
+
+    def test_writes_are_recognised(self):
+        assert disk_writes("open(p, 'w')") == ["open('w')"]
+        assert disk_writes("open(p, mode='ab')") == ["open('ab')"]
+        assert disk_writes("open(p, 'r+b')") == ["open('r+b')"]
+        assert disk_writes("open(p, m)") == ["open(m)"]
+        assert disk_writes("os.replace(a, b); np.save(f, x)") == ["os.replace",
+                                                                  "np.save"]
+        assert disk_writes("os.makedirs(d, exist_ok=True)") == ["os.makedirs"]
+        assert disk_writes("open(p); open(p, 'rb'); open(p, encoding='utf-8');"
+                           "os.path.join(a, b); np.load(f)") == []
+
+    def test_only_dataio_writes(self):
+        paths = sorted(glob.glob(os.path.join(SRC, "*.py")))
+        assert len(paths) > 10
+        offenders = {}
+        for path in paths:
+            with open(path, encoding="utf-8") as fh:
+                found = disk_writes(fh.read())
+            module = os.path.basename(path)[:-3]
+            if found and module != "dataio":
+                offenders[module] = found
+        assert offenders == {}

@@ -13,7 +13,7 @@ from mobicast import evaluation
 from mobicast.baselines import ar_fit, ar_predict, avg_window_predict, last_day_predict
 from mobicast.dataio import CountryDataset
 from mobicast.errors import (CheckpointError, ContractError, DataError,
-                             TrainingDivergedError)
+                             TrainingDivergedError, WriteError)
 from mobicast.evaluation import (
     ErrorReport,
     EvalConfig,
@@ -658,11 +658,27 @@ class TestEmitReport:
     def test_write_failure_names_path(self, tmp_path):
         blocker = tmp_path / "blocked"
         blocker.write_text("a file, not a directory")
-        with pytest.raises(DataError, match="blocked"):
+        # not a DataError, which evaluate_cell would record as a skipped cell
+        with pytest.raises(WriteError, match="cannot create directory .*blocked") as exc:
             emit_report(ErrorReport(rows=[], skipped=[]), str(blocker))
+        assert not isinstance(exc.value, DataError)
 
     def test_malformed_reload_rejected(self, tmp_path):
         bad = tmp_path / "rows.csv"
         bad.write_text("not,a,report\n")
         with pytest.raises(DataError, match="not a rows.csv"):
+            load_report_rows(str(bad))
+
+    @pytest.mark.parametrize("row", [
+        "AA,MPNN,x,1,r0,1.0,2.0,1.0",
+        "AA,MPNN,14,1.5,r0,1.0,2.0,1.0",
+        "AA,MPNN,14,1,r0,one,2.0,1.0",
+        "AA,MPNN,14,1,r0,1.0,,1.0",
+        "AA,MPNN,14,1,r0,1.0,2.0",
+    ], ids=["T", "horizon", "prediction", "actual", "width"])
+    def test_malformed_row_names_file_and_row(self, tmp_path, row):
+        bad = tmp_path / "rows.csv"
+        bad.write_text("country,model,T,horizon,region,prediction,actual,abs_error\n"
+                       f"{row}\n")
+        with pytest.raises(DataError, match=f"rows.csv: malformed row '{row}'"):
             load_report_rows(str(bad))
