@@ -238,6 +238,8 @@ def cmd_synth(args, argv) -> int:
 
 
 def cmd_correlate(args, argv) -> int:
+    if args.max_shift < 1:
+        raise ContractError(f"--max-shift must be >= 1, got {args.max_shift}")
     datasets = load_bundles(args.bundle)
     shifts = tuple(range(1, args.max_shift + 1))
     correlations = []

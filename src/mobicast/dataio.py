@@ -112,8 +112,8 @@ class CountryDataset:
     Days are 1-based in every accessor: day 1 is dates[0].  All case reads by
     downstream code go through the accessors, which makes train/test isolation
     checkable by wrapping them.  `mobility` is one read-only C-contiguous
-    (T, n, n) float64 array: a read-only one passed in is kept as it is,
-    anything else is copied.  `graph_cache` holds every day's normalized
+    (T, n, n) float64 array: a read-only one passed in is kept as it is, a
+    writeable one is copied.  `graph_cache` holds every day's normalized
     mobility once `graphs.normalized_graphs` has filled it, None before.
     """
 
@@ -124,8 +124,10 @@ class CountryDataset:
         regions = tuple(str(r) for r in regions)
         dates = tuple(str(d) for d in dates)
         cases = np.asarray(cases, dtype=np.float64).copy()
+        given = mobility
         mobility = np.asarray(mobility, dtype=np.float64, order="C")
-        if mobility.flags.writeable:  # share only an array its owner froze
+        # copy a writeable array the caller still holds, not one asarray just built
+        if mobility.flags.writeable and (mobility is given or not mobility.flags.owndata):
             mobility = mobility.copy()
         n, t = len(regions), len(dates)
         for name in (str(country), *regions):

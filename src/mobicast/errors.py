@@ -39,3 +39,7 @@ class TrainingDivergedError(NumericsError):
 
 class CheckpointError(MobicastError):
     """A checkpoint file is missing, corrupt, or incompatible."""
+
+
+class SkippedCell(MobicastError):
+    """A cell's checkpoint records why the cell was skipped, not parameters."""

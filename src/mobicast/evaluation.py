@@ -15,7 +15,7 @@ import numpy as np
 from .baselines import ar_fit, ar_predict, avg_predict, avg_window_predict, last_day_predict
 from .dataio import CountryDataset, make_dir, write_file
 from .errors import (CheckpointError, ContractError, DataError, InsufficientDataError,
-                     TrainingDivergedError)
+                     SkippedCell, TrainingDivergedError)
 from .graphs import normalized_graphs
 from .meta import MetaConfig, maml_meta_train, save_meta_state, tl_base_train
 from .models import model_from_spec
@@ -227,9 +227,8 @@ def build_model(name: str, cfg: TrainConfig):
     return model_from_spec({**asdict(cfg), "kind": TRAINABLE_KINDS[name]})
 
 
-def checkpoint_name(country: str, model: str, t: int, j: int,
-                    suffix: str = ".ckpt") -> str:
-    return f"{country}__{model}__T{t}_j{j}{suffix}"
+def checkpoint_name(country: str, model: str, t: int, j: int) -> str:
+    return f"{country}__{model}__T{t}_j{j}.ckpt"
 
 
 def _baseline_cell(name: str, dataset: CountryDataset, t: int, j: int,
@@ -299,40 +298,37 @@ def _run_cell(task):
     return evaluate_cell(_CELL_CTX, *task)
 
 
-def _cell_path(ctx: _CellContext, task, suffix: str = ".ckpt") -> Optional[str]:
+def _cell_path(ctx: _CellContext, task) -> Optional[str]:
     if ctx.checkpoint_dir is None:
         return None
-    return os.path.join(ctx.checkpoint_dir, checkpoint_name(*task, suffix))
+    return os.path.join(ctx.checkpoint_dir, checkpoint_name(*task))
 
 
-def _discard(path: str) -> None:
-    try:
-        os.remove(path)
-    except FileNotFoundError:
-        pass
+def _keep(ctx: _CellContext, task, outcome):
+    """Save a trainable cell's outcome, a Checkpoint or a skip reason, as
+    its checkpoint when ctx has a checkpoint directory; return the outcome."""
+    path = _cell_path(ctx, task)
+    if path is not None:
+        country, model_name, t, j = task
+        save_checkpoint(path, outcome, extra_meta={
+            "country": country, "model_name": model_name, "t": t, "horizon": j,
+            "cell_seed": derive_seed(ctx.config.seed, country, t, j)})
+    return outcome
 
 
-def _record_skip(ctx: _CellContext, task, reason: str) -> str:
-    """Write a trained cell's skip reason to a .skip marker beside its
-    checkpoint, where a load-only rescore finds it, and return the reason."""
-    marker = _cell_path(ctx, task, ".skip")
-    if marker is not None:
-        write_file(marker, reason)
-        _discard(_cell_path(ctx, task))
-    return reason
-
-
-def _cell_checkpoint(ctx: _CellContext, task, model, splits, shared):
-    """The cell's model: loaded from its checkpoint under ctx.load_only,
-    else `model` trained (and saved when ctx has a checkpoint directory)."""
+def _cell_checkpoint(ctx: _CellContext, task, model, dataset, shared):
+    """The cell's splits and model: loaded from its checkpoint under
+    ctx.load_only, else `model` trained and kept."""
     country, model_name, t, j = task
     path = _cell_path(ctx, task)
+    # a stored skip raises SkippedCell before the splits, as it was recorded
+    stored = load_checkpoint(path) if ctx.load_only and os.path.exists(path) else None
+    splits = make_splits(dataset, t, j, model.d, model.seq_len)
+    if stored is not None:
+        return splits, stored
     if ctx.load_only:
-        if not os.path.exists(path):
-            raise CheckpointError(
-                f"missing checkpoint for cell country={country} "
-                f"model={model_name} T={t} j={j}: {path}")
-        return load_checkpoint(path)
+        raise CheckpointError(f"missing checkpoint for cell country={country} "
+                              f"model={model_name} T={t} j={j}: {path}")
     cfg = ctx.config
     cell_seed = derive_seed(cfg.seed, country, t, j)
     if model_name == "TL_BASE":
@@ -340,26 +336,19 @@ def _cell_checkpoint(ctx: _CellContext, task, model, splits, shared):
                              cfg.train, cell_seed)
     else:
         ckpt = train_model(splits, model, cfg.train, cell_seed, init_state=shared)
-    if path is not None:
-        save_checkpoint(path, ckpt, extra_meta={
-            "country": country, "model_name": model_name,
-            "t": t, "horizon": j, "cell_seed": cell_seed})
-        _discard(_cell_path(ctx, task, ".skip"))
-    return ckpt
+    return splits, _keep(ctx, task, ckpt)
 
 
 def evaluate_cell(ctx: _CellContext, country: str, model_name: str, t: int,
                   j: int, shared=None):
     """One protocol cell: fit, train or load, predict day t+j; return rows or a skip.
 
-    Trainable cells build their splits, then train (or, under
-    ctx.load_only, load) the cell's model.  `shared`, passed to MPNN_TL
-    cells only, is the country's meta-trained ModelState or the reason it
-    has none.  Returns (task, rows, None) on success and (task, None,
-    reason) when the cell lacks the data its model needs, its training
-    diverged or it has no shared initialization.  The last two leave a
-    .skip marker in place of the checkpoint, which a load-only run reads
-    back as the same skip.
+    `shared`, passed to MPNN_TL cells only, is the country's meta-trained
+    ModelState or the reason it has none.  Returns (task, rows, None) on
+    success and (task, None, reason) when the cell lacks the data its model
+    needs, its training diverged or it has no shared initialization.  The
+    last two keep the reason as the cell's checkpoint, which a load-only run
+    reads back as the same skip.
     """
     task = (country, model_name, t, j)
     dataset = ctx.dataset(country)
@@ -367,23 +356,18 @@ def evaluate_cell(ctx: _CellContext, country: str, model_name: str, t: int,
     if model_name == "MPNN_TL" and len(ctx.datasets) == 1:
         return task, None, "transfer initialization needs at least one other country"
     if isinstance(shared, str):
-        return task, None, _record_skip(ctx, task, shared)
-    marker = _cell_path(ctx, task, ".skip")
-    if ctx.load_only and os.path.exists(marker):
-        with open(marker, encoding="utf-8") as fh:
-            return task, None, fh.read()
+        return task, None, _keep(ctx, task, shared)
     try:
         if model_name not in TRAINABLE_KINDS:
             preds = _baseline_cell(model_name, dataset, t, j, cfg)
         else:
             model = build_model(model_name, cfg.train)
-            splits = make_splits(dataset, t, j, model.d, model.seq_len)
-            ckpt = _cell_checkpoint(ctx, task, model, splits, shared)
+            splits, ckpt = _cell_checkpoint(ctx, task, model, dataset, shared)
             preds = predict(ckpt.model, ckpt.state, [splits.test])
-    except DataError as exc:  # includes InsufficientDataError
+    except (DataError, SkippedCell) as exc:  # DataError includes InsufficientDataError
         return task, None, str(exc)
     except TrainingDivergedError as exc:
-        return task, None, _record_skip(ctx, task, f"training diverged: {exc}")
+        return task, None, _keep(ctx, task, f"training diverged: {exc}")
     actual = dataset.cases_on(t + j)
     rows = [ReportRow(country, model_name, t, j, dataset.regions[v],
                       float(preds[v]), float(actual[v]))

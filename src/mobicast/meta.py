@@ -11,7 +11,7 @@ from .errors import ContractError, InsufficientDataError, TrainingDivergedError
 from .graphs import GraphSample, assemble_samples
 from .models import ModelState, model_spec
 from .optim import sgd_step
-from .params import clone_params, save_params
+from .params import save_params
 from .rng import Rng
 from .train import (
     PROTOCOL_START_DAY,
@@ -81,15 +81,15 @@ def meta_task_step(model, state: ModelState, task: TaskSplit, inner_lr: float,
                    meta_step: float, batch_size: int, rng) -> None:
     """One task's contribution to the shared parameters, applied in place.
 
-    Clones the shared parameters, adapts the clone with one pass of batch
-    gradient steps over the task's training samples, then moves the shared
-    parameters along the adapted clone's held-out gradient (the curvature
-    correction of the exact two-level derivative is dropped).  Normalization
-    buffers are shared with the clone, so running statistics accumulate into
-    `state` and the returned initialization normalizes at the scale its
-    weights were trained against.
+    Adapts the shared parameters with one pass of batch gradient steps over
+    the task's training samples (each step makes new arrays, so `state`
+    keeps its own), then moves `state` along the adapted parameters'
+    held-out gradient (the curvature correction of the exact two-level
+    derivative is dropped).  Normalization buffers are shared, so running
+    statistics accumulate into `state` and the returned initialization
+    normalizes at the scale its weights were trained against.
     """
-    inner = ModelState(clone_params(state.params), state.buffers)
+    inner = ModelState(state.params, state.buffers)
 
     def grads(batch, stage: str) -> dict:
         _, out = loss_and_grads(model, inner, batch, rng)

@@ -19,7 +19,7 @@ import numpy as np
 from . import tape as tp
 from .dataio import CountryDataset
 from .errors import (CheckpointError, ContractError, InsufficientDataError,
-                     TrainingDivergedError)
+                     SkippedCell, TrainingDivergedError)
 from .graphs import GraphSample, assemble_samples
 from .models import (ModelState, check_feature_mode, model_from_spec, model_spec,
                      stack_targets)
@@ -184,7 +184,13 @@ def train_model(splits: SplitSpec, model, config: TrainConfig, seed: int,
     return best
 
 
-def save_checkpoint(path: str, checkpoint: Checkpoint, extra_meta: dict | None = None) -> None:
+def save_checkpoint(path: str, checkpoint: Checkpoint | str,
+                    extra_meta: dict | None = None) -> None:
+    """Write a trained Checkpoint, or, given a skip reason string, a
+    header-only record that load_checkpoint raises as SkippedCell."""
+    if isinstance(checkpoint, str):
+        return save_params(path, {}, {}, {"kind": "mobicast-skip",
+                                          "reason": checkpoint, "extra": extra_meta})
     meta = {
         "kind": "mobicast-checkpoint",
         "model": model_spec(checkpoint.model),
@@ -199,10 +205,11 @@ def save_checkpoint(path: str, checkpoint: Checkpoint, extra_meta: dict | None =
 
 def load_checkpoint(path: str) -> Checkpoint:
     params, buffers, meta = load_params(path)
+    if meta.get("kind") == "mobicast-skip":
+        raise SkippedCell(meta["reason"])
     if meta.get("kind") != "mobicast-checkpoint":
         raise CheckpointError(f"{path!r} is not a model checkpoint")
     model = model_from_spec(meta["model"])
     return Checkpoint(model, ModelState(params, buffers),
                       float(meta["val_error"]), int(meta["epoch"]),
                       int(meta["stopped_epoch"]))
-

@@ -16,6 +16,7 @@ from mobicast.baselines import last_day_predict
 from mobicast.cli import config_digest, main, run_config_from_dict
 from mobicast.dataio import CountryDataset, load_bundle, save_bundle
 from mobicast.errors import ContractError
+from mobicast.params import load_params
 from mobicast.evaluation import (EvalConfig, ProtocolGrid, load_report_rows,
                                  range_summary)
 
@@ -56,6 +57,11 @@ def read_tree(root):
 
 def sha256(data):
     return hashlib.sha256(data).hexdigest()
+
+
+def cell_kind(path):
+    """The `kind` a checkpoint file's header records."""
+    return load_params(str(path))[2]["kind"]
 
 
 def read_manifest(out_dir):
@@ -704,7 +710,7 @@ class TestEvaluateCommand:
             f"model=MPNN T=14 j=1: training diverged: {message}",
             train_model=diverge_at(14, message))
         ckpts = sorted(os.listdir(tmp_path / "trained" / "checkpoints"))
-        assert ckpts == ["AA__MPNN__T14_j1.skip", "AA__MPNN__T15_j1.ckpt"]
+        assert ckpts == ["AA__MPNN__T14_j1.ckpt", "AA__MPNN__T15_j1.ckpt"]
 
     def test_rescore_keeps_failed_meta_training(self, tmp_path, capsys):
         bundle_a, _ = make_bundle(tmp_path, country="AA")
@@ -718,6 +724,22 @@ class TestEvaluateCommand:
             tmp_path, capsys, argv,
             "model=MPNN_TL T=14 j=1: meta-training failed: BB: no tasks")
 
+    def test_rescore_keeps_failed_meta_training_of_cell_without_data(
+            self, tmp_path, capsys):
+        # d=13 leaves AA no validation sample at T=14, but training recorded
+        # the meta-training failure first, so the rescore must report it too
+        bundle_a, _ = make_bundle(tmp_path, country="AA")
+        bundle_b, _ = make_bundle(tmp_path, country="BB", days=14)
+        cfg = write_config(tmp_path, {"train": dict(TINY_CONFIG["train"], d=13)})
+        argv = ["--bundle", bundle_a, "--bundle", bundle_b, "--model", "mpnn_tl",
+                "--t", "14", "--horizon", "1", "--config", cfg]
+        trained, out = str(tmp_path / "trained"), str(tmp_path / "eval")
+        assert main(["train", *argv, "--out", trained]) == 1
+        assert main(["evaluate", *argv, "--checkpoints",
+                     os.path.join(trained, "checkpoints"), "--out", out]) == 1
+        assert "meta-training failed" in capsys.readouterr().err
+        assert read_tree(trained)["rows.csv"] == read_tree(out)["rows.csv"]
+
     def test_retraining_a_skipped_cell_drops_its_marker(self, tmp_path, monkeypatch):
         bundle, _ = make_bundle(tmp_path)
         cfg = write_config(tmp_path)
@@ -727,12 +749,75 @@ class TestEvaluateCommand:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(evaluation, "train_model", diverge_at(14, "boom"))
             assert main(argv) == 1
-        assert sorted(os.listdir(ckpt_dir)) == ["AA__MPNN__T14_j1.skip"]
+        assert sorted(os.listdir(ckpt_dir)) == ["AA__MPNN__T14_j1.ckpt"]
+        assert cell_kind(ckpt_dir / "AA__MPNN__T14_j1.ckpt") == "mobicast-skip"
         assert main(argv) == 0
         assert sorted(os.listdir(ckpt_dir)) == ["AA__MPNN__T14_j1.ckpt"]
+        assert cell_kind(ckpt_dir / "AA__MPNN__T14_j1.ckpt") == "mobicast-checkpoint"
         monkeypatch.setattr(evaluation, "train_model", diverge_at(14, "boom"))
         assert main(argv) == 1
-        assert sorted(os.listdir(ckpt_dir)) == ["AA__MPNN__T14_j1.skip"]
+        assert sorted(os.listdir(ckpt_dir)) == ["AA__MPNN__T14_j1.ckpt"]
+        assert cell_kind(ckpt_dir / "AA__MPNN__T14_j1.ckpt") == "mobicast-skip"
+
+    def test_killed_retrain_leaves_no_stale_skip(self, tmp_path, capsys):
+        """A run killed right after a cell's new checkpoint is written still
+        leaves that checkpoint as the cell's only outcome."""
+        bundle, _ = make_bundle(tmp_path)
+        cfg = write_config(tmp_path)
+        argv = ["--bundle", bundle, "--model", "mpnn", "--t", "14",
+                "--horizon", "1", "--config", cfg]
+        trained = str(tmp_path / "trained")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(evaluation, "train_model", diverge_at(14, "boom"))
+            assert main(["train", *argv, "--out", trained]) == 1
+
+        class Killed(BaseException):
+            pass
+
+        real_save = evaluation.save_checkpoint
+
+        def save_then_die(*args, **kwargs):
+            real_save(*args, **kwargs)
+            raise Killed
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(evaluation, "save_checkpoint", save_then_die)
+            with pytest.raises(Killed):
+                main(["train", *argv, "--out", trained])
+        capsys.readouterr()
+        rc = main(["evaluate", *argv, "--checkpoints",
+                   os.path.join(trained, "checkpoints"),
+                   "--out", str(tmp_path / "eval")])
+        assert rc == 0, capsys.readouterr().err
+        rows, skip_lines = load_report_rows(str(tmp_path / "eval" / "rows.csv"))
+        assert len(rows) == 2 and not skip_lines
+
+    def test_checkpoint_directory_holds_one_file_per_cell(self, tmp_path):
+        bundle_a, _ = make_bundle(tmp_path, country="AA")
+        # 14 days leave no meta task, so AA's meta-training has nothing to learn
+        bundle_b, _ = make_bundle(tmp_path, country="BB", days=14)
+        cfg = write_config(tmp_path)
+        trees = []
+        for jobs in ("2", "1"):
+            out = tmp_path / f"jobs{jobs}"
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(evaluation, "train_model", diverge_at(14, "boom"))
+                assert main(["train", "--bundle", bundle_a, "--bundle", bundle_b,
+                             "--model", "mpnn_tl", "--model", "mpnn",
+                             "--t-start", "14", "--t-end", "15", "--horizon", "1",
+                             "--jobs", jobs, "--config", cfg,
+                             "--out", str(out)]) == 1
+            trees.append(read_tree(out / "checkpoints"))
+        kinds = {name: cell_kind(tmp_path / "jobs2" / "checkpoints" / name)
+                 for name in trees[0]}
+        assert kinds == {
+            "AA__MPNN__T14_j1.ckpt": "mobicast-skip",       # diverged
+            "AA__MPNN__T15_j1.ckpt": "mobicast-checkpoint",
+            "AA__MPNN_TL__T14_j1.ckpt": "mobicast-skip",    # meta-training failed
+            "AA__MPNN_TL__T15_j1.ckpt": "mobicast-skip",
+            "BB__MPNN_TL__meta.ckpt": "mobicast-meta",
+        }
+        assert trees[0] == trees[1]
 
     def test_checkpoints_required(self, tmp_path, capsys):
         # without checkpoints, evaluate would only be a train that keeps none
@@ -761,6 +846,17 @@ class TestCorrelateCommand:
         assert lines[1].startswith("AA/r0,1,")
         with open(os.path.join(out, "case_stats.csv"), encoding="utf-8") as fh:
             assert len(fh.read().splitlines()) == 1 + 25 * 2
+
+    @pytest.mark.parametrize("shift", [0, -3])
+    def test_shift_below_one_rejected_before_writing(self, tmp_path, capsys, shift):
+        bundle, _ = make_bundle(tmp_path, days=15)
+        out = str(tmp_path / "out")
+        rc = main(["correlate", "--bundle", bundle, "--max-shift", str(shift),
+                   "--out", out])
+        assert rc == 1
+        assert (f"error: --max-shift must be >= 1, got {shift}"
+                in capsys.readouterr().err)
+        assert not os.path.exists(out)
 
     def test_shift_too_large_for_data_fails(self, tmp_path, capsys):
         bundle, _ = make_bundle(tmp_path, days=15)

@@ -7,6 +7,7 @@ import hashlib
 import json
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -280,6 +281,21 @@ class TestCountryDataset:
         mine.setflags(write=False)
         assert CountryDataset(ds.country, ds.regions, ds.dates, ds.cases,
                               mine).mobility is mine
+
+    def test_mobility_list_is_not_copied_twice(self):
+        # a (90, 100, 100) country: asarray builds the array, nothing copies it
+        days, n = 90, 100
+        dates = [str(np.datetime64("2020-03-01") + k) for k in range(days)]
+        mats = [np.full((n, n), float(k)) for k in range(days)]
+        cases = np.zeros((n, days))
+        tracemalloc.start()
+        try:
+            ds = CountryDataset("X", range(n), dates, cases, mats)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * ds.mobility.nbytes
+        assert ds.mobility[89, 0, 0] == 89.0 and not ds.mobility.flags.writeable
 
     def test_invalid_construction(self):
         with pytest.raises(DataError, match="duplicate"):

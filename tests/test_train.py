@@ -8,12 +8,14 @@ from mobicast import tape as tp
 from mobicast.errors import (
     CheckpointError,
     ContractError,
+    DataError,
     InsufficientDataError,
+    SkippedCell,
     TrainingDivergedError,
 )
 from mobicast.graphs import assemble_samples
 from mobicast.models import MPNNModel
-from mobicast.params import save_params
+from mobicast.params import load_params, save_params
 from mobicast.rng import Rng
 from mobicast.train import (
     Checkpoint,
@@ -296,6 +298,24 @@ class TestCheckpointIO:
         loaded = load_checkpoint(path)
         assert np.array_equal(predict(loaded.model, loaded.state, [splits.test]),
                               predict(model, ckpt.state, [splits.test]))
+
+    def test_skip_reason_round_trip(self, tmp_path):
+        extra = {"country": "IT", "model_name": "MPNN", "t": 14, "horizon": 1,
+                 "cell_seed": 5}
+        path = str(tmp_path / "cell.ckpt")
+        save_checkpoint(path, "training diverged: boom", extra_meta=extra)
+        params, buffers, meta = load_params(path)
+        assert (params, buffers) == ({}, {})
+        assert meta == {"kind": "mobicast-skip", "reason": "training diverged: boom",
+                        "extra": extra}
+        with pytest.raises(SkippedCell, match="^training diverged: boom$") as err:
+            load_checkpoint(path)
+        assert not isinstance(err.value, DataError)
+        with open(path, "rb") as fh:
+            first = fh.read()
+        save_checkpoint(path, "training diverged: boom", extra_meta=extra)
+        with open(path, "rb") as fh:
+            assert fh.read() == first
 
     def test_wrong_kind_rejected(self, tmp_path):
         path = str(tmp_path / "other.ckpt")
