@@ -276,12 +276,10 @@ def _grid_run(args, argv, checkpoint_dir, load_only=False) -> int:
         "countries": [ds.country for ds in datasets]})
     print(f"wrote {paths['rows']} ({len(report.rows)} rows, "
           f"{len(report.skipped)} skipped cells)")
-    if report.skipped:
-        for country, model, t, j, reason in report.skipped:
-            print(f"skipped country={country} model={model} T={t} j={j}: "
-                  f"{reason}", file=sys.stderr)
-        return 1
-    return 0
+    for country, model, t, j, reason in report.skipped:
+        print(f"skipped country={country} model={model} T={t} j={j}: "
+              f"{reason}", file=sys.stderr)
+    return 1 if report.skipped else 0
 
 
 def cmd_train(args, argv) -> int:

@@ -141,8 +141,11 @@ class CountryDataset:
         if mobility.shape != (t, n, n):
             raise DataError(f"{country}: mobility shape {mobility.shape}, "
                             f"expected ({t}, {n}, {n})")
-        for bad, what in ((~np.isfinite(mobility), "non-finite"), (mobility < 0, "negative")):
-            days = np.flatnonzero(bad.any(axis=(1, 2)))
+        # per-day extremes, no (T, n, n) temporary; low <= 0 <= high, so low + high never overflows
+        low = mobility.min(axis=(1, 2), initial=0.0)
+        high = mobility.max(axis=(1, 2), initial=0.0)
+        for bad, what in ((~np.isfinite(low + high), "non-finite"), (low < 0, "negative")):
+            days = np.flatnonzero(bad)
             if days.size:
                 raise DataError(f"{country}: {what} mobility entry on {dates[days[0]]}")
         if np.any(cases < 0):

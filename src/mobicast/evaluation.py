@@ -4,6 +4,7 @@ correlation metrics, and CSV/JSON report emission."""
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import json
 import os
 import re
@@ -198,12 +199,8 @@ def correlation_table(dataset: CountryDataset, shifts=tuple(range(1, 15))) -> li
     """(country, region, shift, correlation|None) rows over the given shifts."""
     totals = mobility_totals(dataset)
     cases = dataset.case_window(dataset.t_total, dataset.t_total)
-    rows = []
-    for v, region in enumerate(dataset.regions):
-        for s in shifts:
-            rows.append((dataset.country, region, s,
-                         pearson_shift_correlation(totals[v], cases[v], s)))
-    return rows
+    return [(dataset.country, region, s, pearson_shift_correlation(totals[v], cases[v], s))
+            for v, region in enumerate(dataset.regions) for s in shifts]
 
 
 def case_stats_table(dataset: CountryDataset) -> list:
@@ -290,18 +287,23 @@ def _meta_task(ctx: _CellContext, target: str):
     return state
 
 
+def _run_task(ctx: _CellContext, item):
+    """Run a target's meta-training (a country name) or one evaluate_cell."""
+    if isinstance(item, str):
+        return _meta_task(ctx, item)
+    return evaluate_cell(ctx, *item)
+
+
 def _run_cell(task):
-    """Pool entry point: a bare country name is that target's meta-training,
-    a tuple is the arguments of one evaluate_cell call."""
-    if isinstance(task, str):
-        return _meta_task(_CELL_CTX, task)
-    return evaluate_cell(_CELL_CTX, *task)
+    """Pool entry point.  In-process cells call _run_task instead: the
+    benchmark tracer wraps this function and counts each call as a forked
+    worker's cell, so an in-process call would count the parent twice."""
+    return _run_task(_CELL_CTX, task)
 
 
 def _cell_path(ctx: _CellContext, task) -> Optional[str]:
-    if ctx.checkpoint_dir is None:
-        return None
-    return os.path.join(ctx.checkpoint_dir, checkpoint_name(*task))
+    directory = ctx.checkpoint_dir
+    return None if directory is None else os.path.join(directory, checkpoint_name(*task))
 
 
 def _keep(ctx: _CellContext, task, outcome):
@@ -344,19 +346,19 @@ def evaluate_cell(ctx: _CellContext, country: str, model_name: str, t: int,
     """One protocol cell: fit, train or load, predict day t+j; return rows or a skip.
 
     `shared`, passed to MPNN_TL cells only, is the country's meta-trained
-    ModelState or the reason it has none.  Returns (task, rows, None) on
-    success and (task, None, reason) when the cell lacks the data its model
-    needs, its training diverged or it has no shared initialization.  The
-    last two keep the reason as the cell's checkpoint, which a load-only run
-    reads back as the same skip.
+    ModelState or the reason it has none.  Returns the cell's rows, or the
+    reason string when the cell lacks the data its model needs, its training
+    diverged or it has no shared initialization.  The last two keep the
+    reason as the cell's checkpoint, which a load-only run reads back as the
+    same skip.
     """
     task = (country, model_name, t, j)
     dataset = ctx.dataset(country)
     cfg = ctx.config
     if model_name == "MPNN_TL" and len(ctx.datasets) == 1:
-        return task, None, "transfer initialization needs at least one other country"
+        return "transfer initialization needs at least one other country"
     if isinstance(shared, str):
-        return task, None, _keep(ctx, task, shared)
+        return _keep(ctx, task, shared)
     try:
         if model_name not in TRAINABLE_KINDS:
             preds = _baseline_cell(model_name, dataset, t, j, cfg)
@@ -365,62 +367,56 @@ def evaluate_cell(ctx: _CellContext, country: str, model_name: str, t: int,
             splits, ckpt = _cell_checkpoint(ctx, task, model, dataset, shared)
             preds = predict(ckpt.model, ckpt.state, [splits.test])
     except (DataError, SkippedCell) as exc:  # DataError includes InsufficientDataError
-        return task, None, str(exc)
+        return str(exc)
     except TrainingDivergedError as exc:
-        return task, None, _keep(ctx, task, f"training diverged: {exc}")
+        return _keep(ctx, task, f"training diverged: {exc}")
     actual = dataset.cases_on(t + j)
-    rows = [ReportRow(country, model_name, t, j, dataset.regions[v],
+    return [ReportRow(country, model_name, t, j, dataset.regions[v],
                       float(preds[v]), float(actual[v]))
             for v in range(dataset.n)]
-    return task, rows, None
 
 
-def _check_request(datasets):
+def _grid_tasks(datasets, config: EvalConfig):
+    """Every (country, model, t, j) cell of the request, in grid order."""
     if not datasets:
         raise ContractError("evaluation needs at least one country")
     names = [ds.country for ds in datasets]
     if len(set(names)) != len(names):
         raise ContractError(f"duplicate countries in {names}")
-
-
-def _grid_tasks(datasets, config: EvalConfig):
-    tasks = []
-    for ds in datasets:
-        cells = config.grid.cells(ds.t_total)
-        for model in config.models:
-            tasks.extend((ds.country, model, t, j) for t, j in cells)
+    tasks = [(ds.country, model, t, j) for ds in datasets for model in config.models
+             for t, j in config.grid.cells(ds.t_total)]
     if not tasks:
         raise ContractError("protocol grid is empty for every requested country")
     return tasks
 
 
-def _run_serial(ctx: _CellContext, tasks, targets) -> list:
-    shared = {(target, "MPNN_TL"): _meta_task(ctx, target) for target in targets}
-    return [evaluate_cell(ctx, *task, shared.get(task[:2])) for task in tasks]
+def _schedule(run, tasks, targets):
+    """Yield (index, outcome) per cell of tasks.  run(items) starts meta tasks
+    (target names) and cells (task tuples), then yields their outcomes in
+    order; a target's MPNN_TL cells start once its meta outcome is read."""
+    later = [k for k, task in enumerate(tasks) if task[1] == "MPNN_TL" and task[0] in targets]
+    ready = sorted(set(range(len(tasks))).difference(later))
+    outcomes = run([*targets, *(tasks[k] for k in ready)])
+    shared = {target: next(outcomes) for target in targets}
+    later_outcomes = run([(*tasks[k], shared[tasks[k][0]]) for k in later])
+    yield from zip(ready, outcomes)
+    yield from zip(later, later_outcomes)
 
 
-def _run_pool(ctx: _CellContext, tasks, targets) -> list:
-    """Meta tasks go first, then every cell that needs no initialization;
-    a target's MPNN_TL cells follow as soon as its meta task returns."""
-    futures = {}
-    waiting = {}     # target -> indices of its MPNN_TL cells
+@contextlib.contextmanager
+def _runner(ctx: _CellContext, work: int):
+    """_schedule's run(items): in-process, or through at most `work` workers."""
+    if ctx.config.jobs == 1 or ctx.load_only:
+        yield lambda items: (_run_task(ctx, item) for item in items)
+        return
     # a fork-started pool starts every worker at its first submit
-    workers = min(ctx.config.jobs, len(targets) + len(tasks), os.cpu_count() or 1)
+    workers = min(ctx.config.jobs, work, os.cpu_count() or 1)
     with concurrent.futures.ProcessPoolExecutor(
             max_workers=workers, initializer=_init_cell_worker,
             initargs=(ctx,)) as pool:
-        try:
-            meta = {pool.submit(_run_cell, target): target for target in targets}
-            for k, task in enumerate(tasks):
-                if task[1] == "MPNN_TL" and task[0] in targets:
-                    waiting.setdefault(task[0], []).append(k)
-                else:
-                    futures[k] = pool.submit(_run_cell, task)
-            for done in concurrent.futures.as_completed(meta):
-                shared = done.result()
-                for k in waiting.get(meta[done], ()):
-                    futures[k] = pool.submit(_run_cell, (*tasks[k], shared))
-            return [futures[k].result() for k in range(len(tasks))]
+        try:   # submit every item now, read the results in order
+            yield lambda items: map(concurrent.futures.Future.result,
+                                    [pool.submit(_run_cell, item) for item in items])
         except BaseException:
             pool.shutdown(cancel_futures=True)  # start no queued cell after a failure
             raise
@@ -432,17 +428,17 @@ def rolling_evaluate(datasets, config: EvalConfig,
     """Train and score every (country, model, T, horizon) cell of the config.
 
     Each cell trains its own model with a seed derived from (seed, country,
-    T, horizon), so cells are reproducible independently of execution order;
-    `config.jobs` > 1 spreads cells, and each target country's meta-training
-    for MPNN_TL, over worker processes.  Cells without enough data, or whose
-    training diverged, are skipped and recorded, not failed.
+    T, horizon), so cells are reproducible independently of execution order.
+    _schedule runs them and each target's MPNN_TL meta-training, in-process
+    or over `config.jobs` > 1 worker processes; the report keeps grid order.
+    Cells without enough data, or whose training diverged, are skipped and
+    recorded, not failed; any other error stops the grid.
 
     With `load_only`, every trainable cell loads its checkpoint from
     checkpoint_dir instead of training: nothing is meta-trained or saved,
     cells run in-process whatever `config.jobs` says, and a missing
     checkpoint is a CheckpointError naming the cell.
     """
-    _check_request(datasets)
     tasks = _grid_tasks(datasets, config)
     if load_only and checkpoint_dir is None:
         raise ContractError("load_only needs a checkpoint directory")
@@ -456,15 +452,15 @@ def rolling_evaluate(datasets, config: EvalConfig,
     # one meta-training per target country, each on all the others
     targets = ([ds.country for ds in datasets] if "MPNN_TL" in config.models
                and len(datasets) > 1 and not load_only else [])
-    run = _run_serial if config.jobs == 1 or load_only else _run_pool
-    rows = []
-    skipped = []
-    for task, cell_rows, reason in run(ctx, tasks, targets):
-        if cell_rows is None:
-            skipped.append((*task, reason))
+    with _runner(ctx, len(targets) + len(tasks)) as run:
+        outcomes = dict(_schedule(run, tasks, targets))
+    report = ErrorReport(rows=[], skipped=[])
+    for k, task in enumerate(tasks):   # grid order, whatever order cells ran in
+        if isinstance(outcomes[k], str):
+            report.skipped.append((*task, outcomes[k]))
         else:
-            rows.extend(cell_rows)
-    return ErrorReport(rows=rows, skipped=skipped)
+            report.rows.extend(outcomes[k])
+    return report
 
 
 # ---------------------------------------------------------------- reports

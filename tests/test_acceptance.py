@@ -305,7 +305,7 @@ class TestSyntheticOrdering:
             held = generate_synthetic(SyntheticConfig(noise_seed=seed))[0]
             grid = ProtocolGrid(t_start=22, t_end=26, dt=4,
                                 horizons=tuple(range(1, 15)))
-            cfg = EvalConfig(train=ORDERING_TRAIN, seed=seed,
+            cfg = EvalConfig(train=ORDERING_TRAIN, seed=seed, jobs=2,
                              models=("MPNN", "AVG_WINDOW"), grid=grid)
             report = rolling_evaluate([held], cfg)
             assert not report.skipped

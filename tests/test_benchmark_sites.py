@@ -55,6 +55,8 @@ def test_hooks_outside_spans_still_fit():
     from mobicast import evaluation, params, tape, train
 
     assert callable(getattr(evaluation, "_run_cell", None))
+    # traced_run_cell passes exactly one argument, the task
+    assert len(parameter_names(evaluation._run_cell)) == 1
     assert parameter_names(tape.Tape.node)[:5] == ["self", "value", "parents",
                                                    "backward", "name"]
     assert callable(getattr(tape.Tape, "_push", None))

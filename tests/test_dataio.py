@@ -297,6 +297,32 @@ class TestCountryDataset:
         assert peak < 1.5 * ds.mobility.nbytes
         assert ds.mobility[89, 0, 0] == 89.0 and not ds.mobility.flags.writeable
 
+    def test_mobility_checks_build_no_full_size_temporary(self):
+        days, n = 90, 100
+        dates = [str(np.datetime64("2020-03-01") + k) for k in range(days)]
+        mobility = np.ones((days, n, n))
+        mobility.setflags(write=False)   # kept as it is, so only the checks allocate
+        tracemalloc.start()
+        try:
+            CountryDataset("X", range(n), dates, np.zeros((n, days)), mobility)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one full boolean mask would be an eighth of the array
+        assert peak < 0.05 * mobility.nbytes
+
+    def test_non_finite_mobility_reported_before_negative(self):
+        mobility = np.ones((3, 2, 2))
+        mobility[0, 1, 0] = -1.0
+        mobility[2, 0, 0] = np.nan
+        with pytest.raises(DataError, match="non-finite mobility entry on 2020-03-03"):
+            CountryDataset("X", ["a", "b"], ["2020-03-01", "2020-03-02", "2020-03-03"],
+                           [[1, 2, 3], [4, 5, 6]], mobility)
+        mobility[2, 0, 0] = 1.0
+        with pytest.raises(DataError, match="negative mobility entry on 2020-03-01"):
+            CountryDataset("X", ["a", "b"], ["2020-03-01", "2020-03-02", "2020-03-03"],
+                           [[1, 2, 3], [4, 5, 6]], mobility)
+
     def test_invalid_construction(self):
         with pytest.raises(DataError, match="duplicate"):
             CountryDataset("X", ["a", "a"], ["2020-03-01"], [[1], [2]], [np.eye(2)])

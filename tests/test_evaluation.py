@@ -448,9 +448,10 @@ class TestPoolMetaTraining:
         assert len(serial_files) == 2 + 2 * len(self.MODELS) * 2
         assert pooled_files == serial_files
 
+    @pytest.mark.parametrize("jobs", [1, 2])
     def test_failed_meta_training_in_worker_skips_only_its_target(
-            self, monkeypatch):
-        clean = rolling_evaluate(self.two_countries(), self.config(jobs=2))
+            self, monkeypatch, jobs):
+        clean = rolling_evaluate(self.two_countries(), self.config(jobs=jobs))
         real = evaluation.maml_meta_train
 
         def maml_meta_train(foreign, model, config, seed):
@@ -459,7 +460,7 @@ class TestPoolMetaTraining:
             return real(foreign, model, config, seed)
 
         monkeypatch.setattr(evaluation, "maml_meta_train", maml_meta_train)
-        report = rolling_evaluate(self.two_countries(), self.config(jobs=2))
+        report = rolling_evaluate(self.two_countries(), self.config(jobs=jobs))
         assert report.skipped == [
             ("AA", "MPNN_TL", t, 1,
              "meta-training failed: non-finite loss during adaptation")
@@ -488,6 +489,44 @@ class TestPoolFailure:
         # only cells already handed to the 2 workers finish; the other 19 would
         # take about 3 s at 0.3 s each
         assert len(list(ckpt_dir.glob("*.ckpt"))) < 10
+
+
+class TestInProcessSchedule:
+    def test_error_in_one_cell_stops_the_grid(self, tmp_path, monkeypatch):
+        real = evaluation.train_model
+        trained = []
+
+        def train_model(splits, model, config, seed, init_state=None):
+            trained.append(splits.t)
+            if splits.t == 14:
+                raise ContractError("cell T=14 fails")
+            return real(splits, model, config, seed, init_state=init_state)
+
+        monkeypatch.setattr(evaluation, "train_model", train_model)
+        ds = make_ramp_dataset(n=2, days=35)
+        cfg = fast_config(models=["AVG", "MPNN"], grid=ProtocolGrid(t_end=33, dt=1))
+        ckpt_dir = tmp_path / "ckpts"
+        with pytest.raises(ContractError, match="cell T=14 fails"):
+            rolling_evaluate([ds], cfg, checkpoint_dir=str(ckpt_dir))
+        assert trained == [14]
+        assert list(ckpt_dir.iterdir()) == []
+
+    def test_cells_bypass_the_pool_entry_point(self, tmp_path, monkeypatch):
+        """The benchmark tracer counts every _run_cell call as a forked
+        worker's cell, so an in-process grid must never make one."""
+        def pool_only(task):
+            raise AssertionError("an in-process cell went through _run_cell")
+
+        monkeypatch.setattr(evaluation, "_run_cell", pool_only)
+        datasets = TestPoolMetaTraining.two_countries()
+        cfg = fast_config(models=["MPNN_TL", "MPNN", "LAST_DAY"],
+                          grid=ProtocolGrid(t_end=15, dt=1))
+        ckpt_dir = str(tmp_path / "ckpts")
+        report = rolling_evaluate(datasets, cfg, checkpoint_dir=ckpt_dir)
+        again = rolling_evaluate(datasets, replace(cfg, jobs=2),
+                                 checkpoint_dir=ckpt_dir, load_only=True)
+        assert not report.skipped
+        assert again == report
 
 
 class RecordingExecutor:
@@ -581,8 +620,9 @@ class TestCheckpointReuse:
             raise AssertionError("a load-only grid must not train or fork")
 
         for name in ("maml_meta_train", "train_model", "tl_base_train",
-                     "save_checkpoint", "_run_pool"):
+                     "save_checkpoint"):
             monkeypatch.setattr(evaluation, name, forbidden)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", forbidden)
         again = rolling_evaluate(datasets, replace(cfg, jobs=2),
                                  checkpoint_dir=ckpt_dir, load_only=True)
         assert again.rows == report.rows
