@@ -13,6 +13,7 @@ import argparse
 import ctypes
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import sys
@@ -30,6 +31,7 @@ from .dataio import (
     load_mobility,
     load_region_map,
     make_dir,
+    read_file,
     save_bundle,
     write_file,
 )
@@ -118,10 +120,7 @@ def run_config_from_dict(doc) -> EvalConfig:
 
 def load_run_config(path: str) -> EvalConfig:
     try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ContractError(f"cannot read config file {path}: {exc}") from exc
+        doc = json.loads(read_file(path))
     except json.JSONDecodeError as exc:
         raise ContractError(f"{path}: invalid JSON: {exc}") from exc
     return run_config_from_dict(doc)
@@ -185,12 +184,8 @@ def write_manifest(out_dir: str, command, config_doc: dict, seed, status: str,
 
 
 def _read_regions_file(path: str) -> list:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            regions = [ln.strip() for ln in fh
-                       if ln.strip() and not ln.startswith("#")]
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"cannot read regions file {path}: {exc}") from exc
+    lines = io.StringIO(read_file(path), newline=None)   # \n, \r\n or \r
+    regions = [ln.strip() for ln in lines if ln.strip() and not ln.startswith("#")]
     if not regions:
         raise DataError(f"{path}: no region ids")
     return regions

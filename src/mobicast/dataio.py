@@ -1,5 +1,6 @@
 """Ingestion of mobility/case files, alignment, synthetic epidemics, bundles,
-and the one atomic file writer every output of the package goes through.
+the whole-file reader and the streamed CSV reader every input goes through,
+and the one atomic writer every output goes through.
 
 Matrix convention everywhere: mobility M[u][v] is the number of people moving
 FROM region v INTO region u on that day (row = destination, column = origin);
@@ -47,6 +48,17 @@ def make_dir(path: str) -> None:
         raise WriteError(f"cannot create directory {path}: {exc}") from exc
 
 
+def read_file(path: str, binary: bool = False, error=DataError):
+    """The UTF-8 text of file `path`, or its bytes with `binary`; a file that
+    cannot be read or decoded raises `error` ("cannot read <path>: ...")."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        return data if binary else data.decode("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {path}: {exc}") from exc
+
+
 def write_file(path: str, data) -> None:
     """Write `data` (str, as UTF-8, or bytes) to path + ".tmp", creating the parent
     directory, then rename it over `path`: no reader ever sees half a file."""
@@ -88,7 +100,7 @@ def _csv_rows(path: str, *headers: str) -> tuple:
     Blank rows are skipped.  A file that cannot be read, another header or a
     row of another width raises DataError naming the file (and the line).
     """
-    try:
+    try:   # streamed, not through read_file: an ingest CSV can be large
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             header = ",".join(cell.strip() for cell in next(reader, []))
@@ -435,17 +447,17 @@ def load_bundle(dir_path: str) -> CountryDataset:
     """Read a bundle that save_bundle wrote.
 
     A bundle of another format version, or whose files are missing,
-    unreadable or disagree with its manifest, raises BundleError naming the
-    file; data the dataset rejects (say, negative mobility or a date that
-    does not exist) raises DataError.
+    unreadable or disagree with its manifest, or whose cases.csv holds a
+    (region, date) pair twice, raises BundleError naming the file; data the
+    dataset rejects (say, negative mobility or a date that does not exist)
+    raises DataError.
     """
     manifest_path = os.path.join(dir_path, "manifest.json")
     if not os.path.isfile(manifest_path):
         raise BundleError(f"{dir_path}: missing manifest.json")
     try:
-        with open(manifest_path, encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
+        manifest = json.loads(read_file(manifest_path))
+    except (DataError, ValueError) as exc:  # unreadable, not UTF-8, or not JSON
         raise BundleError(f"{manifest_path}: unreadable or invalid JSON: {exc}") from exc
     if not isinstance(manifest, dict):
         raise BundleError(f"{manifest_path}: expected a JSON object, "
@@ -482,6 +494,9 @@ def load_bundle(dir_path: str) -> CountryDataset:
         i, k = regions_idx.get(region), date_idx.get(date)
         if i is None or k is None:
             raise BundleError(f"{cases_path}:{line_no}: row does not match manifest")
+        if filled[i, k]:
+            raise BundleError(f"{cases_path}:{line_no}: repeats region {region!r} "
+                              f"on {date}")
         try:
             cases[i, k] = float(cell)
         except ValueError:

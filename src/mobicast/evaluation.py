@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .baselines import ar_fit, ar_predict, avg_predict, avg_window_predict, last_day_predict
-from .dataio import CountryDataset, make_dir, write_file
+from .dataio import CountryDataset, make_dir, read_file, write_file
 from .errors import (CheckpointError, ContractError, DataError, InsufficientDataError,
                      SkippedCell, TrainingDivergedError)
 from .graphs import normalized_graphs
@@ -24,6 +24,7 @@ from .rng import derive_seed
 from .train import (
     PROTOCOL_START_DAY,
     TrainConfig,
+    divergence_at,
     load_checkpoint,
     make_splits,
     predict,
@@ -308,9 +309,10 @@ def _cell_path(ctx: _CellContext, task) -> Optional[str]:
 
 def _keep(ctx: _CellContext, task, outcome):
     """Save a trainable cell's outcome, a Checkpoint or a skip reason, as
-    its checkpoint when ctx has a checkpoint directory; return the outcome."""
+    its checkpoint when ctx has a checkpoint directory and is not load-only;
+    return the outcome."""
     path = _cell_path(ctx, task)
-    if path is not None:
+    if path is not None and not ctx.load_only:
         country, model_name, t, j = task
         save_checkpoint(path, outcome, extra_meta={
             "country": country, "model_name": model_name, "t": t, "horizon": j,
@@ -348,9 +350,10 @@ def evaluate_cell(ctx: _CellContext, country: str, model_name: str, t: int,
     `shared`, passed to MPNN_TL cells only, is the country's meta-trained
     ModelState or the reason it has none.  Returns the cell's rows, or the
     reason string when the cell lacks the data its model needs, its training
-    diverged or it has no shared initialization.  The last two keep the
-    reason as the cell's checkpoint, which a load-only run reads back as the
-    same skip.
+    diverged (a non-finite loss, or a non-finite validation or test
+    forecast) or it has no shared initialization.  A training run keeps the
+    last two reasons as the cell's checkpoint, which a load-only run reads
+    back as the same skip.
     """
     task = (country, model_name, t, j)
     dataset = ctx.dataset(country)
@@ -365,7 +368,8 @@ def evaluate_cell(ctx: _CellContext, country: str, model_name: str, t: int,
         else:
             model = build_model(model_name, cfg.train)
             splits, ckpt = _cell_checkpoint(ctx, task, model, dataset, shared)
-            preds = predict(ckpt.model, ckpt.state, [splits.test])
+            with divergence_at(ckpt.epoch):
+                preds = predict(ckpt.model, ckpt.state, [splits.test])
     except (DataError, SkippedCell) as exc:  # DataError includes InsufficientDataError
         return str(exc)
     except TrainingDivergedError as exc:
@@ -527,11 +531,7 @@ def parse_skip_line(line: str, path: str):
 
 def load_report_rows(path: str):
     """Rows and skip lines back from an emitted rows.csv."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise DataError(f"cannot read report file {path}: {exc}") from exc
+    lines = read_file(path).splitlines()
     skipped_lines = [ln for ln in lines if ln.startswith("#")]
     body = [ln for ln in lines if ln and not ln.startswith("#")]
     if not body or body[0] != ROWS_HEADER:

@@ -4,7 +4,10 @@ baseline."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
+
+import numpy as np
 
 from .dataio import CountryDataset
 from .errors import ContractError, InsufficientDataError, TrainingDivergedError
@@ -33,8 +36,8 @@ class MetaConfig:
     batch_size: int = 8
 
     def __post_init__(self):
-        if self.inner_lr < 0 or self.meta_lr < 0:
-            raise ContractError("step sizes must be >= 0")
+        if not 0 <= self.inner_lr < math.inf or not 0 <= self.meta_lr < math.inf:
+            raise ContractError("step sizes must be finite and >= 0")
         if self.dt < 1 or self.batch_size < 1 or self.meta_epochs < 0:
             raise ContractError("dt/batch_size must be >= 1 and meta_epochs >= 0")
         if self.t_start < PROTOCOL_START_DAY:
@@ -110,7 +113,8 @@ def maml_meta_train(datasets: list, model, config: MetaConfig, seed: int) -> Mod
 
     Countries are visited in the given order, tasks in grid order; the shared
     parameters move after every task, scaled by meta_lr over the number of
-    countries.  Returns the final shared state.
+    countries.  Returns the final shared state; a non-finite one raises
+    TrainingDivergedError.
     """
     if not datasets:
         raise ContractError("meta-training needs at least one country")
@@ -124,6 +128,10 @@ def maml_meta_train(datasets: list, model, config: MetaConfig, seed: int) -> Mod
             for task in tasks:
                 meta_task_step(model, state, task, config.inner_lr, step,
                                config.batch_size, dropout_rng)
+    bad = [name for name, arr in {**state.params, **state.buffers}.items()
+           if not np.isfinite(arr).all()]
+    if bad:
+        raise TrainingDivergedError(f"non-finite shared state: {', '.join(sorted(bad))}")
     return state
 
 

@@ -9,11 +9,12 @@ the header's (sorted) order.
 from __future__ import annotations
 
 import json
+import math
 from typing import Tuple
 
 import numpy as np
 
-from .dataio import write_file
+from .dataio import read_file, write_file
 from .errors import CheckpointError, NumericsError
 
 MAGIC = b"MOBICAST-CKPT\n"
@@ -46,12 +47,14 @@ def save_params(path: str, params: dict, buffers: dict, meta: dict) -> None:
     write_file(path, b"".join([MAGIC, len(blob).to_bytes(8, "little"), blob, *tensors]))
 
 
+def _is_tensor_entry(entry) -> bool:
+    return (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)
+            and isinstance(entry[1], list)
+            and all(type(dim) is int and dim >= 0 for dim in entry[1]))
+
+
 def load_params(path: str) -> Tuple[dict, dict, dict]:
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise CheckpointError(f"cannot read checkpoint {path!r}: {exc}") from exc
+    raw = read_file(path, binary=True, error=CheckpointError)
     if not raw.startswith(MAGIC):
         raise CheckpointError(f"{path!r} is not a checkpoint file (bad magic)")
     off = len(MAGIC)
@@ -64,19 +67,24 @@ def load_params(path: str) -> Tuple[dict, dict, dict]:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path!r} has a corrupt header: {exc}") from exc
     off += hlen
+    if not isinstance(header, dict) or not isinstance(header.get("meta", {}), dict):
+        raise CheckpointError(f"{path!r}: header and its meta must be JSON objects")
     if header.get("format_version") != FORMAT_VERSION:
         raise CheckpointError(f"{path!r}: unsupported format_version "
                               f"{header.get('format_version')!r}")
     sections = []
     for key in ("params", "buffers"):
         out = {}
-        for name, shape in header.get(key, []):
-            n = int(np.prod(shape)) if shape else 1
-            nbytes = n * 8
+        entries = header.get(key, [])
+        if not isinstance(entries, list) or not all(map(_is_tensor_entry, entries)):
+            raise CheckpointError(f"{path!r}: {key} must list [name, shape] pairs "
+                                  f"with integer dimensions >= 0")
+        for name, shape in entries:
+            nbytes = math.prod(shape) * 8
             if off + nbytes > len(raw):
                 raise CheckpointError(f"{path!r}: blob too short for tensor {name!r}")
             arr = np.frombuffer(raw[off:off + nbytes], dtype="<f8").astype(np.float64)
-            out[name] = arr.reshape([int(s) for s in shape])
+            out[name] = arr.reshape(shape)
             off += nbytes
         sections.append(out)
     if off != len(raw):

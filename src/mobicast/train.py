@@ -10,6 +10,7 @@ runs after a warm-up epoch threshold.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -19,7 +20,7 @@ import numpy as np
 from . import tape as tp
 from .dataio import CountryDataset
 from .errors import (CheckpointError, ContractError, InsufficientDataError,
-                     SkippedCell, TrainingDivergedError)
+                     NumericsError, SkippedCell, TrainingDivergedError)
 from .graphs import GraphSample, assemble_samples
 from .models import (ModelState, check_feature_mode, model_from_spec, model_spec,
                      stack_targets)
@@ -48,8 +49,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.max_epochs < 0 or self.patience < 1 or self.patience_start_epoch < 0:
             raise ContractError("epoch/patience settings out of range")
-        if self.batch_size < 1 or self.lr <= 0:
-            raise ContractError("batch_size must be >= 1 and lr > 0")
+        if self.batch_size < 1 or not 0 < self.lr < math.inf:   # NaN fails too
+            raise ContractError("batch_size must be >= 1 and lr finite and > 0")
         if not 0.0 <= self.dropout < 1.0:
             raise ContractError("dropout must be in [0, 1)")
         if min(self.d, self.k_layers, self.hidden, self.seq_len) < 1:
@@ -110,6 +111,17 @@ def predict(model, state: ModelState, samples) -> np.ndarray:
     return out.value[:, 0].copy()
 
 
+@contextlib.contextmanager
+def divergence_at(epoch: int):
+    """Raise a NumericsError of the block's forecasts as a TrainingDivergedError
+    naming the epoch whose parameters made them."""
+    try:
+        yield
+    except NumericsError as exc:
+        raise TrainingDivergedError(f"non-finite forecast with the parameters of "
+                                    f"epoch {epoch}: {exc}") from exc
+
+
 def loss_and_grads(model, state: ModelState, batch, rng):
     """Training-mode mean squared error of one batch and the gradient of every
     parameter; the gradients are None when the loss is not finite."""
@@ -147,8 +159,10 @@ def train_model(splits: SplitSpec, model, config: TrainConfig, seed: int,
     dropout_rng = rng.spawn("dropout")
     adam = adam_init(state.params)
 
-    best = Checkpoint(model, state.clone(), _validation_mae(model, state, splits.validation),
-                      epoch=0, stopped_epoch=0)
+    with divergence_at(0):
+        best = Checkpoint(model, state.clone(),
+                          _validation_mae(model, state, splits.validation),
+                          epoch=0, stopped_epoch=0)
     stale = 0
     train = splits.train
     for epoch in range(1, config.max_epochs + 1):
@@ -167,7 +181,8 @@ def train_model(splits: SplitSpec, model, config: TrainConfig, seed: int,
             sq_sum += loss * batch_rows
             rows += batch_rows
             state.params = adam_step(state.params, grads, adam, config.lr)
-        val_mae = _validation_mae(model, state, splits.validation)
+        with divergence_at(epoch):
+            val_mae = _validation_mae(model, state, splits.validation)
         if log_fn is not None:
             log_fn({"epoch": epoch, "train_loss": sq_sum / max(rows, 1),
                     "val_mae": val_mae})
@@ -205,11 +220,14 @@ def save_checkpoint(path: str, checkpoint: Checkpoint | str,
 
 def load_checkpoint(path: str) -> Checkpoint:
     params, buffers, meta = load_params(path)
-    if meta.get("kind") == "mobicast-skip":
-        raise SkippedCell(meta["reason"])
-    if meta.get("kind") != "mobicast-checkpoint":
+    kind = meta.get("kind")
+    if kind not in ("mobicast-skip", "mobicast-checkpoint"):
         raise CheckpointError(f"{path!r} is not a model checkpoint")
-    model = model_from_spec(meta["model"])
-    return Checkpoint(model, ModelState(params, buffers),
-                      float(meta["val_error"]), int(meta["epoch"]),
-                      int(meta["stopped_epoch"]))
+    try:
+        if kind == "mobicast-skip":
+            raise SkippedCell(meta["reason"])
+        return Checkpoint(model_from_spec(meta["model"]), ModelState(params, buffers),
+                          float(meta["val_error"]), int(meta["epoch"]),
+                          int(meta["stopped_epoch"]))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path!r}: malformed {kind} header: {exc!r}") from exc

@@ -332,7 +332,8 @@ class TestIngest:
                    "--regions-file", str(tmp_path / "regions.txt"),
                    "--out", str(tmp_path / "bundle")])
         assert rc == 1
-        assert "error: cannot read regions file" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(
+            f"error: cannot read {tmp_path / 'regions.txt'}: ")
 
     def test_unmapped_region_fails_with_location(self, tmp_path, capsys):
         self.write_raw(tmp_path, mobility_names=("nowhere", "b", "c"))
@@ -506,6 +507,20 @@ class TestTrainCommand:
         assert rc == 1
         assert "error: models must be distinct" in capsys.readouterr().err
         assert not (out / "rows.csv").exists()
+
+    @pytest.mark.parametrize("raw", [b'{"seed": "\xff"}', None],
+                             ids=["not-utf8", "missing"])
+    def test_unreadable_config_file_exits_with_one_line(self, tmp_path, capsys, raw):
+        bundle, _ = make_bundle(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        if raw is not None:
+            cfg.write_bytes(raw)
+        rc = main(["train", "--bundle", bundle, "--config", str(cfg),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {cfg}: ")
+        assert err.count("\n") == 1
 
     def test_config_value_of_wrong_type_exits_with_message(self, tmp_path, capsys):
         bundle, _ = make_bundle(tmp_path)
@@ -914,6 +929,19 @@ class TestReportCommand:
                    "--out", str(tmp_path / "merged")])
         assert rc == 1
         assert "rows.csv" in capsys.readouterr().err
+
+    def test_rows_file_not_utf8_exits_with_one_line(self, tmp_path, capsys):
+        src = tmp_path / "run"
+        src.mkdir()
+        rows = src / "rows.csv"
+        rows.write_bytes(b"country,model,T,horizon,region,prediction,actual,abs_error\n"
+                         b"AA,AVG,14,1,r\xff,1.0,2.0,1.0\n")
+        rc = main(["report", str(src), "--out", str(tmp_path / "merged")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {rows}: ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "merged").exists()
 
 
 class TestUnwritableOutputs:

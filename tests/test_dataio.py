@@ -17,8 +17,8 @@ from mobicast.cli import main
 from mobicast.dataio import (CountryDataset, RawCountryData, SyntheticConfig,
                              align_and_filter, generate_synthetic, load_bundle,
                              load_cases, load_mobility, load_region_map,
-                             make_dir, save_bundle, write_file)
-from mobicast.errors import BundleError, DataError, WriteError
+                             make_dir, read_file, save_bundle, write_file)
+from mobicast.errors import BundleError, CheckpointError, DataError, WriteError
 
 REGIONS = ["a", "b", "c"]
 
@@ -542,6 +542,17 @@ class TestBundles:
         with pytest.raises(BundleError, match="cases.csv:6: non-numeric cell 'xyz'"):
             load_bundle(str(bdir))
 
+    def test_repeated_region_date_pair_names_line(self, tmp_path):
+        ds, bdir = self.saved(tmp_path)
+        path = bdir / "cases.csv"
+        lines = path.read_text().splitlines()
+        date, region, _ = lines[1].split(",")
+        lines.insert(2, f"{date},{region},999.0")
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(BundleError, match=re.escape(
+                f"cases.csv:3: repeats region {region!r} on {date}")):
+            load_bundle(str(bdir))
+
     def test_manifest_holding_a_list_rejected(self, tmp_path):
         _, bdir = self.saved(tmp_path)
         (bdir / "manifest.json").write_text("[1, 2]\n")
@@ -703,3 +714,53 @@ class TestOneWriter:
             if found and module != "dataio":
                 offenders[module] = found
         assert offenders == {}
+
+
+def disk_reads(source: str) -> list:
+    """Calls in `source` that open or load a file: open (in any mode),
+    io.open, os.open, np.load, np.fromfile and np.lib.format.read_array."""
+    readers = {"open", "io.open", "os.open", "np.load", "np.fromfile",
+               "np.lib.format.read_array"}
+    return [ast.unparse(node.func) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and ast.unparse(node.func) in readers]
+
+
+class TestOneReader:
+    """Only dataio opens files: read_file reads whole files, _csv_rows streams
+    CSVs and load_bundle streams mobility.npy, and every failure to read or
+    decode is one "cannot read <path>: ..." error."""
+
+    def test_reads_are_recognised(self):
+        assert disk_reads("open(p); open(p, 'rb'); np.load(f)") == [
+            "open", "open", "np.load"]
+        assert disk_reads("np.fromfile(f); np.lib.format.read_array(fh);"
+                          "io.open(p); os.open(p, 0)") == [
+            "np.fromfile", "np.lib.format.read_array", "io.open", "os.open"]
+        assert disk_reads("read_file(p); json.loads(s); fh.read(); np.save(f, x)") == []
+
+    def test_only_dataio_reads(self):
+        paths = sorted(glob.glob(os.path.join(SRC, "*.py")))
+        assert len(paths) > 10
+        offenders = {}
+        for path in paths:
+            found = disk_reads(read_file(path))
+            module = os.path.basename(path)[:-3]
+            if found and module != "dataio":
+                offenders[module] = found
+        assert offenders == {}
+
+    def test_text_bytes_and_faults(self, tmp_path):
+        path = tmp_path / "f.txt"
+        path.write_bytes("é\r\nx".encode("utf-8"))
+        assert read_file(str(path)) == "é\r\nx"
+        assert read_file(str(path), binary=True) == "é\r\nx".encode("utf-8")
+        path.write_bytes(b"a\xffb")
+        assert read_file(str(path), binary=True) == b"a\xffb"
+        with pytest.raises(DataError, match=f"^cannot read {re.escape(str(path))}: "
+                           ".*utf-8.*can't decode"):
+            read_file(str(path))
+        missing = str(tmp_path / "absent")
+        for binary in (False, True):
+            with pytest.raises(CheckpointError,
+                               match=f"^cannot read {re.escape(missing)}: "):
+                read_file(missing, binary=binary, error=CheckpointError)

@@ -5,11 +5,13 @@ import json
 import os
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mobicast import evaluation
+from mobicast import meta as meta_mod
 from mobicast.baselines import ar_fit, ar_predict, avg_window_predict, last_day_predict
 from mobicast.dataio import CountryDataset
 from mobicast.errors import (CheckpointError, ContractError, DataError,
@@ -31,6 +33,7 @@ from mobicast.evaluation import (
     rolling_evaluate,
 )
 from mobicast.meta import MetaConfig
+from mobicast.params import load_params
 from mobicast.rng import Rng
 from mobicast.train import TrainConfig
 
@@ -415,6 +418,93 @@ class TestDivergedCells:
                    for *_, reason in report.skipped)
         assert {(r.country, r.model) for r in report.rows} == {
             ("AA", "LAST_DAY"), ("BB", "LAST_DAY")}
+
+
+def with_huge_cases(ds, country, days=None):
+    """A copy of ds named `country` whose region 0 reports 1.7e308 cases on
+    the given 1-based days, or on every day when days is None."""
+    cases = ds.cases.copy()
+    cases[0, slice(None) if days is None else [day - 1 for day in days]] = 1.7e308
+    return CountryDataset(country, ds.regions, ds.dates, cases, ds.mobility)
+
+
+def read_files(directory):
+    return {path.name: path.read_bytes() for path in sorted(Path(directory).iterdir())}
+
+
+def checkpoint_kinds(directory):
+    return {name: load_params(os.path.join(directory, name))[2]["kind"]
+            for name in sorted(os.listdir(directory))}
+
+
+class TestNonFiniteForecasts:
+    """A forward pass that overflows skips its cell as diverged; it never
+    fails the grid.  numpy's overflow warnings are expected here."""
+
+    MODELS = ["LSTM", "MPNN", "MPNN_LSTM"]
+    GRID = ProtocolGrid(t_end=15, dt=1)
+
+    def test_overflowing_country_skips_only_its_cells(self, tmp_path):
+        clean = make_ramp_dataset(n=2, days=18, country="AA")
+        huge = with_huge_cases(clean, "BB")
+        cfg = fast_config(models=self.MODELS, grid=self.GRID)
+        ck = str(tmp_path / "ck")
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = rolling_evaluate([clean, huge], cfg, checkpoint_dir=ck)
+            rescored = rolling_evaluate([clean, huge], cfg, checkpoint_dir=ck,
+                                        load_only=True)
+        assert report.rows == rolling_evaluate([clean], cfg).rows
+        assert [cell[:4] for cell in report.skipped] == [
+            ("BB", model, t, 1) for model in self.MODELS for t in (14, 15)]
+        assert all(reason.startswith("training diverged: non-finite ")
+                   for *_, reason in report.skipped)
+        assert [reason for _, model, _, _, reason in report.skipped
+                if model == "MPNN"] == [
+            "training diverged: non-finite forecast with the parameters of epoch 0: "
+            "matmul: produced non-finite values"] * 2
+        assert {name for name, kind in checkpoint_kinds(ck).items()
+                if kind == "mobicast-skip"} == {
+            f"BB__{model}__T{t}_j1.ckpt" for model in self.MODELS for t in (14, 15)}
+        assert rescored == report
+
+    def test_overflowing_test_forecast_skips_and_rescore_writes_nothing(self, tmp_path):
+        clean = make_ramp_dataset(n=2, days=18, country="AA")
+        # days 13-14 feed no validation sample, only the T=14 test sample and
+        # a training sample that zero epochs never fit
+        huge = with_huge_cases(clean, "AA", days=(13, 14))
+        cfg = fast_config(models=["MPNN"], grid=ProtocolGrid(t_end=14, dt=1),
+                          train=replace(fast_config().train, max_epochs=0))
+        reason = ("training diverged: non-finite forecast with the parameters "
+                  "of epoch 0: matmul: produced non-finite values")
+        trained, rescored = str(tmp_path / "trained"), str(tmp_path / "rescored")
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = rolling_evaluate([huge], cfg, checkpoint_dir=trained)
+            assert report.skipped == [("AA", "MPNN", 14, 1, reason)]
+            assert checkpoint_kinds(trained) == {"AA__MPNN__T14_j1.ckpt": "mobicast-skip"}
+            rolling_evaluate([clean], cfg, checkpoint_dir=rescored)
+            before = read_files(rescored)
+            report = rolling_evaluate([huge], cfg, checkpoint_dir=rescored,
+                                      load_only=True)
+        assert report.skipped == [("AA", "MPNN", 14, 1, reason)]
+        assert read_files(rescored) == before
+
+    def test_non_finite_shared_state_fails_meta_training(self, tmp_path, monkeypatch):
+        def meta_task_step(model, state, task, *args):
+            state.params = {name: np.full_like(arr, np.inf)
+                            for name, arr in state.params.items()}
+
+        monkeypatch.setattr(meta_mod, "meta_task_step", meta_task_step)
+        datasets = [make_ramp_dataset(n=2, days=18, country="AA"),
+                    make_ramp_dataset(n=2, days=18, country="BB")]
+        ck = str(tmp_path / "ck")
+        report = rolling_evaluate(datasets, fast_config(
+            models=["MPNN_TL"], grid=ProtocolGrid(t_end=14, dt=1)), checkpoint_dir=ck)
+        assert [cell[:2] for cell in report.skipped] == [("AA", "MPNN_TL"),
+                                                        ("BB", "MPNN_TL")]
+        assert all(reason.startswith("meta-training failed: non-finite shared state: ")
+                   for *_, reason in report.skipped)
+        assert checkpoint_kinds(ck) == {"AA__MPNN_TL__T14_j1.ckpt": "mobicast-skip",
+                                        "BB__MPNN_TL__T14_j1.ckpt": "mobicast-skip"}
 
 
 class TestPoolMetaTraining:

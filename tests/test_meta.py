@@ -1,6 +1,7 @@
 """Cross-country transfer: task grids, the two-level update, fine-tuning in
 the MPNN_TL grid cells, and pooled training."""
 
+import math
 import os
 from dataclasses import asdict
 
@@ -92,8 +93,11 @@ class TestMetaConfig:
         MetaConfig(inner_lr=0.0, meta_lr=0.0)
 
     def test_invalid(self):
+        non_finite = [{key: value} for key in ("inner_lr", "meta_lr")
+                      for value in (math.nan, math.inf, -math.inf)]
         for kwargs in ({"inner_lr": -1.0}, {"meta_lr": -0.5}, {"dt": 0},
-                       {"t_start": 13}, {"batch_size": 0}, {"meta_epochs": -1}):
+                       {"t_start": 13}, {"batch_size": 0}, {"meta_epochs": -1},
+                       *non_finite):
             with pytest.raises(ContractError):
                 MetaConfig(**kwargs)
 

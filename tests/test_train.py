@@ -1,5 +1,9 @@
 """Split construction, the training loop, and checkpoint round trips."""
 
+import json
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -15,7 +19,7 @@ from mobicast.errors import (
 )
 from mobicast.graphs import assemble_samples
 from mobicast.models import MPNNModel
-from mobicast.params import load_params, save_params
+from mobicast.params import MAGIC, load_params, save_params
 from mobicast.rng import Rng
 from mobicast.train import (
     Checkpoint,
@@ -56,7 +60,8 @@ class TestTrainConfig:
 
     def test_invalid_settings(self):
         for kwargs in ({"max_epochs": -1}, {"patience": 0}, {"batch_size": 0},
-                       {"lr": 0.0}, {"dropout": 1.0}, {"hidden": 0}):
+                       {"lr": 0.0}, {"lr": math.nan}, {"lr": math.inf},
+                       {"lr": -math.inf}, {"dropout": 1.0}, {"hidden": 0}):
             with pytest.raises(ContractError):
                 TrainConfig(**kwargs)
 
@@ -242,6 +247,16 @@ class TestTrainModel:
                 train_model(splits, model, TrainConfig(max_epochs=1, dropout=0.0), 0,
                             init_state=init)
 
+    def test_non_finite_validation_forecast_is_divergence_at_its_epoch(self):
+        splits, model = tiny_setup()
+        init = model.init_state(Rng(0))
+        init.params["head.b2"] = np.full((1, 1), np.inf)
+        with pytest.raises(TrainingDivergedError,
+                           match="^non-finite forecast with the parameters of epoch 0: "
+                                 "constant: produced non-finite values$"):
+            train_model(splits, model, TrainConfig(max_epochs=1, dropout=0.0), 0,
+                        init_state=init)
+
     def test_log_records_sequential_epochs(self):
         splits, model = tiny_setup()
         logs = []
@@ -316,6 +331,37 @@ class TestCheckpointIO:
         save_checkpoint(path, "training diverged: boom", extra_meta=extra)
         with open(path, "rb") as fh:
             assert fh.read() == first
+
+    CHECKPOINT_META = {"kind": "mobicast-checkpoint", "val_error": 1.0, "epoch": 0,
+                       "stopped_epoch": 0}
+
+    @pytest.mark.parametrize("header,message", [
+        ([1, 2], "header and its meta must be JSON objects"),
+        ({"meta": ["kind"]}, "header and its meta must be JSON objects"),
+        ({"meta": {"kind": "mobicast-skip"}},
+         "malformed mobicast-skip header: KeyError('reason')"),
+        ({"meta": CHECKPOINT_META},
+         "malformed mobicast-checkpoint header: KeyError('model')"),
+        ({"meta": {**CHECKPOINT_META, "model": ["mpnn"]}},
+         "malformed mobicast-checkpoint header: AttributeError"),
+        ({"params": [["w"]]}, "params must list [name, shape] pairs"),
+        ({"params": [[7, [1]]]}, "params must list [name, shape] pairs"),
+        ({"params": [["w", [-1]]]}, "params must list [name, shape] pairs"),
+        ({"params": [["w", [1.0]]]}, "params must list [name, shape] pairs"),
+        ({"params": [["w", [True]]]}, "params must list [name, shape] pairs"),
+        ({"buffers": {"w": [1]}}, "buffers must list [name, shape] pairs"),
+    ], ids=["list", "meta-list", "skip-no-reason", "no-model", "model-list",
+            "short-entry", "int-name", "negative-dim", "float-dim", "bool-dim",
+            "buffers-object"])
+    def test_malformed_header_names_file(self, tmp_path, header, message):
+        if isinstance(header, dict):   # one 1-element tensor, unless replaced
+            header = {"format_version": 1, "meta": {"kind": "mobicast-checkpoint"},
+                      "params": [["w", [1]]], "buffers": [], **header}
+        blob = json.dumps(header).encode("utf-8")
+        path = tmp_path / "cell.ckpt"
+        path.write_bytes(MAGIC + len(blob).to_bytes(8, "little") + blob + bytes(8))
+        with pytest.raises(CheckpointError, match=re.escape(f"{str(path)!r}: {message}")):
+            load_checkpoint(str(path))
 
     def test_wrong_kind_rejected(self, tmp_path):
         path = str(tmp_path / "other.ckpt")
