@@ -272,39 +272,40 @@ def load_cases(path: str, regions, region_map: dict | None = None):
 
     Returns (dates, matrix, IngestStats).  Negative values (reporting
     corrections) are clamped to 0; absent (region, day) pairs become 0.  Both
-    are counted in the stats and logged.
+    are counted in the stats and logged.  A (region, day) pair given twice,
+    directly or through region_map, is an error naming the second line.
     """
     regions = [str(r) for r in regions]
     regions_idx = {r: i for i, r in enumerate(regions)}
     _, rows = _csv_rows(path, "date,region,new_cases")
-    records = []
+    records = {}   # (date, region index) -> case count
     for line_no, (day, region, cell) in rows:
         date = _parse_date(day.strip(), f"{path}:{line_no}")
         ridx = _resolve_region(region, regions_idx, region_map, path, line_no)
+        if (date, ridx) in records:
+            raise DataError(f"{path}:{line_no}: repeats region {regions[ridx]!r} "
+                            f"on {date.isoformat()}")
         try:
             value = float(cell)
         except ValueError as exc:
             raise DataError(f"{path}:{line_no}: bad case count {cell!r}") from exc
         if not np.isfinite(value):
             raise DataError(f"{path}:{line_no}: case count must be finite, got {value}")
-        records.append((date, ridx, value))
+        records[date, ridx] = value
     if not records:
         raise DataError(f"{path}: no case records")
-    lo = min(r[0] for r in records)
-    hi = max(r[0] for r in records)
+    lo = min(date for date, _ in records)
+    hi = max(date for date, _ in records)
     dates = [(lo + datetime.timedelta(days=k)).isoformat()
              for k in range((hi - lo).days + 1)]
     stats = IngestStats()
     matrix = np.zeros((len(regions), len(dates)))
-    seen = set()
-    for date, ridx, value in records:
-        k = (date - lo).days
+    for (date, ridx), value in records.items():
         if value < 0:
             stats.clamped += 1
             value = 0.0
-        matrix[ridx, k] = value
-        seen.add((ridx, k))
-    stats.missing = len(regions) * len(dates) - len(seen)
+        matrix[ridx, (date - lo).days] = value
+    stats.missing = len(regions) * len(dates) - len(records)
     if stats.clamped:
         log.warning("%s: clamped %d negative case values to 0", path, stats.clamped)
     if stats.missing:

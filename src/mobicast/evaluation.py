@@ -8,7 +8,7 @@ import contextlib
 import json
 import os
 import re
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -19,7 +19,7 @@ from .errors import (CheckpointError, ContractError, DataError, InsufficientData
                      SkippedCell, TrainingDivergedError)
 from .graphs import normalized_graphs
 from .meta import MetaConfig, maml_meta_train, save_meta_state, tl_base_train
-from .models import model_from_spec
+from .models import BaselineLSTMModel, MPNNLSTMModel, MPNNModel
 from .rng import derive_seed
 from .train import (
     PROTOCOL_START_DAY,
@@ -34,9 +34,10 @@ from .train import (
 
 MODEL_NAMES = ("AVG", "AVG_WINDOW", "LAST_DAY", "AR", "LSTM", "MPNN",
                "MPNN_LSTM", "MPNN_TL", "TL_BASE")
-# the model kind each trainable grid name builds; every other name is a baseline
-TRAINABLE_KINDS = {"LSTM": "lstm", "MPNN": "mpnn", "MPNN_LSTM": "mpnn_lstm",
-                   "MPNN_TL": "mpnn", "TL_BASE": "mpnn"}
+# the model class each trainable grid name builds; every other name is a baseline
+TRAINABLE_MODELS = {"LSTM": BaselineLSTMModel, "MPNN": MPNNModel,
+                    "MPNN_LSTM": MPNNLSTMModel, "MPNN_TL": MPNNModel,
+                    "TL_BASE": MPNNModel}
 SUMMARY_RANGES = ((1, 3), (1, 7), (1, 14))
 
 
@@ -219,10 +220,11 @@ def case_stats_table(dataset: CountryDataset) -> list:
 
 def build_model(name: str, cfg: TrainConfig):
     """The grid model `name`, its architecture read from the same-named
-    fields of cfg."""
-    if name not in TRAINABLE_KINDS:
+    fields of cfg; trained and loaded cells both predict with it."""
+    cls = TRAINABLE_MODELS.get(name)
+    if cls is None:
         raise ContractError(f"unknown trainable model {name!r}")
-    return model_from_spec({**asdict(cfg), "kind": TRAINABLE_KINDS[name]})
+    return cls(**{f: getattr(cfg, f) for f in cls.spec_fields})
 
 
 def checkpoint_name(country: str, model: str, t: int, j: int) -> str:
@@ -321,12 +323,12 @@ def _keep(ctx: _CellContext, task, outcome):
 
 
 def _cell_checkpoint(ctx: _CellContext, task, model, dataset, shared):
-    """The cell's splits and model: loaded from its checkpoint under
-    ctx.load_only, else `model` trained and kept."""
+    """The cell's splits and checkpoint: `model`'s parameters loaded from
+    the cell's file under ctx.load_only, else trained and kept."""
     country, model_name, t, j = task
     path = _cell_path(ctx, task)
     # a stored skip raises SkippedCell before the splits, as it was recorded
-    stored = load_checkpoint(path) if ctx.load_only and os.path.exists(path) else None
+    stored = load_checkpoint(path, model) if ctx.load_only and os.path.exists(path) else None
     splits = make_splits(dataset, t, j, model.d, model.seq_len)
     if stored is not None:
         return splits, stored
@@ -353,7 +355,8 @@ def evaluate_cell(ctx: _CellContext, country: str, model_name: str, t: int,
     diverged (a non-finite loss, or a non-finite validation or test
     forecast) or it has no shared initialization.  A training run keeps the
     last two reasons as the cell's checkpoint, which a load-only run reads
-    back as the same skip.
+    back as the same skip.  A baseline whose forecast is not finite (a
+    history near the float64 limit) is skipped too.
     """
     task = (country, model_name, t, j)
     dataset = ctx.dataset(country)
@@ -363,17 +366,22 @@ def evaluate_cell(ctx: _CellContext, country: str, model_name: str, t: int,
     if isinstance(shared, str):
         return _keep(ctx, task, shared)
     try:
-        if model_name not in TRAINABLE_KINDS:
-            preds = _baseline_cell(model_name, dataset, t, j, cfg)
+        if model_name not in TRAINABLE_MODELS:
+            with np.errstate(over="ignore", invalid="ignore"):   # checked below
+                preds = _baseline_cell(model_name, dataset, t, j, cfg)
         else:
             model = build_model(model_name, cfg.train)
             splits, ckpt = _cell_checkpoint(ctx, task, model, dataset, shared)
             with divergence_at(ckpt.epoch):
-                preds = predict(ckpt.model, ckpt.state, [splits.test])
+                preds = predict(model, ckpt.state, [splits.test])
     except (DataError, SkippedCell) as exc:  # DataError includes InsufficientDataError
         return str(exc)
     except TrainingDivergedError as exc:
         return _keep(ctx, task, f"training diverged: {exc}")
+    bad = np.flatnonzero(~np.isfinite(preds))   # a neural forecast has no such entry
+    if bad.size:
+        return (f"non-finite forecast: {preds[bad[0]]} for region "
+                f"{dataset.regions[bad[0]]!r}")
     actual = dataset.cases_on(t + j)
     return [ReportRow(country, model_name, t, j, dataset.regions[v],
                       float(preds[v]), float(actual[v]))
@@ -447,7 +455,7 @@ def rolling_evaluate(datasets, config: EvalConfig,
     if load_only and checkpoint_dir is None:
         raise ContractError("load_only needs a checkpoint directory")
     if (checkpoint_dir is not None and not load_only
-            and any(name in TRAINABLE_KINDS for name in config.models)):
+            and any(name in TRAINABLE_MODELS for name in config.models)):
         make_dir(checkpoint_dir)   # a bad path fails before any cell trains
     for ds in datasets:
         normalized_graphs(ds)   # once, before any worker forks

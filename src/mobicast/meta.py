@@ -5,13 +5,13 @@ baseline."""
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .dataio import CountryDataset
 from .errors import ContractError, InsufficientDataError, TrainingDivergedError
-from .graphs import GraphSample, assemble_samples
+from .graphs import assemble_samples
 from .models import ModelState, model_spec
 from .optim import sgd_step
 from .params import save_params
@@ -45,20 +45,11 @@ class MetaConfig:
                 f"t_start must be >= {PROTOCOL_START_DAY}, got {self.t_start}")
 
 
-@dataclass
-class TaskSplit:
-    """One adaptation task: all samples with targets inside the first t days,
-    plus the single held-out sample whose target falls at day t+horizon."""
-    country: str
-    t: int
-    horizon: int
-    train: list
-    test: GraphSample
-
-
 def enumerate_tasks(dataset: CountryDataset, config: MetaConfig, d: int) -> list:
     """Task grid over (t, horizon), t ascending then horizon ascending, with
-    d-day feature windows.
+    d-day feature windows.  A task is a SplitSpec without validation: every
+    sample whose target falls inside the first t days adapts, and the one
+    whose target falls at day t+horizon is held out.
 
     Anchors before day d, which have no full feature window, and cells whose
     held-out target day would fall beyond the data are skipped; an empty grid
@@ -71,8 +62,9 @@ def enumerate_tasks(dataset: CountryDataset, config: MetaConfig, d: int) -> list
                 continue
             universe = assemble_samples(dataset, d, j, t_end=t,
                                         include_test=True)
-            tasks.append(TaskSplit(country=dataset.country, t=t, horizon=j,
-                                   train=universe[:-1], test=universe[-1]))
+            tasks.append(SplitSpec(country=dataset.country, t=t, horizon=j,
+                                   train=universe[:-1], validation=[],
+                                   test=universe[-1]))
     if not tasks:
         raise InsufficientDataError(
             f"{dataset.country}: no tasks for t_start={config.t_start}, "
@@ -80,7 +72,7 @@ def enumerate_tasks(dataset: CountryDataset, config: MetaConfig, d: int) -> list
     return tasks
 
 
-def meta_task_step(model, state: ModelState, task: TaskSplit, inner_lr: float,
+def meta_task_step(model, state: ModelState, task: SplitSpec, inner_lr: float,
                    meta_step: float, batch_size: int, rng) -> None:
     """One task's contribution to the shared parameters, applied in place.
 
@@ -152,9 +144,7 @@ def tl_base_train(datasets: list, target_country: str, splits: SplitSpec,
             pooled.extend(assemble_samples(ds, model.d, splits.horizon,
                                            t_end=ds.t_total))
     pooled.extend(splits.train)
-    full = SplitSpec(t=splits.t, horizon=splits.horizon, train=pooled,
-                     validation=splits.validation, test=splits.test)
-    return train_model(full, model, train_config, seed)
+    return train_model(replace(splits, train=pooled), model, train_config, seed)
 
 
 def save_meta_state(path: str, state: ModelState, model, countries: list,

@@ -230,18 +230,6 @@ class BaselineLSTMModel:
         return tp.relu(out)
 
 
-MODEL_KINDS = {cls.kind: cls for cls in (MPNNModel, MPNNLSTMModel, BaselineLSTMModel)}
-
-
 def model_spec(model) -> dict:
     """Serializable description of a model's architecture (for checkpoints)."""
     return {"kind": model.kind, **{f: getattr(model, f) for f in model.spec_fields}}
-
-
-def model_from_spec(spec: dict):
-    """The model a spec describes; keys outside its kind's fields are ignored."""
-    kind = spec.get("kind")
-    cls = MODEL_KINDS.get(kind) if isinstance(kind, str) else None
-    if cls is None:
-        raise ContractError(f"unknown model kind {kind!r}")
-    return cls(**{f: spec[f] for f in cls.spec_fields})

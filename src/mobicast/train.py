@@ -22,8 +22,7 @@ from .dataio import CountryDataset
 from .errors import (CheckpointError, ContractError, InsufficientDataError,
                      NumericsError, SkippedCell, TrainingDivergedError)
 from .graphs import GraphSample, assemble_samples
-from .models import (ModelState, check_feature_mode, model_from_spec, model_spec,
-                     stack_targets)
+from .models import ModelState, check_feature_mode, model_spec, stack_targets
 from .optim import adam_init, adam_step
 from .params import load_params, save_params
 from .rng import Rng
@@ -60,6 +59,9 @@ class TrainConfig:
 
 @dataclass
 class SplitSpec:
+    """A country's samples at (t, horizon): training, validation (empty for
+    a meta-training task) and the one held-out test sample."""
+    country: str
     t: int
     horizon: int
     train: list
@@ -97,7 +99,8 @@ def make_splits(dataset: CountryDataset, t: int, j: int, d: int,
     if not validation:
         raise InsufficientDataError(
             f"{dataset.country}: no validation samples at T={t}, j={j} (d={d})")
-    return SplitSpec(t=t, horizon=j, train=train, validation=validation, test=test)
+    return SplitSpec(country=dataset.country, t=t, horizon=j, train=train,
+                     validation=validation, test=test)
 
 
 def predict(model, state: ModelState, samples) -> np.ndarray:
@@ -163,7 +166,7 @@ def train_model(splits: SplitSpec, model, config: TrainConfig, seed: int,
         best = Checkpoint(model, state.clone(),
                           _validation_mae(model, state, splits.validation),
                           epoch=0, stopped_epoch=0)
-    stale = 0
+    stale = epoch = 0
     train = splits.train
     for epoch in range(1, config.max_epochs + 1):
         order = shuffle_rng.permutation(len(train))
@@ -192,10 +195,8 @@ def train_model(splits: SplitSpec, model, config: TrainConfig, seed: int,
         elif epoch > config.patience_start_epoch:
             stale += 1
             if stale >= config.patience:
-                best.stopped_epoch = epoch
-                return best
-        best.stopped_epoch = epoch
-    best.stopped_epoch = max(best.stopped_epoch, config.max_epochs)
+                break
+    best.stopped_epoch = epoch
     return best
 
 
@@ -218,7 +219,9 @@ def save_checkpoint(path: str, checkpoint: Checkpoint | str,
     save_params(path, checkpoint.state.params, checkpoint.state.buffers, meta)
 
 
-def load_checkpoint(path: str) -> Checkpoint:
+def load_checkpoint(path: str, model) -> Checkpoint:
+    """The trained `model` a checkpoint holds; a header recording another
+    architecture is a CheckpointError naming the file and both specs."""
     params, buffers, meta = load_params(path)
     kind = meta.get("kind")
     if kind not in ("mobicast-skip", "mobicast-checkpoint"):
@@ -226,7 +229,11 @@ def load_checkpoint(path: str) -> Checkpoint:
     try:
         if kind == "mobicast-skip":
             raise SkippedCell(meta["reason"])
-        return Checkpoint(model_from_spec(meta["model"]), ModelState(params, buffers),
+        stored, expected = meta["model"], model_spec(model)
+        if stored.items() != expected.items():   # a non-object fails .items()
+            raise CheckpointError(f"{path!r} holds model {stored}, but the run "
+                                  f"config builds {expected}")
+        return Checkpoint(model, ModelState(params, buffers),
                           float(meta["val_error"]), int(meta["epoch"]),
                           int(meta["stopped_epoch"]))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:

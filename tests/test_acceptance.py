@@ -29,13 +29,13 @@ from mobicast.errors import InsufficientDataError
 from mobicast.evaluation import (EvalConfig, ProtocolGrid, ReportRow,
                                  build_model, error_metric, rolling_evaluate)
 from mobicast.graphs import GraphSample, normalize_incoming
-from mobicast.meta import MetaConfig, TaskSplit, maml_meta_train, meta_task_step
+from mobicast.meta import MetaConfig, maml_meta_train, meta_task_step
 from mobicast.models import (BaselineLSTMModel, ModelState, MPNNLSTMModel,
                              MPNNModel, stack_targets)
 from mobicast.params import clone_params
 from mobicast.rng import Rng, derive_seed
-from mobicast.train import (TrainConfig, loss_and_grads, make_splits, predict,
-                            train_model)
+from mobicast.train import (SplitSpec, TrainConfig, loss_and_grads, make_splits,
+                            predict, train_model)
 
 from conftest import (FirstFeatureModel, TracingDataset, prediction_sample,
                       random_sample)
@@ -140,8 +140,8 @@ class TestMetaUpdateHandValues:
         # -> theta' = 0 - 0.1 * -3.6 = 0.36
         model = ScalarModel()
         state = model.init_state(None)
-        task = TaskSplit("Q", 14, 1, [point_sample(0.0, 1.0)],
-                         point_sample(0.0, 2.0))
+        task = SplitSpec("Q", 14, 1, [point_sample(0.0, 1.0)],
+                         [], point_sample(0.0, 2.0))
         meta_task_step(model, state, task, inner_lr=0.1, meta_step=0.1,
                        batch_size=8, rng=None)
         assert abs(state.params["theta"][0, 0] - 0.36) < 1e-12
@@ -150,9 +150,9 @@ class TestMetaUpdateHandValues:
         model = AffineModel()
         state = model.init_state(None)
         xs, ys = (0.5, 2.0), (1.5, 0.25)
-        task = TaskSplit("Q", 14, 1,
+        task = SplitSpec("Q", 14, 1,
                          [point_sample(x, y) for x, y in zip(xs, ys)],
-                         point_sample(1.5, 4.0))
+                         [], point_sample(1.5, 4.0))
         meta_task_step(model, state, task, inner_lr=0.02, meta_step=0.1,
                        batch_size=1, rng=None)
         w, b = 1.0, 0.5

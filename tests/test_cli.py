@@ -335,6 +335,26 @@ class TestIngest:
         assert capsys.readouterr().err.startswith(
             f"error: cannot read {tmp_path / 'regions.txt'}: ")
 
+    def test_case_pair_repeated_through_region_map_rejected(self, tmp_path, capsys):
+        # x1 and x2 both map to region a: the second would overwrite the first
+        self.write_raw(tmp_path)
+        with open(tmp_path / "cases.csv", "a") as fh:
+            fh.write("2020-03-01,x1,5\n2020-03-01,x2,7\n")
+        (tmp_path / "map.csv").write_text("source_name,region_id\nx1,d\nx2,d\n")
+        (tmp_path / "regions.txt").write_text("a\nb\nc\nd\n")
+        out = str(tmp_path / "bundle")
+        rc = main(["ingest", "--country", "XX",
+                   "--cases", str(tmp_path / "cases.csv"),
+                   "--mobility", str(tmp_path / "mobility.csv"),
+                   "--regions-file", str(tmp_path / "regions.txt"),
+                   "--region-map", str(tmp_path / "map.csv"),
+                   "--min-total-cases", "0", "--out", out])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / 'cases.csv'}:12: repeats region 'd' on "
+            f"2020-03-01\n")
+        assert not os.path.exists(out)
+
     def test_unmapped_region_fails_with_location(self, tmp_path, capsys):
         self.write_raw(tmp_path, mobility_names=("nowhere", "b", "c"))
         out = str(tmp_path / "bundle")
@@ -754,6 +774,50 @@ class TestEvaluateCommand:
                      os.path.join(trained, "checkpoints"), "--out", out]) == 1
         assert "meta-training failed" in capsys.readouterr().err
         assert read_tree(trained)["rows.csv"] == read_tree(out)["rows.csv"]
+
+    def test_rescore_keeps_overflowing_baseline_skip(self, tmp_path, capsys):
+        # AVG's mean of region r0's 1.7e308 cases a day overflows to inf
+        _, ramp = make_bundle(tmp_path)
+        cases = np.array(ramp.cases)
+        cases[0] = 1.7e308
+        bundle = str(tmp_path / "bundles" / "HUGE")
+        save_bundle(CountryDataset("AA", ramp.regions, ramp.dates, cases,
+                                   ramp.mobility), bundle)
+        argv = ["--bundle", bundle, "--model", "avg", "--model", "last_day",
+                "--t", "14", "--horizon", "1"]
+        self.assert_rescore_reproduces_skip(
+            tmp_path, capsys, argv,
+            "model=AVG T=14 j=1: non-finite forecast: inf for region 'r0'")
+        for run in ("trained", "eval"):
+            with open(tmp_path / run / "summary.json", encoding="utf-8") as fh:
+                summary = json.loads(fh.read(), parse_constant=pytest.fail)
+            assert list(summary) == ["LAST_DAY"]
+
+    @pytest.mark.parametrize("model,key,value", [
+        ("mpnn", "hidden", 3), ("mpnn", "d", 4), ("mpnn_lstm", "seq_len", 5)])
+    def test_rescore_with_another_architecture_names_checkpoint(
+            self, tmp_path, capsys, model, key, value):
+        bundle, _ = make_bundle(tmp_path)
+        argv = ["--bundle", bundle, "--model", model, "--t", "14", "--horizon", "1"]
+        trained = str(tmp_path / "trained")
+        assert main(["train", *argv, "--config", write_config(tmp_path),
+                     "--out", trained]) == 0
+        other = write_config(tmp_path, {"train": {**TINY_CONFIG["train"], key: value}},
+                             name="other.json")
+        capsys.readouterr()
+        out = str(tmp_path / "eval")
+        rc = main(["evaluate", *argv, "--config", other, "--checkpoints",
+                   os.path.join(trained, "checkpoints"), "--out", out])
+        assert rc == 1
+        err = capsys.readouterr().err
+        ckpt = os.path.join(trained, "checkpoints", f"AA__{model.upper()}__T14_j1.ckpt")
+        assert err.count("error:") == 1
+        assert err.startswith(f"error: {ckpt!r} holds model ")
+        assert f"'{key}': {value}" in err.split("but the run config builds")[1]
+        manifest = read_manifest(out)
+        assert manifest["status"] == "failed"
+        assert manifest["error"] == err[len("error: "):].rstrip("\n")
+        assert not os.path.exists(os.path.join(out, "rows.csv"))
 
     def test_retraining_a_skipped_cell_drops_its_marker(self, tmp_path, monkeypatch):
         bundle, _ = make_bundle(tmp_path)

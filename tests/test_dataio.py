@@ -147,6 +147,27 @@ class TestLoadCases:
             load_cases(path, REGIONS)
 
 
+    def test_repeated_pair_names_its_line(self, tmp_path):
+        path = write(tmp_path / "c.csv",
+                     "date,region,new_cases\n"
+                     "2020-03-01,a,5\n"
+                     "2020-03-01,b,1\n"
+                     "2020-03-01,a,7\n")
+        with pytest.raises(DataError, match=re.escape(
+                f"{path}:4: repeats region 'a' on 2020-03-01")):
+            load_cases(path, REGIONS)
+
+    def test_pair_repeated_through_region_map_rejected(self, tmp_path):
+        mpath = write(tmp_path / "map.csv", "source_name,region_id\nx1,a\nx2,a\n")
+        path = write(tmp_path / "c.csv",
+                     "date,region,new_cases\n"
+                     "2020-03-01,x1,5\n"
+                     "2020-03-01,x2,7\n")
+        with pytest.raises(DataError, match=re.escape(
+                f"{path}:3: repeats region 'a' on 2020-03-01")):
+            load_cases(path, REGIONS, region_map=load_region_map(mpath))
+
+
 class TestCsvReader:
     """Every table dataio reads shares one reader: its header, width and
     read faults name the file and line."""

@@ -21,7 +21,6 @@ from mobicast.evaluation import EvalConfig, ProtocolGrid, error_metric, rolling_
 from mobicast.graphs import GraphSample, assemble_samples
 from mobicast.meta import (
     MetaConfig,
-    TaskSplit,
     enumerate_tasks,
     maml_meta_train,
     meta_task_step,
@@ -31,8 +30,8 @@ from mobicast.meta import (
 from mobicast.models import ModelState, MPNNModel, model_spec
 from mobicast.params import load_params
 from mobicast.rng import Rng
-from mobicast.train import (Checkpoint, TrainConfig, load_checkpoint, make_splits,
-                            predict, train_model)
+from mobicast.train import (Checkpoint, SplitSpec, TrainConfig, load_checkpoint,
+                            make_splits, predict, train_model)
 
 from conftest import TracingDataset, make_ramp_dataset
 
@@ -152,8 +151,8 @@ class TestMetaTaskStep:
         # held-out y=2:     theta   = 0 - 0.1 * 2(0.2-2) = 0.36
         model = ThetaModel()
         state = model.init_state(None)
-        task = TaskSplit("Q", 14, 1, [scalar_sample(0.0, 1.0)],
-                         scalar_sample(0.0, 2.0))
+        task = SplitSpec("Q", 14, 1, [scalar_sample(0.0, 1.0)],
+                         [], scalar_sample(0.0, 2.0))
         meta_task_step(model, state, task, inner_lr=0.1, meta_step=0.1,
                        batch_size=8, rng=None)
         assert abs(state.params["theta"][0, 0] - 0.36) < 1e-12
@@ -161,8 +160,8 @@ class TestMetaTaskStep:
     def test_zero_meta_step_leaves_parameters(self):
         model = ThetaModel()
         state = model.init_state(None)
-        task = TaskSplit("Q", 14, 1, [scalar_sample(0.0, 1.0)],
-                         scalar_sample(0.0, 2.0))
+        task = SplitSpec("Q", 14, 1, [scalar_sample(0.0, 1.0)],
+                         [], scalar_sample(0.0, 2.0))
         meta_task_step(model, state, task, inner_lr=0.1, meta_step=0.0,
                        batch_size=8, rng=None)
         assert np.array_equal(state.params["theta"], np.zeros((1, 1)))
@@ -170,8 +169,8 @@ class TestMetaTaskStep:
     def test_zero_inner_lr_is_plain_step_on_held_out(self):
         model = ThetaModel()
         state = model.init_state(None)
-        task = TaskSplit("Q", 14, 1, [scalar_sample(0.0, 1.0)],
-                         scalar_sample(0.0, 2.0))
+        task = SplitSpec("Q", 14, 1, [scalar_sample(0.0, 1.0)],
+                         [], scalar_sample(0.0, 2.0))
         meta_task_step(model, state, task, inner_lr=0.0, meta_step=0.1,
                        batch_size=8, rng=None)
         assert abs(state.params["theta"][0, 0] - 0.4) < 1e-12  # 0 - 0.1*2(0-2)
@@ -179,7 +178,7 @@ class TestMetaTaskStep:
     def test_empty_adaptation_set_equivalent_to_zero_inner_lr(self):
         model = ThetaModel()
         state = model.init_state(None)
-        task = TaskSplit("Q", 14, 1, [], scalar_sample(0.0, 2.0))
+        task = SplitSpec("Q", 14, 1, [], [], scalar_sample(0.0, 2.0))
         meta_task_step(model, state, task, inner_lr=0.7, meta_step=0.1,
                        batch_size=8, rng=None)
         assert abs(state.params["theta"][0, 0] - 0.4) < 1e-12
@@ -190,8 +189,8 @@ class TestMetaTaskStep:
         w0, b0 = 1.0, 0.5
         x_tr, y_tr, x_te, y_te = 3.0, 10.0, 2.0, 4.0
         inner_lr, meta_step = 0.01, 0.05
-        task = TaskSplit("Q", 14, 1, [scalar_sample(x_tr, y_tr)],
-                         scalar_sample(x_te, y_te))
+        task = SplitSpec("Q", 14, 1, [scalar_sample(x_tr, y_tr)],
+                         [], scalar_sample(x_te, y_te))
         meta_task_step(model, state, task, inner_lr=inner_lr,
                        meta_step=meta_step, batch_size=8, rng=None)
         err = w0 * x_tr + b0 - y_tr
@@ -205,9 +204,9 @@ class TestMetaTaskStep:
         model = AffineModel()
         state = model.init_state(None)
         xs, ys = [1.0, 2.0, 3.0], [2.0, 3.0, 5.0]
-        task = TaskSplit("Q", 14, 1,
+        task = SplitSpec("Q", 14, 1,
                          [scalar_sample(x, y) for x, y in zip(xs, ys)],
-                         scalar_sample(1.5, 4.0))
+                         [], scalar_sample(1.5, 4.0))
         meta_task_step(model, state, task, inner_lr=0.02, meta_step=0.1,
                        batch_size=1, rng=None)
         w, b = 1.0, 0.5
@@ -222,8 +221,8 @@ class TestMetaTaskStep:
         # one adaptation batch plus the held-out forward: two pokes
         model = BufferPokingModel()
         state = model.init_state(None)
-        task = TaskSplit("Q", 14, 1, [scalar_sample(0.0, 1.0)],
-                         scalar_sample(0.0, 2.0))
+        task = SplitSpec("Q", 14, 1, [scalar_sample(0.0, 1.0)],
+                         [], scalar_sample(0.0, 2.0))
         meta_task_step(model, state, task, inner_lr=0.1, meta_step=0.1,
                        batch_size=8, rng=None)
         assert state.buffers["count"][0, 0] == 2.0
@@ -231,8 +230,8 @@ class TestMetaTaskStep:
     def test_non_finite_loss_reported(self):
         model = ThetaModel()
         state = ModelState({"theta": np.full((1, 1), 1e200)}, {})
-        task = TaskSplit("Q", 14, 1, [scalar_sample(0.0, 1.0)],
-                         scalar_sample(0.0, 2.0))
+        task = SplitSpec("Q", 14, 1, [scalar_sample(0.0, 1.0)],
+                         [], scalar_sample(0.0, 2.0))
         with np.errstate(over="ignore"):
             with pytest.raises(TrainingDivergedError, match="adaptation"):
                 meta_task_step(model, state, task, inner_lr=0.1, meta_step=0.1,
@@ -332,7 +331,7 @@ class TestFineTune:
                 str(tmp_path / f"{country}__MPNN_TL__meta.ckpt"))
             for t in (14, 15):
                 ckpt = load_checkpoint(
-                    str(tmp_path / f"{country}__MPNN_TL__T{t}_j1.ckpt"))
+                    str(tmp_path / f"{country}__MPNN_TL__T{t}_j1.ckpt"), tiny_mpnn())
                 for key, arr in shared.items():
                     assert np.array_equal(ckpt.state.params[key], arr)
         assert sorted(os.listdir(tmp_path)) == [
@@ -345,7 +344,8 @@ class TestFineTune:
                                   checkpoint_dir=str(tmp_path))
         maes = []
         for t in (14, 15):
-            ckpt = load_checkpoint(str(tmp_path / f"AA__MPNN_TL__T{t}_j1.ckpt"))
+            ckpt = load_checkpoint(str(tmp_path / f"AA__MPNN_TL__T{t}_j1.ckpt"),
+                                   tiny_mpnn())
             splits = make_splits(datasets[0], t, 1, 3)
             forecast = predict(ckpt.model, ckpt.state, [splits.test])
             actual = np.asarray(splits.test.target).reshape(-1)
@@ -506,4 +506,4 @@ class TestMetaStateIO:
         save_meta_state(path, model.init_state(Rng(2)), model, ["AA"],
                         MetaConfig(), 0)
         with pytest.raises(CheckpointError, match="not a model checkpoint"):
-            load_checkpoint(path)
+            load_checkpoint(path, model)

@@ -2,6 +2,7 @@
 
 import gc
 import math
+import re
 import tracemalloc
 import weakref
 
@@ -10,15 +11,17 @@ import pytest
 
 from conftest import random_sample
 from mobicast import tape as tp
-from mobicast.errors import ContractError, ShapeError
+from mobicast.errors import CheckpointError, ContractError, ShapeError
 from mobicast.graphs import GraphSample
 from mobicast.layers import BN_EPS
 from mobicast.evaluation import build_model
 from mobicast.models import (BaselineLSTMModel, MPNNLSTMModel, MPNNModel,
-                             ModelState, _init_lstm, lstm_cell, model_from_spec,
-                             model_spec, stack_targets)
+                             ModelState, _init_lstm, lstm_cell, model_spec,
+                             stack_targets)
+from mobicast.params import load_params, save_params
 from mobicast.rng import Rng
-from mobicast.train import TrainConfig, loss_and_grads, predict
+from mobicast.train import (Checkpoint, TrainConfig, load_checkpoint, loss_and_grads,
+                            predict, save_checkpoint)
 
 
 def graph_sample(a, x):
@@ -341,16 +344,30 @@ class TestModelSpec:
         assert model_spec(model) == spec
 
     @pytest.mark.parametrize("model,spec", SPECS, ids=["mpnn", "mpnn_lstm", "lstm"])
-    def test_round_trip(self, model, spec):
-        back = model_from_spec(spec)
-        assert type(back) is type(model)
-        assert model_spec(back) == spec
-        assert back.seq_len == model.seq_len
+    def test_round_trip(self, model, spec, tmp_path):
+        path = str(tmp_path / "cell.ckpt")
+        state = model.init_state(Rng(0))
+        save_checkpoint(path, Checkpoint(model, state, 1.0, epoch=0, stopped_epoch=0))
+        assert load_params(path)[2]["model"] == spec
+        loaded = load_checkpoint(path, model)
+        assert loaded.model is model
+        assert loaded.state.params.keys() == state.params.keys()
 
-    def test_unknown_kind_rejected(self):
-        for spec in ({"kind": "gru", "d": 3}, {"d": 3}, {"kind": ["mpnn"]}):
-            with pytest.raises(ContractError, match="unknown model kind"):
-                model_from_spec(spec)
+    def test_unknown_kind_rejected(self, tmp_path):
+        # another kind, no kind, or the right kind at another size
+        path = str(tmp_path / "cell.ckpt")
+        model = SPECS[0][0]
+        for spec in ({"kind": "gru", "d": 3}, {"d": 3}, {"kind": ["mpnn"]},
+                     {**SPECS[0][1], "hidden": 4}, {**SPECS[0][1], "seq_len": 1}):
+            save_params(path, {"w": np.zeros((1, 1))}, {}, {
+                "kind": "mobicast-checkpoint", "model": spec, "val_error": 1.0,
+                "epoch": 0, "stopped_epoch": 0})
+            stored = load_params(path)[2]["model"]   # as the header orders it
+            assert stored == spec
+            with pytest.raises(CheckpointError, match=re.escape(
+                    f"{path!r} holds model {stored}, but the run config builds "
+                    f"{SPECS[0][1]}")):
+                load_checkpoint(path, model)
 
     def test_build_model_reads_train_config(self):
         cfg = TrainConfig(d=3, k_layers=1, hidden=2, dropout=0.25, seq_len=4,

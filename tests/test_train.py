@@ -290,7 +290,7 @@ class TestCheckpointIO:
         ckpt = train_model(splits, model, TrainConfig(max_epochs=2, dropout=0.0), 0)
         path = str(tmp_path / "model.ckpt")
         save_checkpoint(path, ckpt, extra_meta={"country": "IT"})
-        loaded = load_checkpoint(path)
+        loaded = load_checkpoint(path, model)
         assert loaded.val_error == pytest.approx(ckpt.val_error, abs=1e-9)
         assert (loaded.epoch, loaded.stopped_epoch) == (ckpt.epoch, ckpt.stopped_epoch)
         assert params_bytes(loaded.state) == params_bytes(ckpt.state)
@@ -300,7 +300,7 @@ class TestCheckpointIO:
         ckpt = train_model(splits, model, TrainConfig(max_epochs=3, dropout=0.0), 0)
         path = str(tmp_path / "model.ckpt")
         save_checkpoint(path, ckpt)
-        loaded = load_checkpoint(path)
+        loaded = load_checkpoint(path, model)
         replayed = train_mod._validation_mae(loaded.model, loaded.state,
                                              splits.validation)
         assert replayed == pytest.approx(ckpt.val_error, abs=1e-9)
@@ -310,7 +310,7 @@ class TestCheckpointIO:
         ckpt = train_model(splits, model, TrainConfig(max_epochs=2, dropout=0.0), 0)
         path = str(tmp_path / "model.ckpt")
         save_checkpoint(path, ckpt)
-        loaded = load_checkpoint(path)
+        loaded = load_checkpoint(path, model)
         assert np.array_equal(predict(loaded.model, loaded.state, [splits.test]),
                               predict(model, ckpt.state, [splits.test]))
 
@@ -324,7 +324,7 @@ class TestCheckpointIO:
         assert meta == {"kind": "mobicast-skip", "reason": "training diverged: boom",
                         "extra": extra}
         with pytest.raises(SkippedCell, match="^training diverged: boom$") as err:
-            load_checkpoint(path)
+            load_checkpoint(path, tiny_model())
         assert not isinstance(err.value, DataError)
         with open(path, "rb") as fh:
             first = fh.read()
@@ -361,11 +361,11 @@ class TestCheckpointIO:
         path = tmp_path / "cell.ckpt"
         path.write_bytes(MAGIC + len(blob).to_bytes(8, "little") + blob + bytes(8))
         with pytest.raises(CheckpointError, match=re.escape(f"{str(path)!r}: {message}")):
-            load_checkpoint(str(path))
+            load_checkpoint(str(path), tiny_model())
 
     def test_wrong_kind_rejected(self, tmp_path):
         path = str(tmp_path / "other.ckpt")
         save_params(path, {"w": np.zeros((1, 1))}, {}, {"kind": "something-else"})
         with pytest.raises(CheckpointError, match="not a model checkpoint"):
-            load_checkpoint(path)
+            load_checkpoint(path, tiny_model())
 
