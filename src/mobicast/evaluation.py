@@ -134,11 +134,19 @@ class ErrorReport:
 # ---------------------------------------------------------------- metrics
 
 def error_metric(rows) -> float:
-    """Mean absolute error over all (region, test day) entries."""
-    rows = list(rows)
-    if not rows:
+    """Mean absolute error over all (region, test day) entries.
+
+    Finite errors near the float64 limit can sum past it; their mean is then
+    taken as the sum of errors / n, which stays finite.
+    """
+    errors = np.array([r.abs_error for r in rows], dtype=np.float64)
+    if not errors.size:
         raise ContractError("error_metric of an empty row set")
-    return float(np.mean([r.abs_error for r in rows]))
+    with np.errstate(over="ignore"):
+        mean = np.mean(errors)
+    if np.isinf(mean) and np.isfinite(errors).all():
+        mean = np.sum(errors / errors.size)
+    return float(mean)
 
 
 def range_summary(rows) -> dict:
@@ -338,8 +346,8 @@ def _cell_checkpoint(ctx: _CellContext, task, model, dataset, shared):
     cfg = ctx.config
     cell_seed = derive_seed(cfg.seed, country, t, j)
     if model_name == "TL_BASE":
-        ckpt = tl_base_train(list(ctx.datasets), country, splits, model,
-                             cfg.train, cell_seed)
+        ckpt = tl_base_train(list(ctx.datasets), splits, model, cfg.train,
+                             cell_seed)
     else:
         ckpt = train_model(splits, model, cfg.train, cell_seed, init_state=shared)
     return splits, _keep(ctx, task, ckpt)
@@ -525,7 +533,8 @@ def emit_report(report: ErrorReport, out_dir: str) -> dict:
         for r in report.rows)
     write_file(paths["rows"], "\n".join(lines) + "\n")
     write_file(paths["summary"],
-               json.dumps(range_summary(report.rows), sort_keys=True, indent=2) + "\n")
+               json.dumps(range_summary(report.rows), sort_keys=True, indent=2,
+                          allow_nan=False) + "\n")
     return paths
 
 

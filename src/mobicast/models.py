@@ -47,26 +47,38 @@ def check_feature_mode(mode: str) -> None:
         raise ContractError(f"feature_mode must be 'last' or 'all', got {mode!r}")
 
 
-def lstm_cell(x: tp.Var, h_prev: tp.Var, c_prev: tp.Var, pvars: dict, prefix: str):
-    """Standard LSTM step; gate tensors looked up as {prefix}.{w,u,b}{i,f,g,o}."""
+def lstm_cell(x: tp.Var, h_prev: tp.Var | None, c_prev: tp.Var | None,
+              pvars: dict, prefix: str):
+    """Standard LSTM step; gate tensors looked up as {prefix}.{w,u,b}{i,f,g,o}.
+
+    A first step has no state (h_prev and c_prev both None): it is the step
+    from a zero state without the terms that are zero, so the gates take no
+    h @ U, there is no forget gate, and c = i * g.
+    """
+    if (h_prev is None) != (c_prev is None):
+        raise ContractError("lstm_cell: h_prev and c_prev must both be given or both be None")
+
     def gate(name, act):
-        return act(tp.gate_linear(x, pvars[f"{prefix}.w{name}"], h_prev,
-                                  pvars[f"{prefix}.u{name}"],
+        u = None if h_prev is None else pvars[f"{prefix}.u{name}"]
+        return act(tp.gate_linear(x, pvars[f"{prefix}.w{name}"], h_prev, u,
                                   pvars[f"{prefix}.b{name}"]))
 
     i = gate("i", tp.sigmoid)
-    f = gate("f", tp.sigmoid)
+    f = None if c_prev is None else gate("f", tp.sigmoid)
     g = gate("g", tp.tanh)
     o = gate("o", tp.sigmoid)
-    c = tp.add(tp.mul(f, c_prev), tp.mul(i, g))
+    if f is None:
+        c = tp.mul(i, g)
+    else:
+        c = tp.add(tp.mul(f, c_prev), tp.mul(i, g))
     h = tp.mul(o, tp.tanh(c))
     return h, c
 
 
-def _two_layer_lstm(tape, pvars: dict, steps, rows: int, hidden: int) -> tp.Var:
+def _two_layer_lstm(pvars: dict, steps) -> tp.Var:
     """lstm2's last hidden state after lstm1, then lstm2, ran over `steps`
-    from a zero state; a generator of steps builds each just before it runs."""
-    h1 = c1 = h2 = c2 = tape.constant(np.zeros((rows, hidden)))
+    from no state; a generator of steps builds each just before it runs."""
+    h1 = c1 = h2 = c2 = None
     for x in steps:
         h1, c1 = lstm_cell(x, h1, c1, pvars, "lstm1")
         h2, c2 = lstm_cell(h1, h2, c2, pvars, "lstm2")
@@ -191,7 +203,7 @@ class MPNNLSTMModel(MPNNModel):
         day_x = [np.vstack([smp.graphs[s][1] for smp in samples]) for s in range(steps)]
         reps = (self._trunk(tape, pvars, buffers, [smp.graphs[s][0] for smp in samples],
                             day_x[s], mode, rng) for s in range(steps))
-        h2 = _two_layer_lstm(tape, pvars, reps, day_x[0].shape[0], self.hidden)
+        h2 = _two_layer_lstm(pvars, reps)
         if self.feature_mode == "last":
             raw = [tape.constant(day_x[-1])]
         else:
@@ -225,7 +237,7 @@ class BaselineLSTMModel:
         if x.shape[1] != self.d:
             raise ShapeError(f"features have {x.shape[1]} columns, model expects {self.d}")
         steps = (tape.constant(x[:, s:s + 1]) for s in range(self.d))
-        h2 = _two_layer_lstm(tape, pvars, steps, x.shape[0], self.hidden)
+        h2 = _two_layer_lstm(pvars, steps)
         out = tp.add_row(tp.matmul(h2, pvars["head.w"]), pvars["head.b"])
         return tp.relu(out)
 

@@ -81,7 +81,10 @@ class Tape:
     def node(self, value, parents: Sequence[Var], backward: Callable, name: str = "node") -> Var:
         """Extension point for composite ops (batchnorm, dropout)."""
         requires = any(p.requires_grad for p in parents)
-        return self._push(_as_matrix(value), tuple(p.idx for p in parents),
+        if not (type(value) is np.ndarray and value.dtype == np.float64
+                and value.ndim == 2 and value.flags.c_contiguous):
+            value = _as_matrix(value)
+        return self._push(value, tuple(p.idx for p in parents),
                           backward, requires, name)
 
     def _push(self, value, parent_idx, backward, requires_grad, opname) -> Var:
@@ -99,6 +102,7 @@ class Tape:
         if self._grads is not None:
             raise ContractError("backward has already run on this tape")
         grads = [None] * len(self._nodes)
+        owned = [False] * len(self._nodes)   # grads[p] is an array backward made
         grads[root.idx] = np.ones((1, 1))
         for i in range(root.idx, -1, -1):
             g = grads[i]
@@ -113,11 +117,18 @@ class Tape:
             for p, contrib in zip(node.parents, contribs):
                 if contrib is None or not self._nodes[p].requires_grad:
                     continue
-                # closures never mutate arrays in place, so views may be stored
-                if grads[p] is None:
+                # A first contribution may be a view or shared (add hands
+                # the same g to both parents), so it is stored as is and
+                # never written; the second makes a new array, which the
+                # third and later add into in place.
+                acc = grads[p]
+                if acc is None:
                     grads[p] = contrib
+                elif owned[p]:
+                    acc += contrib
                 else:
-                    grads[p] = grads[p] + contrib
+                    grads[p] = acc + contrib
+                    owned[p] = True
         self._grads = grads
 
     def grad(self, var: Var) -> np.ndarray:
@@ -154,32 +165,44 @@ def matmul(a: Var, b: Var) -> Var:
     return tape.node(av @ bv, (a, b), backward, "matmul")
 
 
-def gate_linear(x: Var, w: Var, h: Var, u: Var, b: Var) -> Var:
+def gate_linear(x: Var, w: Var, h: Optional[Var], u: Optional[Var], b: Var) -> Var:
     """x @ w + h @ u + b for a 1xd row b: one recurrent gate's pre-activation.
 
+    With no prior state, h and u are both None and the gate is x @ w + b.
     A single tape node, so a gate costs two nodes with its activation;
-    operands that need no gradient (constant inputs, a zero initial state)
-    get none.
+    operands that need no gradient (constant inputs) get none.  A one-column
+    x multiplies as the broadcast x * w: the same one product per entry as
+    a k=1 GEMM, without the GEMM call.
     """
-    tape = _check_same_tape(x, w, h, u, b)
-    xv, wv, hv, uv, bv = x.value, w.value, h.value, u.value, b.value
+    if (h is None) != (u is None):
+        raise ContractError("gate_linear: h and u must both be given or both be None")
+    parents = (x, w, b) if h is None else (x, w, h, u, b)
+    tape = _check_same_tape(*parents)
+    xv, wv, bv = x.value, w.value, b.value
+    hv, uv = (None, None) if h is None else (h.value, u.value)
     (rows, k), (_, d) = xv.shape, wv.shape
-    if (wv.shape[0], hv.shape[0], uv.shape, bv.shape) != (k, rows, (hv.shape[1], d), (1, d)):
-        raise ShapeError(f"gate_linear: x {xv.shape} @ w {wv.shape} + h {hv.shape} "
-                         f"@ u {uv.shape} + b {bv.shape} do not conform")
-    out = xv @ wv
-    out += hv @ uv
+    state_ok = h is None or (hv.shape[0], uv.shape) == (rows, (hv.shape[1], d))
+    if (wv.shape[0], bv.shape) != (k, (1, d)) or not state_ok:
+        state = "" if h is None else f" + h {hv.shape} @ u {uv.shape}"
+        raise ShapeError(f"gate_linear: x {xv.shape} @ w {wv.shape}{state} "
+                         f"+ b {bv.shape} do not conform")
+    out = xv * wv if k == 1 else xv @ wv
+    if h is not None:
+        out += hv @ uv
     out += bv
-    need = [v.requires_grad for v in (x, w, h, u, b)]
+    need_x, need_w, need_b = x.requires_grad, w.requires_grad, b.requires_grad
+    need_h, need_u = (False, False) if h is None else (h.requires_grad, u.requires_grad)
 
     def backward(g):
-        return (g @ wv.T if need[0] else None,
-                xv.T @ g if need[1] else None,
-                g @ uv.T if need[2] else None,
-                hv.T @ g if need[3] else None,
-                g.sum(axis=0, keepdims=True) if need[4] else None)
+        gx = g @ wv.T if need_x else None
+        gw = xv.T @ g if need_w else None
+        gb = g.sum(axis=0, keepdims=True) if need_b else None
+        if hv is None:
+            return gx, gw, gb
+        return (gx, gw, g @ uv.T if need_h else None,
+                hv.T @ g if need_u else None, gb)
 
-    return tape.node(out, (x, w, h, u, b), backward, "gate_linear")
+    return tape.node(out, parents, backward, "gate_linear")
 
 
 def block_diag_matmul(blocks: Sequence[np.ndarray], x: Var) -> Var:
@@ -267,15 +290,29 @@ def relu(a: Var) -> Var:
 
 def sigmoid(a: Var) -> Var:
     # 0.5 * (1 + tanh(x / 2)): no exp, so no overflow for any finite x
-    out = np.tanh(a.value * 0.5)
+    out = np.multiply(a.value, 0.5)
+    np.tanh(out, out=out)
     out += 1.0
     out *= 0.5
-    return a.tape.node(out, (a,), lambda g: (g * out * (1.0 - out),), "sigmoid")
+
+    def backward(g):
+        dx = g * out
+        dx *= 1.0 - out
+        return (dx,)
+
+    return a.tape.node(out, (a,), backward, "sigmoid")
 
 
 def tanh(a: Var) -> Var:
     out = np.tanh(a.value)
-    return a.tape.node(out, (a,), lambda g: (g * (1.0 - out * out),), "tanh")
+
+    def backward(g):
+        dx = out * out
+        np.subtract(1.0, dx, out=dx)
+        dx *= g   # g * (1 - out * out): a product's bits do not depend on operand order
+        return (dx,)
+
+    return a.tape.node(out, (a,), backward, "tanh")
 
 
 def square(a: Var) -> Var:

@@ -590,6 +590,32 @@ class TestPinnedGrid:
             == self.CELLS_SHA256
 
 
+class TestPinnedRecurrentGrid:
+    """The LSTM baseline and MPNN_LSTM on a seeded toy grid, pinned byte for
+    byte: a change to the recurrent step that moves a single bit of a
+    forecast or a trained parameter changes one of these digests."""
+
+    ROWS_SHA256 = "ff18eb921fd5f68fc570a7d06fcab6a68b8b5e99abdcf62e69e0a779c7d87cfa"
+    CELLS_SHA256 = "bc5480fff63fc2ef77b902ccd59c15edb5d3fe1642634860aad2a911a44b8594"
+
+    def test_outputs_match_pinned_digests(self, tmp_path):
+        bundle, _ = make_bundle(tmp_path, country="AA", n=3, days=20)
+        cfg = write_config(tmp_path, {
+            "train": dict(TINY_CONFIG["train"], max_epochs=2, hidden=4,
+                          k_layers=2, dropout=0.5)})
+        out = str(tmp_path / "out")
+        assert main(["train", "--bundle", bundle, "--model", "lstm",
+                     "--model", "mpnn_lstm", "--t-start", "14", "--t-end",
+                     "15", "--horizon", "1", "--horizon", "3", "--seed", "5",
+                     "--config", cfg, "--out", out]) == 0
+        tree = read_tree(out)
+        assert sha256(tree["rows.csv"]) == self.ROWS_SHA256
+        cells = sorted(name for name in tree if name.startswith("checkpoints"))
+        assert len(cells) == 8
+        assert sha256(b"".join(name.encode() + tree[name] for name in cells)) \
+            == self.CELLS_SHA256
+
+
 class TestPinnedBaselineGrid:
     """The four baselines on one country, pinned byte for byte.
 

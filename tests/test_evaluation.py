@@ -771,6 +771,27 @@ class TestEmitReport:
             assert json.load(fh) == {}
         assert sorted(os.listdir(tmp_path)) == ["rows.csv", "summary.json"]
 
+    def test_summary_of_errors_near_float_limit_is_finite_json(self, tmp_path):
+        # LAST_DAY forecasts 1.7e308 for days whose actual count is 0, so
+        # every range's errors sum past the float64 limit
+        ds = constant_dataset(n=2, days=20, country="HH")
+        cases = np.zeros((2, 20))
+        cases[:, :14] = 1.7e308
+        ds = CountryDataset(ds.country, ds.regions, ds.dates, cases, ds.mobility)
+        grid = ProtocolGrid(t_start=14, t_end=14, horizons=(1, 2, 3))
+        report = rolling_evaluate([ds], fast_config(models=["LAST_DAY"], grid=grid))
+        assert [r.abs_error for r in report.rows] == [1.7e308] * 6
+        paths = emit_report(report, str(tmp_path))
+
+        def reject(name):
+            raise AssertionError(f"summary.json holds {name}")
+
+        with open(paths["summary"], encoding="utf-8") as fh:
+            summary = json.load(fh, parse_constant=reject)
+        assert set(summary["LAST_DAY"]) == {"1-3", "1-7", "1-14", "1-1", "2-2", "3-3"}
+        for mean in summary["LAST_DAY"].values():
+            assert mean == pytest.approx(1.7e308, rel=1e-15)
+
     def test_skip_lines_precede_header(self, tmp_path):
         report = self.sample_report()
         paths = emit_report(report, str(tmp_path))

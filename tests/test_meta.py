@@ -3,7 +3,7 @@ the MPNN_TL grid cells, and pooled training."""
 
 import math
 import os
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -404,7 +404,7 @@ class TestTlBaseTrain:
     def test_empty_foreign_pool_reduces_to_plain_training(self):
         ds = make_ramp_dataset(n=3, days=20, country="XX")
         cfg = TrainConfig(max_epochs=2, dropout=0.0)
-        pooled = tl_base_train([ds], "XX", make_splits(ds, 14, 1, 3),
+        pooled = tl_base_train([ds], make_splits(ds, 14, 1, 3),
                                tiny_mpnn(), cfg, 6)
         plain = train_model(make_splits(ds, 14, 1, 3), tiny_mpnn(), cfg, 6)
         assert {k: v.tobytes() for k, v in pooled.state.params.items()} == \
@@ -422,7 +422,7 @@ class TestTlBaseTrain:
 
         monkeypatch.setattr(meta_mod, "train_model", recorder)
         plain = make_splits(target, 15, 2, 3)
-        tl_base_train([foreign, target], "BB", plain, tiny_mpnn(),
+        tl_base_train([foreign, target], plain, tiny_mpnn(),
                       TrainConfig(dropout=0.0), 0)
         splits = captured["splits"]
         foreign_universe = assemble_samples(foreign, 3, 2, t_end=18)
@@ -439,7 +439,7 @@ class TestTlBaseTrain:
         datasets = [make_ramp_dataset(n=2, days=18, country="AA"),
                     make_ramp_dataset(n=3, days=20, country="BB")]
         splits = make_splits(datasets[1], 14, 1, 3)
-        ckpt = tl_base_train(datasets, "BB", splits, tiny_mpnn(),
+        ckpt = tl_base_train(datasets, splits, tiny_mpnn(),
                              TrainConfig(max_epochs=1, dropout=0.0), 0)
         assert np.isfinite(ckpt.val_error)
         assert predict(ckpt.model, ckpt.state, [splits.test]).shape == (3,)
@@ -449,8 +449,8 @@ class TestTlBaseTrain:
                     make_ramp_dataset(n=3, days=20, country="BB")]
         cfg = TrainConfig(max_epochs=1, dropout=0.0)
         splits = make_splits(datasets[1], 14, 1, 3)
-        a = tl_base_train(datasets, "BB", splits, tiny_mpnn(), cfg, 11)
-        b = tl_base_train(datasets, "BB", splits, tiny_mpnn(), cfg, 11)
+        a = tl_base_train(datasets, splits, tiny_mpnn(), cfg, 11)
+        b = tl_base_train(datasets, splits, tiny_mpnn(), cfg, 11)
         assert {k: v.tobytes() for k, v in a.state.params.items()} == \
                {k: v.tobytes() for k, v in b.state.params.items()}
 
@@ -458,9 +458,11 @@ class TestTlBaseTrain:
         ds = make_ramp_dataset(n=2, days=18, country="AA")
         splits = make_splits(ds, 14, 1, 3)
         with pytest.raises(ContractError, match="exactly once"):
-            tl_base_train([ds], "ZZ", splits, tiny_mpnn(), TrainConfig(), 0)
+            tl_base_train([ds], replace(splits, country="ZZ"), tiny_mpnn(),
+                          TrainConfig(), 0)
         with pytest.raises(ContractError, match="exactly once"):
-            tl_base_train([ds, ds], "AA", splits, tiny_mpnn(), TrainConfig(), 0)
+            tl_base_train([ds, ds], replace(splits, country="AA"), tiny_mpnn(),
+                          TrainConfig(), 0)
 
     def test_grid_builds_each_cell_split_once(self, monkeypatch):
         datasets = [make_ramp_dataset(n=2, days=18, country="AA"),

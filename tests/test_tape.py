@@ -143,6 +143,46 @@ class TestGateLinear:
         assert contribs[0] is None
         assert all(c is not None for c in contribs[1:])
 
+    def test_gradients_without_state(self):
+        arrays = self.arrays(15)
+        del arrays["h"], arrays["u"]
+
+        def build(t, v):
+            z = tp.gate_linear(v["x"], v["w"], None, None, v["b"])
+            return tp.mean_all(tp.square(tp.sigmoid(z)))
+
+        check_grads(build, arrays)
+
+    @pytest.mark.parametrize("with_state", [True, False])
+    def test_gradients_of_one_column_input(self, with_state):
+        arrays = self.arrays(16)
+        arrays["x"], arrays["w"] = arrays["x"][:, :1].copy(), arrays["w"][:1].copy()
+        if not with_state:
+            del arrays["h"], arrays["u"]
+
+        def build(t, v):
+            z = tp.gate_linear(v["x"], v["w"], v.get("h"), v.get("u"), v["b"])
+            return tp.mean_all(tp.square(tp.tanh(z)))
+
+        check_grads(build, arrays)
+
+    def test_one_column_input_matches_matmul_bits(self):
+        # a k=1 product is one rounding per entry, broadcast or GEMM
+        rng = Rng(17)
+        x, w = rng.normal((30, 1)), rng.normal((1, 64))
+        t = tp.Tape()
+        z = tp.gate_linear(t.constant(x), t.parameter(w), None, None,
+                           t.parameter(np.zeros((1, 64))))
+        assert z.value.tobytes() == (x @ w + 0.0).tobytes()
+
+    def test_state_needs_both_operands(self):
+        t = tp.Tape()
+        v = t.bind(self.arrays(18))
+        with pytest.raises(ContractError, match="both"):
+            tp.gate_linear(v["x"], v["w"], v["h"], None, v["b"])
+        with pytest.raises(ContractError, match="both"):
+            tp.gate_linear(v["x"], v["w"], None, v["u"], v["b"])
+
     def test_shape_mismatch(self):
         t = tp.Tape()
         v = t.bind(self.arrays(14))
@@ -150,6 +190,77 @@ class TestGateLinear:
             tp.gate_linear(v["x"], v["u"], v["h"], v["u"], v["b"])
         with pytest.raises(ShapeError, match="gate_linear"):
             tp.gate_linear(v["x"], v["w"], v["h"], v["u"], v["h"])
+        with pytest.raises(ShapeError, match="gate_linear"):
+            tp.gate_linear(v["x"], v["u"], None, None, v["b"])
+
+
+class TestAccumulation:
+    """A node's third and later gradient contributions are added in place
+    into the array made for the second, never into the first."""
+
+    def test_shared_first_contribution_is_not_written(self):
+        # add hands one g to both parents: p's first contribution is q's
+        # whole gradient, and p has two more consumers
+        rng = Rng(19)
+        arrays = {"p": rng.normal((3, 2)), "q": rng.normal((3, 2))}
+        k1, k2 = rng.normal((3, 2)), rng.normal((3, 2))
+
+        def build(t, v):
+            y1, y2 = tp.mul(v["p"], t.constant(k1)), tp.mul(v["p"], t.constant(k2))
+            s = tp.add(v["p"], v["q"])
+            return tp.mean_all(tp.square(tp.add(tp.add(y1, y2), s)))
+
+        check_grads(build, arrays)
+        t = tp.Tape()
+        v = t.bind(arrays)
+        root = build(t, v)
+        u = (k1 * arrays["p"] + k2 * arrays["p"]) + (arrays["p"] + arrays["q"])
+        t.backward(root)
+        g_u = np.full((3, 2), 1.0 / 6) * 2.0 * u
+        assert t.grad(v["q"]).tobytes() == g_u.tobytes()
+        assert t.grad(v["p"]).tobytes() == ((g_u + g_u * k2) + g_u * k1).tobytes()
+        assert not np.shares_memory(t.grad(v["p"]), t.grad(v["q"]))
+
+    def test_view_first_contribution_is_not_written(self):
+        # p's first contribution is a view into the hconcat's gradient,
+        # which add also hands whole to e
+        rng = Rng(20)
+        arrays = {"p": rng.normal((3, 2)), "r": rng.normal((3, 1)),
+                  "e": rng.normal((3, 3))}
+        k1, k2, c = rng.normal((3, 2)), rng.normal((3, 2)), rng.normal((3, 1))
+
+        def build(t, v):
+            y1, y2 = tp.mul(v["p"], t.constant(k1)), tp.mul(v["p"], t.constant(k2))
+            s = tp.add(tp.hconcat(v["p"], v["r"]), v["e"])
+            rest = tp.hconcat(tp.add(y1, y2), t.constant(c))
+            return tp.mean_all(tp.square(tp.add(s, rest)))
+
+        check_grads(build, arrays)
+        t = tp.Tape()
+        v = t.bind(arrays)
+        root = build(t, v)
+        t.backward(root)
+        p, r, e = arrays["p"], arrays["r"], arrays["e"]
+        u = (np.hstack([p, r]) + e) + np.hstack([k1 * p + k2 * p, c])
+        g_u = np.full((3, 3), 1.0 / 9) * 2.0 * u
+        assert t.grad(v["e"]).tobytes() == g_u.tobytes()
+        assert t.grad(v["r"]).tobytes() == g_u[:, 2:].tobytes()
+        g_p = g_u[:, :2]
+        assert t.grad(v["p"]).tobytes() == ((g_p + g_p * k2) + g_p * k1).tobytes()
+
+
+class TestActivationBackwardBits:
+    @pytest.mark.parametrize("act,want", [
+        (tp.sigmoid, lambda g, out: (g * out) * (1.0 - out)),
+        (tp.tanh, lambda g, out: g * (1.0 - out * out)),
+    ], ids=["sigmoid", "tanh"])
+    def test_backward_keeps_operation_order(self, act, want):
+        rng = Rng(21)
+        t = tp.Tape()
+        y = act(t.parameter(rng.normal((7, 9)) * 3.0))
+        g = rng.normal((7, 9))
+        (dx,) = t._nodes[y.idx].backward(g)
+        assert dx.tobytes() == want(g, y.value).tobytes()
 
 
 class TestSigmoid:
@@ -351,6 +462,16 @@ class TestContracts:
         t = tp.Tape()
         with pytest.raises(ShapeError):
             t.constant(np.ones(3))
+        with pytest.raises(ShapeError):
+            t.node(np.ones(3), (), None)
+
+    def test_node_stores_c_contiguous_float64(self):
+        t = tp.Tape()
+        for value in (np.ones((3, 2), dtype=np.float32), np.ones((2, 3)).T,
+                      [[1.0, 2.0]]):
+            out = t.node(value, (), None).value
+            assert out.dtype == np.float64 and out.flags.c_contiguous
+            np.testing.assert_array_equal(out, value)
 
     def test_non_finite_detection(self):
         t = tp.Tape()
