@@ -42,11 +42,11 @@ from .evaluation import (
     EvalConfig,
     case_stat_lines,
     case_stats_table,
+    cell_label,
     correlation_lines,
     correlation_table,
     emit_report,
     load_report_rows,
-    parse_skip_line,
     rolling_evaluate,
 )
 
@@ -267,13 +267,12 @@ def _grid_run(args, argv, checkpoint_dir, load_only=False) -> int:
         raise
     status = "complete" if not report.skipped else "partial"
     write_manifest(args.out, argv, dataclasses.asdict(cfg), cfg.seed, status, {
-        "rows": len(report.rows), "skipped_cells": len(report.skipped),
+        "rows": report.n_rows, "skipped_cells": len(report.skipped),
         "countries": [ds.country for ds in datasets]})
-    print(f"wrote {paths['rows']} ({len(report.rows)} rows, "
+    print(f"wrote {paths['rows']} ({report.n_rows} rows, "
           f"{len(report.skipped)} skipped cells)")
-    for country, model, t, j, reason in report.skipped:
-        print(f"skipped country={country} model={model} T={t} j={j}: "
-              f"{reason}", file=sys.stderr)
+    for skip in report.skipped:
+        print(f"skipped {cell_label(skip[:4])}: {skip[4]}", file=sys.stderr)
     return 1 if report.skipped else 0
 
 
@@ -287,27 +286,22 @@ def cmd_evaluate(args, argv) -> int:
 
 
 def cmd_report(args, argv) -> int:
-    rows = []
-    skipped = []
+    merged = ErrorReport(cells=[], skipped=[])
     owner = {}   # (country, model, T, j) -> the input that holds the cell
     for src in args.inputs:
-        path = os.path.join(src, "rows.csv")
-        got, skip_lines = load_report_rows(path)
-        skips = [parse_skip_line(ln, path) for ln in skip_lines]
-        cells = {(r.country, r.model, r.t, r.horizon) for r in got}
-        cells.update(skip[:4] for skip in skips)
-        clash = min(cells & owner.keys(), default=None)
+        cells, skipped = load_report_rows(os.path.join(src, "rows.csv"))
+        keys = {(c.country, c.model, c.t, c.horizon) for c in cells}
+        keys.update(skip[:4] for skip in skipped)
+        clash = min(keys & owner.keys(), default=None)
         if clash is not None:
-            c, m, t, j = clash
-            raise DataError(f"cell country={c} model={m} T={t} j={j} is in both "
-                            f"{owner[clash]} and {src}")
-        owner.update(dict.fromkeys(cells, src))
-        rows.extend(got)
-        skipped.extend(skips)
-    paths = emit_report(ErrorReport(rows=rows, skipped=skipped), args.out)
+            raise DataError(f"cell {cell_label(clash)} is in both {owner[clash]} and {src}")
+        owner.update(dict.fromkeys(keys, src))
+        merged.cells.extend(cells)
+        merged.skipped.extend(skipped)
+    paths = emit_report(merged, args.out)
     write_manifest(args.out, argv, {"inputs": list(args.inputs)}, None,
-                   "complete", {"rows": len(rows),
-                                "skipped_cells": len(skipped)})
+                   "complete", {"rows": merged.n_rows,
+                                "skipped_cells": len(merged.skipped)})
     print(f"merged {len(args.inputs)} reports into {paths['rows']}")
     return 0
 

@@ -8,7 +8,7 @@ import contextlib
 import json
 import os
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -110,38 +110,45 @@ class EvalConfig:
                                     f"{', '.join(MODEL_NAMES)}")
 
 
-@dataclass(frozen=True)
-class ReportRow:
+@dataclass(frozen=True, eq=False)
+class CellResult:
+    """A scored cell: its key, the dataset's region ids, and each region's
+    forecast and actual case count, as float64 arrays in region order."""
     country: str
     model: str
     t: int
     horizon: int
-    region: str
-    prediction: float
-    actual: float
+    regions: tuple
+    prediction: np.ndarray
+    actual: np.ndarray
 
     @property
-    def abs_error(self) -> float:
-        return abs(self.prediction - self.actual)
+    def abs_error(self) -> np.ndarray:
+        with np.errstate(over="ignore", invalid="ignore"):   # inf or nan, as abs(p - a)
+            return np.abs(self.prediction - self.actual)
 
 
 @dataclass
 class ErrorReport:
-    rows: list
+    cells: list     # CellResult per scored cell, in grid order
     skipped: list   # (country, model, t, j, reason)
+
+    @property
+    def n_rows(self) -> int:
+        return sum(len(cell.regions) for cell in self.cells)
 
 
 # ---------------------------------------------------------------- metrics
 
-def error_metric(rows) -> float:
-    """Mean absolute error over all (region, test day) entries.
+def error_metric(errors) -> float:
+    """Mean of an array of absolute errors, one per (region, test day).
 
     Finite errors near the float64 limit can sum past it; their mean is then
     taken as the sum of errors / n, which stays finite.
     """
-    errors = np.array([r.abs_error for r in rows], dtype=np.float64)
+    errors = np.asarray(errors, dtype=np.float64)
     if not errors.size:
-        raise ContractError("error_metric of an empty row set")
+        raise ContractError("error_metric of an empty error set")
     with np.errstate(over="ignore"):
         mean = np.mean(errors)
     if np.isinf(mean) and np.isfinite(errors).all():
@@ -149,24 +156,29 @@ def error_metric(rows) -> float:
     return float(mean)
 
 
-def range_summary(rows) -> dict:
+def range_summary(cells) -> dict:
     """Per-model mean error over horizon ranges, keyed like "1-14", and over
     each single horizon present, keyed like "7-7".
 
-    Each range averages over every available row whose horizon falls inside
-    it, so horizons contribute in proportion to their completed cells.
+    Each range averages over every region of every cell whose horizon falls
+    inside it, so horizons contribute in proportion to their completed cells.
+    The errors of a range keep the cells' order.
     """
-    by_model = {}
-    for r in rows:
-        by_model.setdefault(r.model, []).append(r)
-    singles = tuple((j, j) for j in sorted({r.horizon for r in rows}))
+    if not cells:
+        return {}
+    sizes = [len(cell.regions) for cell in cells]
+    errors = np.concatenate([cell.abs_error for cell in cells])
+    models = np.repeat([cell.model for cell in cells], sizes)
+    horizons = np.repeat([cell.horizon for cell in cells], sizes)
+    singles = tuple((j, j) for j in sorted({cell.horizon for cell in cells}))
     out = {}
-    for model in sorted(by_model):
+    for model in sorted({cell.model for cell in cells}):
+        of_model = models == model
         entry = {}
         for lo, hi in SUMMARY_RANGES + singles:
-            in_range = [r for r in by_model[model] if lo <= r.horizon <= hi]
-            if in_range:
-                entry[f"{lo}-{hi}"] = error_metric(in_range)
+            in_range = of_model & (horizons >= lo) & (horizons <= hi)
+            if in_range.any():
+                entry[f"{lo}-{hi}"] = error_metric(errors[in_range])
         out[model] = entry
     return out
 
@@ -239,17 +251,23 @@ def checkpoint_name(country: str, model: str, t: int, j: int) -> str:
     return f"{country}__{model}__T{t}_j{j}.ckpt"
 
 
-def _baseline_cell(name: str, dataset: CountryDataset, t: int, j: int,
-                   cfg: EvalConfig) -> np.ndarray:
+def _baseline_cell(ctx: _CellContext, name: str, dataset: CountryDataset,
+                   t: int, j: int) -> np.ndarray:
     history = dataset.case_window(t, t)
     if name == "AVG":
         return avg_predict(history)
     if name == "AVG_WINDOW":
-        return avg_window_predict(history, d=cfg.train.d)
+        return avg_window_predict(history, d=ctx.config.train.d)
     if name == "LAST_DAY":
         return last_day_predict(history)
-    fit = ar_fit(history, p=cfg.ar_order, differencing=cfg.ar_differencing)
-    return ar_predict(fit, history, j=j)
+    # the fit depends on the history only, and an anchor's horizons are
+    # adjacent in grid order: one kept fit serves all of them
+    anchor = (dataset.country, t)
+    if anchor not in ctx.ar_fits:
+        ctx.ar_fits.clear()
+        ctx.ar_fits[anchor] = ar_fit(history, p=ctx.config.ar_order,
+                                     differencing=ctx.config.ar_differencing)
+    return ar_predict(ctx.ar_fits[anchor], history, j=j)
 
 
 # Worker-process context for parallel grid evaluation; populated once per
@@ -268,6 +286,8 @@ class _CellContext:
     config: EvalConfig
     checkpoint_dir: Optional[str]
     load_only: bool = False   # load each trainable cell's checkpoint, never train
+    # the AR fit of the last (country, T) this process scored
+    ar_fits: dict = field(default_factory=dict, compare=False)
 
     def dataset(self, country: str) -> CountryDataset:
         for ds in self.datasets:
@@ -317,16 +337,21 @@ def _cell_path(ctx: _CellContext, task) -> Optional[str]:
     return None if directory is None else os.path.join(directory, checkpoint_name(*task))
 
 
+def _cell_meta(task) -> dict:
+    """The cell a checkpoint header records as its own."""
+    country, model_name, t, j = task
+    return {"country": country, "model_name": model_name, "t": t, "horizon": j}
+
+
 def _keep(ctx: _CellContext, task, outcome):
     """Save a trainable cell's outcome, a Checkpoint or a skip reason, as
     its checkpoint when ctx has a checkpoint directory and is not load-only;
     return the outcome."""
     path = _cell_path(ctx, task)
     if path is not None and not ctx.load_only:
-        country, model_name, t, j = task
+        country, _, t, j = task
         save_checkpoint(path, outcome, extra_meta={
-            "country": country, "model_name": model_name, "t": t, "horizon": j,
-            "cell_seed": derive_seed(ctx.config.seed, country, t, j)})
+            **_cell_meta(task), "cell_seed": derive_seed(ctx.config.seed, country, t, j)})
     return outcome
 
 
@@ -336,13 +361,13 @@ def _cell_checkpoint(ctx: _CellContext, task, model, dataset, shared):
     country, model_name, t, j = task
     path = _cell_path(ctx, task)
     # a stored skip raises SkippedCell before the splits, as it was recorded
-    stored = load_checkpoint(path, model) if ctx.load_only and os.path.exists(path) else None
+    stored = (load_checkpoint(path, model, _cell_meta(task))
+              if ctx.load_only and os.path.exists(path) else None)
     splits = make_splits(dataset, t, j, model.d, model.seq_len)
     if stored is not None:
         return splits, stored
     if ctx.load_only:
-        raise CheckpointError(f"missing checkpoint for cell country={country} "
-                              f"model={model_name} T={t} j={j}: {path}")
+        raise CheckpointError(f"missing checkpoint for cell {cell_label(task)}: {path}")
     cfg = ctx.config
     cell_seed = derive_seed(cfg.seed, country, t, j)
     if model_name == "TL_BASE":
@@ -355,10 +380,11 @@ def _cell_checkpoint(ctx: _CellContext, task, model, dataset, shared):
 
 def evaluate_cell(ctx: _CellContext, country: str, model_name: str, t: int,
                   j: int, shared=None):
-    """One protocol cell: fit, train or load, predict day t+j; return rows or a skip.
+    """One protocol cell: fit, train or load, predict day t+j; return its
+    CellResult or a skip.
 
     `shared`, passed to MPNN_TL cells only, is the country's meta-trained
-    ModelState or the reason it has none.  Returns the cell's rows, or the
+    ModelState or the reason it has none.  Returns the scored cell, or the
     reason string when the cell lacks the data its model needs, its training
     diverged (a non-finite loss, or a non-finite validation or test
     forecast) or it has no shared initialization.  A training run keeps the
@@ -376,7 +402,7 @@ def evaluate_cell(ctx: _CellContext, country: str, model_name: str, t: int,
     try:
         if model_name not in TRAINABLE_MODELS:
             with np.errstate(over="ignore", invalid="ignore"):   # checked below
-                preds = _baseline_cell(model_name, dataset, t, j, cfg)
+                preds = _baseline_cell(ctx, model_name, dataset, t, j)
         else:
             model = build_model(model_name, cfg.train)
             splits, ckpt = _cell_checkpoint(ctx, task, model, dataset, shared)
@@ -390,10 +416,8 @@ def evaluate_cell(ctx: _CellContext, country: str, model_name: str, t: int,
     if bad.size:
         return (f"non-finite forecast: {preds[bad[0]]} for region "
                 f"{dataset.regions[bad[0]]!r}")
-    actual = dataset.cases_on(t + j)
-    return [ReportRow(country, model_name, t, j, dataset.regions[v],
-                      float(preds[v]), float(actual[v]))
-            for v in range(dataset.n)]
+    return CellResult(country, model_name, t, j, dataset.regions, preds,
+                      dataset.cases_on(t + j))
 
 
 def _grid_tasks(datasets, config: EvalConfig):
@@ -474,12 +498,12 @@ def rolling_evaluate(datasets, config: EvalConfig,
                and len(datasets) > 1 and not load_only else [])
     with _runner(ctx, len(targets) + len(tasks)) as run:
         outcomes = dict(_schedule(run, tasks, targets))
-    report = ErrorReport(rows=[], skipped=[])
+    report = ErrorReport(cells=[], skipped=[])
     for k, task in enumerate(tasks):   # grid order, whatever order cells ran in
         if isinstance(outcomes[k], str):
             report.skipped.append((*task, outcomes[k]))
         else:
-            report.rows.extend(outcomes[k])
+            report.cells.append(outcomes[k])
     return report
 
 
@@ -514,6 +538,11 @@ _SKIP_LINE = re.compile(
     r"T=(?P<t>\d+) j=(?P<j>\d+): (?P<reason>.*)$")
 
 
+def cell_label(task) -> str:
+    country, model, t, j = task
+    return f"country={country} model={model} T={t} j={j}"
+
+
 def emit_report(report: ErrorReport, out_dir: str) -> dict:
     """Write rows.csv and summary.json.
 
@@ -523,17 +552,16 @@ def emit_report(report: ErrorReport, out_dir: str) -> dict:
     """
     paths = {"rows": os.path.join(out_dir, "rows.csv"),
              "summary": os.path.join(out_dir, "summary.json")}
-    lines = [f"# skipped country={c} model={m} T={t} j={j}: {reason}"
-             for c, m, t, j, reason in report.skipped]
+    lines = [f"# skipped {cell_label(skip[:4])}: {skip[4]}" for skip in report.skipped]
     lines.append(ROWS_HEADER)
-    lines.extend(
-        f"{r.country},{r.model},{r.t},{r.horizon},{r.region},"
-        f"{_float_cell(r.prediction)},{_float_cell(r.actual)},"
-        f"{_float_cell(r.abs_error)}"
-        for r in report.rows)
+    for cell in report.cells:
+        key = f"{cell.country},{cell.model},{cell.t},{cell.horizon},"
+        lines.extend(f"{key}{region},{p!r},{a!r},{e!r}" for region, p, a, e in zip(
+            cell.regions, cell.prediction.tolist(), cell.actual.tolist(),
+            cell.abs_error.tolist()))
     write_file(paths["rows"], "\n".join(lines) + "\n")
     write_file(paths["summary"],
-               json.dumps(range_summary(report.rows), sort_keys=True, indent=2,
+               json.dumps(range_summary(report.cells), sort_keys=True, indent=2,
                           allow_nan=False) + "\n")
     return paths
 
@@ -547,18 +575,48 @@ def parse_skip_line(line: str, path: str):
 
 
 def load_report_rows(path: str):
-    """Rows and skip lines back from an emitted rows.csv."""
+    """The scored cells and the skips (country, model, t, j, reason) of an
+    emitted rows.csv.
+
+    A malformed row, a nan or inf or an error past the float64 range, a
+    region repeated within a cell, a cell whose rows are not adjacent and a
+    cell with a second skip line or with a skip line and rows are each a
+    DataError naming the file.
+    """
     lines = read_file(path).splitlines()
-    skipped_lines = [ln for ln in lines if ln.startswith("#")]
-    body = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not body or body[0] != ROWS_HEADER:
+    skipped = [parse_skip_line(ln, path) for ln in lines if ln.startswith("#")]
+    body = [(k, ln) for k, ln in enumerate(lines, 1) if ln and not ln.startswith("#")]
+    if not body or body[0][1] != ROWS_HEADER:
         raise DataError(f"{path}: not a rows.csv report")
-    rows = []
-    for ln in body[1:]:
+    groups = {}   # cell key -> (line number, region, prediction, actual) per row
+    last = None
+    for lineno, ln in body[1:]:
         try:   # a wrong width fails the unpacking, a bad number its parse
             country, model, t, j, region, pred, actual, _ = ln.split(",")
-            rows.append(ReportRow(country, model, int(t), int(j), region,
-                                  float(pred), float(actual)))
+            key = (country, model, int(t), int(j))
+            row = (lineno, region, float(pred), float(actual))
         except ValueError:
             raise DataError(f"{path}: malformed row {ln!r}") from None
-    return rows, skipped_lines
+        if key != last and key in groups:
+            raise DataError(f"{path} line {lineno}: cell {cell_label(key)} "
+                            f"continues after other cells' rows")
+        groups.setdefault(key, []).append(row)
+        last = key
+    cells = []
+    for key, rows in groups.items():
+        linenos, regions, preds, actuals = zip(*rows)
+        cell = CellResult(*key, regions, np.array(preds), np.array(actuals))
+        bad = np.flatnonzero(~np.isfinite(cell.abs_error))
+        if bad.size:
+            raise DataError(f"{path} line {linenos[bad[0]]}: prediction {preds[bad[0]]!r} "
+                            f"and actual {actuals[bad[0]]!r} have no finite error")
+        if len(set(regions)) != len(regions):
+            raise DataError(f"{path}: cell {cell_label(key)} repeats a region")
+        cells.append(cell)
+    seen = set(groups)
+    for skip in skipped:
+        if skip[:4] in seen:
+            raise DataError(f"{path}: cell {cell_label(skip[:4])} has a skip line "
+                            f"and {'rows' if skip[:4] in groups else 'another skip line'}")
+        seen.add(skip[:4])
+    return cells, skipped

@@ -219,14 +219,20 @@ def save_checkpoint(path: str, checkpoint: Checkpoint | str,
     save_params(path, checkpoint.state.params, checkpoint.state.buffers, meta)
 
 
-def load_checkpoint(path: str, model) -> Checkpoint:
-    """The trained `model` a checkpoint holds; a header recording another
-    architecture is a CheckpointError naming the file and both specs."""
+def load_checkpoint(path: str, model, cell: dict | None = None) -> Checkpoint:
+    """The trained `model` a checkpoint holds.  A header recording another
+    architecture, or, given `cell`, other values for cell's keys in its
+    `extra` record, is a CheckpointError naming the file."""
     params, buffers, meta = load_params(path)
     kind = meta.get("kind")
     if kind not in ("mobicast-skip", "mobicast-checkpoint"):
         raise CheckpointError(f"{path!r} is not a model checkpoint")
     try:
+        if cell is not None:
+            extra = meta.get("extra") or {}
+            stored = {key: extra.get(key) for key in cell}
+            if stored != cell:
+                raise CheckpointError(f"{path!r} records cell {stored}, not {cell}")
         if kind == "mobicast-skip":
             raise SkippedCell(meta["reason"])
         stored, expected = meta["model"], model_spec(model)

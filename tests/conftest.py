@@ -105,3 +105,15 @@ def diverge_at(t_bad, message):
         return real(splits, model, config, seed, init_state=init_state)
 
     return train_model
+
+
+def report_rows(cells):
+    """(country, model, t, horizon, region, prediction, actual) per scored
+    region of the cells, in rows.csv order."""
+    return [(c.country, c.model, c.t, c.horizon, region, p, a) for c in cells
+            for region, p, a in zip(c.regions, c.prediction.tolist(), c.actual.tolist())]
+
+
+def abs_errors(cells):
+    """The cells' absolute errors, concatenated in order."""
+    return np.concatenate([c.abs_error for c in cells]) if cells else np.empty(0)

@@ -26,7 +26,7 @@ from mobicast.cli import main
 from mobicast.dataio import (CountryDataset, SyntheticConfig,
                              generate_synthetic, load_bundle)
 from mobicast.errors import InsufficientDataError
-from mobicast.evaluation import (EvalConfig, ProtocolGrid, ReportRow,
+from mobicast.evaluation import (CellResult, EvalConfig, ProtocolGrid,
                                  build_model, error_metric, rolling_evaluate)
 from mobicast.graphs import GraphSample, normalize_incoming
 from mobicast.meta import MetaConfig, maml_meta_train, meta_task_step
@@ -37,8 +37,8 @@ from mobicast.rng import Rng, derive_seed
 from mobicast.train import (SplitSpec, TrainConfig, loss_and_grads, make_splits,
                             predict, train_model)
 
-from conftest import (FirstFeatureModel, TracingDataset, prediction_sample,
-                      random_sample)
+from conftest import (FirstFeatureModel, TracingDataset, abs_errors,
+                      prediction_sample, random_sample)
 
 FD_STEP = 1e-5
 FD_TOL = 1e-4
@@ -184,11 +184,10 @@ class TestMetricFidelity:
             n = int(rng.integers(1, 60))
             preds = rng.uniform(0.0, 50.0, n)
             actuals = rng.uniform(0.0, 50.0, n)
-            rows = [ReportRow("X", "M", 14, 1, f"r{i}",
-                              float(preds[i]), float(actuals[i]))
-                    for i in range(n)]
+            cell = CellResult("X", "M", 14, 1, tuple(f"r{i}" for i in range(n)),
+                              preds, actuals)
             brute = math.fsum(abs(p - a) for p, a in zip(preds, actuals)) / n
-            assert abs(error_metric(rows) - brute) < 1e-10
+            assert abs(error_metric(cell.abs_error) - brute) < 1e-10
 
 
 class TestNormalizationAndEquivariance:
@@ -311,9 +310,9 @@ class TestSyntheticOrdering:
                              models=("MPNN", "AVG_WINDOW"), grid=grid)
             report = rolling_evaluate([held], cfg)
             assert not report.skipped
-            mpnn = error_metric([r for r in report.rows if r.model == "MPNN"])
-            avgw = error_metric([r for r in report.rows
-                                 if r.model == "AVG_WINDOW"])
+            mpnn = error_metric(abs_errors([c for c in report.cells if c.model == "MPNN"]))
+            avgw = error_metric(abs_errors([c for c in report.cells
+                                            if c.model == "AVG_WINDOW"]))
             wins += mpnn < avgw
         assert wins >= 4
         assert time.monotonic() - start < 240.0
@@ -424,14 +423,14 @@ class TestSuppliedBundleOrdering:
         counted = 0
         wins = 0
         for ds in datasets:
-            plain = [r for r in report.rows
-                     if r.model == "MPNN" and r.country == ds.country]
-            transfer = [r for r in report.rows
-                        if r.model == "MPNN_TL" and r.country == ds.country]
+            plain = [c for c in report.cells
+                     if c.model == "MPNN" and c.country == ds.country]
+            transfer = [c for c in report.cells
+                        if c.model == "MPNN_TL" and c.country == ds.country]
             if not plain or not transfer:
                 continue
             counted += 1
-            wins += error_metric(transfer) <= error_metric(plain)
+            wins += error_metric(abs_errors(transfer)) <= error_metric(abs_errors(plain))
         if counted == 0:
             pytest.skip("every transfer cell was skipped on these bundles")
         assert wins >= counted - 1

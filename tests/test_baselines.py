@@ -46,8 +46,8 @@ class TestHistoryBaselines:
         grid = ProtocolGrid(t_start=14, t_end=14, horizons=(1, 14))
         report = rolling_evaluate([ds], EvalConfig(models=["AVG"], grid=grid))
         by_horizon = {}
-        for row in report.rows:
-            by_horizon.setdefault(row.horizon, []).append(row.prediction)
+        for cell in report.cells:
+            by_horizon.setdefault(cell.horizon, []).extend(cell.prediction.tolist())
         assert by_horizon[1] == by_horizon[14]
 
     def test_avg_window_trailing_mean(self):

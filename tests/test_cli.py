@@ -20,7 +20,7 @@ from mobicast.params import load_params
 from mobicast.evaluation import (EvalConfig, ProtocolGrid, load_report_rows,
                                  range_summary)
 
-from conftest import diverge_at, make_ramp_dataset
+from conftest import diverge_at, make_ramp_dataset, report_rows
 
 TINY_CONFIG = {
     "train": {"max_epochs": 1, "hidden": 2, "k_layers": 1, "d": 3,
@@ -375,14 +375,15 @@ class TestTrainCommand:
                    "--t-start", "14", "--t-end", "16", "--dt", "2",
                    "--out", out])
         assert rc == 0
-        rows, _ = load_report_rows(os.path.join(out, "rows.csv"))
-        assert len(rows) == 6 * ds.n
-        for row in rows:
-            v = ds.regions.index(row.region)
-            history = ds.case_window(row.t, row.t)
-            assert row.prediction == last_day_predict(history)[v]
+        cells, _ = load_report_rows(os.path.join(out, "rows.csv"))
+        assert len(report_rows(cells)) == 6 * ds.n
+        for cell in cells:
+            history = ds.case_window(cell.t, cell.t)
+            for region, prediction in zip(cell.regions, cell.prediction):
+                v = ds.regions.index(region)
+                assert prediction == last_day_predict(history)[v]
         with open(os.path.join(out, "summary.json"), encoding="utf-8") as fh:
-            assert json.load(fh) == range_summary(rows)
+            assert json.load(fh) == range_summary(cells)
         assert read_manifest(out)["status"] == "complete"
         assert sorted(os.listdir(out)) == ["rows.csv", "run.json", "summary.json"]
 
@@ -396,8 +397,8 @@ class TestTrainCommand:
         assert rc == 0
         assert os.path.exists(os.path.join(out, "checkpoints",
                                            "AA__MPNN__T14_j1.ckpt"))
-        rows, _ = load_report_rows(os.path.join(out, "rows.csv"))
-        assert len(rows) == 2
+        cells, _ = load_report_rows(os.path.join(out, "rows.csv"))
+        assert len(report_rows(cells)) == 2
         manifest = read_manifest(out)
         assert manifest["status"] == "complete"
         assert manifest["config"]["train"]["hidden"] == 2
@@ -412,8 +413,8 @@ class TestTrainCommand:
         assert rc == 1
         assert "skipped country=AA model=MPNN_TL" in capsys.readouterr().err
         assert read_manifest(out)["status"] == "partial"
-        rows, skip_lines = load_report_rows(os.path.join(out, "rows.csv"))
-        assert not rows and len(skip_lines) == 1
+        cells, skips = load_report_rows(os.path.join(out, "rows.csv"))
+        assert not cells and len(skips) == 1
 
     def test_diverged_cell_exits_nonzero_and_keeps_other_rows(
             self, tmp_path, capsys, monkeypatch):
@@ -429,9 +430,9 @@ class TestTrainCommand:
         assert rc == 1
         assert "T=14 j=1: training diverged" in capsys.readouterr().err
         assert read_manifest(out)["status"] == "partial"
-        rows, skip_lines = load_report_rows(os.path.join(out, "rows.csv"))
-        assert {(r.t, r.horizon) for r in rows} == {(15, 1)}
-        assert len(skip_lines) == 1 and "largest parameters" in skip_lines[0]
+        cells, skips = load_report_rows(os.path.join(out, "rows.csv"))
+        assert {(c.t, c.horizon) for c in cells} == {(15, 1)}
+        assert len(skips) == 1 and "largest parameters" in skips[0][4]
 
     def test_meta_training_without_tasks_in_worker_exits_nonzero(
             self, tmp_path, capsys):
@@ -447,9 +448,9 @@ class TestTrainCommand:
         assert rc == 1
         assert "model=MPNN_TL T=14 j=1: meta-training failed: BB: no tasks" in \
             capsys.readouterr().err
-        rows, skip_lines = load_report_rows(os.path.join(out, "rows.csv"))
-        assert len(skip_lines) == 2
-        assert {(r.country, r.model, r.t) for r in rows} == {
+        cells, skips = load_report_rows(os.path.join(out, "rows.csv"))
+        assert len(skips) == 2
+        assert {(c.country, c.model, c.t) for c in cells} == {
             ("AA", "MPNN", 14), ("AA", "MPNN", 15)}
         ckpts = os.listdir(os.path.join(out, "checkpoints"))
         assert "BB__MPNN_TL__meta.ckpt" in ckpts
@@ -466,8 +467,8 @@ class TestTrainCommand:
                    "--config", cfg, "--out", out])
         assert rc == 0
         assert read_manifest(out)["status"] == "complete"
-        rows, _ = load_report_rows(os.path.join(out, "rows.csv"))
-        assert {(r.country, r.model, r.t) for r in rows} == {
+        cells, _ = load_report_rows(os.path.join(out, "rows.csv"))
+        assert {(c.country, c.model, c.t) for c in cells} == {
             ("AA", "MPNN_TL", 20), ("BB", "MPNN_TL", 20)}
         ckpts = os.listdir(os.path.join(out, "checkpoints"))
         assert {"AA__MPNN_TL__meta.ckpt", "BB__MPNN_TL__meta.ckpt"} <= set(ckpts)
@@ -496,9 +497,9 @@ class TestTrainCommand:
         out = str(tmp_path / "out")
         assert main(["train", "--bundle", bundle, "--config", cfg,
                      "--out", out]) == 0
-        rows, _ = load_report_rows(os.path.join(out, "rows.csv"))
-        assert {r.model for r in rows} == {"LAST_DAY"}
-        assert {(r.t, r.horizon) for r in rows} == {(14, 1)}
+        cells, _ = load_report_rows(os.path.join(out, "rows.csv"))
+        assert {c.model for c in cells} == {"LAST_DAY"}
+        assert {(c.t, c.horizon) for c in cells} == {(14, 1)}
 
     def test_flags_override_config_file(self, tmp_path):
         bundle, _ = make_bundle(tmp_path)
@@ -508,8 +509,8 @@ class TestTrainCommand:
         out = str(tmp_path / "out")
         assert main(["train", "--bundle", bundle, "--config", cfg,
                      "--model", "avg", "--out", out]) == 0
-        rows, _ = load_report_rows(os.path.join(out, "rows.csv"))
-        assert {r.model for r in rows} == {"AVG"}
+        cells, _ = load_report_rows(os.path.join(out, "rows.csv"))
+        assert {c.model for c in cells} == {"AVG"}
 
     def test_bad_config_file_reports_offending_key(self, tmp_path, capsys):
         bundle, _ = make_bundle(tmp_path)
@@ -722,8 +723,9 @@ class TestEvaluateCommand:
             expected = fh.read()
         with open(os.path.join(out, "rows.csv"), "rb") as fh:
             assert fh.read() == expected
-        rows, skip_lines = load_report_rows(os.path.join(out, "rows.csv"))
-        assert rows and len(skip_lines) == 1 and reason in skip_lines[0]
+        cells, skips = load_report_rows(os.path.join(out, "rows.csv"))
+        assert cells and len(skips) == 1
+        assert reason in "country={} model={} T={} j={}: {}".format(*skips[0])
 
     def test_rescore_keeps_cells_skipped_for_data(self, tmp_path, capsys):
         # an 11-day sequence leaves MPNN_LSTM no validation sample at T=14
@@ -894,8 +896,8 @@ class TestEvaluateCommand:
                    os.path.join(trained, "checkpoints"),
                    "--out", str(tmp_path / "eval")])
         assert rc == 0, capsys.readouterr().err
-        rows, skip_lines = load_report_rows(str(tmp_path / "eval" / "rows.csv"))
-        assert len(rows) == 2 and not skip_lines
+        cells, skips = load_report_rows(str(tmp_path / "eval" / "rows.csv"))
+        assert len(report_rows(cells)) == 2 and not skips
 
     def test_checkpoint_directory_holds_one_file_per_cell(self, tmp_path):
         bundle_a, _ = make_bundle(tmp_path, country="AA")
@@ -923,6 +925,33 @@ class TestEvaluateCommand:
             "BB__MPNN_TL__meta.ckpt": "mobicast-meta",
         }
         assert trees[0] == trees[1]
+
+    @pytest.mark.parametrize("kind", ["trained", "skip"])
+    def test_checkpoint_of_another_cell_rejected(self, tmp_path, capsys, kind):
+        # a copied file would score T=15 with T=14's parameters, or skip it
+        # with T=14's reason
+        _, _, argv, trained = self.trained(tmp_path)
+        if kind == "skip":
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(evaluation, "train_model", diverge_at(14, "boom"))
+                assert main(["train", *argv, "--out", trained]) == 1
+        ckpts = os.path.join(trained, "checkpoints")
+        assert cell_kind(os.path.join(ckpts, "AA__MPNN__T14_j1.ckpt")) == \
+            f"mobicast-{'skip' if kind == 'skip' else 'checkpoint'}"
+        copied = os.path.join(ckpts, "AA__MPNN__T15_j1.ckpt")
+        with open(os.path.join(ckpts, "AA__MPNN__T14_j1.ckpt"), "rb") as fh:
+            blob = fh.read()
+        with open(copied, "wb") as fh:
+            fh.write(blob)
+        capsys.readouterr()
+        out = str(tmp_path / "eval")
+        rc = main(["evaluate", *argv, "--checkpoints", ckpts, "--out", out])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {copied!r} records cell ")
+        assert "'t': 14" in err and "'t': 15" in err and err.count("\n") == 1
+        assert read_manifest(out)["status"] == "failed"
+        assert not os.path.exists(os.path.join(out, "rows.csv"))
 
     def test_checkpoints_required(self, tmp_path, capsys):
         # without checkpoints, evaluate would only be a train that keeps none
@@ -984,12 +1013,12 @@ class TestReportCommand:
         merged = str(tmp_path / "merged")
         rc = main(["report", out1, out2, "--out", merged])
         assert rc == 0
-        rows, skip_lines = load_report_rows(os.path.join(merged, "rows.csv"))
-        assert {r.model for r in rows} == {"LAST_DAY"}
-        assert len(rows) == 2
-        assert len(skip_lines) == 1 and "MPNN_TL" in skip_lines[0]
+        cells, skips = load_report_rows(os.path.join(merged, "rows.csv"))
+        assert {c.model for c in cells} == {"LAST_DAY"}
+        assert len(report_rows(cells)) == 2
+        assert len(skips) == 1 and skips[0][1] == "MPNN_TL"
         with open(os.path.join(merged, "summary.json"), encoding="utf-8") as fh:
-            assert json.load(fh) == range_summary(rows)
+            assert json.load(fh) == range_summary(cells)
 
     def test_cell_in_two_inputs_rejected(self, tmp_path, capsys):
         # a run merged with its own rescore would count every cell twice
@@ -1032,6 +1061,71 @@ class TestReportCommand:
         assert err.startswith(f"error: cannot read {rows}: ")
         assert err.count("\n") == 1
         assert not (tmp_path / "merged").exists()
+
+
+    def test_report_of_one_run_reproduces_its_files(self, tmp_path):
+        bundle, _ = make_bundle(tmp_path)
+        cfg = write_config(tmp_path)
+        trained = str(tmp_path / "trained")
+        # a lone MPNN_TL cell is a skip line
+        assert main(["train", "--bundle", bundle, "--model", "last_day",
+                     "--model", "mpnn_tl", "--model", "ar", "--t-start", "14",
+                     "--t-end", "15", "--horizon", "1", "--horizon", "3",
+                     "--config", cfg, "--out", trained]) == 1
+        merged = str(tmp_path / "merged")
+        assert main(["report", trained, "--out", merged]) == 0
+        for name in ("rows.csv", "summary.json"):
+            with open(os.path.join(trained, name), "rb") as fa, \
+                    open(os.path.join(merged, name), "rb") as fb:
+                assert fb.read() == fa.read()
+        assert "# skipped country=AA model=MPNN_TL" in (tmp_path / "merged" /
+                                                         "rows.csv").read_text()
+
+    def write_rows(self, tmp_path, lines):
+        src = tmp_path / "run"
+        src.mkdir()
+        (src / "rows.csv").write_text("\n".join(lines) + "\n")
+        return src
+
+    @pytest.mark.parametrize("pair", ["nan,2.0", "1.0,inf", "-inf,-inf",
+                                      "1e308,-1e308"],
+                             ids=["nan", "inf", "inf-inf", "overflow"])
+    def test_non_finite_row_rejected_with_its_line(self, tmp_path, capsys, pair):
+        src = self.write_rows(tmp_path, [
+            "country,model,T,horizon,region,prediction,actual,abs_error",
+            "AA,AVG,14,1,r0,1.0,2.0,1.0",
+            f"AA,AVG,14,1,r1,{pair},0.0"])
+        merged = tmp_path / "merged"
+        assert main(["report", str(src), "--out", str(merged)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {src / 'rows.csv'} line 3: ")
+        assert err.count("\n") == 1
+        assert not merged.exists()
+
+    @pytest.mark.parametrize("lines, message", [
+        (["AA,AVG,14,1,r0,1.0,2.0,1.0", "AA,AVG,14,1,r0,1.0,2.0,1.0"],
+         "cell country=AA model=AVG T=14 j=1 repeats a region"),
+        (["# skipped country=AA model=AVG T=14 j=1: no data",
+          "AA,AVG,14,1,r0,1.0,2.0,1.0"],
+         "cell country=AA model=AVG T=14 j=1 has a skip line and rows"),
+        (["# skipped country=AA model=AVG T=14 j=1: no data",
+          "# skipped country=AA model=AVG T=14 j=1: no data"],
+         "cell country=AA model=AVG T=14 j=1 has a skip line and another skip line"),
+        (["AA,AVG,14,1,r0,1.0,2.0,1.0", "AA,AVG,15,1,r0,1.0,2.0,1.0",
+          "AA,AVG,14,1,r1,1.0,2.0,1.0"],
+         "line 4: cell country=AA model=AVG T=14 j=1 continues after other cells"),
+    ], ids=["repeated-row", "skip-and-rows", "skipped-twice", "split-cell"])
+    def test_cell_twice_in_one_input_rejected(self, tmp_path, capsys, lines, message):
+        header = "country,model,T,horizon,region,prediction,actual,abs_error"
+        skips = [ln for ln in lines if ln.startswith("#")]
+        src = self.write_rows(tmp_path, skips + [header] + [
+            ln for ln in lines if not ln.startswith("#")])
+        merged = tmp_path / "merged"
+        assert main(["report", str(src), "--out", str(merged)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {src / 'rows.csv'}")
+        assert message in err and err.count("\n") == 1
+        assert not merged.exists()
 
 
 class TestUnwritableOutputs:
@@ -1134,9 +1228,10 @@ class TestDataDirResolution:
         assert main(["evaluate", *argv, "--checkpoints", "ck",
                      "--out", "rescored"]) == 0
         assert main(["report", "rescored", "--out", "merged"]) == 0
-        rows, _ = load_report_rows(os.path.join("merged", "rows.csv"))
+        cells, _ = load_report_rows(os.path.join("merged", "rows.csv"))
         trained, _ = load_report_rows(os.path.join("trained", "rows.csv"))
-        assert len(rows) == 2 and rows == trained
+        rows = report_rows(cells)
+        assert len(rows) == 2 and rows == report_rows(trained)
         assert not os.path.exists(tmp_path / "bundles" / "ck")
 
 

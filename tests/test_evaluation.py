@@ -17,10 +17,10 @@ from mobicast.dataio import CountryDataset
 from mobicast.errors import (CheckpointError, ContractError, DataError,
                              TrainingDivergedError, WriteError)
 from mobicast.evaluation import (
+    CellResult,
     ErrorReport,
     EvalConfig,
     ProtocolGrid,
-    ReportRow,
     case_stats_table,
     correlation_lines,
     correlation_table,
@@ -37,7 +37,7 @@ from mobicast.params import load_params
 from mobicast.rng import Rng
 from mobicast.train import TrainConfig
 
-from conftest import diverge_at, make_ramp_dataset
+from conftest import abs_errors, diverge_at, make_ramp_dataset, report_rows
 
 
 def fast_config(**overrides):
@@ -61,7 +61,8 @@ def constant_dataset(n=2, days=20, country="KK", level=5.0):
 
 def make_row(model="M", t=14, j=1, pred=1.0, actual=2.0, region="R00",
              country="AA"):
-    return ReportRow(country, model, t, j, region, float(pred), float(actual))
+    return CellResult(country, model, t, j, (region,), np.array([float(pred)]),
+                      np.array([float(actual)]))
 
 
 class TestProtocolGrid:
@@ -110,16 +111,16 @@ class TestErrorMetric:
     def test_hand_example(self):
         rows = [make_row(pred=1, actual=2), make_row(pred=2, actual=2),
                 make_row(pred=3, actual=5), make_row(pred=4, actual=1)]
-        assert error_metric(rows) == pytest.approx(1.5)
+        assert error_metric(abs_errors(rows)) == pytest.approx(1.5)
 
     def test_zero_when_exact(self):
         rows = [make_row(pred=7, actual=7)] * 3
-        assert error_metric(rows) == 0.0
+        assert error_metric(abs_errors(rows)) == 0.0
 
     def test_symmetric_in_swap(self):
         rows = [make_row(pred=1, actual=4), make_row(pred=9, actual=2)]
         swapped = [make_row(pred=4, actual=1), make_row(pred=2, actual=9)]
-        assert error_metric(rows) == error_metric(swapped)
+        assert error_metric(abs_errors(rows)) == error_metric(abs_errors(swapped))
 
     def test_matches_brute_force(self):
         rng = Rng(30)
@@ -131,7 +132,7 @@ class TestErrorMetric:
             total = 0.0
             for p, a in zip(preds, actuals):
                 total += abs(p - a)
-            assert abs(error_metric(rows) - total / k) < 1e-10
+            assert abs(error_metric(abs_errors(rows)) - total / k) < 1e-10
 
     def test_empty_rejected(self):
         with pytest.raises(ContractError, match="empty"):
@@ -156,7 +157,7 @@ class TestAggregates:
         summary = range_summary(rows)
         for model in ("A", "B"):
             for j in (1, 3, 7, 14):
-                errors = [abs(r.prediction - r.actual) for r in rows
+                errors = [abs(r.prediction[0] - r.actual[0]) for r in rows
                           if r.model == model and r.horizon == j]
                 if not errors:
                     assert f"{j}-{j}" not in summary[model]
@@ -275,46 +276,66 @@ class TestRollingEvaluate:
         grid = ProtocolGrid(t_end=16, dt=2)
         report = rolling_evaluate([ds], fast_config(models=["LAST_DAY"], grid=grid))
         assert not report.skipped
-        assert len(report.rows) == len(grid.cells(20)) * 2
-        for row in report.rows:
-            v = ds.regions.index(row.region)
-            history = ds.case_window(row.t, row.t)
-            assert row.prediction == last_day_predict(history)[v]
-            assert row.actual == ds.cases_on(row.t + row.horizon)[v]
+        assert report.n_rows == len(grid.cells(20)) * 2
+        for cell in report.cells:
+            assert cell.regions == ds.regions
+            history = ds.case_window(cell.t, cell.t)
+            assert np.array_equal(cell.prediction, last_day_predict(history))
+            assert np.array_equal(cell.actual, ds.cases_on(cell.t + cell.horizon))
 
     def test_avg_window_and_ar_wiring(self):
         ds = make_ramp_dataset(n=2, days=20)
         grid = ProtocolGrid(t_end=14, dt=1)
         cfg = fast_config(models=["AVG_WINDOW", "AR"], grid=grid)
         report = rolling_evaluate([ds], cfg)
-        for row in report.rows:
-            v = ds.regions.index(row.region)
-            history = ds.case_window(row.t, row.t)
-            if row.model == "AVG_WINDOW":
+        for cell in report.cells:
+            history = ds.case_window(cell.t, cell.t)
+            if cell.model == "AVG_WINDOW":
                 expected = avg_window_predict(history, d=cfg.train.d)
             else:
                 fit = ar_fit(history, p=cfg.ar_order,
                              differencing=cfg.ar_differencing)
-                expected = ar_predict(fit, history, j=row.horizon)
-            assert row.prediction == expected[v]
+                expected = ar_predict(fit, history, j=cell.horizon)
+            assert np.array_equal(cell.prediction, expected)
+
+    def test_ar_fits_once_per_anchor(self, monkeypatch):
+        fits = []
+
+        def counting_fit(history, **kwargs):
+            fits.append(history.shape)
+            return ar_fit(history, **kwargs)
+
+        monkeypatch.setattr(evaluation, "ar_fit", counting_fit)
+        ds = make_ramp_dataset(n=2, days=20)
+        cfg = fast_config(models=["AR"], grid=ProtocolGrid(t_end=15, horizons=(1, 2, 3)))
+        report = rolling_evaluate([ds], cfg)
+        assert [(c.t, c.horizon) for c in report.cells] == [
+            (t, j) for t in (14, 15) for j in (1, 2, 3)]
+        assert fits == [(2, 14), (2, 15)]
+        for cell in report.cells:   # each horizon forecasts from its anchor's fit
+            history = ds.case_window(cell.t, cell.t)
+            fit = ar_fit(history, p=cfg.ar_order, differencing=cfg.ar_differencing)
+            assert np.array_equal(cell.prediction,
+                                  ar_predict(fit, history, j=cell.horizon))
+        rolling_evaluate([ds], cfg)   # no fit outlives its run
+        assert len(fits) == 4
 
     def test_persistence_is_exact_on_constant_series(self):
         ds = constant_dataset(n=2, days=20, level=6.0)
         grid = ProtocolGrid(t_end=17, dt=2)
         report = rolling_evaluate([ds], fast_config(models=["LAST_DAY"], grid=grid))
-        assert report.rows and all(r.abs_error == 0.0 for r in report.rows)
+        assert report.cells and all((c.abs_error == 0.0).all() for c in report.cells)
 
     def test_neural_cells_and_row_order(self):
         ds = make_ramp_dataset(n=2, days=20)
         grid = ProtocolGrid(t_end=15, dt=1)
         report = rolling_evaluate([ds], fast_config(models=["MPNN", "AVG"], grid=grid))
         assert not report.skipped
-        keys = [(r.country, r.model, r.t, r.horizon, r.region)
-                for r in report.rows]
+        keys = [row[:5] for row in report_rows(report.cells)]
         assert keys == sorted(keys, key=lambda k: (k[0], ["MPNN", "AVG"].index(k[1]),
                                                    k[2], k[3], k[4]))
-        assert all(np.isfinite(r.prediction) and r.prediction >= 0.0
-                   for r in report.rows)
+        assert all(np.isfinite(c.prediction).all() and (c.prediction >= 0.0).all()
+                   for c in report.cells)
 
     def test_insufficient_cells_skipped_with_reason(self):
         ds = make_ramp_dataset(n=2, days=16)
@@ -325,13 +346,13 @@ class TestRollingEvaluate:
         assert [(c, m, t, j) for c, m, t, j, _ in report.skipped] == \
                [(ds.country, "MPNN", 14, 1)]
         assert "validation" in report.skipped[0][4]
-        assert {(r.t, r.horizon) for r in report.rows} == {(15, 1)}
+        assert {(c.t, c.horizon) for c in report.cells} == {(15, 1)}
 
     def test_transfer_needs_second_country(self):
         ds = make_ramp_dataset(n=2, days=16)
         report = rolling_evaluate([ds], fast_config(
             models=["MPNN_TL"], grid=ProtocolGrid(t_end=14, dt=1)))
-        assert not report.rows
+        assert not report.cells
         assert all("other country" in reason for *_, reason in report.skipped)
 
     def test_transfer_runs_with_two_countries(self):
@@ -340,7 +361,7 @@ class TestRollingEvaluate:
         grid = ProtocolGrid(t_end=14, dt=1)
         report = rolling_evaluate(datasets, fast_config(models=["MPNN_TL"], grid=grid))
         assert not report.skipped
-        assert {r.country for r in report.rows} == {"AA", "BB"}
+        assert {c.country for c in report.cells} == {"AA", "BB"}
 
     def test_cells_reproducible_regardless_of_grid(self):
         ds = make_ramp_dataset(n=2, days=20)
@@ -348,8 +369,8 @@ class TestRollingEvaluate:
         wide = rolling_evaluate([ds], cfg)
         narrow = rolling_evaluate([ds], replace(
             cfg, grid=ProtocolGrid(t_start=16, t_end=16, dt=1)))
-        wide_cell = [r for r in wide.rows if r.t == 16]
-        assert wide_cell == narrow.rows
+        wide_cell = [c for c in wide.cells if c.t == 16]
+        assert report_rows(wide_cell) == report_rows(narrow.cells)
 
     def test_repeat_run_identical(self):
         datasets = [make_ramp_dataset(n=2, days=18, country="AA"),
@@ -358,7 +379,7 @@ class TestRollingEvaluate:
         cfg = fast_config(models=["MPNN", "LAST_DAY", "TL_BASE"], grid=grid)
         a = rolling_evaluate(datasets, cfg)
         b = rolling_evaluate(datasets, cfg)
-        assert a.rows == b.rows and a.skipped == b.skipped
+        assert report_rows(a.cells) == report_rows(b.cells) and a.skipped == b.skipped
 
     def test_parallel_matches_serial(self):
         ds = make_ramp_dataset(n=2, days=18)
@@ -366,7 +387,7 @@ class TestRollingEvaluate:
         cfg = fast_config(models=["MPNN", "AVG"], grid=grid)
         serial = rolling_evaluate([ds], cfg)
         parallel = rolling_evaluate([ds], replace(cfg, jobs=2))
-        assert serial.rows == parallel.rows
+        assert report_rows(serial.cells) == report_rows(parallel.cells)
         assert serial.skipped == parallel.skipped
 
     def test_bad_requests_rejected(self):
@@ -399,8 +420,8 @@ class TestDivergedCells:
         report = rolling_evaluate([ds], cfg)
         assert report.skipped == [(ds.country, "MPNN", 14, 1,
                                    f"training diverged: {self.MESSAGE}")]
-        assert report.rows == [r for r in clean.rows
-                               if (r.model, r.t) != ("MPNN", 14)]
+        assert report_rows(report.cells) == report_rows(
+            [c for c in clean.cells if (c.model, c.t) != ("MPNN", 14)])
 
     def test_diverged_meta_training_skips_only_transfer_cells(self, monkeypatch):
         datasets = [make_ramp_dataset(n=2, days=18, country="AA"),
@@ -416,7 +437,7 @@ class TestDivergedCells:
                                                          ("BB", "MPNN_TL")]
         assert all("meta-training failed: non-finite loss" in reason
                    for *_, reason in report.skipped)
-        assert {(r.country, r.model) for r in report.rows} == {
+        assert {(c.country, c.model) for c in report.cells} == {
             ("AA", "LAST_DAY"), ("BB", "LAST_DAY")}
 
 
@@ -453,7 +474,7 @@ class TestNonFiniteForecasts:
             report = rolling_evaluate([clean, huge], cfg, checkpoint_dir=ck)
             rescored = rolling_evaluate([clean, huge], cfg, checkpoint_dir=ck,
                                         load_only=True)
-        assert report.rows == rolling_evaluate([clean], cfg).rows
+        assert report_rows(report.cells) == report_rows(rolling_evaluate([clean], cfg).cells)
         assert [cell[:4] for cell in report.skipped] == [
             ("BB", model, t, 1) for model in self.MODELS for t in (14, 15)]
         assert all(reason.startswith("training diverged: non-finite ")
@@ -465,7 +486,8 @@ class TestNonFiniteForecasts:
         assert {name for name, kind in checkpoint_kinds(ck).items()
                 if kind == "mobicast-skip"} == {
             f"BB__{model}__T{t}_j1.ckpt" for model in self.MODELS for t in (14, 15)}
-        assert rescored == report
+        assert report_rows(rescored.cells) == report_rows(report.cells)
+        assert rescored.skipped == report.skipped
 
     def test_overflowing_test_forecast_skips_and_rescore_writes_nothing(self, tmp_path):
         clean = make_ramp_dataset(n=2, days=18, country="AA")
@@ -530,7 +552,7 @@ class TestPoolMetaTraining:
         serial, serial_files = self.run(tmp_path, "serial", jobs=1)
         pooled, pooled_files = self.run(tmp_path, "pooled", jobs=2)
         assert not serial.skipped
-        assert pooled.rows == serial.rows
+        assert report_rows(pooled.cells) == report_rows(serial.cells)
         assert pooled.skipped == serial.skipped
         assert {"AA__MPNN_TL__meta.ckpt", "BB__MPNN_TL__meta.ckpt",
                 "AA__MPNN_TL__T14_j1.ckpt", "BB__TL_BASE__T15_j1.ckpt"} <= \
@@ -555,8 +577,8 @@ class TestPoolMetaTraining:
             ("AA", "MPNN_TL", t, 1,
              "meta-training failed: non-finite loss during adaptation")
             for t in (14, 15)]
-        assert report.rows == [r for r in clean.rows
-                               if (r.country, r.model) != ("AA", "MPNN_TL")]
+        assert report_rows(report.cells) == report_rows(
+            [c for c in clean.cells if (c.country, c.model) != ("AA", "MPNN_TL")])
 
 
 class TestPoolFailure:
@@ -616,7 +638,8 @@ class TestInProcessSchedule:
         again = rolling_evaluate(datasets, replace(cfg, jobs=2),
                                  checkpoint_dir=ckpt_dir, load_only=True)
         assert not report.skipped
-        assert again == report
+        assert report_rows(again.cells) == report_rows(report.cells)
+        assert again.skipped == report.skipped
 
 
 class RecordingExecutor:
@@ -654,7 +677,9 @@ class TestWorkerCount:
         cfg = fast_config(models=["LAST_DAY"], grid=ProtocolGrid(t_end=15, dt=1))
         report = rolling_evaluate([ds], replace(cfg, jobs=1000))
         assert RecordingExecutor.max_workers == [2]
-        assert report == rolling_evaluate([ds], cfg)
+        serial = rolling_evaluate([ds], cfg)
+        assert report_rows(report.cells) == report_rows(serial.cells)
+        assert report.skipped == serial.skipped
 
     def test_meta_tasks_count_as_work(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
@@ -698,7 +723,7 @@ class TestCheckpointReuse:
             tmp_path, models=("MPNN", "LAST_DAY"))
         again = rolling_evaluate(datasets, cfg, checkpoint_dir=ckpt_dir,
                                  load_only=True)
-        assert again.rows == report.rows
+        assert report_rows(again.cells) == report_rows(report.cells)
 
     def test_reload_trains_nothing_and_stays_in_process(self, tmp_path,
                                                         monkeypatch):
@@ -715,7 +740,7 @@ class TestCheckpointReuse:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", forbidden)
         again = rolling_evaluate(datasets, replace(cfg, jobs=2),
                                  checkpoint_dir=ckpt_dir, load_only=True)
-        assert again.rows == report.rows
+        assert report_rows(again.cells) == report_rows(report.cells)
         assert again.skipped == report.skipped == []
 
     def test_missing_checkpoint_names_cell(self, tmp_path):
@@ -746,13 +771,13 @@ class TestEmitReport:
     def test_round_trip_preserves_aggregates(self, tmp_path):
         report = self.sample_report()
         paths = emit_report(report, str(tmp_path / "report"))
-        rows, skipped_lines = load_report_rows(paths["rows"])
-        assert len(skipped_lines) == 1
-        assert error_metric(rows) == pytest.approx(error_metric(report.rows),
-                                                   abs=1e-9)
-        assert range_summary(rows) == range_summary(report.rows)
+        cells, skipped = load_report_rows(paths["rows"])
+        assert len(skipped) == 1
+        assert error_metric(abs_errors(cells)) == pytest.approx(
+            error_metric(abs_errors(report.cells)), abs=1e-9)
+        assert range_summary(cells) == range_summary(report.cells)
         with open(paths["summary"], encoding="utf-8") as fh:
-            assert json.load(fh) == range_summary(report.rows)
+            assert json.load(fh) == range_summary(report.cells)
 
     def test_byte_deterministic(self, tmp_path):
         report = self.sample_report()
@@ -763,7 +788,7 @@ class TestEmitReport:
                 assert fa.read() == fb.read()
 
     def test_empty_report(self, tmp_path):
-        paths = emit_report(ErrorReport(rows=[], skipped=[]), str(tmp_path))
+        paths = emit_report(ErrorReport(cells=[], skipped=[]), str(tmp_path))
         with open(paths["rows"], encoding="utf-8") as fh:
             assert fh.read() == ("country,model,T,horizon,region,prediction,"
                                  "actual,abs_error\n")
@@ -780,7 +805,7 @@ class TestEmitReport:
         ds = CountryDataset(ds.country, ds.regions, ds.dates, cases, ds.mobility)
         grid = ProtocolGrid(t_start=14, t_end=14, horizons=(1, 2, 3))
         report = rolling_evaluate([ds], fast_config(models=["LAST_DAY"], grid=grid))
-        assert [r.abs_error for r in report.rows] == [1.7e308] * 6
+        assert abs_errors(report.cells).tolist() == [1.7e308] * 6
         paths = emit_report(report, str(tmp_path))
 
         def reject(name):
@@ -811,7 +836,7 @@ class TestEmitReport:
         blocker.write_text("a file, not a directory")
         # not a DataError, which evaluate_cell would record as a skipped cell
         with pytest.raises(WriteError, match="cannot create directory .*blocked") as exc:
-            emit_report(ErrorReport(rows=[], skipped=[]), str(blocker))
+            emit_report(ErrorReport(cells=[], skipped=[]), str(blocker))
         assert not isinstance(exc.value, DataError)
 
     def test_malformed_reload_rejected(self, tmp_path):

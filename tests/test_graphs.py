@@ -230,7 +230,7 @@ class TestGraphCache:
                          models=("MPNN", "MPNN_LSTM", "MPNN_TL", "TL_BASE"),
                          grid=ProtocolGrid(t_end=15, dt=2))
         report = rolling_evaluate(datasets, cfg)
-        assert report.rows and not report.skipped
+        assert report.cells and not report.skipped
         assert inputs
         assert len(inputs) == len(set(inputs))  # each mobility matrix once
         assert len(inputs) <= sum(ds.t_total for ds in datasets)

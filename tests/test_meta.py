@@ -33,7 +33,7 @@ from mobicast.rng import Rng
 from mobicast.train import (Checkpoint, SplitSpec, TrainConfig, load_checkpoint,
                             make_splits, predict, train_model)
 
-from conftest import TracingDataset, make_ramp_dataset
+from conftest import TracingDataset, abs_errors, make_ramp_dataset
 
 
 def scalar_sample(x, y, anchor=14, horizon=1):
@@ -350,12 +350,13 @@ class TestFineTune:
             forecast = predict(ckpt.model, ckpt.state, [splits.test])
             actual = np.asarray(splits.test.target).reshape(-1)
             maes.append(np.mean(np.abs(forecast - actual)))
-        rows = [r for r in report.rows if r.country == "AA"]
-        assert error_metric(rows) == pytest.approx(float(np.mean(maes)), rel=1e-12)
+        cells = [c for c in report.cells if c.country == "AA"]
+        assert error_metric(abs_errors(cells)) == pytest.approx(float(np.mean(maes)),
+                                                                rel=1e-12)
 
     def test_cells_without_validation_are_skipped(self):
         report = rolling_evaluate(two_countries(), transfer_config(d=13))
-        assert sorted({(r.country, r.t) for r in report.rows}) == [
+        assert sorted({(c.country, c.t) for c in report.cells}) == [
             ("AA", 15), ("BB", 15)]
         assert [(c, t, j) for c, _, t, j, _ in report.skipped] == [
             ("AA", 14, 1), ("BB", 14, 1)]
@@ -373,9 +374,9 @@ class TestFineTune:
         monkeypatch.setattr(evaluation, "maml_meta_train",
                             lambda foreign, model, config, seed: converged.state)
         report = rolling_evaluate(datasets, transfer_config(max_epochs=1))
-        rows = [r for r in report.rows if r.country == "AA"]
-        assert {r.t for r in rows} == {14}
-        assert error_metric(rows) <= base * 1.1 + 0.5
+        cells = [c for c in report.cells if c.country == "AA"]
+        assert {c.t for c in cells} == {14}
+        assert error_metric(abs_errors(cells)) <= base * 1.1 + 0.5
 
     def test_cells_read_only_the_target(self, monkeypatch):
         foreign = two_countries(cls=TracingDataset)
@@ -479,7 +480,7 @@ class TestTlBaseTrain:
         report = rolling_evaluate(datasets, transfer_config(
             models=["TL_BASE"], grid=grid, max_epochs=1))
         assert not report.skipped
-        cells = sorted({(r.country, r.t, r.horizon) for r in report.rows})
+        cells = sorted({(c.country, c.t, c.horizon) for c in report.cells})
         assert len(cells) == 4
         assert len(calls) == len(cells)
 
