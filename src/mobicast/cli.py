@@ -38,7 +38,6 @@ from .dataio import (
 from .errors import ContractError, DataError, MobicastError
 from .evaluation import (
     MODEL_NAMES,
-    ErrorReport,
     EvalConfig,
     case_stat_lines,
     case_stats_table,
@@ -258,22 +257,23 @@ def _grid_run(args, argv, checkpoint_dir, load_only=False) -> int:
     datasets = load_bundles(args.bundle)
     make_dir(args.out)   # a bad path fails before any cell trains
     try:
-        report = rolling_evaluate(datasets, cfg, checkpoint_dir=checkpoint_dir,
-                                  load_only=load_only)
-        paths = emit_report(report, args.out)
+        cells = rolling_evaluate(datasets, cfg, checkpoint_dir=checkpoint_dir,
+                                 load_only=load_only)
+        paths = emit_report(cells, args.out)
     except MobicastError as exc:
         write_manifest(args.out, argv, dataclasses.asdict(cfg), cfg.seed,
                        "failed", {"error": str(exc)})
         raise
-    status = "complete" if not report.skipped else "partial"
-    write_manifest(args.out, argv, dataclasses.asdict(cfg), cfg.seed, status, {
-        "rows": report.n_rows, "skipped_cells": len(report.skipped),
-        "countries": [ds.country for ds in datasets]})
-    print(f"wrote {paths['rows']} ({report.n_rows} rows, "
-          f"{len(report.skipped)} skipped cells)")
-    for skip in report.skipped:
-        print(f"skipped {cell_label(skip[:4])}: {skip[4]}", file=sys.stderr)
-    return 1 if report.skipped else 0
+    skipped = [cell for cell in cells if cell.reason is not None]
+    rows = sum(len(cell.regions) for cell in cells)
+    write_manifest(args.out, argv, dataclasses.asdict(cfg), cfg.seed,
+                   "partial" if skipped else "complete",
+                   {"rows": rows, "skipped_cells": len(skipped),
+                    "countries": [ds.country for ds in datasets]})
+    print(f"wrote {paths['rows']} ({rows} rows, {len(skipped)} skipped cells)")
+    for cell in skipped:
+        print(f"skipped {cell_label(cell.key)}: {cell.reason}", file=sys.stderr)
+    return 1 if skipped else 0
 
 
 def cmd_train(args, argv) -> int:
@@ -286,22 +286,20 @@ def cmd_evaluate(args, argv) -> int:
 
 
 def cmd_report(args, argv) -> int:
-    merged = ErrorReport(cells=[], skipped=[])
+    merged = []
     owner = {}   # (country, model, T, j) -> the input that holds the cell
     for src in args.inputs:
-        cells, skipped = load_report_rows(os.path.join(src, "rows.csv"))
-        keys = {(c.country, c.model, c.t, c.horizon) for c in cells}
-        keys.update(skip[:4] for skip in skipped)
+        cells = load_report_rows(os.path.join(src, "rows.csv"))
+        keys = {cell.key for cell in cells}
         clash = min(keys & owner.keys(), default=None)
         if clash is not None:
             raise DataError(f"cell {cell_label(clash)} is in both {owner[clash]} and {src}")
         owner.update(dict.fromkeys(keys, src))
-        merged.cells.extend(cells)
-        merged.skipped.extend(skipped)
+        merged.extend(cells)
     paths = emit_report(merged, args.out)
-    write_manifest(args.out, argv, {"inputs": list(args.inputs)}, None,
-                   "complete", {"rows": merged.n_rows,
-                                "skipped_cells": len(merged.skipped)})
+    write_manifest(args.out, argv, {"inputs": list(args.inputs)}, None, "complete", {
+        "rows": sum(len(cell.regions) for cell in merged),
+        "skipped_cells": sum(cell.reason is not None for cell in merged)})
     print(f"merged {len(args.inputs)} reports into {paths['rows']}")
     return 0
 

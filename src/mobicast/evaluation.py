@@ -112,30 +112,26 @@ class EvalConfig:
 
 @dataclass(frozen=True, eq=False)
 class CellResult:
-    """A scored cell: its key, the dataset's region ids, and each region's
-    forecast and actual case count, as float64 arrays in region order."""
+    """One grid cell's outcome.  A scored cell holds the dataset's region
+    ids and each region's forecast and actual case count, as float64 arrays
+    in region order, and no reason; a skipped cell holds only its reason."""
     country: str
     model: str
     t: int
     horizon: int
-    regions: tuple
-    prediction: np.ndarray
-    actual: np.ndarray
+    regions: tuple = ()
+    prediction: np.ndarray = field(default_factory=lambda: np.empty(0))
+    actual: np.ndarray = field(default_factory=lambda: np.empty(0))
+    reason: Optional[str] = None
+
+    @property
+    def key(self) -> tuple:
+        return (self.country, self.model, self.t, self.horizon)
 
     @property
     def abs_error(self) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):   # inf or nan, as abs(p - a)
             return np.abs(self.prediction - self.actual)
-
-
-@dataclass
-class ErrorReport:
-    cells: list     # CellResult per scored cell, in grid order
-    skipped: list   # (country, model, t, j, reason)
-
-    @property
-    def n_rows(self) -> int:
-        return sum(len(cell.regions) for cell in self.cells)
 
 
 # ---------------------------------------------------------------- metrics
@@ -162,8 +158,9 @@ def range_summary(cells) -> dict:
 
     Each range averages over every region of every cell whose horizon falls
     inside it, so horizons contribute in proportion to their completed cells.
-    The errors of a range keep the cells' order.
+    The errors of a range keep the cells' order.  Skipped cells are left out.
     """
+    cells = [cell for cell in cells if cell.reason is None]
     if not cells:
         return {}
     sizes = [len(cell.regions) for cell in cells]
@@ -343,16 +340,14 @@ def _cell_meta(task) -> dict:
     return {"country": country, "model_name": model_name, "t": t, "horizon": j}
 
 
-def _keep(ctx: _CellContext, task, outcome):
+def _keep(ctx: _CellContext, task, outcome) -> None:
     """Save a trainable cell's outcome, a Checkpoint or a skip reason, as
-    its checkpoint when ctx has a checkpoint directory and is not load-only;
-    return the outcome."""
+    its checkpoint when ctx has a checkpoint directory and is not load-only."""
     path = _cell_path(ctx, task)
     if path is not None and not ctx.load_only:
         country, _, t, j = task
         save_checkpoint(path, outcome, extra_meta={
             **_cell_meta(task), "cell_seed": derive_seed(ctx.config.seed, country, t, j)})
-    return outcome
 
 
 def _cell_checkpoint(ctx: _CellContext, task, model, dataset, shared):
@@ -375,49 +370,51 @@ def _cell_checkpoint(ctx: _CellContext, task, model, dataset, shared):
                              cell_seed)
     else:
         ckpt = train_model(splits, model, cfg.train, cell_seed, init_state=shared)
-    return splits, _keep(ctx, task, ckpt)
+    _keep(ctx, task, ckpt)
+    return splits, ckpt
 
 
 def evaluate_cell(ctx: _CellContext, country: str, model_name: str, t: int,
-                  j: int, shared=None):
+                  j: int, shared=None) -> CellResult:
     """One protocol cell: fit, train or load, predict day t+j; return its
-    CellResult or a skip.
+    CellResult, scored or skipped.
 
     `shared`, passed to MPNN_TL cells only, is the country's meta-trained
-    ModelState or the reason it has none.  Returns the scored cell, or the
-    reason string when the cell lacks the data its model needs, its training
-    diverged (a non-finite loss, or a non-finite validation or test
-    forecast) or it has no shared initialization.  A training run keeps the
-    last two reasons as the cell's checkpoint, which a load-only run reads
-    back as the same skip.  A baseline whose forecast is not finite (a
+    ModelState or the reason it has none.  A cell is skipped, with its
+    reason, when it lacks the data its model needs, its training diverged (a
+    non-finite loss, or a non-finite validation or test forecast) or it has
+    no shared initialization.  A training run keeps the last two reasons as
+    the cell's checkpoint.  A baseline whose forecast is not finite (a
     history near the float64 limit) is skipped too.
     """
     task = (country, model_name, t, j)
     dataset = ctx.dataset(country)
-    cfg = ctx.config
     if model_name == "MPNN_TL" and len(ctx.datasets) == 1:
-        return "transfer initialization needs at least one other country"
+        return CellResult(*task, reason="transfer initialization needs at least "
+                                        "one other country")
     if isinstance(shared, str):
-        return _keep(ctx, task, shared)
+        _keep(ctx, task, shared)
+        return CellResult(*task, reason=shared)
     try:
         if model_name not in TRAINABLE_MODELS:
             with np.errstate(over="ignore", invalid="ignore"):   # checked below
                 preds = _baseline_cell(ctx, model_name, dataset, t, j)
         else:
-            model = build_model(model_name, cfg.train)
+            model = build_model(model_name, ctx.config.train)
             splits, ckpt = _cell_checkpoint(ctx, task, model, dataset, shared)
             with divergence_at(ckpt.epoch):
                 preds = predict(model, ckpt.state, [splits.test])
     except (DataError, SkippedCell) as exc:  # DataError includes InsufficientDataError
-        return str(exc)
+        return CellResult(*task, reason=str(exc))
     except TrainingDivergedError as exc:
-        return _keep(ctx, task, f"training diverged: {exc}")
+        reason = f"training diverged: {exc}"
+        _keep(ctx, task, reason)
+        return CellResult(*task, reason=reason)
     bad = np.flatnonzero(~np.isfinite(preds))   # a neural forecast has no such entry
     if bad.size:
-        return (f"non-finite forecast: {preds[bad[0]]} for region "
-                f"{dataset.regions[bad[0]]!r}")
-    return CellResult(country, model_name, t, j, dataset.regions, preds,
-                      dataset.cases_on(t + j))
+        return CellResult(*task, reason=f"non-finite forecast: {preds[bad[0]]} for "
+                                        f"region {dataset.regions[bad[0]]!r}")
+    return CellResult(*task, dataset.regions, preds, dataset.cases_on(t + j))
 
 
 def _grid_tasks(datasets, config: EvalConfig):
@@ -468,15 +465,16 @@ def _runner(ctx: _CellContext, work: int):
 
 def rolling_evaluate(datasets, config: EvalConfig,
                      checkpoint_dir: Optional[str] = None,
-                     load_only: bool = False) -> ErrorReport:
-    """Train and score every (country, model, T, horizon) cell of the config.
+                     load_only: bool = False) -> list:
+    """Train and score every (country, model, T, horizon) cell of the config;
+    return one CellResult per cell, in grid order.
 
     Each cell trains its own model with a seed derived from (seed, country,
     T, horizon), so cells are reproducible independently of execution order.
     _schedule runs them and each target's MPNN_TL meta-training, in-process
-    or over `config.jobs` > 1 worker processes; the report keeps grid order.
-    Cells without enough data, or whose training diverged, are skipped and
-    recorded, not failed; any other error stops the grid.
+    or over `config.jobs` > 1 worker processes.  Cells without enough data,
+    or whose training diverged, are skipped with their reason, not failed;
+    any other error stops the grid.
 
     With `load_only`, every trainable cell loads its checkpoint from
     checkpoint_dir instead of training: nothing is meta-trained or saved,
@@ -497,14 +495,8 @@ def rolling_evaluate(datasets, config: EvalConfig,
     targets = ([ds.country for ds in datasets] if "MPNN_TL" in config.models
                and len(datasets) > 1 and not load_only else [])
     with _runner(ctx, len(targets) + len(tasks)) as run:
-        outcomes = dict(_schedule(run, tasks, targets))
-    report = ErrorReport(cells=[], skipped=[])
-    for k, task in enumerate(tasks):   # grid order, whatever order cells ran in
-        if isinstance(outcomes[k], str):
-            report.skipped.append((*task, outcomes[k]))
-        else:
-            report.cells.append(outcomes[k])
-    return report
+        cells = dict(_schedule(run, tasks, targets))
+    return [cells[k] for k in range(len(tasks))]   # grid order, whatever order they ran in
 
 
 # ---------------------------------------------------------------- reports
@@ -543,54 +535,59 @@ def cell_label(task) -> str:
     return f"country={country} model={model} T={t} j={j}"
 
 
-def emit_report(report: ErrorReport, out_dir: str) -> dict:
-    """Write rows.csv and summary.json.
+def emit_report(cells, out_dir: str) -> dict:
+    """Write rows.csv and summary.json of a list of CellResults.
 
-    Output is byte-deterministic for a fixed report.  Skipped cells appear
-    as comment lines above the rows.csv header, in the form parse_skip_line
-    reads back.  Returns the path of each artifact.
+    Output is byte-deterministic for a fixed list.  Skipped cells appear, in
+    list order, as comment lines above the rows.csv header, in the form
+    parse_skip_line reads back; the scored cells' rows follow it, in list
+    order.  Returns the path of each artifact.
     """
     paths = {"rows": os.path.join(out_dir, "rows.csv"),
              "summary": os.path.join(out_dir, "summary.json")}
-    lines = [f"# skipped {cell_label(skip[:4])}: {skip[4]}" for skip in report.skipped]
+    lines = [f"# skipped {cell_label(cell.key)}: {cell.reason}" for cell in cells
+             if cell.reason is not None]
     lines.append(ROWS_HEADER)
-    for cell in report.cells:
+    for cell in cells:   # a skipped cell has no regions, so no rows
         key = f"{cell.country},{cell.model},{cell.t},{cell.horizon},"
         lines.extend(f"{key}{region},{p!r},{a!r},{e!r}" for region, p, a, e in zip(
             cell.regions, cell.prediction.tolist(), cell.actual.tolist(),
             cell.abs_error.tolist()))
     write_file(paths["rows"], "\n".join(lines) + "\n")
     write_file(paths["summary"],
-               json.dumps(range_summary(report.cells), sort_keys=True, indent=2,
+               json.dumps(range_summary(cells), sort_keys=True, indent=2,
                           allow_nan=False) + "\n")
     return paths
 
 
-def parse_skip_line(line: str, path: str):
-    """(country, model, t, j, reason) of a rows.csv skip line."""
+def parse_skip_line(line: str, path: str) -> CellResult:
+    """The skipped cell a rows.csv skip line records."""
     m = _SKIP_LINE.match(line)
     if not m:
         raise DataError(f"{path}: unrecognized skip line {line!r}")
-    return (m["c"], m["m"], int(m["t"]), int(m["j"]), m["reason"])
+    return CellResult(m["c"], m["m"], int(m["t"]), int(m["j"]), reason=m["reason"])
 
 
-def load_report_rows(path: str):
-    """The scored cells and the skips (country, model, t, j, reason) of an
-    emitted rows.csv.
+def load_report_rows(path: str) -> list:
+    """The cells of an emitted rows.csv: its skipped cells, then its scored
+    cells, each in file order.
 
-    A malformed row, a nan or inf or an error past the float64 range, a
+    Every line above the header is a skip line, and every line below it a
+    row.  A malformed row, a nan or inf or an error past the float64 range, a
     region repeated within a cell, a cell whose rows are not adjacent and a
     cell with a second skip line or with a skip line and rows are each a
     DataError naming the file.
     """
     lines = read_file(path).splitlines()
-    skipped = [parse_skip_line(ln, path) for ln in lines if ln.startswith("#")]
-    body = [(k, ln) for k, ln in enumerate(lines, 1) if ln and not ln.startswith("#")]
-    if not body or body[0][1] != ROWS_HEADER:
+    if ROWS_HEADER not in lines:
         raise DataError(f"{path}: not a rows.csv report")
+    head = lines.index(ROWS_HEADER)
+    skipped = [parse_skip_line(ln, path) for ln in lines[:head] if ln]
     groups = {}   # cell key -> (line number, region, prediction, actual) per row
     last = None
-    for lineno, ln in body[1:]:
+    for lineno, ln in enumerate(lines[head + 1:], head + 2):
+        if not ln:
+            continue
         try:   # a wrong width fails the unpacking, a bad number its parse
             country, model, t, j, region, pred, actual, _ = ln.split(",")
             key = (country, model, int(t), int(j))
@@ -615,8 +612,8 @@ def load_report_rows(path: str):
         cells.append(cell)
     seen = set(groups)
     for skip in skipped:
-        if skip[:4] in seen:
-            raise DataError(f"{path}: cell {cell_label(skip[:4])} has a skip line "
-                            f"and {'rows' if skip[:4] in groups else 'another skip line'}")
-        seen.add(skip[:4])
-    return cells, skipped
+        if skip.key in seen:
+            raise DataError(f"{path}: cell {cell_label(skip.key)} has a skip line "
+                            f"and {'rows' if skip.key in groups else 'another skip line'}")
+        seen.add(skip.key)
+    return skipped + cells

@@ -234,7 +234,10 @@ def load_checkpoint(path: str, model, cell: dict | None = None) -> Checkpoint:
             if stored != cell:
                 raise CheckpointError(f"{path!r} records cell {stored}, not {cell}")
         if kind == "mobicast-skip":
-            raise SkippedCell(meta["reason"])
+            reason = meta["reason"]   # rows.csv writes it on the cell's skip line
+            if not isinstance(reason, str) or "".join(reason.splitlines()) != reason:
+                raise ValueError(f"reason must be one line of text, got {reason!r}")
+            raise SkippedCell(reason)
         stored, expected = meta["model"], model_spec(model)
         if stored.items() != expected.items():   # a non-object fails .items()
             raise CheckpointError(f"{path!r} holds model {stored}, but the run "

@@ -114,6 +114,16 @@ def report_rows(cells):
             for region, p, a in zip(c.regions, c.prediction.tolist(), c.actual.tolist())]
 
 
+def skips(cells):
+    """(country, model, t, horizon, reason) per skipped cell, in order."""
+    return [(*c.key, c.reason) for c in cells if c.reason is not None]
+
+
+def scored(cells):
+    """The scored cells, in order."""
+    return [c for c in cells if c.reason is None]
+
+
 def abs_errors(cells):
     """The cells' absolute errors, concatenated in order."""
     return np.concatenate([c.abs_error for c in cells]) if cells else np.empty(0)

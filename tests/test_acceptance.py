@@ -38,7 +38,7 @@ from mobicast.train import (SplitSpec, TrainConfig, loss_and_grads, make_splits,
                             predict, train_model)
 
 from conftest import (FirstFeatureModel, TracingDataset, abs_errors,
-                      prediction_sample, random_sample)
+                      prediction_sample, random_sample, scored, skips)
 
 FD_STEP = 1e-5
 FD_TOL = 1e-4
@@ -309,9 +309,10 @@ class TestSyntheticOrdering:
             cfg = EvalConfig(train=ORDERING_TRAIN, seed=seed, jobs=2,
                              models=("MPNN", "AVG_WINDOW"), grid=grid)
             report = rolling_evaluate([held], cfg)
-            assert not report.skipped
-            mpnn = error_metric(abs_errors([c for c in report.cells if c.model == "MPNN"]))
-            avgw = error_metric(abs_errors([c for c in report.cells
+            assert not skips(report)
+            mpnn = error_metric(abs_errors([c for c in scored(report)
+                                            if c.model == "MPNN"]))
+            avgw = error_metric(abs_errors([c for c in scored(report)
                                             if c.model == "AVG_WINDOW"]))
             wins += mpnn < avgw
         assert wins >= 4
@@ -423,9 +424,9 @@ class TestSuppliedBundleOrdering:
         counted = 0
         wins = 0
         for ds in datasets:
-            plain = [c for c in report.cells
+            plain = [c for c in scored(report)
                      if c.model == "MPNN" and c.country == ds.country]
-            transfer = [c for c in report.cells
+            transfer = [c for c in scored(report)
                         if c.model == "MPNN_TL" and c.country == ds.country]
             if not plain or not transfer:
                 continue

@@ -16,7 +16,7 @@ from mobicast.errors import ContractError, DataError
 from mobicast.evaluation import EvalConfig, ProtocolGrid, rolling_evaluate
 from mobicast.rng import Rng
 
-from conftest import make_ramp_dataset
+from conftest import make_ramp_dataset, scored
 
 
 def ar1_series(x0, a, b, n):
@@ -46,7 +46,7 @@ class TestHistoryBaselines:
         grid = ProtocolGrid(t_start=14, t_end=14, horizons=(1, 14))
         report = rolling_evaluate([ds], EvalConfig(models=["AVG"], grid=grid))
         by_horizon = {}
-        for cell in report.cells:
+        for cell in scored(report):
             by_horizon.setdefault(cell.horizon, []).extend(cell.prediction.tolist())
         assert by_horizon[1] == by_horizon[14]
 

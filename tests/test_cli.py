@@ -16,11 +16,11 @@ from mobicast.baselines import last_day_predict
 from mobicast.cli import config_digest, main, run_config_from_dict
 from mobicast.dataio import CountryDataset, load_bundle, save_bundle
 from mobicast.errors import ContractError
-from mobicast.params import load_params
+from mobicast.params import load_params, save_params
 from mobicast.evaluation import (EvalConfig, ProtocolGrid, load_report_rows,
                                  range_summary)
 
-from conftest import diverge_at, make_ramp_dataset, report_rows
+from conftest import diverge_at, make_ramp_dataset, report_rows, scored, skips
 
 TINY_CONFIG = {
     "train": {"max_epochs": 1, "hidden": 2, "k_layers": 1, "d": 3,
@@ -375,7 +375,7 @@ class TestTrainCommand:
                    "--t-start", "14", "--t-end", "16", "--dt", "2",
                    "--out", out])
         assert rc == 0
-        cells, _ = load_report_rows(os.path.join(out, "rows.csv"))
+        cells = scored(load_report_rows(os.path.join(out, "rows.csv")))
         assert len(report_rows(cells)) == 6 * ds.n
         for cell in cells:
             history = ds.case_window(cell.t, cell.t)
@@ -397,7 +397,7 @@ class TestTrainCommand:
         assert rc == 0
         assert os.path.exists(os.path.join(out, "checkpoints",
                                            "AA__MPNN__T14_j1.ckpt"))
-        cells, _ = load_report_rows(os.path.join(out, "rows.csv"))
+        cells = scored(load_report_rows(os.path.join(out, "rows.csv")))
         assert len(report_rows(cells)) == 2
         manifest = read_manifest(out)
         assert manifest["status"] == "complete"
@@ -413,8 +413,9 @@ class TestTrainCommand:
         assert rc == 1
         assert "skipped country=AA model=MPNN_TL" in capsys.readouterr().err
         assert read_manifest(out)["status"] == "partial"
-        cells, skips = load_report_rows(os.path.join(out, "rows.csv"))
-        assert not cells and len(skips) == 1
+        report = load_report_rows(os.path.join(out, "rows.csv"))
+        cells, skipped = scored(report), skips(report)
+        assert not cells and len(skipped) == 1
 
     def test_diverged_cell_exits_nonzero_and_keeps_other_rows(
             self, tmp_path, capsys, monkeypatch):
@@ -430,9 +431,10 @@ class TestTrainCommand:
         assert rc == 1
         assert "T=14 j=1: training diverged" in capsys.readouterr().err
         assert read_manifest(out)["status"] == "partial"
-        cells, skips = load_report_rows(os.path.join(out, "rows.csv"))
+        report = load_report_rows(os.path.join(out, "rows.csv"))
+        cells, skipped = scored(report), skips(report)
         assert {(c.t, c.horizon) for c in cells} == {(15, 1)}
-        assert len(skips) == 1 and "largest parameters" in skips[0][4]
+        assert len(skipped) == 1 and "largest parameters" in skipped[0][4]
 
     def test_meta_training_without_tasks_in_worker_exits_nonzero(
             self, tmp_path, capsys):
@@ -448,8 +450,9 @@ class TestTrainCommand:
         assert rc == 1
         assert "model=MPNN_TL T=14 j=1: meta-training failed: BB: no tasks" in \
             capsys.readouterr().err
-        cells, skips = load_report_rows(os.path.join(out, "rows.csv"))
-        assert len(skips) == 2
+        report = load_report_rows(os.path.join(out, "rows.csv"))
+        cells, skipped = scored(report), skips(report)
+        assert len(skipped) == 2
         assert {(c.country, c.model, c.t) for c in cells} == {
             ("AA", "MPNN", 14), ("AA", "MPNN", 15)}
         ckpts = os.listdir(os.path.join(out, "checkpoints"))
@@ -467,7 +470,7 @@ class TestTrainCommand:
                    "--config", cfg, "--out", out])
         assert rc == 0
         assert read_manifest(out)["status"] == "complete"
-        cells, _ = load_report_rows(os.path.join(out, "rows.csv"))
+        cells = scored(load_report_rows(os.path.join(out, "rows.csv")))
         assert {(c.country, c.model, c.t) for c in cells} == {
             ("AA", "MPNN_TL", 20), ("BB", "MPNN_TL", 20)}
         ckpts = os.listdir(os.path.join(out, "checkpoints"))
@@ -497,7 +500,7 @@ class TestTrainCommand:
         out = str(tmp_path / "out")
         assert main(["train", "--bundle", bundle, "--config", cfg,
                      "--out", out]) == 0
-        cells, _ = load_report_rows(os.path.join(out, "rows.csv"))
+        cells = scored(load_report_rows(os.path.join(out, "rows.csv")))
         assert {c.model for c in cells} == {"LAST_DAY"}
         assert {(c.t, c.horizon) for c in cells} == {(14, 1)}
 
@@ -509,7 +512,7 @@ class TestTrainCommand:
         out = str(tmp_path / "out")
         assert main(["train", "--bundle", bundle, "--config", cfg,
                      "--model", "avg", "--out", out]) == 0
-        cells, _ = load_report_rows(os.path.join(out, "rows.csv"))
+        cells = scored(load_report_rows(os.path.join(out, "rows.csv")))
         assert {c.model for c in cells} == {"AVG"}
 
     def test_bad_config_file_reports_offending_key(self, tmp_path, capsys):
@@ -667,6 +670,62 @@ class TestPinnedBaselineGrid:
             assert sha256(fh.read()) == self.ROWS_SHA256[differencing]
 
 
+class TestPinnedSkipGrid:
+    """Skips and rows of two countries, pinned byte for byte through train
+    (one and two workers), a rescore, and a report of two runs.
+
+    AR(12) lacks history at T=14 (a data skip), training diverges at T=15,
+    and AA's MPNN_TL cells are skipped because BB's 16 days leave its
+    meta-training no task.  Each of the report's two inputs holds skip lines
+    and rows, so its digests pin how a merge orders them.
+    """
+
+    TRAIN_SHA256 = {
+        "rows.csv": "3d233192fa8e351cf83a5da3ed49ed413366c9798376b8f1f0b2c1c456061a65",
+        "summary.json": "9a94a8d8e19e5bb5060e7eae2dbe56f25485fcff7bfe861cba41fea166258feb",
+        "checkpoints": "6c685e93d7afb00eb85b767bfe6ed209d5886397d199824da1b4e1011317db3e",
+    }
+    REPORT_SHA256 = {
+        "rows.csv": "4096fa53f6f427f859be3e2f601222ffd12a75bd333dd814efc7738b7bde7941",
+        "summary.json": "9a94a8d8e19e5bb5060e7eae2dbe56f25485fcff7bfe861cba41fea166258feb",
+    }
+
+    def train(self, tmp_path, name, *grid):
+        cfg = write_config(tmp_path, {"ar_order": 12, "meta": {"dt": 1, "t_start": 16}})
+        argv = ["--bundle", make_bundle(tmp_path, country="AA", n=3, days=20)[0],
+                "--bundle", make_bundle(tmp_path, country="BB", n=2, days=16, seed=1)[0],
+                "--model", "avg", "--model", "ar", "--model", "mpnn", "--model",
+                "mpnn_tl", *grid, "--seed", "2", "--config", cfg]
+        out = str(tmp_path / name)
+        assert main(["train", *argv, "--out", out]) == 1
+        return argv, out
+
+    def test_outputs_match_pinned_digests(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(evaluation, "train_model", diverge_at(15, "boom"))
+        grid = ["--t-start", "14", "--t-end", "15", "--horizon", "1", "--horizon", "2"]
+        for jobs in ("1", "2"):
+            argv, out = self.train(tmp_path, f"jobs{jobs}", *grid, "--jobs", jobs)
+            tree = read_tree(out)
+            cells = sorted(name for name in tree if name.startswith("checkpoints"))
+            assert len(cells) == 15
+            digests = {"rows.csv": sha256(tree["rows.csv"]),
+                       "summary.json": sha256(tree["summary.json"]),
+                       "checkpoints": sha256(b"".join(name.encode() + tree[name]
+                                                      for name in cells))}
+            assert digests == self.TRAIN_SHA256
+        rescore = str(tmp_path / "rescore")
+        assert main(["evaluate", *argv, "--checkpoints",
+                     os.path.join(out, "checkpoints"), "--out", rescore]) == 1
+        assert sha256(read_tree(rescore)["rows.csv"]) == self.TRAIN_SHA256["rows.csv"]
+        inputs = [self.train(tmp_path, f"T{t}", "--t", t, "--horizon", "1",
+                             "--horizon", "2")[1] for t in ("14", "15")]
+        merged = str(tmp_path / "merged")
+        assert main(["report", *inputs, "--out", merged]) == 0
+        tree = read_tree(merged)
+        assert {name: sha256(tree[name]) for name in self.REPORT_SHA256} == \
+            self.REPORT_SHA256
+
+
 class TestEvaluateCommand:
     def trained(self, tmp_path):
         bundle, _ = make_bundle(tmp_path)
@@ -723,9 +782,10 @@ class TestEvaluateCommand:
             expected = fh.read()
         with open(os.path.join(out, "rows.csv"), "rb") as fh:
             assert fh.read() == expected
-        cells, skips = load_report_rows(os.path.join(out, "rows.csv"))
-        assert cells and len(skips) == 1
-        assert reason in "country={} model={} T={} j={}: {}".format(*skips[0])
+        report = load_report_rows(os.path.join(out, "rows.csv"))
+        cells, skipped = scored(report), skips(report)
+        assert cells and len(skipped) == 1
+        assert reason in "country={} model={} T={} j={}: {}".format(*skipped[0])
 
     def test_rescore_keeps_cells_skipped_for_data(self, tmp_path, capsys):
         # an 11-day sequence leaves MPNN_LSTM no validation sample at T=14
@@ -896,8 +956,9 @@ class TestEvaluateCommand:
                    os.path.join(trained, "checkpoints"),
                    "--out", str(tmp_path / "eval")])
         assert rc == 0, capsys.readouterr().err
-        cells, skips = load_report_rows(str(tmp_path / "eval" / "rows.csv"))
-        assert len(report_rows(cells)) == 2 and not skips
+        report = load_report_rows(str(tmp_path / "eval" / "rows.csv"))
+        cells, skipped = scored(report), skips(report)
+        assert len(report_rows(cells)) == 2 and not skipped
 
     def test_checkpoint_directory_holds_one_file_per_cell(self, tmp_path):
         bundle_a, _ = make_bundle(tmp_path, country="AA")
@@ -950,6 +1011,27 @@ class TestEvaluateCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {copied!r} records cell ")
         assert "'t': 14" in err and "'t': 15" in err and err.count("\n") == 1
+        assert read_manifest(out)["status"] == "failed"
+        assert not os.path.exists(os.path.join(out, "rows.csv"))
+
+    @pytest.mark.parametrize("reason", ["boom\nAA,MPNN,15,1,r0,1.0,1.0,0.0", 5],
+                             ids=["line-break", "number"])
+    def test_skip_reason_that_is_not_one_line_rejected(self, tmp_path, capsys, reason):
+        # rows.csv writes the reason on the skip line: a line break would
+        # forge a row above the header
+        _, _, argv, trained = self.trained(tmp_path)
+        ckpt = os.path.join(trained, "checkpoints", "AA__MPNN__T14_j1.ckpt")
+        extra = load_params(ckpt)[2]["extra"]
+        save_params(ckpt, {}, {}, {"kind": "mobicast-skip", "reason": reason,
+                                   "extra": extra})
+        capsys.readouterr()
+        out = str(tmp_path / "eval")
+        rc = main(["evaluate", *argv, "--checkpoints", os.path.dirname(ckpt),
+                   "--out", out])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {ckpt!r}: malformed mobicast-skip header: ")
+        assert err.count("\n") == 1
         assert read_manifest(out)["status"] == "failed"
         assert not os.path.exists(os.path.join(out, "rows.csv"))
 
@@ -1013,10 +1095,11 @@ class TestReportCommand:
         merged = str(tmp_path / "merged")
         rc = main(["report", out1, out2, "--out", merged])
         assert rc == 0
-        cells, skips = load_report_rows(os.path.join(merged, "rows.csv"))
+        report = load_report_rows(os.path.join(merged, "rows.csv"))
+        cells, skipped = scored(report), skips(report)
         assert {c.model for c in cells} == {"LAST_DAY"}
         assert len(report_rows(cells)) == 2
-        assert len(skips) == 1 and skips[0][1] == "MPNN_TL"
+        assert len(skipped) == 1 and skipped[0][1] == "MPNN_TL"
         with open(os.path.join(merged, "summary.json"), encoding="utf-8") as fh:
             assert json.load(fh) == range_summary(cells)
 
@@ -1080,6 +1163,21 @@ class TestReportCommand:
                 assert fb.read() == fa.read()
         assert "# skipped country=AA model=MPNN_TL" in (tmp_path / "merged" /
                                                          "rows.csv").read_text()
+
+    def test_country_id_starting_with_hash_reads_back(self, tmp_path):
+        # only the lines above the header are skip lines
+        bundle, _ = make_bundle(tmp_path, country="#X")
+        trained = str(tmp_path / "trained")
+        assert main(["train", "--bundle", bundle, "--model", "avg", "--t", "14",
+                     "--horizon", "1", "--out", trained]) == 0
+        merged = str(tmp_path / "merged")
+        assert main(["report", trained, "--out", merged]) == 0
+        for name in ("rows.csv", "summary.json"):
+            with open(os.path.join(trained, name), "rb") as fa, \
+                    open(os.path.join(merged, name), "rb") as fb:
+                assert fb.read() == fa.read()
+        assert [row[:2] for row in report_rows(load_report_rows(
+            os.path.join(merged, "rows.csv")))] == [("#X", "AVG")] * 2
 
     def write_rows(self, tmp_path, lines):
         src = tmp_path / "run"
@@ -1228,8 +1326,8 @@ class TestDataDirResolution:
         assert main(["evaluate", *argv, "--checkpoints", "ck",
                      "--out", "rescored"]) == 0
         assert main(["report", "rescored", "--out", "merged"]) == 0
-        cells, _ = load_report_rows(os.path.join("merged", "rows.csv"))
-        trained, _ = load_report_rows(os.path.join("trained", "rows.csv"))
+        cells = scored(load_report_rows(os.path.join("merged", "rows.csv")))
+        trained = scored(load_report_rows(os.path.join("trained", "rows.csv")))
         rows = report_rows(cells)
         assert len(rows) == 2 and rows == report_rows(trained)
         assert not os.path.exists(tmp_path / "bundles" / "ck")

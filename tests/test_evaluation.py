@@ -18,7 +18,6 @@ from mobicast.errors import (CheckpointError, ContractError, DataError,
                              TrainingDivergedError, WriteError)
 from mobicast.evaluation import (
     CellResult,
-    ErrorReport,
     EvalConfig,
     ProtocolGrid,
     case_stats_table,
@@ -37,7 +36,8 @@ from mobicast.params import load_params
 from mobicast.rng import Rng
 from mobicast.train import TrainConfig
 
-from conftest import abs_errors, diverge_at, make_ramp_dataset, report_rows
+from conftest import (abs_errors, diverge_at, make_ramp_dataset, report_rows, scored,
+                      skips)
 
 
 def fast_config(**overrides):
@@ -275,9 +275,9 @@ class TestRollingEvaluate:
         ds = make_ramp_dataset(n=2, days=20)
         grid = ProtocolGrid(t_end=16, dt=2)
         report = rolling_evaluate([ds], fast_config(models=["LAST_DAY"], grid=grid))
-        assert not report.skipped
-        assert report.n_rows == len(grid.cells(20)) * 2
-        for cell in report.cells:
+        assert not skips(report)
+        assert len(report_rows(report)) == len(grid.cells(20)) * 2
+        for cell in scored(report):
             assert cell.regions == ds.regions
             history = ds.case_window(cell.t, cell.t)
             assert np.array_equal(cell.prediction, last_day_predict(history))
@@ -288,7 +288,7 @@ class TestRollingEvaluate:
         grid = ProtocolGrid(t_end=14, dt=1)
         cfg = fast_config(models=["AVG_WINDOW", "AR"], grid=grid)
         report = rolling_evaluate([ds], cfg)
-        for cell in report.cells:
+        for cell in scored(report):
             history = ds.case_window(cell.t, cell.t)
             if cell.model == "AVG_WINDOW":
                 expected = avg_window_predict(history, d=cfg.train.d)
@@ -309,10 +309,10 @@ class TestRollingEvaluate:
         ds = make_ramp_dataset(n=2, days=20)
         cfg = fast_config(models=["AR"], grid=ProtocolGrid(t_end=15, horizons=(1, 2, 3)))
         report = rolling_evaluate([ds], cfg)
-        assert [(c.t, c.horizon) for c in report.cells] == [
+        assert [(c.t, c.horizon) for c in scored(report)] == [
             (t, j) for t in (14, 15) for j in (1, 2, 3)]
         assert fits == [(2, 14), (2, 15)]
-        for cell in report.cells:   # each horizon forecasts from its anchor's fit
+        for cell in scored(report):   # each horizon forecasts from its anchor's fit
             history = ds.case_window(cell.t, cell.t)
             fit = ar_fit(history, p=cfg.ar_order, differencing=cfg.ar_differencing)
             assert np.array_equal(cell.prediction,
@@ -324,18 +324,18 @@ class TestRollingEvaluate:
         ds = constant_dataset(n=2, days=20, level=6.0)
         grid = ProtocolGrid(t_end=17, dt=2)
         report = rolling_evaluate([ds], fast_config(models=["LAST_DAY"], grid=grid))
-        assert report.cells and all((c.abs_error == 0.0).all() for c in report.cells)
+        assert scored(report) and all((c.abs_error == 0.0).all() for c in scored(report))
 
     def test_neural_cells_and_row_order(self):
         ds = make_ramp_dataset(n=2, days=20)
         grid = ProtocolGrid(t_end=15, dt=1)
         report = rolling_evaluate([ds], fast_config(models=["MPNN", "AVG"], grid=grid))
-        assert not report.skipped
-        keys = [row[:5] for row in report_rows(report.cells)]
+        assert not skips(report)
+        keys = [row[:5] for row in report_rows(scored(report))]
         assert keys == sorted(keys, key=lambda k: (k[0], ["MPNN", "AVG"].index(k[1]),
                                                    k[2], k[3], k[4]))
         assert all(np.isfinite(c.prediction).all() and (c.prediction >= 0.0).all()
-                   for c in report.cells)
+                   for c in scored(report))
 
     def test_insufficient_cells_skipped_with_reason(self):
         ds = make_ramp_dataset(n=2, days=16)
@@ -343,25 +343,25 @@ class TestRollingEvaluate:
                                             d=13, dropout=0.0),
                           models=["MPNN"], grid=ProtocolGrid(t_end=15, dt=1))
         report = rolling_evaluate([ds], cfg)
-        assert [(c, m, t, j) for c, m, t, j, _ in report.skipped] == \
+        assert [(c, m, t, j) for c, m, t, j, _ in skips(report)] == \
                [(ds.country, "MPNN", 14, 1)]
-        assert "validation" in report.skipped[0][4]
-        assert {(c.t, c.horizon) for c in report.cells} == {(15, 1)}
+        assert "validation" in skips(report)[0][4]
+        assert {(c.t, c.horizon) for c in scored(report)} == {(15, 1)}
 
     def test_transfer_needs_second_country(self):
         ds = make_ramp_dataset(n=2, days=16)
         report = rolling_evaluate([ds], fast_config(
             models=["MPNN_TL"], grid=ProtocolGrid(t_end=14, dt=1)))
-        assert not report.cells
-        assert all("other country" in reason for *_, reason in report.skipped)
+        assert not scored(report)
+        assert all("other country" in reason for *_, reason in skips(report))
 
     def test_transfer_runs_with_two_countries(self):
         datasets = [make_ramp_dataset(n=2, days=18, country="AA"),
                     make_ramp_dataset(n=2, days=18, country="BB")]
         grid = ProtocolGrid(t_end=14, dt=1)
         report = rolling_evaluate(datasets, fast_config(models=["MPNN_TL"], grid=grid))
-        assert not report.skipped
-        assert {c.country for c in report.cells} == {"AA", "BB"}
+        assert not skips(report)
+        assert {c.country for c in scored(report)} == {"AA", "BB"}
 
     def test_cells_reproducible_regardless_of_grid(self):
         ds = make_ramp_dataset(n=2, days=20)
@@ -369,8 +369,8 @@ class TestRollingEvaluate:
         wide = rolling_evaluate([ds], cfg)
         narrow = rolling_evaluate([ds], replace(
             cfg, grid=ProtocolGrid(t_start=16, t_end=16, dt=1)))
-        wide_cell = [c for c in wide.cells if c.t == 16]
-        assert report_rows(wide_cell) == report_rows(narrow.cells)
+        wide_cell = [c for c in scored(wide) if c.t == 16]
+        assert report_rows(wide_cell) == report_rows(scored(narrow))
 
     def test_repeat_run_identical(self):
         datasets = [make_ramp_dataset(n=2, days=18, country="AA"),
@@ -379,7 +379,7 @@ class TestRollingEvaluate:
         cfg = fast_config(models=["MPNN", "LAST_DAY", "TL_BASE"], grid=grid)
         a = rolling_evaluate(datasets, cfg)
         b = rolling_evaluate(datasets, cfg)
-        assert report_rows(a.cells) == report_rows(b.cells) and a.skipped == b.skipped
+        assert report_rows(scored(a)) == report_rows(scored(b)) and skips(a) == skips(b)
 
     def test_parallel_matches_serial(self):
         ds = make_ramp_dataset(n=2, days=18)
@@ -387,8 +387,8 @@ class TestRollingEvaluate:
         cfg = fast_config(models=["MPNN", "AVG"], grid=grid)
         serial = rolling_evaluate([ds], cfg)
         parallel = rolling_evaluate([ds], replace(cfg, jobs=2))
-        assert report_rows(serial.cells) == report_rows(parallel.cells)
-        assert serial.skipped == parallel.skipped
+        assert report_rows(scored(serial)) == report_rows(scored(parallel))
+        assert skips(serial) == skips(parallel)
 
     def test_bad_requests_rejected(self):
         ds = make_ramp_dataset(n=2, days=20)
@@ -418,10 +418,10 @@ class TestDivergedCells:
         clean = rolling_evaluate([ds], cfg)
         monkeypatch.setattr(evaluation, "train_model", diverge_at(14, self.MESSAGE))
         report = rolling_evaluate([ds], cfg)
-        assert report.skipped == [(ds.country, "MPNN", 14, 1,
+        assert skips(report) == [(ds.country, "MPNN", 14, 1,
                                    f"training diverged: {self.MESSAGE}")]
-        assert report_rows(report.cells) == report_rows(
-            [c for c in clean.cells if (c.model, c.t) != ("MPNN", 14)])
+        assert report_rows(scored(report)) == report_rows(
+            [c for c in scored(clean) if (c.model, c.t) != ("MPNN", 14)])
 
     def test_diverged_meta_training_skips_only_transfer_cells(self, monkeypatch):
         datasets = [make_ramp_dataset(n=2, days=18, country="AA"),
@@ -433,11 +433,11 @@ class TestDivergedCells:
         monkeypatch.setattr(evaluation, "maml_meta_train", maml_meta_train)
         report = rolling_evaluate(datasets, fast_config(
             models=["MPNN_TL", "LAST_DAY"], grid=ProtocolGrid(t_end=14, dt=1)))
-        assert [(c, m) for c, m, *_ in report.skipped] == [("AA", "MPNN_TL"),
+        assert [(c, m) for c, m, *_ in skips(report)] == [("AA", "MPNN_TL"),
                                                          ("BB", "MPNN_TL")]
         assert all("meta-training failed: non-finite loss" in reason
-                   for *_, reason in report.skipped)
-        assert {(c.country, c.model) for c in report.cells} == {
+                   for *_, reason in skips(report))
+        assert {(c.country, c.model) for c in scored(report)} == {
             ("AA", "LAST_DAY"), ("BB", "LAST_DAY")}
 
 
@@ -474,20 +474,21 @@ class TestNonFiniteForecasts:
             report = rolling_evaluate([clean, huge], cfg, checkpoint_dir=ck)
             rescored = rolling_evaluate([clean, huge], cfg, checkpoint_dir=ck,
                                         load_only=True)
-        assert report_rows(report.cells) == report_rows(rolling_evaluate([clean], cfg).cells)
-        assert [cell[:4] for cell in report.skipped] == [
+        assert report_rows(scored(report)) == report_rows(
+            scored(rolling_evaluate([clean], cfg)))
+        assert [cell[:4] for cell in skips(report)] == [
             ("BB", model, t, 1) for model in self.MODELS for t in (14, 15)]
         assert all(reason.startswith("training diverged: non-finite ")
-                   for *_, reason in report.skipped)
-        assert [reason for _, model, _, _, reason in report.skipped
+                   for *_, reason in skips(report))
+        assert [reason for _, model, _, _, reason in skips(report)
                 if model == "MPNN"] == [
             "training diverged: non-finite forecast with the parameters of epoch 0: "
             "matmul: produced non-finite values"] * 2
         assert {name for name, kind in checkpoint_kinds(ck).items()
                 if kind == "mobicast-skip"} == {
             f"BB__{model}__T{t}_j1.ckpt" for model in self.MODELS for t in (14, 15)}
-        assert report_rows(rescored.cells) == report_rows(report.cells)
-        assert rescored.skipped == report.skipped
+        assert report_rows(scored(rescored)) == report_rows(scored(report))
+        assert skips(rescored) == skips(report)
 
     def test_overflowing_test_forecast_skips_and_rescore_writes_nothing(self, tmp_path):
         clean = make_ramp_dataset(n=2, days=18, country="AA")
@@ -501,13 +502,13 @@ class TestNonFiniteForecasts:
         trained, rescored = str(tmp_path / "trained"), str(tmp_path / "rescored")
         with np.errstate(over="ignore", invalid="ignore"):
             report = rolling_evaluate([huge], cfg, checkpoint_dir=trained)
-            assert report.skipped == [("AA", "MPNN", 14, 1, reason)]
+            assert skips(report) == [("AA", "MPNN", 14, 1, reason)]
             assert checkpoint_kinds(trained) == {"AA__MPNN__T14_j1.ckpt": "mobicast-skip"}
             rolling_evaluate([clean], cfg, checkpoint_dir=rescored)
             before = read_files(rescored)
             report = rolling_evaluate([huge], cfg, checkpoint_dir=rescored,
                                       load_only=True)
-        assert report.skipped == [("AA", "MPNN", 14, 1, reason)]
+        assert skips(report) == [("AA", "MPNN", 14, 1, reason)]
         assert read_files(rescored) == before
 
     def test_non_finite_shared_state_fails_meta_training(self, tmp_path, monkeypatch):
@@ -521,10 +522,10 @@ class TestNonFiniteForecasts:
         ck = str(tmp_path / "ck")
         report = rolling_evaluate(datasets, fast_config(
             models=["MPNN_TL"], grid=ProtocolGrid(t_end=14, dt=1)), checkpoint_dir=ck)
-        assert [cell[:2] for cell in report.skipped] == [("AA", "MPNN_TL"),
+        assert [cell[:2] for cell in skips(report)] == [("AA", "MPNN_TL"),
                                                         ("BB", "MPNN_TL")]
         assert all(reason.startswith("meta-training failed: non-finite shared state: ")
-                   for *_, reason in report.skipped)
+                   for *_, reason in skips(report))
         assert checkpoint_kinds(ck) == {"AA__MPNN_TL__T14_j1.ckpt": "mobicast-skip",
                                         "BB__MPNN_TL__T14_j1.ckpt": "mobicast-skip"}
 
@@ -551,9 +552,9 @@ class TestPoolMetaTraining:
     def test_pool_matches_serial_byte_for_byte(self, tmp_path):
         serial, serial_files = self.run(tmp_path, "serial", jobs=1)
         pooled, pooled_files = self.run(tmp_path, "pooled", jobs=2)
-        assert not serial.skipped
-        assert report_rows(pooled.cells) == report_rows(serial.cells)
-        assert pooled.skipped == serial.skipped
+        assert not skips(serial)
+        assert report_rows(scored(pooled)) == report_rows(scored(serial))
+        assert skips(pooled) == skips(serial)
         assert {"AA__MPNN_TL__meta.ckpt", "BB__MPNN_TL__meta.ckpt",
                 "AA__MPNN_TL__T14_j1.ckpt", "BB__TL_BASE__T15_j1.ckpt"} <= \
             set(serial_files)
@@ -573,12 +574,12 @@ class TestPoolMetaTraining:
 
         monkeypatch.setattr(evaluation, "maml_meta_train", maml_meta_train)
         report = rolling_evaluate(self.two_countries(), self.config(jobs=jobs))
-        assert report.skipped == [
+        assert skips(report) == [
             ("AA", "MPNN_TL", t, 1,
              "meta-training failed: non-finite loss during adaptation")
             for t in (14, 15)]
-        assert report_rows(report.cells) == report_rows(
-            [c for c in clean.cells if (c.country, c.model) != ("AA", "MPNN_TL")])
+        assert report_rows(scored(report)) == report_rows(
+            [c for c in scored(clean) if (c.country, c.model) != ("AA", "MPNN_TL")])
 
 
 class TestPoolFailure:
@@ -637,9 +638,9 @@ class TestInProcessSchedule:
         report = rolling_evaluate(datasets, cfg, checkpoint_dir=ckpt_dir)
         again = rolling_evaluate(datasets, replace(cfg, jobs=2),
                                  checkpoint_dir=ckpt_dir, load_only=True)
-        assert not report.skipped
-        assert report_rows(again.cells) == report_rows(report.cells)
-        assert again.skipped == report.skipped
+        assert not skips(report)
+        assert report_rows(scored(again)) == report_rows(scored(report))
+        assert skips(again) == skips(report)
 
 
 class RecordingExecutor:
@@ -678,8 +679,8 @@ class TestWorkerCount:
         report = rolling_evaluate([ds], replace(cfg, jobs=1000))
         assert RecordingExecutor.max_workers == [2]
         serial = rolling_evaluate([ds], cfg)
-        assert report_rows(report.cells) == report_rows(serial.cells)
-        assert report.skipped == serial.skipped
+        assert report_rows(scored(report)) == report_rows(scored(serial))
+        assert skips(report) == skips(serial)
 
     def test_meta_tasks_count_as_work(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
@@ -689,7 +690,7 @@ class TestWorkerCount:
                           jobs=1000)
         report = rolling_evaluate(datasets, cfg)
         assert RecordingExecutor.max_workers == [4]   # 2 meta tasks, 2 cells
-        assert not report.skipped
+        assert not skips(report)
 
     @pytest.mark.parametrize("cpus,workers", [(3, 3), (None, 1)])
     def test_never_more_workers_than_cpus(self, monkeypatch, cpus, workers):
@@ -723,7 +724,7 @@ class TestCheckpointReuse:
             tmp_path, models=("MPNN", "LAST_DAY"))
         again = rolling_evaluate(datasets, cfg, checkpoint_dir=ckpt_dir,
                                  load_only=True)
-        assert report_rows(again.cells) == report_rows(report.cells)
+        assert report_rows(scored(again)) == report_rows(scored(report))
 
     def test_reload_trains_nothing_and_stays_in_process(self, tmp_path,
                                                         monkeypatch):
@@ -740,8 +741,8 @@ class TestCheckpointReuse:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", forbidden)
         again = rolling_evaluate(datasets, replace(cfg, jobs=2),
                                  checkpoint_dir=ckpt_dir, load_only=True)
-        assert report_rows(again.cells) == report_rows(report.cells)
-        assert again.skipped == report.skipped == []
+        assert report_rows(scored(again)) == report_rows(scored(report))
+        assert skips(again) == skips(report) == []
 
     def test_missing_checkpoint_names_cell(self, tmp_path):
         datasets, cfg, ckpt_dir, _ = self.run_with_checkpoints(tmp_path)
@@ -765,19 +766,20 @@ class TestEmitReport:
         grid = ProtocolGrid(t_end=16, dt=2)
         report = rolling_evaluate([ds], fast_config(models=["LAST_DAY", "AVG"],
                                                     grid=grid))
-        report.skipped.append((ds.country, "MPNN_LSTM", 14, 1, "window too wide"))
+        report.append(CellResult(ds.country, "MPNN_LSTM", 14, 1, reason="window too wide"))
         return report
 
     def test_round_trip_preserves_aggregates(self, tmp_path):
         report = self.sample_report()
         paths = emit_report(report, str(tmp_path / "report"))
-        cells, skipped = load_report_rows(paths["rows"])
-        assert len(skipped) == 1
+        loaded = load_report_rows(paths["rows"])
+        cells = scored(loaded)
+        assert len(skips(loaded)) == 1
         assert error_metric(abs_errors(cells)) == pytest.approx(
-            error_metric(abs_errors(report.cells)), abs=1e-9)
-        assert range_summary(cells) == range_summary(report.cells)
+            error_metric(abs_errors(scored(report))), abs=1e-9)
+        assert range_summary(cells) == range_summary(scored(report))
         with open(paths["summary"], encoding="utf-8") as fh:
-            assert json.load(fh) == range_summary(report.cells)
+            assert json.load(fh) == range_summary(scored(report))
 
     def test_byte_deterministic(self, tmp_path):
         report = self.sample_report()
@@ -788,7 +790,7 @@ class TestEmitReport:
                 assert fa.read() == fb.read()
 
     def test_empty_report(self, tmp_path):
-        paths = emit_report(ErrorReport(cells=[], skipped=[]), str(tmp_path))
+        paths = emit_report([], str(tmp_path))
         with open(paths["rows"], encoding="utf-8") as fh:
             assert fh.read() == ("country,model,T,horizon,region,prediction,"
                                  "actual,abs_error\n")
@@ -805,7 +807,7 @@ class TestEmitReport:
         ds = CountryDataset(ds.country, ds.regions, ds.dates, cases, ds.mobility)
         grid = ProtocolGrid(t_start=14, t_end=14, horizons=(1, 2, 3))
         report = rolling_evaluate([ds], fast_config(models=["LAST_DAY"], grid=grid))
-        assert abs_errors(report.cells).tolist() == [1.7e308] * 6
+        assert abs_errors(scored(report)).tolist() == [1.7e308] * 6
         paths = emit_report(report, str(tmp_path))
 
         def reject(name):
@@ -836,7 +838,7 @@ class TestEmitReport:
         blocker.write_text("a file, not a directory")
         # not a DataError, which evaluate_cell would record as a skipped cell
         with pytest.raises(WriteError, match="cannot create directory .*blocked") as exc:
-            emit_report(ErrorReport(cells=[], skipped=[]), str(blocker))
+            emit_report([], str(blocker))
         assert not isinstance(exc.value, DataError)
 
     def test_malformed_reload_rejected(self, tmp_path):

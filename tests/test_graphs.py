@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import make_ramp_dataset
+from conftest import make_ramp_dataset, scored, skips
 from mobicast import graphs
 from mobicast import tape as tp
 from mobicast.errors import ContractError, DataError, ShapeError
@@ -230,7 +230,7 @@ class TestGraphCache:
                          models=("MPNN", "MPNN_LSTM", "MPNN_TL", "TL_BASE"),
                          grid=ProtocolGrid(t_end=15, dt=2))
         report = rolling_evaluate(datasets, cfg)
-        assert report.cells and not report.skipped
+        assert scored(report) and not skips(report)
         assert inputs
         assert len(inputs) == len(set(inputs))  # each mobility matrix once
         assert len(inputs) <= sum(ds.t_total for ds in datasets)

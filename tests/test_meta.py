@@ -33,7 +33,7 @@ from mobicast.rng import Rng
 from mobicast.train import (Checkpoint, SplitSpec, TrainConfig, load_checkpoint,
                             make_splits, predict, train_model)
 
-from conftest import TracingDataset, abs_errors, make_ramp_dataset
+from conftest import TracingDataset, abs_errors, make_ramp_dataset, scored, skips
 
 
 def scalar_sample(x, y, anchor=14, horizon=1):
@@ -325,7 +325,7 @@ class TestFineTune:
     def test_zero_epochs_keeps_shared_parameters(self, tmp_path):
         report = rolling_evaluate(two_countries(), transfer_config(),
                                   checkpoint_dir=str(tmp_path))
-        assert not report.skipped
+        assert not skips(report)
         for country in ("AA", "BB"):
             shared, _, _ = load_params(
                 str(tmp_path / f"{country}__MPNN_TL__meta.ckpt"))
@@ -350,18 +350,18 @@ class TestFineTune:
             forecast = predict(ckpt.model, ckpt.state, [splits.test])
             actual = np.asarray(splits.test.target).reshape(-1)
             maes.append(np.mean(np.abs(forecast - actual)))
-        cells = [c for c in report.cells if c.country == "AA"]
+        cells = [c for c in scored(report) if c.country == "AA"]
         assert error_metric(abs_errors(cells)) == pytest.approx(float(np.mean(maes)),
                                                                 rel=1e-12)
 
     def test_cells_without_validation_are_skipped(self):
         report = rolling_evaluate(two_countries(), transfer_config(d=13))
-        assert sorted({(c.country, c.t) for c in report.cells}) == [
+        assert sorted({(c.country, c.t) for c in scored(report)}) == [
             ("AA", 15), ("BB", 15)]
-        assert [(c, t, j) for c, _, t, j, _ in report.skipped] == [
+        assert [(c, t, j) for c, _, t, j, _ in skips(report)] == [
             ("AA", 14, 1), ("BB", 14, 1)]
         assert all("no validation samples" in reason
-                   for *_, reason in report.skipped)
+                   for *_, reason in skips(report))
 
     def test_warm_start_stays_near_converged_error(self, monkeypatch):
         datasets = two_countries(days=15)
@@ -374,7 +374,7 @@ class TestFineTune:
         monkeypatch.setattr(evaluation, "maml_meta_train",
                             lambda foreign, model, config, seed: converged.state)
         report = rolling_evaluate(datasets, transfer_config(max_epochs=1))
-        cells = [c for c in report.cells if c.country == "AA"]
+        cells = [c for c in scored(report) if c.country == "AA"]
         assert {c.t for c in cells} == {14}
         assert error_metric(abs_errors(cells)) <= base * 1.1 + 0.5
 
@@ -397,7 +397,7 @@ class TestFineTune:
         monkeypatch.setattr(evaluation, "evaluate_cell", traced_cell)
         report = rolling_evaluate([*foreign, target],
                                   transfer_config(max_epochs=1))
-        assert not report.skipped
+        assert not skips(report)
         assert reads == [[(set(), set())] * 2] * 2
 
 
@@ -479,8 +479,8 @@ class TestTlBaseTrain:
         grid = ProtocolGrid(t_end=15, dt=1)
         report = rolling_evaluate(datasets, transfer_config(
             models=["TL_BASE"], grid=grid, max_epochs=1))
-        assert not report.skipped
-        cells = sorted({(c.country, c.t, c.horizon) for c in report.cells})
+        assert not skips(report)
+        cells = sorted({(c.country, c.t, c.horizon) for c in scored(report)})
         assert len(cells) == 4
         assert len(calls) == len(cells)
 

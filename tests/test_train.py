@@ -340,6 +340,10 @@ class TestCheckpointIO:
         ({"meta": ["kind"]}, "header and its meta must be JSON objects"),
         ({"meta": {"kind": "mobicast-skip"}},
          "malformed mobicast-skip header: KeyError('reason')"),
+        ({"meta": {"kind": "mobicast-skip", "reason": "boom\nAA,AVG,14,1,r0,1.0,1.0,0.0"}},
+         "malformed mobicast-skip header: ValueError"),
+        ({"meta": {"kind": "mobicast-skip", "reason": 5}},
+         "malformed mobicast-skip header: ValueError"),
         ({"meta": CHECKPOINT_META},
          "malformed mobicast-checkpoint header: KeyError('model')"),
         ({"meta": {**CHECKPOINT_META, "model": ["mpnn"]}},
@@ -350,7 +354,8 @@ class TestCheckpointIO:
         ({"params": [["w", [1.0]]]}, "params must list [name, shape] pairs"),
         ({"params": [["w", [True]]]}, "params must list [name, shape] pairs"),
         ({"buffers": {"w": [1]}}, "buffers must list [name, shape] pairs"),
-    ], ids=["list", "meta-list", "skip-no-reason", "no-model", "model-list",
+    ], ids=["list", "meta-list", "skip-no-reason", "skip-reason-line-break",
+            "skip-reason-number", "no-model", "model-list",
             "short-entry", "int-name", "negative-dim", "float-dim", "bool-dim",
             "buffers-object"])
     def test_malformed_header_names_file(self, tmp_path, header, message):
