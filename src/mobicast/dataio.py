@@ -470,7 +470,8 @@ def load_bundle(dir_path: str) -> CountryDataset:
                           f"the bundle with `mobicast ingest` or `mobicast synth`")
     for key, kind in (("country", str), ("n", int), ("t_total", int),
                       ("dates", list), ("regions", list)):
-        if not isinstance(manifest.get(key), kind):
+        value = manifest.get(key)
+        if not isinstance(value, kind) or isinstance(value, bool):   # true is no count
             raise BundleError(f"{dir_path}: manifest key {key!r} missing or not "
                               f"a JSON {kind.__name__}")
     n, t_total = manifest["n"], manifest["t_total"]

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import contextlib
+import functools
 import json
 import os
 import re
@@ -279,18 +280,12 @@ def _init_cell_worker(payload):
 
 @dataclass(frozen=True)
 class _CellContext:
-    datasets: tuple
+    datasets: dict   # country -> CountryDataset, in request order
     config: EvalConfig
     checkpoint_dir: Optional[str]
     load_only: bool = False   # load each trainable cell's checkpoint, never train
     # the AR fit of the last (country, T) this process scored
     ar_fits: dict = field(default_factory=dict, compare=False)
-
-    def dataset(self, country: str) -> CountryDataset:
-        for ds in self.datasets:
-            if ds.country == country:
-                return ds
-        raise ContractError(f"unknown country {country!r}")
 
 
 def _meta_task(ctx: _CellContext, target: str):
@@ -301,7 +296,7 @@ def _meta_task(ctx: _CellContext, target: str):
     checkpoint directory when there is one.
     """
     cfg = ctx.config
-    foreign = [ds for ds in ctx.datasets if ds.country != target]
+    foreign = [ds for country, ds in ctx.datasets.items() if country != target]
     seed = derive_seed(cfg.seed, "meta", target)
     model = build_model("MPNN", cfg.train)
     try:
@@ -350,28 +345,31 @@ def _keep(ctx: _CellContext, task, outcome) -> None:
             **_cell_meta(task), "cell_seed": derive_seed(ctx.config.seed, country, t, j)})
 
 
-def _cell_checkpoint(ctx: _CellContext, task, model, dataset, shared):
-    """The cell's splits and checkpoint: `model`'s parameters loaded from
-    the cell's file under ctx.load_only, else trained and kept."""
+def _trainable_cell(ctx: _CellContext, task, dataset, shared) -> np.ndarray:
+    """The cell's test forecast: its model's parameters loaded from the
+    cell's file under ctx.load_only, else trained, then kept once the
+    forecast is made."""
     country, model_name, t, j = task
+    model = build_model(model_name, ctx.config.train)
     path = _cell_path(ctx, task)
     # a stored skip raises SkippedCell before the splits, as it was recorded
-    stored = (load_checkpoint(path, model, _cell_meta(task))
-              if ctx.load_only and os.path.exists(path) else None)
+    ckpt = (load_checkpoint(path, model, _cell_meta(task))
+            if ctx.load_only and os.path.exists(path) else None)
     splits = make_splits(dataset, t, j, model.d, model.seq_len)
-    if stored is not None:
-        return splits, stored
-    if ctx.load_only:
+    if ckpt is None and ctx.load_only:
         raise CheckpointError(f"missing checkpoint for cell {cell_label(task)}: {path}")
-    cfg = ctx.config
-    cell_seed = derive_seed(cfg.seed, country, t, j)
-    if model_name == "TL_BASE":
-        ckpt = tl_base_train(list(ctx.datasets), splits, model, cfg.train,
-                             cell_seed)
-    else:
-        ckpt = train_model(splits, model, cfg.train, cell_seed, init_state=shared)
+    if ckpt is None:
+        cell_seed = derive_seed(ctx.config.seed, country, t, j)
+        if model_name == "TL_BASE":
+            ckpt = tl_base_train(list(ctx.datasets.values()), splits, model,
+                                 ctx.config.train, cell_seed)
+        else:
+            ckpt = train_model(splits, model, ctx.config.train, cell_seed,
+                               init_state=shared)
+    with divergence_at(ckpt.epoch):
+        preds = predict(model, ckpt.state, [splits.test])
     _keep(ctx, task, ckpt)
-    return splits, ckpt
+    return preds
 
 
 def evaluate_cell(ctx: _CellContext, country: str, model_name: str, t: int,
@@ -388,7 +386,7 @@ def evaluate_cell(ctx: _CellContext, country: str, model_name: str, t: int,
     history near the float64 limit) is skipped too.
     """
     task = (country, model_name, t, j)
-    dataset = ctx.dataset(country)
+    dataset = ctx.datasets[country]
     if model_name == "MPNN_TL" and len(ctx.datasets) == 1:
         return CellResult(*task, reason="transfer initialization needs at least "
                                         "one other country")
@@ -400,10 +398,7 @@ def evaluate_cell(ctx: _CellContext, country: str, model_name: str, t: int,
             with np.errstate(over="ignore", invalid="ignore"):   # checked below
                 preds = _baseline_cell(ctx, model_name, dataset, t, j)
         else:
-            model = build_model(model_name, ctx.config.train)
-            splits, ckpt = _cell_checkpoint(ctx, task, model, dataset, shared)
-            with divergence_at(ckpt.epoch):
-                preds = predict(model, ckpt.state, [splits.test])
+            preds = _trainable_cell(ctx, task, dataset, shared)
     except (DataError, SkippedCell) as exc:  # DataError includes InsufficientDataError
         return CellResult(*task, reason=str(exc))
     except TrainingDivergedError as exc:
@@ -431,33 +426,21 @@ def _grid_tasks(datasets, config: EvalConfig):
     return tasks
 
 
-def _schedule(run, tasks, targets):
-    """Yield (index, outcome) per cell of tasks.  run(items) starts meta tasks
-    (target names) and cells (task tuples), then yields their outcomes in
-    order; a target's MPNN_TL cells start once its meta outcome is read."""
-    later = [k for k, task in enumerate(tasks) if task[1] == "MPNN_TL" and task[0] in targets]
-    ready = sorted(set(range(len(tasks))).difference(later))
-    outcomes = run([*targets, *(tasks[k] for k in ready)])
-    shared = {target: next(outcomes) for target in targets}
-    later_outcomes = run([(*tasks[k], shared[tasks[k][0]]) for k in later])
-    yield from zip(ready, outcomes)
-    yield from zip(later, later_outcomes)
-
-
 @contextlib.contextmanager
-def _runner(ctx: _CellContext, work: int):
-    """_schedule's run(items): in-process, or through at most `work` workers."""
+def _submitter(ctx: _CellContext, work: int):
+    """Yield submit(item) -> outcome(), for a meta task (a target name) or
+    a cell (a task tuple).  In-process, outcome() runs the item; otherwise
+    submit queues it on at most `work` workers and outcome() waits for it."""
     if ctx.config.jobs == 1 or ctx.load_only:
-        yield lambda items: (_run_task(ctx, item) for item in items)
+        yield lambda item: functools.partial(_run_task, ctx, item)
         return
     # a fork-started pool starts every worker at its first submit
     workers = min(ctx.config.jobs, work, os.cpu_count() or 1)
     with concurrent.futures.ProcessPoolExecutor(
             max_workers=workers, initializer=_init_cell_worker,
             initargs=(ctx,)) as pool:
-        try:   # submit every item now, read the results in order
-            yield lambda items: map(concurrent.futures.Future.result,
-                                    [pool.submit(_run_cell, item) for item in items])
+        try:   # _run_cell is read at each submit: the benchmark tracer patches it
+            yield lambda item: pool.submit(_run_cell, item).result
         except BaseException:
             pool.shutdown(cancel_futures=True)  # start no queued cell after a failure
             raise
@@ -471,10 +454,12 @@ def rolling_evaluate(datasets, config: EvalConfig,
 
     Each cell trains its own model with a seed derived from (seed, country,
     T, horizon), so cells are reproducible independently of execution order.
-    _schedule runs them and each target's MPNN_TL meta-training, in-process
-    or over `config.jobs` > 1 worker processes.  Cells without enough data,
-    or whose training diverged, are skipped with their reason, not failed;
-    any other error stops the grid.
+    Each target's MPNN_TL meta-training and every cell that waits for none
+    are submitted first; each target's MPNN_TL cells follow once its meta
+    outcome is read.  In-process, that runs every meta task, then every cell
+    in grid order; `config.jobs` > 1 runs them over worker processes in the
+    order submitted.  Cells without enough data, or whose training diverged,
+    are skipped with their reason, not failed; any other error stops the grid.
 
     With `load_only`, every trainable cell loads its checkpoint from
     checkpoint_dir instead of training: nothing is meta-trained or saved,
@@ -489,14 +474,20 @@ def rolling_evaluate(datasets, config: EvalConfig,
         make_dir(checkpoint_dir)   # a bad path fails before any cell trains
     for ds in datasets:
         normalized_graphs(ds)   # once, before any worker forks
-    ctx = _CellContext(datasets=tuple(datasets), config=config,
+    ctx = _CellContext(datasets={ds.country: ds for ds in datasets}, config=config,
                        checkpoint_dir=checkpoint_dir, load_only=load_only)
     # one meta-training per target country, each on all the others
     targets = ([ds.country for ds in datasets] if "MPNN_TL" in config.models
                and len(datasets) > 1 and not load_only else [])
-    with _runner(ctx, len(targets) + len(tasks)) as run:
-        cells = dict(_schedule(run, tasks, targets))
-    return [cells[k] for k in range(len(tasks))]   # grid order, whatever order they ran in
+    with _submitter(ctx, len(targets) + len(tasks)) as submit:
+        metas = {target: submit(target) for target in targets}
+        # a target's MPNN_TL cells wait for its meta outcome; the rest go now
+        outcomes = [None if task[1] == "MPNN_TL" and task[0] in metas else submit(task)
+                    for task in tasks]
+        shared = {target: outcome() for target, outcome in metas.items()}
+        outcomes = [outcome or submit((*task, shared[task[0]]))
+                    for task, outcome in zip(tasks, outcomes)]
+        return [outcome() for outcome in outcomes]   # grid order
 
 
 # ---------------------------------------------------------------- reports
@@ -526,7 +517,7 @@ def case_stat_lines(case_stats) -> list:
 
 ROWS_HEADER = "country,model,T,horizon,region,prediction,actual,abs_error"
 _SKIP_LINE = re.compile(
-    r"^# skipped country=(?P<c>.*) model=(?P<m>\S+) "
+    r"^# skipped country=(?P<c>.*?) model=(?P<m>\S+) "
     r"T=(?P<t>\d+) j=(?P<j>\d+): (?P<reason>.*)$")
 
 

@@ -69,9 +69,9 @@ def load_params(path: str) -> Tuple[dict, dict, dict]:
     off += hlen
     if not isinstance(header, dict) or not isinstance(header.get("meta", {}), dict):
         raise CheckpointError(f"{path!r}: header and its meta must be JSON objects")
-    if header.get("format_version") != FORMAT_VERSION:
-        raise CheckpointError(f"{path!r}: unsupported format_version "
-                              f"{header.get('format_version')!r}")
+    version = header.get("format_version")
+    if type(version) is not int or version != FORMAT_VERSION:   # true and 1.0 are not 1
+        raise CheckpointError(f"{path!r}: unsupported format_version {version!r}")
     sections = []
     for key in ("params", "buffers"):
         out = {}

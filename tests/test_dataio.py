@@ -592,7 +592,9 @@ class TestBundles:
         ("regions", 3, "manifest key 'regions' missing or not a JSON list"),
         ("n", "3", "manifest key 'n' missing or not a JSON int"),
         ("regions", [["R00"], "R01", "R02"], "regions and dates must be strings"),
-    ], ids=["regions-int", "n-str", "region-list"])
+        ("n", True, "manifest key 'n' missing or not a JSON int"),
+        ("t_total", False, "manifest key 't_total' missing or not a JSON int"),
+    ], ids=["regions-int", "n-str", "region-list", "n-bool", "t_total-bool"])
     def test_manifest_value_of_wrong_type_rejected(self, tmp_path, key, value, message):
         _, bdir = self.saved(tmp_path)
         manifest = json.loads((bdir / "manifest.json").read_text())

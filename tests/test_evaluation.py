@@ -642,6 +642,31 @@ class TestInProcessSchedule:
         assert report_rows(scored(again)) == report_rows(scored(report))
         assert skips(again) == skips(report)
 
+    def test_meta_tasks_then_cells_in_grid_order(self, monkeypatch):
+        calls = []
+        real_meta, real_cell = evaluation.maml_meta_train, evaluation.evaluate_cell
+
+        def maml_meta_train(datasets, model, config, seed):
+            calls.append(("meta", *(ds.country for ds in datasets)))
+            return real_meta(datasets, model, config, seed)
+
+        def evaluate_cell(ctx, *task):
+            calls.append(task[:4])
+            return real_cell(ctx, *task)
+
+        monkeypatch.setattr(evaluation, "maml_meta_train", maml_meta_train)
+        monkeypatch.setattr(evaluation, "evaluate_cell", evaluate_cell)
+        datasets = TestPoolMetaTraining.two_countries()
+        cfg = fast_config(models=["MPNN_TL", "MPNN"], grid=ProtocolGrid(t_end=15, dt=1))
+        report = rolling_evaluate(datasets, cfg)
+        assert not skips(report)
+        # each target's meta-training learns from the other country
+        assert calls[:2] == [("meta", "BB"), ("meta", "AA")]
+        assert calls[2:] == [cell.key for cell in report]
+        assert [cell.key for cell in report] == [
+            (country, model, t, 1) for country in ("AA", "BB")
+            for model in ("MPNN_TL", "MPNN") for t in (14, 15)]
+
 
 class RecordingExecutor:
     """Stands in for ProcessPoolExecutor: records max_workers and runs each
@@ -780,6 +805,14 @@ class TestEmitReport:
         assert range_summary(cells) == range_summary(scored(report))
         with open(paths["summary"], encoding="utf-8") as fh:
             assert json.load(fh) == range_summary(scored(report))
+
+    def test_skip_reason_quoting_a_cell_label_reads_back(self, tmp_path):
+        # a region id quoted in a non-finite forecast's reason can hold any text
+        cell = CellResult("AA", "AVG", 14, 1, reason="non-finite forecast: inf for "
+                                                      "region 'x model=X T=3 j=2: y'")
+        paths = emit_report([cell], str(tmp_path))
+        (loaded,) = load_report_rows(paths["rows"])
+        assert (loaded.key, loaded.reason) == (cell.key, cell.reason)
 
     def test_byte_deterministic(self, tmp_path):
         report = self.sample_report()

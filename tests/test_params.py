@@ -92,6 +92,25 @@ class TestCheckpointFile:
         with pytest.raises(CheckpointError, match="format_version"):
             load_params(path)
 
+    @pytest.mark.parametrize("version", [True, 1.0], ids=["true", "float"])
+    def test_rejects_version_that_is_not_an_int(self, tmp_path, version):
+        import json
+        path = str(tmp_path / "model.ckpt")
+        save_params(path, {}, {}, {})
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        magic_len = raw.index(b"\n") + 1
+        hlen = int.from_bytes(raw[magic_len:magic_len + 8], "little")
+        header = json.loads(raw[magic_len + 8:magic_len + 8 + hlen])
+        header["format_version"] = version   # equal to 1 in Python, not a JSON 1
+        blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+        with open(path, "wb") as fh:
+            fh.write(raw[:magic_len])
+            fh.write(len(blob).to_bytes(8, "little"))
+            fh.write(blob)
+        with pytest.raises(CheckpointError, match=f"format_version {version!r}"):
+            load_params(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(CheckpointError, match="cannot read"):
             load_params(str(tmp_path / "nope.ckpt"))
