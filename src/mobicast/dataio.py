@@ -9,6 +9,7 @@ the diagonal is within-region movement.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import datetime
 import io
@@ -25,6 +26,8 @@ from .rng import Rng, derive_seed
 log = logging.getLogger(__name__)
 
 BUNDLE_FORMAT_VERSION = "2"
+# every character str.splitlines() breaks on, so no id can split a report row
+_LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 
 
 def normalize_incoming(m: np.ndarray) -> np.ndarray:
@@ -60,15 +63,24 @@ def read_file(path: str, binary: bool = False, error=DataError):
 
 
 def write_file(path: str, data) -> None:
-    """Write `data` (str, as UTF-8, or bytes) to path + ".tmp", creating the parent
-    directory, then rename it over `path`: no reader ever sees half a file."""
+    """Write `data` (str, as UTF-8, bytes, or an iterable of such chunks) to
+    path + ".tmp", creating the parent directory, then rename it over `path`:
+    no reader ever sees half a file.  On any failure, an OSError (as a
+    WriteError) or an exception a chunk raises, the temp file is removed and
+    `path` is left as it was."""
     make_dir(os.path.dirname(path) or ".")
+    tmp = path + ".tmp"
     try:
-        with open(path + ".tmp", "wb") as fh:
-            fh.write(data.encode("utf-8") if isinstance(data, str) else data)
-        os.replace(path + ".tmp", path)
-    except OSError as exc:
-        raise WriteError(f"cannot write {path}: {exc}") from exc
+        with open(tmp, "wb") as fh:
+            for chunk in (data,) if isinstance(data, (str, bytes)) else data:
+                fh.write(chunk.encode("utf-8") if isinstance(chunk, str) else chunk)
+        os.replace(tmp, path)
+    except BaseException as exc:
+        with contextlib.suppress(OSError):   # absent, or not ours (a directory)
+            os.remove(tmp)
+        if isinstance(exc, OSError):
+            raise WriteError(f"cannot write {path}: {exc}") from exc
+        raise
 
 
 # ---------------------------------------------------------------- records
@@ -93,27 +105,39 @@ def _check_contiguous(dates: list[str], context: str) -> None:
             raise DataError(f"{context}: dates must be contiguous, gap between {a} and {b}")
 
 
-def _csv_rows(path: str, *headers: str) -> tuple:
-    """(header, [(line_no, row), ...]) of a CSV file whose header, its cells
-    stripped and comma-joined, is one of `headers`.
+def _csv_rows(path: str, *headers: str, error=DataError) -> tuple:
+    """(header, rows) of a CSV file whose header, its cells stripped and
+    comma-joined, is one of `headers`; `rows` yields (line_no, row) for one
+    non-blank row at a time, so no caller holds the file's rows.
 
-    Blank rows are skipped.  A file that cannot be read, another header or a
-    row of another width raises DataError naming the file (and the line).
+    A file that cannot be opened or read, or has another header, raises
+    `error` naming the file here.  A read, decode or CSV error, or a row of
+    another width, raises it naming the file (and the line) when `rows`
+    reaches it, so a file with two faults reports the first in file order.
     """
+    rows = _csv_stream(path, headers, error)
+    return next(rows), rows
+
+
+def _csv_stream(path: str, headers: tuple, error):
+    """_csv_rows' generator: the checked header, then each (line_no, row)."""
     try:   # streamed, not through read_file: an ingest CSV can be large
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             header = ",".join(cell.strip() for cell in next(reader, []))
-            rows = [(line_no, row) for line_no, row in enumerate(reader, start=2) if row]
+            if header not in headers:
+                raise error(f"{path}: expected header {' or '.join(headers)}, "
+                            f"got {header!r}")
+            yield header
+            width = header.count(",") + 1
+            for line_no, row in enumerate(reader, start=2):
+                if len(row) == width:
+                    yield line_no, row
+                elif row:   # a blank row is skipped
+                    raise error(f"{path}:{line_no}: expected {width} columns, "
+                                f"got {len(row)}")
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    if header not in headers:
-        raise DataError(f"{path}: expected header {' or '.join(headers)}, got {header!r}")
-    width = header.count(",") + 1
-    for line_no, row in rows:
-        if len(row) != width:
-            raise DataError(f"{path}:{line_no}: expected {width} columns, got {len(row)}")
-    return header, rows
+        raise error(f"cannot read {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------- dataset
@@ -143,7 +167,7 @@ class CountryDataset:
             mobility = mobility.copy()
         n, t = len(regions), len(dates)
         for name in (str(country), *regions):
-            if any(ch in name for ch in ",\r\n"):
+            if any(ch in name for ch in "," + _LINE_BREAKS):
                 raise DataError(f"id {name!r} contains a comma or line break, "
                                 f"which report rows cannot hold")
         if len(set(regions)) != n:
@@ -484,10 +508,7 @@ def load_bundle(dir_path: str) -> CountryDataset:
         raise BundleError(f"{dir_path}: manifest lists {len(dates)} dates, t_total={t_total}")
 
     cases_path = os.path.join(dir_path, "cases.csv")
-    try:
-        _, rows = _csv_rows(cases_path, "date,region,new_cases")
-    except DataError as exc:
-        raise BundleError(str(exc)) from exc
+    _, rows = _csv_rows(cases_path, "date,region,new_cases", error=BundleError)
     regions_idx = {r: i for i, r in enumerate(regions)}
     date_idx = {d: k for k, d in enumerate(dates)}
     cases = np.zeros((n, t_total))

@@ -532,23 +532,30 @@ def emit_report(cells, out_dir: str) -> dict:
     Output is byte-deterministic for a fixed list.  Skipped cells appear, in
     list order, as comment lines above the rows.csv header, in the form
     parse_skip_line reads back; the scored cells' rows follow it, in list
-    order.  Returns the path of each artifact.
+    order.  rows.csv is streamed one cell at a time, never held whole.
+    Returns the path of each artifact.
     """
     paths = {"rows": os.path.join(out_dir, "rows.csv"),
              "summary": os.path.join(out_dir, "summary.json")}
-    lines = [f"# skipped {cell_label(cell.key)}: {cell.reason}" for cell in cells
-             if cell.reason is not None]
-    lines.append(ROWS_HEADER)
-    for cell in cells:   # a skipped cell has no regions, so no rows
-        key = f"{cell.country},{cell.model},{cell.t},{cell.horizon},"
-        lines.extend(f"{key}{region},{p!r},{a!r},{e!r}" for region, p, a, e in zip(
-            cell.regions, cell.prediction.tolist(), cell.actual.tolist(),
-            cell.abs_error.tolist()))
-    write_file(paths["rows"], "\n".join(lines) + "\n")
+    write_file(paths["rows"], _rows_chunks(cells))
     write_file(paths["summary"],
                json.dumps(range_summary(cells), sort_keys=True, indent=2,
                           allow_nan=False) + "\n")
     return paths
+
+
+def _rows_chunks(cells):
+    """rows.csv of `cells` as text chunks: each skip line, the header, then
+    one chunk per cell."""
+    for cell in cells:
+        if cell.reason is not None:
+            yield f"# skipped {cell_label(cell.key)}: {cell.reason}\n"
+    yield ROWS_HEADER + "\n"
+    for cell in cells:   # a skipped cell has no regions, so no rows
+        key = f"{cell.country},{cell.model},{cell.t},{cell.horizon},"
+        yield "".join(f"{key}{region},{p!r},{a!r},{e!r}\n" for region, p, a, e in zip(
+            cell.regions, cell.prediction.tolist(), cell.actual.tolist(),
+            cell.abs_error.tolist()))
 
 
 def parse_skip_line(line: str, path: str) -> CellResult:

@@ -15,7 +15,7 @@ import pytest
 from conftest import small_synthetic
 from mobicast.cli import main
 from mobicast.dataio import (CountryDataset, RawCountryData, SyntheticConfig,
-                             align_and_filter, generate_synthetic, load_bundle,
+                             _csv_rows, align_and_filter, generate_synthetic, load_bundle,
                              load_cases, load_mobility, load_region_map,
                              make_dir, read_file, save_bundle, write_file)
 from mobicast.errors import BundleError, CheckpointError, DataError, WriteError
@@ -212,6 +212,49 @@ class TestCsvReader:
         with pytest.raises(DataError, match="cannot read .*t.csv: .*utf-8"):
             load(str(path))
 
+    def test_header_is_checked_on_call_and_rows_one_at_a_time(self, tmp_path):
+        path = write(tmp_path / "t.csv", "date,region,new_cases\n\n2020-03-01,a,1\n"
+                                         "2020-03-02,a\n")
+        with pytest.raises(DataError, match="t.csv: expected header source_name"):
+            _csv_rows(path, "source_name,region_id")   # before any row is asked for
+        header, rows = _csv_rows(path, "date,region,new_cases")
+        assert header == "date,region,new_cases"
+        assert next(rows) == (3, ["2020-03-01", "a", "1"])
+        with pytest.raises(DataError, match=re.escape("t.csv:4: expected 3 columns, got 2")):
+            next(rows)
+
+    @pytest.mark.parametrize("load,header,row", LOADERS)
+    def test_first_fault_in_file_order_is_reported(self, tmp_path, load, header, row):
+        # line 2 names an unknown region, line 3 has the wrong width, and a
+        # byte past both, in the next 8 KiB read, is not UTF-8
+        bad = ",".join(["2020-03-01", "zz", "zz", "1"][:header.count(",") + 1])
+        if load is load_region_map:
+            bad = "x,a\nx"   # no per-row check: a width fault on line 3 only
+        path = tmp_path / "t.csv"
+        path.write_bytes(f"{header}\n{bad}\n{row.rstrip()},extra\n".encode()
+                         + b"#" * 10_000 + b"\xff\n")
+        first = (r"t\.csv:3: expected \d columns" if load is load_region_map
+                 else r"t\.csv:2: unknown region id 'zz'")
+        with pytest.raises(DataError, match=first):
+            load(str(path))
+
+    def test_rows_are_streamed_in_bounded_memory(self, tmp_path):
+        path = tmp_path / "big.csv"
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("date,region,new_cases\n")
+            fh.writelines(f"2020-03-{1 + k % 28:02d},R{k % 1000:04d},{k % 97}.0\n"
+                          for k in range(200_000))
+        tracemalloc.start()
+        try:
+            _, rows = _csv_rows(str(path), "date,region,new_cases")
+            count = sum(1 for _ in rows)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert count == 200_000
+        # measured: 0.04 MB streamed, against 66 MB for a list of every row
+        assert peak < 1 << 20
+
     def test_mobility_accepts_either_header(self, tmp_path):
         path = write(tmp_path / "m.csv", "date,time_of_day,origin,destination\n")
         with pytest.raises(DataError, match="expected header date,time_of_day,origin,"
@@ -374,6 +417,19 @@ class TestCountryDataset:
                            [np.eye(2)])
         with pytest.raises(DataError, match="comma or line break"):
             CountryDataset(name, ["a"], ["2020-03-01"], [[1]], [np.eye(1)])
+
+    def test_id_holding_any_break_of_splitlines_rejected(self):
+        # load_report_rows splits rows.csv with str.splitlines(), which also
+        # breaks on \v, \f, \x1c-\x1e, \x85, \u2028 and \u2029
+        breaks = [ch for ch in map(chr, range(0x110000)) if len(f"a{ch}b".splitlines()) > 1]
+        assert len(breaks) == 10
+        for ch in breaks:
+            with pytest.raises(DataError, match=re.escape(f"id {'r' + ch + '1'!r} contains "
+                                                          "a comma or line break")):
+                CountryDataset("X", ["a", f"r{ch}1"], ["2020-03-01"], [[1], [2]],
+                               [np.eye(2)])
+            with pytest.raises(DataError, match="comma or line break"):
+                CountryDataset(f"X{ch}", ["a"], ["2020-03-01"], [[1]], [np.eye(1)])
 
 
 class TestSyntheticGeneration:
@@ -631,6 +687,17 @@ class TestBundles:
         with pytest.raises(BundleError, match=message):
             load_bundle(str(bdir))
 
+    @pytest.mark.parametrize("tail,message", [
+        (b"2020-03-01,R00\n", r"cases\.csv:\d+: expected 3 columns, got 2"),
+        (b"2020-03-01,R00,\xff\n", r"cannot read .*cases\.csv: .*utf-8"),
+    ], ids=["width", "decode"])
+    def test_cases_fault_found_partway_is_a_bundle_error(self, tmp_path, tail, message):
+        _, bdir = self.saved(tmp_path)
+        path = bdir / "cases.csv"
+        path.write_bytes(path.read_bytes() + tail)
+        with pytest.raises(BundleError, match=message):
+            load_bundle(str(bdir))
+
     def test_save_is_byte_deterministic(self, tmp_path):
         ds = small_synthetic(seed=11, n=3, days=6)
         save_bundle(ds, str(tmp_path / "x"))
@@ -671,6 +738,35 @@ class TestWriteFile:
         assert not isinstance(exc.value, DataError)
         assert path.read_text() == "old"
 
+    def test_writes_an_iterable_of_chunks(self, tmp_path):
+        path = tmp_path / "out.txt"
+        write_file(str(path), (f"{k}\u00e9\n" for k in range(3)))
+        assert path.read_bytes() == "0\u00e9\n1\u00e9\n2\u00e9\n".encode("utf-8")
+        assert os.listdir(tmp_path) == ["out.txt"]
+
+    def test_chunk_that_raises_leaves_the_old_file_and_no_temp(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        path.write_bytes(b"old rows\n")
+
+        def chunks():
+            yield "header\n"
+            yield "row 1\n"
+            raise RuntimeError("cell failed halfway")
+
+        with pytest.raises(RuntimeError, match="cell failed halfway"):
+            write_file(str(path), chunks())
+        assert path.read_bytes() == b"old rows\n"
+        assert os.listdir(tmp_path) == ["rows.csv"]
+
+    def test_failed_rename_removes_the_temp_file(self, tmp_path):
+        path = tmp_path / "out"
+        path.mkdir()   # a non-empty directory cannot be replaced by a file
+        (path / "kept").write_text("x")
+        with pytest.raises(WriteError, match=f"cannot write {re.escape(str(path))}: "):
+            write_file(str(path), "new")
+        assert os.listdir(tmp_path) == ["out"]
+        assert os.listdir(path) == ["kept"]
+
     def test_make_dir_over_a_file_fails_cleanly(self, tmp_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("a file")
@@ -684,6 +780,20 @@ class TestWriteFile:
 
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "mobicast")
+
+
+def writing_open_mode(node) -> str | None:
+    """The mode of `node` if it is a call of open with a mode that writes,
+    appends or creates (or a mode that is not a literal), else None."""
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "open"):
+        return None
+    mode = node.args[1] if len(node.args) > 1 else next(
+        (kw.value for kw in node.keywords if kw.arg == "mode"), None)
+    if mode is None or (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                        and not set(mode.value) & set("wax+")):
+        return None
+    return ast.unparse(mode)
 
 
 def disk_writes(source: str) -> list:
@@ -700,14 +810,26 @@ def disk_writes(source: str) -> list:
                     ("os", "replace"), ("os", "rename"), ("os", "makedirs"),
                     ("os", "mkdir"), ("np", "save"), ("np", "savez")}):
             found.append(f"{func.value.id}.{func.attr}")
-        elif isinstance(func, ast.Name) and func.id == "open":
-            mode = node.args[1] if len(node.args) > 1 else next(
-                (kw.value for kw in node.keywords if kw.arg == "mode"), None)
-            if mode is None:
-                continue
-            if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)) \
-                    or set(mode.value) & set("wax+"):
-                found.append(f"open({ast.unparse(mode)})")
+        elif (mode := writing_open_mode(node)) is not None:
+            found.append(f"open({mode})")
+    return found
+
+
+def writing_opens(source: str) -> list:
+    """The qualified name of the def or class around each open in `source`
+    that writes (see writing_open_mode), "<module>" outside any."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if writing_open_mode(child) is not None:
+                found.append(scope or "<module>")
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+            else:
+                visit(child, scope)
+
+    visit(ast.parse(source), "")
     return found
 
 
@@ -725,6 +847,23 @@ class TestOneWriter:
         assert disk_writes("os.makedirs(d, exist_ok=True)") == ["os.makedirs"]
         assert disk_writes("open(p); open(p, 'rb'); open(p, encoding='utf-8');"
                            "os.path.join(a, b); np.load(f)") == []
+
+    def test_writing_opens_are_placed(self):
+        source = ("open(p, 'w')\n"
+                  "def f(p):\n    with open(p, 'rb') as fh, open(p + 't', 'xb'):\n"
+                  "        def g():\n            return open(p, mode=m)\n"
+                  "class C:\n    def h(self):\n        open(p, 'a')\n")
+        assert writing_opens(source) == ["<module>", "f", "f.g", "C.h"]
+
+    def test_only_write_file_opens_for_writing(self):
+        # a streamed writer that opened its own file would bypass the
+        # write-to-.tmp-then-rename guarantee
+        found = {}
+        for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+            scopes = writing_opens(read_file(path))
+            if scopes:
+                found[os.path.basename(path)[:-3]] = scopes
+        assert found == {"dataio": ["write_file"]}
 
     def test_only_dataio_writes(self):
         paths = sorted(glob.glob(os.path.join(SRC, "*.py")))
