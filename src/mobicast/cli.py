@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import ctypes
 import dataclasses
-import hashlib
 import io
 import json
 import os
@@ -48,6 +47,7 @@ from .evaluation import (
     load_report_rows,
     rolling_evaluate,
 )
+from .rng import sha256
 
 MANIFEST_NAME = "run.json"
 DATA_DIR_ENV = "MOBICAST_DATA"
@@ -76,7 +76,7 @@ def keep_heap_resident() -> None:
 
 def config_digest(doc: dict) -> str:
     blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return sha256(blob.encode("utf-8")).hexdigest()
 
 
 def _check_type(key: str, value, hint, prefix: str) -> None:

@@ -1,5 +1,5 @@
 """Ingestion of mobility/case files, alignment, synthetic epidemics, bundles,
-the whole-file reader and the streamed CSV reader every input goes through,
+the whole-file, line and streamed CSV readers every input goes through,
 and the one atomic writer every output goes through.
 
 Matrix convention everywhere: mobility M[u][v] is the number of people moving
@@ -14,7 +14,6 @@ import csv
 import datetime
 import io
 import json
-import logging
 import os
 from dataclasses import dataclass
 
@@ -22,8 +21,6 @@ import numpy as np
 
 from .errors import BundleError, ContractError, DataError, ShapeError, WriteError
 from .rng import Rng, derive_seed
-
-log = logging.getLogger(__name__)
 
 BUNDLE_FORMAT_VERSION = "2"
 # every character str.splitlines() breaks on, so no id can split a report row
@@ -62,6 +59,18 @@ def read_file(path: str, binary: bool = False, error=DataError):
         raise error(f"cannot read {path}: {exc}") from exc
 
 
+def read_lines(path: str, error=DataError):
+    """Yield the lines of UTF-8 text file `path` one at a time, split exactly
+    as str.splitlines() splits its whole text; a file that cannot be read or
+    decoded raises `error` ("cannot read <path>: ...") when reached."""
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            for chunk in fh:   # ends at \n, \r or \r\n, the other breaks inside
+                yield from chunk.splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {path}: {exc}") from exc
+
+
 def write_file(path: str, data) -> None:
     """Write `data` (str, as UTF-8, bytes, or an iterable of such chunks) to
     path + ".tmp", creating the parent directory, then rename it over `path`:
@@ -81,6 +90,13 @@ def write_file(path: str, data) -> None:
         if isinstance(exc, OSError):
             raise WriteError(f"cannot write {path}: {exc}") from exc
         raise
+
+
+def _log():
+    """This module's logger, imported when an ingest step first reports, so
+    commands that never ingest do not load logging."""
+    import logging
+    return logging.getLogger(__name__)
 
 
 # ---------------------------------------------------------------- records
@@ -331,9 +347,9 @@ def load_cases(path: str, regions, region_map: dict | None = None):
         matrix[ridx, (date - lo).days] = value
     stats.missing = len(regions) * len(dates) - len(records)
     if stats.clamped:
-        log.warning("%s: clamped %d negative case values to 0", path, stats.clamped)
+        _log().warning("%s: clamped %d negative case values to 0", path, stats.clamped)
     if stats.missing:
-        log.warning("%s: %d (region, day) pairs absent, filled with 0", path, stats.missing)
+        _log().warning("%s: %d (region, day) pairs absent, filled with 0", path, stats.missing)
     return tuple(dates), matrix, stats
 
 
@@ -356,8 +372,8 @@ def align_and_filter(raw: RawCountryData, min_total_cases: int = 10) -> CountryD
     kept = set(keep.tolist())
     dropped = [raw.regions[i] for i in range(len(raw.regions)) if i not in kept]
     if dropped:
-        log.info("%s: dropping %d low-case regions: %s",
-                 raw.country, len(dropped), ", ".join(map(str, dropped)))
+        _log().info("%s: dropping %d low-case regions: %s",
+                    raw.country, len(dropped), ", ".join(map(str, dropped)))
     regions = [raw.regions[i] for i in keep]
     cases = cases[keep]
     mobility = [m[np.ix_(keep, keep)] for m in mobility]

@@ -3,7 +3,6 @@ correlation metrics, and CSV/JSON report emission."""
 
 from __future__ import annotations
 
-import concurrent.futures
 import contextlib
 import functools
 import json
@@ -15,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .baselines import ar_fit, ar_predict, avg_predict, avg_window_predict, last_day_predict
-from .dataio import CountryDataset, make_dir, read_file, write_file
+from .dataio import CountryDataset, make_dir, read_lines, write_file
 from .errors import (CheckpointError, ContractError, DataError, InsufficientDataError,
                      SkippedCell, TrainingDivergedError)
 from .graphs import normalized_graphs
@@ -161,22 +160,20 @@ def range_summary(cells) -> dict:
     inside it, so horizons contribute in proportion to their completed cells.
     The errors of a range keep the cells' order.  Skipped cells are left out.
     """
-    cells = [cell for cell in cells if cell.reason is None]
-    if not cells:
-        return {}
-    sizes = [len(cell.regions) for cell in cells]
-    errors = np.concatenate([cell.abs_error for cell in cells])
-    models = np.repeat([cell.model for cell in cells], sizes)
-    horizons = np.repeat([cell.horizon for cell in cells], sizes)
-    singles = tuple((j, j) for j in sorted({cell.horizon for cell in cells}))
+    by_model = {}   # model -> (horizon, absolute errors) per scored cell
+    for cell in cells:
+        if cell.reason is None:
+            by_model.setdefault(cell.model, []).append((cell.horizon, cell.abs_error))
+    singles = tuple((j, j) for j in sorted(
+        {j for scored in by_model.values() for j, _ in scored}))
     out = {}
-    for model in sorted({cell.model for cell in cells}):
-        of_model = models == model
+    for model in sorted(by_model):
         entry = {}
         for lo, hi in SUMMARY_RANGES + singles:
-            in_range = of_model & (horizons >= lo) & (horizons <= hi)
-            if in_range.any():
-                entry[f"{lo}-{hi}"] = error_metric(errors[in_range])
+            picked = [err for j, err in by_model[model] if lo <= j <= hi]
+            errors = np.concatenate(picked) if picked else np.empty(0)
+            if errors.size:
+                entry[f"{lo}-{hi}"] = error_metric(errors)
         out[model] = entry
     return out
 
@@ -434,6 +431,7 @@ def _submitter(ctx: _CellContext, work: int):
     if ctx.config.jobs == 1 or ctx.load_only:
         yield lambda item: functools.partial(_run_task, ctx, item)
         return
+    import concurrent.futures   # only a pooled grid loads it (and logging)
     # a fork-started pool starts every worker at its first submit
     workers = min(ctx.config.jobs, work, os.cpu_count() or 1)
     with concurrent.futures.ProcessPoolExecutor(
@@ -574,44 +572,72 @@ def load_report_rows(path: str) -> list:
     row.  A malformed row, a nan or inf or an error past the float64 range, a
     region repeated within a cell, a cell whose rows are not adjacent and a
     cell with a second skip line or with a skip line and rows are each a
-    DataError naming the file.
+    DataError naming the file.  The file is read one line at a time, and
+    each cell is built when its rows end.
     """
-    lines = read_file(path).splitlines()
-    if ROWS_HEADER not in lines:
+    lines = enumerate(read_lines(path), 1)
+    head = []   # the lines above the header
+    for _, ln in lines:
+        if ln == ROWS_HEADER:
+            break
+        head.append(ln)
+    else:
         raise DataError(f"{path}: not a rows.csv report")
-    head = lines.index(ROWS_HEADER)
-    skipped = [parse_skip_line(ln, path) for ln in lines[:head] if ln]
-    groups = {}   # cell key -> (line number, region, prediction, actual) per row
-    last = None
-    for lineno, ln in enumerate(lines[head + 1:], head + 2):
+    skipped = [parse_skip_line(ln, path) for ln in head if ln]
+    cells, shared, fault = [], {}, None   # shared: one regions tuple per region list
+    for key, rows in _report_groups(path, lines):
+        linenos, regions, preds, actuals = zip(*rows)
+        cell = CellResult(*key, shared.setdefault(regions, regions), np.array(preds),
+                          np.array(actuals))
+        fault = fault or _cell_fault(path, cell, linenos)
+        cells.append(cell)
+    if fault is not None:   # raised after the last row, so a malformed row comes first
+        raise fault
+    keys = {cell.key for cell in cells}
+    seen = set(keys)
+    for skip in skipped:
+        if skip.key in seen:
+            raise DataError(f"{path}: cell {cell_label(skip.key)} has a skip line "
+                            f"and {'rows' if skip.key in keys else 'another skip line'}")
+        seen.add(skip.key)
+    return skipped + cells
+
+
+def _report_groups(path: str, lines):
+    """Each cell's key and its (line number, region, prediction, actual)
+    rows, read from (line number, line) pairs one cell at a time.  A
+    malformed row, or a cell whose rows are not adjacent, is a DataError."""
+    keys, key, rows = set(), None, []
+    for lineno, ln in lines:
         if not ln:
             continue
         try:   # a wrong width fails the unpacking, a bad number its parse
             country, model, t, j, region, pred, actual, _ = ln.split(",")
-            key = (country, model, int(t), int(j))
+            row_key = (country, model, int(t), int(j))
             row = (lineno, region, float(pred), float(actual))
         except ValueError:
             raise DataError(f"{path}: malformed row {ln!r}") from None
-        if key != last and key in groups:
-            raise DataError(f"{path} line {lineno}: cell {cell_label(key)} "
-                            f"continues after other cells' rows")
-        groups.setdefault(key, []).append(row)
-        last = key
-    cells = []
-    for key, rows in groups.items():
-        linenos, regions, preds, actuals = zip(*rows)
-        cell = CellResult(*key, regions, np.array(preds), np.array(actuals))
-        bad = np.flatnonzero(~np.isfinite(cell.abs_error))
-        if bad.size:
-            raise DataError(f"{path} line {linenos[bad[0]]}: prediction {preds[bad[0]]!r} "
-                            f"and actual {actuals[bad[0]]!r} have no finite error")
-        if len(set(regions)) != len(regions):
-            raise DataError(f"{path}: cell {cell_label(key)} repeats a region")
-        cells.append(cell)
-    seen = set(groups)
-    for skip in skipped:
-        if skip.key in seen:
-            raise DataError(f"{path}: cell {cell_label(skip.key)} has a skip line "
-                            f"and {'rows' if skip.key in groups else 'another skip line'}")
-        seen.add(skip.key)
-    return skipped + cells
+        if row_key != key:
+            if row_key in keys:
+                raise DataError(f"{path} line {lineno}: cell {cell_label(row_key)} "
+                                f"continues after other cells' rows")
+            if rows:
+                yield key, rows
+            key, rows = row_key, []
+            keys.add(key)
+        rows.append(row)
+    if rows:
+        yield key, rows
+
+
+def _cell_fault(path: str, cell: CellResult, linenos: tuple) -> Optional[DataError]:
+    """Why a read-back cell is not one emit_report wrote, or None: an error
+    that is not finite, or a region given twice."""
+    bad = np.flatnonzero(~np.isfinite(cell.abs_error))
+    if bad.size:
+        i = bad[0]
+        return DataError(f"{path} line {linenos[i]}: prediction {float(cell.prediction[i])!r} "
+                         f"and actual {float(cell.actual[i])!r} have no finite error")
+    if len(set(cell.regions)) != len(cell.regions):
+        return DataError(f"{path}: cell {cell_label(cell.key)} repeats a region")
+    return None

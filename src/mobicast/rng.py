@@ -9,12 +9,21 @@ state.
 
 from __future__ import annotations
 
-import hashlib
 import math
 
 import numpy as np
 
 from .errors import ContractError
+
+# CPython's built-in SHA-256, the module hashlib itself falls back to: hashlib
+# would load OpenSSL's libcrypto (about 3.5 MB resident) for a few bytes a cell
+try:
+    from _sha2 import sha256           # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256     # CPython 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 _GAMMA_INT = 0x9E3779B97F4A7C15
 _GAMMA = np.uint64(_GAMMA_INT)
@@ -67,7 +76,7 @@ def _shape(size) -> tuple:
 
 def derive_seed(base: int, *parts) -> int:
     """Hash a base seed and a tuple of ints/strings into a fresh 63-bit seed."""
-    h = hashlib.sha256()
+    h = sha256()
     h.update(str(int(base) & _MASK64).encode("ascii"))
     for part in parts:
         if isinstance(part, (int, np.integer)):

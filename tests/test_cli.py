@@ -178,6 +178,12 @@ class TestRunConfig:
         # config schema was derived from the dataclasses
         assert config_digest(dataclasses.asdict(run_config_from_dict(doc))) == digest
 
+    def test_digest_is_sha256_of_the_canonical_json(self):
+        doc = {"seed": 7, "models": ["MPNN", "AVG"], "train": {"hidden": 8, "lr": 0.01},
+               "grid": {"horizons": [7, 1]}, "note": "r\u00e9gion"}
+        blob = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        assert config_digest(doc) == hashlib.sha256(blob).hexdigest()
+
     def test_settable_values_counted(self):
         def leaves(cls):
             return sum(leaves(type(f.default)) if dataclasses.is_dataclass(f.default)

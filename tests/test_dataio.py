@@ -17,7 +17,8 @@ from mobicast.cli import main
 from mobicast.dataio import (CountryDataset, RawCountryData, SyntheticConfig,
                              _csv_rows, align_and_filter, generate_synthetic, load_bundle,
                              load_cases, load_mobility, load_region_map,
-                             make_dir, read_file, save_bundle, write_file)
+                             make_dir, read_file, read_lines, save_bundle,
+                             write_file)
 from mobicast.errors import BundleError, CheckpointError, DataError, WriteError
 
 REGIONS = ["a", "b", "c"]
@@ -117,6 +118,17 @@ class TestLoadCases:
         _, matrix, stats = load_cases(path, REGIONS)
         assert matrix[0, 1] == 0.0
         assert stats.clamped == 1
+
+    def test_faults_are_logged(self, tmp_path, caplog):
+        path = write(tmp_path / "c.csv",
+                     "date,region,new_cases\n"
+                     "2020-03-01,a,5\n"
+                     "2020-03-02,a,-3\n")
+        with caplog.at_level("WARNING", logger="mobicast.dataio"):
+            load_cases(path, REGIONS)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"{path}: clamped 1 negative case values to 0",
+            f"{path}: 4 (region, day) pairs absent, filled with 0"]
 
     def test_missing_pairs_counted(self, tmp_path):
         path = write(tmp_path / "c.csv",
@@ -899,6 +911,21 @@ class TestOneReader:
                           "io.open(p); os.open(p, 0)") == [
             "np.fromfile", "np.lib.format.read_array", "io.open", "os.open"]
         assert disk_reads("read_file(p); json.loads(s); fh.read(); np.save(f, x)") == []
+
+    def test_lines_split_as_splitlines_of_the_whole_text(self, tmp_path):
+        # \r\n pairs straddle the reader's 8 KiB chunks at some line length
+        text = ("a\r\nb\rc\n\nd\x1ce\x1d\x1e\x85f\u2028g\u2029\v\fh\x1fi\r"
+                + "".join("x" * k + "\r\n\r" for k in range(8180, 8200)) + "\u00e9")
+        path = tmp_path / "f.txt"
+        path.write_bytes(text.encode("utf-8"))
+        assert list(read_lines(str(path))) == text.splitlines()
+        path.write_bytes(b"ok\n\xff\n")
+        with pytest.raises(DataError, match=f"^cannot read {re.escape(str(path))}: "
+                           ".*utf-8.*can't decode"):
+            list(read_lines(str(path)))
+        missing = str(tmp_path / "absent")
+        with pytest.raises(CheckpointError, match=f"^cannot read {re.escape(missing)}: "):
+            list(read_lines(missing, error=CheckpointError))
 
     def test_only_dataio_reads(self):
         paths = sorted(glob.glob(os.path.join(SRC, "*.py")))

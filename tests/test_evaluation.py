@@ -843,6 +843,48 @@ class TestEmitReport:
         # its encoding took 26.4 MB
         assert peak < 6 << 20
 
+    @staticmethod
+    def hundred_thousand_rows(model):
+        """1,000 cells of 100 regions: horizons 1, 7 and 14 at each anchor."""
+        regions = tuple(f"R{i:03d}" for i in range(100))
+        rng = np.random.default_rng(0)
+        return [CellResult("AA", model, 40 + c // 3, (1, 7, 14)[c % 3], regions,
+                           rng.random(100) * 100, rng.random(100) * 100)
+                for c in range(1000)]
+
+    def test_summary_holds_no_per_row_model_names(self, tmp_path):
+        cells = self.hundred_thousand_rows("MPNN_LSTM")
+        tracemalloc.start()
+        try:
+            paths = emit_report(cells, str(tmp_path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        with open(paths["summary"], encoding="utf-8") as fh:
+            assert sorted(json.load(fh)["MPNN_LSTM"]) == ["1-1", "1-14", "1-3", "1-7",
+                                                          "14-14", "7-7"]
+        # measured on 100,000 rows (a 7.5 MB rows.csv): 2.2 MB, the errors
+        # of every cell and of the widest range; a fixed-width array of the
+        # rows' model names, 36 bytes a row, took it to 5.9 MB
+        assert peak < 3.5 * 2**20
+
+    def test_rows_are_read_back_in_bounded_memory(self, tmp_path):
+        cells = self.hundred_thousand_rows("MPNN_LSTM")
+        rows = emit_report(cells, str(tmp_path))["rows"]
+        expected = [(cell.key, cell.prediction[-1]) for cell in cells]
+        del cells
+        tracemalloc.start()
+        try:
+            loaded = load_report_rows(rows)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [(cell.key, cell.prediction[-1]) for cell in loaded] == expected
+        # measured on the same 7.5 MB rows.csv: 2.2 MB, almost all of it the
+        # 1,000 cells returned, which share one regions tuple; holding the
+        # text, its lines and a tuple per row took 35.8 MB
+        assert peak < 3 * 2**20
+
     def test_byte_deterministic(self, tmp_path):
         report = self.sample_report()
         paths_a = emit_report(report, str(tmp_path / "a"))
@@ -921,4 +963,25 @@ class TestEmitReport:
         bad.write_text("country,model,T,horizon,region,prediction,actual,abs_error\n"
                        f"{row}\n")
         with pytest.raises(DataError, match=f"rows.csv: malformed row '{row}'"):
+            load_report_rows(str(bad))
+
+    def test_malformed_row_reported_before_earlier_cells_faults(self, tmp_path):
+        # rows are read one cell at a time, yet the file's first parse error
+        # still comes before a cell fault, and a bad skip line before that
+        bad = tmp_path / "rows.csv"
+        rows = ["country,model,T,horizon,region,prediction,actual,abs_error",
+                "AA,AVG,14,1,r0,nan,2.0,1.0", "AA,AVG,15,1,r0,1.0,2.0,1.0",
+                "AA,AVG,15,1,r0,1.0,2.0,1.0", "AA,AVG,16,1,r0,1.0"]
+        bad.write_text("\n".join(rows) + "\n")
+        with pytest.raises(DataError, match="malformed row 'AA,AVG,16,1,r0,1.0'"):
+            load_report_rows(str(bad))
+        bad.write_text("\n".join(rows[:-1]) + "\n")
+        with pytest.raises(DataError, match="line 2: prediction nan and actual 2.0"):
+            load_report_rows(str(bad))
+        bad.write_text("\n".join(["# nonsense", "# skipped country=AA model=AVG T=14 "
+                                                "j=1: x"] + rows) + "\n")
+        with pytest.raises(DataError, match="unrecognized skip line '# nonsense'"):
+            load_report_rows(str(bad))
+        bad.write_text("# nonsense\n")
+        with pytest.raises(DataError, match="not a rows.csv report"):
             load_report_rows(str(bad))

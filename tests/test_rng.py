@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mobicast.errors import ContractError
-from mobicast.rng import Rng, derive_seed
+from mobicast.rng import Rng, derive_seed, sha256
 
 MASK = (1 << 64) - 1
 
@@ -196,6 +196,18 @@ class TestSeedDerivation:
         with pytest.raises(ContractError):
             derive_seed(0, 1.5)
 
+    @pytest.mark.parametrize("args,seed", [
+        ((0,), 4066689987807800415),
+        ((7, "AA", 14, 1), 9220286777708782061),
+        ((2**63 + 5, "meta", "BB"), 8209737652733523878),
+        ((3, np.int64(-4), "\u00e9"), 6693587442911053649),
+        ((123456789, np.int64(2**40), "MPNN_TL", 99), 7326619289827552361),
+    ])
+    def test_pinned_values(self, args, seed):
+        # computed through hashlib.sha256; seeds name every cell's stream and
+        # checkpoint, so whichever sha256 implementation is loaded gives these
+        assert derive_seed(*args) == seed
+
     def test_spawn_streams_independent(self):
         rng = Rng(77)
         a = rng.spawn("left").random(32)
@@ -203,6 +215,19 @@ class TestSeedDerivation:
         assert not np.array_equal(a, b)
         # spawn does not consume from the parent stream
         assert np.array_equal(rng.random(8), Rng(77).random(8))
+
+
+class TestSha256:
+    @pytest.mark.parametrize("data,digest", [
+        (b"", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        (b"abc", "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"),
+    ])
+    def test_fips_180_2_known_answers(self, data, digest):
+        assert sha256(data).hexdigest() == digest
+        h = sha256()
+        for byte in data:
+            h.update(bytes([byte]))
+        assert h.hexdigest() == digest
 
 
 class TestPinnedOutputs:
