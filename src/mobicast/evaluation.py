@@ -284,16 +284,21 @@ class _CellContext:
     # the AR fit of the last (country, T) this process scored
     ar_fits: dict = field(default_factory=dict, compare=False)
 
+    def foreign(self, country: str) -> list:
+        """Every other country's dataset, in request order: what `country`
+        transfers from, for meta-training and TL_BASE alike."""
+        return [ds for other, ds in self.datasets.items() if other != country]
+
 
 def _meta_task(ctx: _CellContext, target: str):
     """The target's shared MPNN_TL initialization, or why meta-training failed.
 
-    Learns from every other country's task grid with a seed derived from
-    (seed, "meta", target), and saves <target>__MPNN_TL__meta.ckpt into the
-    checkpoint directory when there is one.
+    Learns from the task grids of ctx.foreign(target) with a seed derived
+    from (seed, "meta", target), and saves <target>__MPNN_TL__meta.ckpt
+    into the checkpoint directory when there is one.
     """
     cfg = ctx.config
-    foreign = [ds for country, ds in ctx.datasets.items() if country != target]
+    foreign = ctx.foreign(target)
     seed = derive_seed(cfg.seed, "meta", target)
     model = build_model("MPNN", cfg.train)
     try:
@@ -307,18 +312,13 @@ def _meta_task(ctx: _CellContext, target: str):
     return state
 
 
-def _run_task(ctx: _CellContext, item):
-    """Run a target's meta-training (a country name) or one evaluate_cell."""
-    if isinstance(item, str):
-        return _meta_task(ctx, item)
-    return evaluate_cell(ctx, *item)
-
-
 def _run_cell(task):
-    """Pool entry point.  In-process cells call _run_task instead: the
+    """Pool entry point: task is (function, args), run as function(ctx,
+    *args) on the worker's context.  In-process tasks never come here: the
     benchmark tracer wraps this function and counts each call as a forked
     worker's cell, so an in-process call would count the parent twice."""
-    return _run_task(_CELL_CTX, task)
+    fn, args = task
+    return fn(_CELL_CTX, *args)
 
 
 def _cell_path(ctx: _CellContext, task) -> Optional[str]:
@@ -358,7 +358,7 @@ def _trainable_cell(ctx: _CellContext, task, dataset, shared) -> np.ndarray:
     if ckpt is None:
         cell_seed = derive_seed(ctx.config.seed, country, t, j)
         if model_name == "TL_BASE":
-            ckpt = tl_base_train(list(ctx.datasets.values()), splits, model,
+            ckpt = tl_base_train(ctx.foreign(country), splits, model,
                                  ctx.config.train, cell_seed)
         else:
             ckpt = train_model(splits, model, ctx.config.train, cell_seed,
@@ -375,16 +375,18 @@ def evaluate_cell(ctx: _CellContext, country: str, model_name: str, t: int,
     CellResult, scored or skipped.
 
     `shared`, passed to MPNN_TL cells only, is the country's meta-trained
-    ModelState or the reason it has none.  A cell is skipped, with its
-    reason, when it lacks the data its model needs, its training diverged (a
-    non-finite loss, or a non-finite validation or test forecast) or it has
-    no shared initialization.  A training run keeps the last two reasons as
-    the cell's checkpoint.  A baseline whose forecast is not finite (a
-    history near the float64 limit) is skipped too.
+    ModelState or the reason it has none; a TL_BASE cell pools the samples
+    of ctx.foreign(country).  A cell is skipped, with its reason, when it
+    lacks the data its model needs, its training diverged (a non-finite
+    loss, or a non-finite validation or test forecast) or it has no shared
+    initialization.  A training run keeps the last two reasons as the
+    cell's checkpoint.  An MPNN_TL cell with no foreign country is skipped
+    too, as is a baseline whose forecast is not finite (a history near the
+    float64 limit).
     """
     task = (country, model_name, t, j)
     dataset = ctx.datasets[country]
-    if model_name == "MPNN_TL" and len(ctx.datasets) == 1:
+    if model_name == "MPNN_TL" and not ctx.foreign(country):
         return CellResult(*task, reason="transfer initialization needs at least "
                                         "one other country")
     if isinstance(shared, str):
@@ -425,11 +427,12 @@ def _grid_tasks(datasets, config: EvalConfig):
 
 @contextlib.contextmanager
 def _submitter(ctx: _CellContext, work: int):
-    """Yield submit(item) -> outcome(), for a meta task (a target name) or
-    a cell (a task tuple).  In-process, outcome() runs the item; otherwise
-    submit queues it on at most `work` workers and outcome() waits for it."""
+    """Yield submit(fn, *args) -> outcome(), for a task fn(ctx, *args):
+    _meta_task or evaluate_cell.  In-process, outcome() runs it; otherwise
+    submit queues (fn, args) on at most `work` workers, which pickle fn by
+    name, and outcome() waits for it."""
     if ctx.config.jobs == 1 or ctx.load_only:
-        yield lambda item: functools.partial(_run_task, ctx, item)
+        yield lambda fn, *args: functools.partial(fn, ctx, *args)
         return
     import concurrent.futures   # only a pooled grid loads it (and logging)
     # a fork-started pool starts every worker at its first submit
@@ -438,7 +441,7 @@ def _submitter(ctx: _CellContext, work: int):
             max_workers=workers, initializer=_init_cell_worker,
             initargs=(ctx,)) as pool:
         try:   # _run_cell is read at each submit: the benchmark tracer patches it
-            yield lambda item: pool.submit(_run_cell, item).result
+            yield lambda fn, *args: pool.submit(_run_cell, (fn, args)).result
         except BaseException:
             pool.shutdown(cancel_futures=True)  # start no queued cell after a failure
             raise
@@ -452,12 +455,16 @@ def rolling_evaluate(datasets, config: EvalConfig,
 
     Each cell trains its own model with a seed derived from (seed, country,
     T, horizon), so cells are reproducible independently of execution order.
-    Each target's MPNN_TL meta-training and every cell that waits for none
-    are submitted first; each target's MPNN_TL cells follow once its meta
-    outcome is read.  In-process, that runs every meta task, then every cell
-    in grid order; `config.jobs` > 1 runs them over worker processes in the
-    order submitted.  Cells without enough data, or whose training diverged,
-    are skipped with their reason, not failed; any other error stops the grid.
+    A target's meta-training and TL_BASE cells learn from its foreign list,
+    `_CellContext.foreign`: every other country, in request order.  Every
+    task, `_meta_task` or `evaluate_cell` with its arguments, goes to one
+    submit.  Each target's MPNN_TL meta-training and every cell that waits
+    for none are submitted first; each target's MPNN_TL cells follow once
+    its meta outcome is read.  In-process, that runs every meta task, then
+    every cell in grid order; `config.jobs` > 1 runs them over worker
+    processes in the order submitted.  Cells without enough data, or whose
+    training diverged, are skipped with their reason, not failed; any other
+    error stops the grid.
 
     With `load_only`, every trainable cell loads its checkpoint from
     checkpoint_dir instead of training: nothing is meta-trained or saved,
@@ -474,16 +481,16 @@ def rolling_evaluate(datasets, config: EvalConfig,
         normalized_graphs(ds)   # once, before any worker forks
     ctx = _CellContext(datasets={ds.country: ds for ds in datasets}, config=config,
                        checkpoint_dir=checkpoint_dir, load_only=load_only)
-    # one meta-training per target country, each on all the others
-    targets = ([ds.country for ds in datasets] if "MPNN_TL" in config.models
-               and len(datasets) > 1 and not load_only else [])
+    # one meta-training per target country with a foreign country to learn from
+    targets = ([country for country in ctx.datasets if ctx.foreign(country)]
+               if "MPNN_TL" in config.models and not load_only else [])
     with _submitter(ctx, len(targets) + len(tasks)) as submit:
-        metas = {target: submit(target) for target in targets}
+        metas = {target: submit(_meta_task, target) for target in targets}
         # a target's MPNN_TL cells wait for its meta outcome; the rest go now
-        outcomes = [None if task[1] == "MPNN_TL" and task[0] in metas else submit(task)
-                    for task in tasks]
+        outcomes = [None if task[1] == "MPNN_TL" and task[0] in metas
+                    else submit(evaluate_cell, *task) for task in tasks]
         shared = {target: outcome() for target, outcome in metas.items()}
-        outcomes = [outcome or submit((*task, shared[task[0]]))
+        outcomes = [outcome or submit(evaluate_cell, *task, shared[task[0]])
                     for task, outcome in zip(tasks, outcomes)]
         return [outcome() for outcome in outcomes]   # grid order
 

@@ -127,24 +127,14 @@ def maml_meta_train(datasets: list, model, config: MetaConfig, seed: int) -> Mod
     return state
 
 
-def tl_base_train(datasets: list, splits: SplitSpec, model,
+def tl_base_train(foreign: list, splits: SplitSpec, model,
                   train_config: TrainConfig, seed: int) -> Checkpoint:
-    """Train one model on every other country's full sample set pooled with
-    the target's training split; validation and test stay target-only.
-
-    `splits` is the target's cell split at (splits.t, splits.horizon), and
-    splits.country names the target."""
-    target = splits.country
-    found = sum(ds.country == target for ds in datasets)
-    if found != 1:
-        raise ContractError(
-            f"target country {target!r} must appear exactly once, "
-            f"found {found}")
+    """Train one model on the foreign datasets' full sample sets, in list
+    order, pooled with the training split of the target's cell `splits`;
+    validation and test stay target-only.  `foreign` never holds the target."""
     pooled = []
-    for ds in datasets:
-        if ds.country != target:
-            pooled.extend(assemble_samples(ds, model.d, splits.horizon,
-                                           t_end=ds.t_total))
+    for ds in foreign:
+        pooled.extend(assemble_samples(ds, model.d, splits.horizon, t_end=ds.t_total))
     pooled.extend(splits.train)
     return train_model(replace(splits, train=pooled), model, train_config, seed)
 

@@ -530,6 +530,19 @@ class TestNonFiniteForecasts:
         assert checkpoint_kinds(ck) == {"AA__MPNN_TL__T14_j1.ckpt": "mobicast-skip",
                                         "BB__MPNN_TL__T14_j1.ckpt": "mobicast-skip"}
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "one overflowing country disables transfer for every other country: "
+        "_CellContext.foreign hands it to AA's meta-training and TL_BASE cells"))
+    def test_overflowing_country_leaves_others_transfer(self):
+        clean = make_ramp_dataset(n=2, days=18, country="AA")
+        huge = with_huge_cases(clean, "BB")
+        cfg = fast_config(models=["MPNN_TL", "TL_BASE"], grid=self.GRID)
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = rolling_evaluate([clean, huge], cfg)
+        assert [cell[:4] for cell in skips(report) if cell[0] == "AA"] == []
+        assert {(c.country, c.model) for c in scored(report)} >= {
+            ("AA", "MPNN_TL"), ("AA", "TL_BASE")}
+
 
 class TestPoolMetaTraining:
     MODELS = ["MPNN_TL", "TL_BASE", "MPNN"]
@@ -726,6 +739,76 @@ class TestWorkerCount:
                           grid=ProtocolGrid(t_end=19, dt=1))
         rolling_evaluate([ds], cfg)
         assert RecordingExecutor.max_workers == [workers]
+
+
+class TestForeignList:
+    """_CellContext.foreign is what each country transfers from: every other
+    country, in request order, for meta-training and TL_BASE alike."""
+
+    GRID = ProtocolGrid(t_end=15, dt=1)
+
+    @staticmethod
+    def three_countries():
+        return [make_ramp_dataset(n=2 + k, days=18, country=name, seed=k)
+                for k, name in enumerate(("AA", "BB", "CC"))]
+
+    @staticmethod
+    def record_foreign(monkeypatch):
+        """What maml_meta_train and tl_base_train receive, as country lists."""
+        seen = []
+        real_meta, real_base = evaluation.maml_meta_train, evaluation.tl_base_train
+
+        def maml_meta_train(foreign, model, config, seed):
+            seen.append(("meta", [ds.country for ds in foreign]))
+            return real_meta(foreign, model, config, seed)
+
+        def tl_base_train(foreign, splits, model, config, seed):
+            seen.append((splits.country, splits.t, [ds.country for ds in foreign]))
+            return real_base(foreign, splits, model, config, seed)
+
+        monkeypatch.setattr(evaluation, "maml_meta_train", maml_meta_train)
+        monkeypatch.setattr(evaluation, "tl_base_train", tl_base_train)
+        return seen
+
+    def test_each_target_gets_the_others_in_request_order(self, monkeypatch):
+        seen = self.record_foreign(monkeypatch)
+        cfg = fast_config(models=["MPNN_TL", "TL_BASE"], grid=self.GRID)
+        report = rolling_evaluate(self.three_countries(), cfg)
+        assert not skips(report)
+        assert seen == [("meta", ["BB", "CC"]), ("meta", ["AA", "CC"]),
+                        ("meta", ["AA", "BB"])] + [
+            (target, t, others) for target, others in (
+                ("AA", ["BB", "CC"]), ("BB", ["AA", "CC"]), ("CC", ["AA", "BB"]))
+            for t in (14, 15)]
+        serial = list(seen)
+        seen.clear()
+        # the pool stand-in runs each task as submitted: meta tasks, then
+        # the TL_BASE cells in grid order, as in-process
+        RecordingExecutor.max_workers = []
+        monkeypatch.setattr(evaluation, "_CELL_CTX", None)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+        pooled = rolling_evaluate(self.three_countries(), replace(cfg, jobs=2))
+        assert len(RecordingExecutor.max_workers) == 1
+        assert seen == serial
+        assert report_rows(scored(pooled)) == report_rows(scored(report))
+        assert skips(pooled) == skips(report)
+
+    def test_one_country_submits_no_meta_task(self, monkeypatch):
+        seen = self.record_foreign(monkeypatch)
+        submitted = []
+        real = evaluation._meta_task
+
+        def meta_task(ctx, target):
+            submitted.append(target)
+            return real(ctx, target)
+
+        monkeypatch.setattr(evaluation, "_meta_task", meta_task)
+        report = rolling_evaluate(self.three_countries()[:1], fast_config(
+            models=["MPNN_TL"], grid=self.GRID))
+        assert skips(report) == [
+            ("AA", "MPNN_TL", t, 1, "transfer initialization needs at least one "
+                                    "other country") for t in (14, 15)]
+        assert submitted == [] and seen == []
 
 
 class TestCheckpointReuse:
