@@ -186,6 +186,8 @@ class CountryDataset:
             if any(ch in name for ch in "," + _LINE_BREAKS):
                 raise DataError(f"id {name!r} contains a comma or line break, "
                                 f"which report rows cannot hold")
+        if not n:
+            raise DataError(f"{country}: no regions")
         if len(set(regions)) != n:
             raise DataError(f"{country}: duplicate region ids")
         if cases.shape != (n, t):

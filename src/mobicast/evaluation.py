@@ -44,7 +44,8 @@ SUMMARY_RANGES = ((1, 3), (1, 7), (1, 14))
 @dataclass(frozen=True)
 class ProtocolGrid:
     """Rolling anchors T and horizons to evaluate; every (T, j) with
-    T + j within the data is one independently trained cell."""
+    T + j within the data is one cell.  A trainable model trains each cell
+    on its own; a baseline scores all cells of an anchor from one history."""
     t_start: int = PROTOCOL_START_DAY
     t_end: Optional[int] = None   # inclusive; capped at T_total - 1
     dt: int = 14
@@ -246,25 +247,6 @@ def checkpoint_name(country: str, model: str, t: int, j: int) -> str:
     return f"{country}__{model}__T{t}_j{j}.ckpt"
 
 
-def _baseline_cell(ctx: _CellContext, name: str, dataset: CountryDataset,
-                   t: int, j: int) -> np.ndarray:
-    history = dataset.case_window(t, t)
-    if name == "AVG":
-        return avg_predict(history)
-    if name == "AVG_WINDOW":
-        return avg_window_predict(history, d=ctx.config.train.d)
-    if name == "LAST_DAY":
-        return last_day_predict(history)
-    # the fit depends on the history only, and an anchor's horizons are
-    # adjacent in grid order: one kept fit serves all of them
-    anchor = (dataset.country, t)
-    if anchor not in ctx.ar_fits:
-        ctx.ar_fits.clear()
-        ctx.ar_fits[anchor] = ar_fit(history, p=ctx.config.ar_order,
-                                     differencing=ctx.config.ar_differencing)
-    return ar_predict(ctx.ar_fits[anchor], history, j=j)
-
-
 # Worker-process context for parallel grid evaluation; populated once per
 # worker by the pool initializer so tasks stay tiny.
 _CELL_CTX = None
@@ -281,8 +263,6 @@ class _CellContext:
     config: EvalConfig
     checkpoint_dir: Optional[str]
     load_only: bool = False   # load each trainable cell's checkpoint, never train
-    # the AR fit of the last (country, T) this process scored
-    ar_fits: dict = field(default_factory=dict, compare=False)
 
     def foreign(self, country: str) -> list:
         """Every other country's dataset, in request order: what `country`
@@ -321,108 +301,123 @@ def _run_cell(task):
     return fn(_CELL_CTX, *args)
 
 
-def _cell_path(ctx: _CellContext, task) -> Optional[str]:
-    directory = ctx.checkpoint_dir
-    return None if directory is None else os.path.join(directory, checkpoint_name(*task))
-
-
-def _cell_meta(task) -> dict:
-    """The cell a checkpoint header records as its own."""
-    country, model_name, t, j = task
-    return {"country": country, "model_name": model_name, "t": t, "horizon": j}
-
-
-def _keep(ctx: _CellContext, task, outcome) -> None:
-    """Save a trainable cell's outcome, a Checkpoint or a skip reason, as
-    its checkpoint when ctx has a checkpoint directory and is not load-only."""
-    path = _cell_path(ctx, task)
+def _trainable_cell(ctx: _CellContext, country: str, model_name: str, t: int,
+                    j: int, shared) -> CellResult:
+    """One trainable cell, scored or skipped.  Its parameters are loaded from
+    the cell's file under ctx.load_only, else trained.  Its outcome, a
+    Checkpoint or the reason of a shared or diverged skip, is kept as that
+    file when ctx has a checkpoint directory and is not load-only."""
+    key = (country, model_name, t, j)
+    if model_name == "MPNN_TL" and not ctx.foreign(country):
+        return CellResult(*key, reason="transfer initialization needs at least "
+                                       "one other country")
+    dataset = ctx.datasets[country]
+    cell_seed = derive_seed(ctx.config.seed, country, t, j)
+    header = {"country": country, "model_name": model_name, "t": t, "horizon": j}
+    path = (None if ctx.checkpoint_dir is None
+            else os.path.join(ctx.checkpoint_dir, checkpoint_name(*key)))
+    outcome = shared   # a reason string skips the cell as it stands
+    if not isinstance(shared, str):
+        model = build_model(model_name, ctx.config.train)
+        try:
+            # a stored skip raises SkippedCell before the splits, as it was recorded
+            outcome = (load_checkpoint(path, model, header)
+                       if ctx.load_only and os.path.exists(path) else None)
+            splits = make_splits(dataset, t, j, model.d, model.seq_len)
+            if outcome is None and ctx.load_only:
+                raise CheckpointError(f"missing checkpoint for cell {cell_label(key)}: "
+                                      f"{path}")
+            if outcome is None and model_name == "TL_BASE":
+                outcome = tl_base_train(ctx.foreign(country), splits, model,
+                                        ctx.config.train, cell_seed)
+            elif outcome is None:
+                outcome = train_model(splits, model, ctx.config.train, cell_seed,
+                                      init_state=shared)
+            with divergence_at(outcome.epoch):
+                preds = predict(model, outcome.state, [splits.test])
+        except (DataError, SkippedCell) as exc:  # DataError includes InsufficientDataError
+            return CellResult(*key, reason=str(exc))
+        except TrainingDivergedError as exc:
+            outcome = f"training diverged: {exc}"
     if path is not None and not ctx.load_only:
-        country, _, t, j = task
-        save_checkpoint(path, outcome, extra_meta={
-            **_cell_meta(task), "cell_seed": derive_seed(ctx.config.seed, country, t, j)})
-
-
-def _trainable_cell(ctx: _CellContext, task, dataset, shared) -> np.ndarray:
-    """The cell's test forecast: its model's parameters loaded from the
-    cell's file under ctx.load_only, else trained, then kept once the
-    forecast is made."""
-    country, model_name, t, j = task
-    model = build_model(model_name, ctx.config.train)
-    path = _cell_path(ctx, task)
-    # a stored skip raises SkippedCell before the splits, as it was recorded
-    ckpt = (load_checkpoint(path, model, _cell_meta(task))
-            if ctx.load_only and os.path.exists(path) else None)
-    splits = make_splits(dataset, t, j, model.d, model.seq_len)
-    if ckpt is None and ctx.load_only:
-        raise CheckpointError(f"missing checkpoint for cell {cell_label(task)}: {path}")
-    if ckpt is None:
-        cell_seed = derive_seed(ctx.config.seed, country, t, j)
-        if model_name == "TL_BASE":
-            ckpt = tl_base_train(ctx.foreign(country), splits, model,
-                                 ctx.config.train, cell_seed)
-        else:
-            ckpt = train_model(splits, model, ctx.config.train, cell_seed,
-                               init_state=shared)
-    with divergence_at(ckpt.epoch):
-        preds = predict(model, ckpt.state, [splits.test])
-    _keep(ctx, task, ckpt)
-    return preds
+        save_checkpoint(path, outcome, extra_meta={**header, "cell_seed": cell_seed})
+    if isinstance(outcome, str):
+        return CellResult(*key, reason=outcome)
+    return CellResult(*key, dataset.regions, preds, dataset.cases_on(t + j))
 
 
 def evaluate_cell(ctx: _CellContext, country: str, model_name: str, t: int,
-                  j: int, shared=None) -> CellResult:
-    """One protocol cell: fit, train or load, predict day t+j; return its
-    CellResult, scored or skipped.
+                  horizons: tuple, shared=None) -> list:
+    """One unit of the protocol grid: the cells (t, j) for j in `horizons`,
+    each predicting day t+j; returns their CellResults in horizon order.
 
-    `shared`, passed to MPNN_TL cells only, is the country's meta-trained
+    A baseline unit holds every horizon of its anchor and fits AR once; a
+    trainable unit holds one, as each horizon trains its own network.
+    `shared`, passed to MPNN_TL units only, is the country's meta-trained
     ModelState or the reason it has none; a TL_BASE cell pools the samples
     of ctx.foreign(country).  A cell is skipped, with its reason, when it
-    lacks the data its model needs, its training diverged (a non-finite
-    loss, or a non-finite validation or test forecast) or it has no shared
-    initialization.  A training run keeps the last two reasons as the
-    cell's checkpoint.  An MPNN_TL cell with no foreign country is skipped
-    too, as is a baseline whose forecast is not finite (a history near the
-    float64 limit).
+    lacks the data its model needs (a baseline's whole unit, then, with one
+    reason), its training diverged (a non-finite loss, or a non-finite
+    validation or test forecast) or it has no shared initialization.  A
+    training run keeps the last two reasons as the cell's checkpoint.  An
+    MPNN_TL cell with no foreign country is skipped too, as is a baseline
+    cell whose forecast is not finite (a history near the float64 limit).
     """
-    task = (country, model_name, t, j)
-    dataset = ctx.datasets[country]
-    if model_name == "MPNN_TL" and not ctx.foreign(country):
-        return CellResult(*task, reason="transfer initialization needs at least "
-                                        "one other country")
-    if isinstance(shared, str):
-        _keep(ctx, task, shared)
-        return CellResult(*task, reason=shared)
+    if model_name in TRAINABLE_MODELS:
+        (j,) = horizons
+        return [_trainable_cell(ctx, country, model_name, t, j, shared)]
+    dataset, cfg = ctx.datasets[country], ctx.config
     try:
-        if model_name not in TRAINABLE_MODELS:
-            with np.errstate(over="ignore", invalid="ignore"):   # checked below
-                preds = _baseline_cell(ctx, model_name, dataset, t, j)
+        with np.errstate(over="ignore", invalid="ignore"):   # checked below
+            history = dataset.case_window(t, t)
+            # AR forecasts every horizon from one fit; the others, one forecast
+            if model_name == "AR":
+                fit = ar_fit(history, p=cfg.ar_order, differencing=cfg.ar_differencing)
+                forecasts = [ar_predict(fit, history, j=j) for j in horizons]
+            elif model_name == "AVG":
+                forecasts = [avg_predict(history)] * len(horizons)
+            elif model_name == "AVG_WINDOW":
+                forecasts = [avg_window_predict(history, d=cfg.train.d)] * len(horizons)
+            else:
+                forecasts = [last_day_predict(history)] * len(horizons)
+    except DataError as exc:
+        return [CellResult(country, model_name, t, j, reason=str(exc)) for j in horizons]
+    cells = []
+    for j, preds in zip(horizons, forecasts):
+        bad = np.flatnonzero(~np.isfinite(preds))
+        if bad.size:
+            cells.append(CellResult(country, model_name, t, j, reason=(
+                f"non-finite forecast: {preds[bad[0]]} for region "
+                f"{dataset.regions[bad[0]]!r}")))
         else:
-            preds = _trainable_cell(ctx, task, dataset, shared)
-    except (DataError, SkippedCell) as exc:  # DataError includes InsufficientDataError
-        return CellResult(*task, reason=str(exc))
-    except TrainingDivergedError as exc:
-        reason = f"training diverged: {exc}"
-        _keep(ctx, task, reason)
-        return CellResult(*task, reason=reason)
-    bad = np.flatnonzero(~np.isfinite(preds))   # a neural forecast has no such entry
-    if bad.size:
-        return CellResult(*task, reason=f"non-finite forecast: {preds[bad[0]]} for "
-                                        f"region {dataset.regions[bad[0]]!r}")
-    return CellResult(*task, dataset.regions, preds, dataset.cases_on(t + j))
+            cells.append(CellResult(country, model_name, t, j, dataset.regions, preds,
+                                    dataset.cases_on(t + j)))
+    return cells
 
 
 def _grid_tasks(datasets, config: EvalConfig):
-    """Every (country, model, t, j) cell of the request, in grid order."""
+    """Every unit (country, model, t, horizons) of the request, its cells in
+    grid order: a baseline unit holds every horizon of its anchor t, a
+    trainable unit one."""
     if not datasets:
         raise ContractError("evaluation needs at least one country")
     names = [ds.country for ds in datasets]
     if len(set(names)) != len(names):
         raise ContractError(f"duplicate countries in {names}")
-    tasks = [(ds.country, model, t, j) for ds in datasets for model in config.models
-             for t, j in config.grid.cells(ds.t_total)]
-    if not tasks:
+    units = []
+    for ds in datasets:
+        anchors = {}   # t -> its horizons
+        for t, j in config.grid.cells(ds.t_total):
+            anchors.setdefault(t, []).append(j)
+        for model in config.models:
+            for t, horizons in anchors.items():
+                if model in TRAINABLE_MODELS:
+                    units += [(ds.country, model, t, (j,)) for j in horizons]
+                else:
+                    units.append((ds.country, model, t, tuple(horizons)))
+    if not units:
         raise ContractError("protocol grid is empty for every requested country")
-    return tasks
+    return units
 
 
 @contextlib.contextmanager
@@ -457,21 +452,22 @@ def rolling_evaluate(datasets, config: EvalConfig,
     T, horizon), so cells are reproducible independently of execution order.
     A target's meta-training and TL_BASE cells learn from its foreign list,
     `_CellContext.foreign`: every other country, in request order.  Every
-    task, `_meta_task` or `evaluate_cell` with its arguments, goes to one
-    submit.  Each target's MPNN_TL meta-training and every cell that waits
-    for none are submitted first; each target's MPNN_TL cells follow once
-    its meta outcome is read.  In-process, that runs every meta task, then
-    every cell in grid order; `config.jobs` > 1 runs them over worker
-    processes in the order submitted.  Cells without enough data, or whose
-    training diverged, are skipped with their reason, not failed; any other
-    error stops the grid.
+    task, `_meta_task` or a unit of `_grid_tasks` run by `evaluate_cell`,
+    goes to one submit: a baseline unit scores every horizon of its anchor,
+    a trainable unit one cell.  Each target's MPNN_TL meta-training and
+    every unit that waits for none are submitted first; each target's
+    MPNN_TL units follow once its meta outcome is read.  In-process, that
+    runs every meta task, then every unit in grid order; `config.jobs` > 1
+    runs them over worker processes in the order submitted.  Cells without
+    enough data, or whose training diverged, are skipped with their reason,
+    not failed; any other error stops the grid.
 
     With `load_only`, every trainable cell loads its checkpoint from
     checkpoint_dir instead of training: nothing is meta-trained or saved,
     cells run in-process whatever `config.jobs` says, and a missing
     checkpoint is a CheckpointError naming the cell.
     """
-    tasks = _grid_tasks(datasets, config)
+    units = _grid_tasks(datasets, config)
     if load_only and checkpoint_dir is None:
         raise ContractError("load_only needs a checkpoint directory")
     if (checkpoint_dir is not None and not load_only
@@ -484,15 +480,15 @@ def rolling_evaluate(datasets, config: EvalConfig,
     # one meta-training per target country with a foreign country to learn from
     targets = ([country for country in ctx.datasets if ctx.foreign(country)]
                if "MPNN_TL" in config.models and not load_only else [])
-    with _submitter(ctx, len(targets) + len(tasks)) as submit:
+    with _submitter(ctx, len(targets) + len(units)) as submit:
         metas = {target: submit(_meta_task, target) for target in targets}
-        # a target's MPNN_TL cells wait for its meta outcome; the rest go now
-        outcomes = [None if task[1] == "MPNN_TL" and task[0] in metas
-                    else submit(evaluate_cell, *task) for task in tasks]
+        # a target's MPNN_TL units wait for its meta outcome; the rest go now
+        outcomes = [None if unit[1] == "MPNN_TL" and unit[0] in metas
+                    else submit(evaluate_cell, *unit) for unit in units]
         shared = {target: outcome() for target, outcome in metas.items()}
-        outcomes = [outcome or submit(evaluate_cell, *task, shared[task[0]])
-                    for task, outcome in zip(tasks, outcomes)]
-        return [outcome() for outcome in outcomes]   # grid order
+        outcomes = [outcome or submit(evaluate_cell, *unit, shared[unit[0]])
+                    for unit, outcome in zip(units, outcomes)]
+        return [cell for outcome in outcomes for cell in outcome()]   # grid order
 
 
 # ---------------------------------------------------------------- reports

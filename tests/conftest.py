@@ -1,10 +1,13 @@
 """Shared fixtures: tiny datasets, random graph samples, access tracing."""
 
+import json
+import os
+
 import numpy as np
 
 from mobicast import evaluation
 from mobicast import tape as tp
-from mobicast.dataio import CountryDataset, SyntheticConfig, generate_synthetic
+from mobicast.dataio import CountryDataset, SyntheticConfig, generate_synthetic, save_bundle
 from mobicast.errors import TrainingDivergedError
 from mobicast.graphs import GraphSample, normalize_incoming
 from mobicast.models import ModelState
@@ -20,6 +23,21 @@ def make_ramp_dataset(n=4, days=30, country="X", seed=0):
     cases = np.outer(np.arange(1, n + 1), np.arange(1, days + 1)).astype(float)
     mobility = [rng.uniform(0.0, 10.0, (n, n)) for _ in range(days)]
     return CountryDataset(country, regions, dates, cases, mobility)
+
+
+def save_regionless_bundle(dataset, path):
+    """Save dataset as a bundle, then rewrite it by hand to hold no region:
+    n 0, no case rows and a (t_total, 0, 0) mobility array."""
+    save_bundle(dataset, path)
+    manifest_path = os.path.join(path, "manifest.json")
+    with open(manifest_path, encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    manifest.update(n=0, regions=[])
+    with open(manifest_path, "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh)
+    with open(os.path.join(path, "cases.csv"), "w", encoding="utf-8") as fh:
+        fh.write("date,region,new_cases\n")
+    np.save(os.path.join(path, "mobility.npy"), np.zeros((dataset.t_total, 0, 0)))
 
 
 def small_synthetic(seed=0, n=5, days=40, countries=1, jitter=True):

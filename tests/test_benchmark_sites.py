@@ -78,18 +78,22 @@ def test_pool_tasks_pickle_to_the_same_functions(monkeypatch):
     from mobicast import evaluation
 
     task = ("AA", "MPNN", 14, 1)
+    unit = ("AA", "AR", 14, (1, 3, 7))   # a baseline unit: every horizon of T=14
 
     def round_trip(obj):
         return pickle.loads(pickle.dumps(obj))
 
     assert round_trip((evaluation._meta_task, "AA")) == (evaluation._meta_task, "AA")
     assert round_trip((evaluation.evaluate_cell, task)) == (evaluation.evaluate_cell, task)
+    assert round_trip((evaluation.evaluate_cell, unit)) == (evaluation.evaluate_cell, unit)
     tracer = TRACER.Tracer()
     wrapped = tracer.wrap("evaluation.evaluate_cell", evaluation.evaluate_cell,
                           tracer._after_cell)
     monkeypatch.setattr(evaluation, "evaluate_cell", wrapped)
     fn, args = round_trip((evaluation.evaluate_cell, task))
     assert fn is wrapped and args == task
+    fn, args = round_trip((evaluation.evaluate_cell, unit))
+    assert fn is wrapped and args == unit
 
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "mobicast")

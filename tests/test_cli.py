@@ -20,7 +20,8 @@ from mobicast.params import load_params, save_params
 from mobicast.evaluation import (EvalConfig, ProtocolGrid, load_report_rows,
                                  range_summary)
 
-from conftest import diverge_at, make_ramp_dataset, report_rows, scored, skips
+from conftest import (diverge_at, make_ramp_dataset, report_rows,
+                      save_regionless_bundle, scored, skips)
 
 TINY_CONFIG = {
     "train": {"max_epochs": 1, "hidden": 2, "k_layers": 1, "d": 3,
@@ -1079,6 +1080,15 @@ class TestCorrelateCommand:
         assert (f"error: --max-shift must be >= 1, got {shift}"
                 in capsys.readouterr().err)
         assert not os.path.exists(out)
+
+    def test_bundle_without_regions_is_one_error_line(self, tmp_path, capsys):
+        bundle = str(tmp_path / "AA")
+        save_regionless_bundle(make_ramp_dataset(n=2, days=15, country="AA"), bundle)
+        out = str(tmp_path / "out")
+        rc = main(["correlate", "--bundle", bundle, "--out", out])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: AA: no regions\n"
+        assert not os.path.exists(os.path.join(out, "correlations.csv"))
 
     def test_shift_too_large_for_data_fails(self, tmp_path, capsys):
         bundle, _ = make_bundle(tmp_path, days=15)

@@ -12,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import small_synthetic
+from conftest import save_regionless_bundle, small_synthetic
 from mobicast.cli import main
 from mobicast.dataio import (CountryDataset, RawCountryData, SyntheticConfig,
                              _csv_rows, align_and_filter, generate_synthetic, load_bundle,
@@ -540,6 +540,12 @@ class TestBundles:
         (bdir / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(BundleError):
             load_bundle(str(bdir))
+
+    def test_bundle_without_regions_rejected(self, tmp_path):
+        ds = small_synthetic(seed=9, n=3, days=8)
+        save_regionless_bundle(ds, str(tmp_path / "b"))
+        with pytest.raises(DataError, match=f"^{ds.country}: no regions$"):
+            load_bundle(str(tmp_path / "b"))
 
     def test_unsupported_version(self, tmp_path):
         ds = small_synthetic(seed=9, n=3, days=8)

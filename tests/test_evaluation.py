@@ -671,15 +671,20 @@ class TestInProcessSchedule:
         monkeypatch.setattr(evaluation, "maml_meta_train", maml_meta_train)
         monkeypatch.setattr(evaluation, "evaluate_cell", evaluate_cell)
         datasets = TestPoolMetaTraining.two_countries()
-        cfg = fast_config(models=["MPNN_TL", "MPNN"], grid=ProtocolGrid(t_end=15, dt=1))
+        cfg = fast_config(models=["MPNN_TL", "MPNN", "AR"],
+                          grid=ProtocolGrid(t_end=15, dt=2))
         report = rolling_evaluate(datasets, cfg)
         assert not skips(report)
         # each target's meta-training learns from the other country
         assert calls[:2] == [("meta", "BB"), ("meta", "AA")]
-        assert calls[2:] == [cell.key for cell in report]
+        # a trainable unit is one cell; an AR unit holds both of its anchor's horizons
+        assert calls[2:] == [
+            (country, model, t, horizons) for country in ("AA", "BB")
+            for model in ("MPNN_TL", "MPNN", "AR") for t in (14, 15)
+            for horizons in ([(1, 2)] if model == "AR" else [(1,), (2,)])]
         assert [cell.key for cell in report] == [
-            (country, model, t, 1) for country in ("AA", "BB")
-            for model in ("MPNN_TL", "MPNN") for t in (14, 15)]
+            (country, model, t, j) for country in ("AA", "BB")
+            for model in ("MPNN_TL", "MPNN", "AR") for t in (14, 15) for j in (1, 2)]
 
 
 class RecordingExecutor:
@@ -809,6 +814,61 @@ class TestForeignList:
             ("AA", "MPNN_TL", t, 1, "transfer initialization needs at least one "
                                     "other country") for t in (14, 15)]
         assert submitted == [] and seen == []
+
+
+class TestBaselineUnits:
+    """A baseline unit scores every horizon of its anchor, so AR fits once
+    per (country, T) whichever process runs the unit."""
+
+    def test_one_pool_task_and_one_fit_per_anchor(self, monkeypatch):
+        fits, tasks = [], []
+
+        def counting_fit(history, **kwargs):
+            fits.append(history.shape)
+            return ar_fit(history, **kwargs)
+
+        real_run_cell = evaluation._run_cell
+
+        def recording_run_cell(task):
+            tasks.append(task[1])
+            return real_run_cell(task)
+
+        monkeypatch.setattr(evaluation, "ar_fit", counting_fit)
+        monkeypatch.setattr(evaluation, "_run_cell", recording_run_cell)
+        monkeypatch.setattr(evaluation, "_CELL_CTX", None)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        RecordingExecutor.max_workers = []
+        ds = make_ramp_dataset(n=2, days=20)
+        cfg = fast_config(models=["AR", "AVG"], jobs=2,
+                          grid=ProtocolGrid(t_end=15, horizons=(1, 2, 3)))
+        report = rolling_evaluate([ds], cfg)
+        assert tasks == [(ds.country, model, t, (1, 2, 3))
+                         for model in ("AR", "AVG") for t in (14, 15)]
+        assert fits == [(2, 14), (2, 15)]
+        assert RecordingExecutor.max_workers == [2]
+        assert [cell.key for cell in report] == [
+            (ds.country, model, t, j) for model in ("AR", "AVG") for t in (14, 15)
+            for j in (1, 2, 3)]
+        assert not skips(report)
+
+    def test_forked_workers_fit_once_per_anchor(self, tmp_path, monkeypatch):
+        log = tmp_path / "fits.txt"
+
+        def logging_fit(history, **kwargs):
+            with open(log, "a", encoding="utf-8") as fh:   # one append per fit
+                fh.write(f"{history.shape[1]}\n")
+            return ar_fit(history, **kwargs)
+
+        ds = make_ramp_dataset(n=2, days=30)
+        cfg = fast_config(models=["AR"], grid=ProtocolGrid(t_end=21, horizons=(1, 3, 7)))
+        serial = rolling_evaluate([ds], cfg)
+        monkeypatch.setattr(evaluation, "ar_fit", logging_fit)   # workers inherit it
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        pooled = rolling_evaluate([ds], replace(cfg, jobs=2))
+        assert sorted(int(t) for t in log.read_text().split()) == list(range(14, 22))
+        assert report_rows(scored(pooled)) == report_rows(scored(serial))
+        assert skips(pooled) == skips(serial) == []
 
 
 class TestCheckpointReuse:
