@@ -28,13 +28,14 @@ _LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 
 
 def normalize_incoming(m: np.ndarray) -> np.ndarray:
-    """Scale each row to sum to 1 (incoming-edge normalization); zero rows stay zero."""
+    """Scale each row of one (n, n) matrix, or of every day of a (T, n, n) stack,
+    to sum to 1 (incoming-edge normalization); zero rows stay zero."""
     m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
         raise ShapeError(f"mobility matrix must be square, got {m.shape}")
-    if not np.all(m >= 0):
+    if not m.min(initial=0.0) >= 0:   # NaN propagates; no boolean temporary
         raise ContractError("mobility entries must be >= 0 (NaN is not)")
-    sums = m.sum(axis=1, keepdims=True)
+    sums = m.sum(axis=-1, keepdims=True)
     return np.divide(m, sums, out=np.zeros_like(m), where=sums > 0)
 
 
@@ -165,8 +166,8 @@ class CountryDataset:
     downstream code go through the accessors, which makes train/test isolation
     checkable by wrapping them.  `mobility` is one read-only C-contiguous
     (T, n, n) float64 array: a read-only one passed in is kept as it is, a
-    writeable one is copied.  `graph_cache` holds every day's normalized
-    mobility once `graphs.normalized_graphs` has filled it, None before.
+    writeable one is copied.  `graph_cache` holds a read-only view of each
+    day's normalized mobility once `graphs.normalized_graphs` fills it, None before.
     """
 
     __slots__ = ("country", "regions", "dates", "cases", "mobility",

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import itertools
 import json
 import os
 import re
@@ -206,11 +207,8 @@ def pearson_shift_correlation(m, c, s: int):
 def mobility_totals(dataset: CountryDataset) -> np.ndarray:
     """Per-region daily movement volume: incoming + outgoing with the
     within-region loop counted once; shape (n, days)."""
-    out = np.empty((dataset.n, dataset.t_total))
-    for day in range(1, dataset.t_total + 1):
-        m = dataset.mobility_on(day)
-        out[:, day - 1] = m.sum(axis=1) + m.sum(axis=0) - np.diag(m)
-    return out
+    m = dataset.mobility
+    return (m.sum(axis=2) + m.sum(axis=1) - np.diagonal(m, axis1=1, axis2=2)).T
 
 
 def correlation_table(dataset: CountryDataset, shifts=tuple(range(1, 15))) -> list:
@@ -223,13 +221,10 @@ def correlation_table(dataset: CountryDataset, shifts=tuple(range(1, 15))) -> li
 
 def case_stats_table(dataset: CountryDataset) -> list:
     """(country, day, date, mean, std, max_diff) per day across regions."""
-    rows = []
-    for day in range(1, dataset.t_total + 1):
-        vals = dataset.cases_on(day)
-        rows.append((dataset.country, day, dataset.dates[day - 1],
-                     float(vals.mean()), float(vals.std()),
-                     float(vals.max() - vals.min())))
-    return rows
+    by_day = np.ascontiguousarray(dataset.case_window(dataset.t_total, dataset.t_total).T)
+    stats = (by_day.mean(axis=1), by_day.std(axis=1), np.ptp(by_day, axis=1))
+    return list(zip(itertools.repeat(dataset.country), range(1, dataset.t_total + 1),
+                    dataset.dates, *(column.tolist() for column in stats)))
 
 
 # ------------------------------------------------------- protocol driver

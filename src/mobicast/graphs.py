@@ -37,17 +37,16 @@ class GraphSample:
 def normalized_graphs(dataset: CountryDataset) -> tuple:
     """Every day's normalize_incoming(mobility), oldest day first.
 
-    Computed once per dataset, on first use, and kept in its `graph_cache`:
-    the arrays are read-only and shared by every sample built from the
-    dataset.  Filling it before forking workers gives them one copy.
+    One normalize_incoming call on the whole (T, n, n) stack, on first use,
+    kept in `graph_cache` as read-only views of its days and shared by every
+    sample built from the dataset.  Filling it before forking workers gives
+    them one copy.
     """
-    cache = dataset.graph_cache
-    if cache is None:
-        cache = tuple(normalize_incoming(m) for m in dataset.mobility)
-        for graph in cache:
-            graph.setflags(write=False)
-        dataset.graph_cache = cache
-    return cache
+    if dataset.graph_cache is None:
+        stack = normalize_incoming(dataset.mobility)
+        stack.setflags(write=False)
+        dataset.graph_cache = tuple(stack)
+    return dataset.graph_cache
 
 
 def _graph_on(dataset: CountryDataset, day: int) -> np.ndarray:

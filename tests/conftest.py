@@ -14,6 +14,17 @@ from mobicast.models import ModelState
 from mobicast.rng import Rng
 
 
+def pytest_report_header(config):
+    """The numpy build and BLAS threads the bit-exact sha256 pins assume."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas.get('name')} {blas.get('version')}"
+    except Exception:  # older numpy has no dict form; the line is informative
+        blas = "unknown"
+    threads = os.environ.get("OPENBLAS_NUM_THREADS", "unset")
+    return f"numpy {np.__version__}, blas {blas}, OPENBLAS_NUM_THREADS={threads}"
+
+
 def make_ramp_dataset(n=4, days=30, country="X", seed=0):
     """Deterministic dataset with linearly growing cases and random mobility."""
     rng = Rng(seed)

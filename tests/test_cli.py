@@ -1097,6 +1097,23 @@ class TestCorrelateCommand:
         assert rc == 1
         assert "need more than" in capsys.readouterr().err
 
+    # a seeded two-country synth, correlated over 14 shifts, pinned byte for
+    # byte: a change to the movement totals, the shifted correlations or the
+    # per-day case statistics that moves a single bit changes one digest
+    CORRELATIONS_SHA256 = "e9756ceac1baf1c7318e37201855f58245bd0e20c11a60c4c6857004d3201d51"
+    CASE_STATS_SHA256 = "ced500c5bfa527229dff02cd11f7bf6274163c80e42d1a816ae8f48df3a25884"
+
+    def test_outputs_match_pinned_digests(self, tmp_path):
+        data = str(tmp_path / "data")
+        assert main(["synth", "--regions", "5", "--days", "40", "--countries",
+                     "2", "--seed", "3", "--out", data]) == 0
+        out = str(tmp_path / "out")
+        assert main(["correlate", "--bundle", os.path.join(data, "C0"),
+                     "--bundle", os.path.join(data, "C1"), "--out", out]) == 0
+        tree = read_tree(out)
+        assert sha256(tree["correlations.csv"]) == self.CORRELATIONS_SHA256
+        assert sha256(tree["case_stats.csv"]) == self.CASE_STATS_SHA256
+
 
 class TestReportCommand:
     def test_merges_rows_and_skip_lines(self, tmp_path):

@@ -1,5 +1,7 @@
 """Normalization, feature windows, and sample assembly."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,33 @@ class TestNormalizeIncoming:
             normalize_incoming([[1.0, np.nan], [0.0, 1.0]])
         with pytest.raises(ShapeError):
             normalize_incoming(np.ones((2, 3)))
+
+    def test_stack_normalizes_like_its_days(self):
+        stack = Rng(5).uniform(0.0, 9.0, (6, 5, 5))
+        stack[1, 3, :] = 0.0   # one silent region on one day
+        stack[4] = 0.0         # one day without movement
+        out = normalize_incoming(stack)
+        assert out.shape == stack.shape and out.dtype == np.float64
+        for day, m in zip(out, stack):
+            assert day.tobytes() == normalize_incoming(m).tobytes()
+        assert not out[4].any() and not out[1, 3].any()
+
+    @pytest.mark.parametrize("value", [-0.1, np.nan])
+    def test_stack_rejects_what_a_day_rejects(self, value):
+        stack = np.ones((3, 2, 2))
+        stack[2, 0, 1] = value
+        with pytest.raises(ContractError) as one:
+            normalize_incoming(stack[2])
+        with pytest.raises(ContractError, match=re.escape(str(one.value))):
+            normalize_incoming(stack)
+
+    def test_nonsquare_stack_rejected_like_a_day(self):
+        with pytest.raises(ShapeError, match=re.escape("must be square, got (2, 3)")):
+            normalize_incoming(np.ones((2, 3)))
+        with pytest.raises(ShapeError, match=re.escape("must be square, got (4, 2, 3)")):
+            normalize_incoming(np.ones((4, 2, 3)))
+        with pytest.raises(ShapeError, match="must be square"):
+            normalize_incoming(np.ones((2, 2, 2, 2)))
 
 
 class TestNodeFeatures:
@@ -218,7 +247,7 @@ class TestGraphCache:
         real = graphs.normalize_incoming
 
         def counting(m):
-            inputs.append(m.ctypes.data)  # each day is a view into dataset.mobility
+            inputs.append(m.ctypes.data)  # one call per country, on dataset.mobility
             return real(m)
 
         monkeypatch.setattr(graphs, "normalize_incoming", counting)
