@@ -47,7 +47,6 @@ class ARCoefficients:
     coef: np.ndarray       # (regions, p); coef[:, k] multiplies the value k+1 steps back
     intercept: np.ndarray  # (regions,)
     differencing: int
-    ridge: np.ndarray      # (regions,) bool: the OLS system was singular, ridge was used
 
 
 def _solve_each(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -96,7 +95,7 @@ def ar_fit(history, p: int = 7, differencing: int = 1) -> ARCoefficients:
     ridge[ols] = ~np.isfinite(sol[ols]).all(axis=(1, 2))
     sol[ridge] = np.linalg.solve(gram[ridge] + 1e-6 * np.eye(p + 1), rhs[ridge])
     return ARCoefficients(coef=sol[:, :p, 0].copy(), intercept=sol[:, p, 0].copy(),
-                          differencing=differencing, ridge=ridge)
+                          differencing=differencing)
 
 
 def ar_predict(coefficients: ARCoefficients, history, j: int = 1) -> np.ndarray:

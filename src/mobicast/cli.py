@@ -21,7 +21,6 @@ import typing
 from . import __version__
 from .dataio import (
     BUNDLE_FORMAT_VERSION,
-    RawCountryData,
     SyntheticConfig,
     align_and_filter,
     generate_synthetic,
@@ -135,19 +134,19 @@ def resolve_run_config(args) -> EvalConfig:
         updates["jobs"] = args.jobs
     if args.model:
         updates["models"] = tuple(args.model)
-    grid = cfg.grid
+    grid = {}   # applied in one replace, so only the final grid is validated
     if args.t is not None:
-        grid = dataclasses.replace(grid, t_start=args.t, t_end=args.t)
+        grid.update(t_start=args.t, t_end=args.t)
     if args.t_start is not None:
-        grid = dataclasses.replace(grid, t_start=args.t_start)
+        grid["t_start"] = args.t_start
     if args.t_end is not None:
-        grid = dataclasses.replace(grid, t_end=args.t_end)
+        grid["t_end"] = args.t_end
     if args.dt is not None:
-        grid = dataclasses.replace(grid, dt=args.dt, horizons=None)
+        grid.update(dt=args.dt, horizons=None)
     if args.horizon:
-        grid = dataclasses.replace(grid, horizons=tuple(args.horizon))
-    if grid != cfg.grid:
-        updates["grid"] = grid
+        grid["horizons"] = tuple(args.horizon)
+    if grid:
+        updates["grid"] = dataclasses.replace(cfg.grid, **grid)
     return dataclasses.replace(cfg, **updates) if updates else cfg
 
 
@@ -199,10 +198,8 @@ def cmd_ingest(args, argv) -> int:
     mobility = load_mobility(resolve_input(args.mobility), regions, region_map)
     dates, matrix, stats = load_cases(resolve_input(args.cases), regions,
                                       region_map=region_map)
-    raw = RawCountryData(country=args.country, regions=tuple(regions),
-                         mobility=mobility, case_dates=tuple(dates),
-                         cases=matrix)
-    dataset = align_and_filter(raw, min_total_cases=args.min_total_cases)
+    dataset = align_and_filter(args.country, regions, mobility, dates, matrix,
+                               min_total_cases=args.min_total_cases)
     save_bundle(dataset, args.out)
     config_doc = {"country": args.country, "cases": args.cases,
                   "mobility": args.mobility, "regions_file": args.regions_file,

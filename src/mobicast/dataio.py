@@ -25,6 +25,8 @@ from .rng import Rng, derive_seed
 BUNDLE_FORMAT_VERSION = "2"
 # every character str.splitlines() breaks on, so no id can split a report row
 _LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+# what a country id may not hold: checkpoint file names carry it
+_PATH_CHARS = "/\x00" + os.sep + (os.altsep or "")
 
 
 def normalize_incoming(m: np.ndarray) -> np.ndarray:
@@ -60,16 +62,16 @@ def read_file(path: str, binary: bool = False, error=DataError):
         raise error(f"cannot read {path}: {exc}") from exc
 
 
-def read_lines(path: str, error=DataError):
+def read_lines(path: str):
     """Yield the lines of UTF-8 text file `path` one at a time, split exactly
     as str.splitlines() splits its whole text; a file that cannot be read or
-    decoded raises `error` ("cannot read <path>: ...") when reached."""
+    decoded raises DataError ("cannot read <path>: ...") when reached."""
     try:
         with open(path, encoding="utf-8", newline="") as fh:
             for chunk in fh:   # ends at \n, \r or \r\n, the other breaks inside
                 yield from chunk.splitlines()
     except (OSError, UnicodeDecodeError) as exc:
-        raise error(f"cannot read {path}: {exc}") from exc
+        raise DataError(f"cannot read {path}: {exc}") from exc
 
 
 def write_file(path: str, data) -> None:
@@ -187,6 +189,9 @@ class CountryDataset:
             if any(ch in name for ch in "," + _LINE_BREAKS):
                 raise DataError(f"id {name!r} contains a comma or line break, "
                                 f"which report rows cannot hold")
+        if any(ch in str(country) for ch in _PATH_CHARS):
+            raise DataError(f"country id {country!r} contains a path separator or "
+                            f"NUL, which checkpoint file names cannot hold")
         if not n:
             raise DataError(f"{country}: no regions")
         if len(set(regions)) != n:
@@ -248,16 +253,6 @@ class CountryDataset:
         """Raw (unnormalized) mobility matrix for a 1-based day; a read-only
         (n, n) view of `mobility`."""
         return self.mobility[self._day_index(day)]
-
-
-@dataclass
-class RawCountryData:
-    """Pre-alignment container: mobility and cases may cover different dates."""
-    country: str
-    regions: tuple
-    mobility: dict  # ISO date -> n x n matrix
-    case_dates: tuple
-    cases: np.ndarray  # n x len(case_dates)
 
 
 # ---------------------------------------------------------------- loaders
@@ -358,29 +353,32 @@ def load_cases(path: str, regions, region_map: dict | None = None):
 
 # ---------------------------------------------------------------- alignment
 
-def align_and_filter(raw: RawCountryData, min_total_cases: int = 10) -> CountryDataset:
-    """Intersect mobility/case dates and drop regions below the case threshold."""
-    common = sorted(set(raw.mobility) & set(raw.case_dates))
+def align_and_filter(country: str, regions, mobility: dict, case_dates, cases,
+                     min_total_cases: int = 10) -> CountryDataset:
+    """Intersect the dates of `mobility` (ISO date -> n x n matrix, as
+    load_mobility returns it) and of `cases` (n x len(case_dates), as
+    load_cases returns it), and drop regions below the case threshold."""
+    common = sorted(set(mobility) & set(case_dates))
     if not common:
-        raise DataError(f"{raw.country}: mobility and case dates do not overlap")
-    _check_contiguous(common, raw.country)
-    case_pos = {d: k for k, d in enumerate(raw.case_dates)}
-    cases = np.stack([raw.cases[:, case_pos[d]] for d in common], axis=1)
-    mobility = [raw.mobility[d] for d in common]
+        raise DataError(f"{country}: mobility and case dates do not overlap")
+    _check_contiguous(common, country)
+    case_pos = {d: k for k, d in enumerate(case_dates)}
+    cases = np.stack([cases[:, case_pos[d]] for d in common], axis=1)
+    mobility = [mobility[d] for d in common]
 
     totals = cases.sum(axis=1)
     keep = np.flatnonzero(totals >= min_total_cases)
     if keep.size == 0:
-        raise DataError(f"{raw.country}: no region has >= {min_total_cases} total cases")
+        raise DataError(f"{country}: no region has >= {min_total_cases} total cases")
     kept = set(keep.tolist())
-    dropped = [raw.regions[i] for i in range(len(raw.regions)) if i not in kept]
+    dropped = [regions[i] for i in range(len(regions)) if i not in kept]
     if dropped:
         _log().info("%s: dropping %d low-case regions: %s",
-                    raw.country, len(dropped), ", ".join(map(str, dropped)))
-    regions = [raw.regions[i] for i in keep]
+                    country, len(dropped), ", ".join(map(str, dropped)))
+    regions = [regions[i] for i in keep]
     cases = cases[keep]
     mobility = [m[np.ix_(keep, keep)] for m in mobility]
-    return CountryDataset(raw.country, regions, common, cases, mobility)
+    return CountryDataset(country, regions, common, cases, mobility)
 
 
 # ---------------------------------------------------------------- synthetic

@@ -29,7 +29,7 @@ def ar1_series(x0, a, b, n):
 def one_region(coef, intercept, differencing=0):
     return ARCoefficients(coef=np.array([coef], dtype=float),
                           intercept=np.array([intercept], dtype=float),
-                          differencing=differencing, ridge=np.array([False]))
+                          differencing=differencing)
 
 
 class TestHistoryBaselines:
@@ -89,7 +89,7 @@ class TestARFit:
         fit = ar_fit([series], p=1, differencing=0)
         assert fit.coef[0, 0] == pytest.approx(0.5, abs=1e-8)
         assert fit.intercept[0] == pytest.approx(1.0, abs=1e-8)
-        assert not fit.ridge[0]
+        assert_same_fit(fit, [series], p=1, differencing=0, ridge=[False])
 
     def test_recovers_exact_ar2_in_lag_order(self):
         # distinct coefficients so a swapped lag layout cannot pass
@@ -123,7 +123,7 @@ class TestARFit:
         series = 3.0 * np.arange(20.0) + 5.0
         noisy = series + Rng(14).uniform(0.0, 1.0, (1, 20))[0]
         fit = ar_fit([series, noisy], p=1, differencing=1)
-        assert fit.ridge.tolist() == [True, False]
+        assert_same_fit(fit, [series, noisy], p=1, differencing=1, ridge=[True, False])
         # whatever split between coef and intercept, the implied step stays 3
         assert fit.coef[0, 0] * 3.0 + fit.intercept[0] == pytest.approx(3.0, abs=1e-3)
 
@@ -131,7 +131,7 @@ class TestARFit:
         history = np.full((2, 15), 8.0)
         history[1] = 0.0
         fit = ar_fit(history, p=1, differencing=1)
-        assert fit.ridge.all()
+        assert_same_fit(fit, history, p=1, differencing=1, ridge=[True, True])
         assert ar_predict(fit, history, j=3) == pytest.approx([8.0, 0.0], abs=1e-9)
 
     def test_too_short_series(self):
@@ -154,7 +154,7 @@ class TestARPredict:
             coef = rng.uniform(-0.3, 0.3, (2, p))
             history = rng.uniform(1.0, 20.0, (2, p + 4))
             fit = ARCoefficients(coef=coef, intercept=np.array([2.0, -1.0]),
-                                 differencing=0, ridge=np.zeros(2, dtype=bool))
+                                 differencing=0)
             expected = [max(0.0, float(np.dot(coef[v], history[v, ::-1][:p]) + b))
                         for v, b in enumerate((2.0, -1.0))]
             assert ar_predict(fit, history, j=1) == pytest.approx(expected, rel=1e-12)
@@ -215,6 +215,15 @@ def ref_ar_fit(series, p, differencing):
     return sol[:p].copy(), float(sol[p]), ridge
 
 
+def assert_same_fit(fit, series, p, differencing, ridge):
+    """`fit` equals the per-region reference bit for bit, and the reference
+    took the OLS (False) or ridge (True) path `ridge` names for each row."""
+    refs = [ref_ar_fit(np.asarray(s, dtype=np.float64), p, differencing) for s in series]
+    assert [path for _, _, path in refs] == ridge
+    assert_bits(fit.coef, [coef for coef, _, _ in refs])
+    assert_bits(fit.intercept, [b for _, b, _ in refs])
+
+
 def ref_ar_predict(coef, intercept, differencing, series, j):
     p = coef.size
     work = list(np.diff(series) if differencing else series)
@@ -272,9 +281,8 @@ class TestRowwiseOracles:
             refs = [ref_ar_fit(s, p, differencing) for s in history]
             assert_bits(fit.coef, [coef for coef, _, _ in refs])
             assert_bits(fit.intercept, [b for _, b, _ in refs])
-            assert fit.ridge.tolist() == [ridge for _, _, ridge in refs]
-            ridge_rows += int(fit.ridge.sum())
-            ols_rows += int((~fit.ridge).sum())
+            ridge_rows += sum(ridge for _, _, ridge in refs)
+            ols_rows += sum(not ridge for _, _, ridge in refs)
             for j in (1, 2, 7, 8, 9, 14, 21):
                 assert_bits(ar_predict(fit, history, j=j),
                             [ref_ar_predict(coef, b, differencing, s, j)
@@ -286,7 +294,7 @@ class TestRowwiseOracles:
         history = np.array([[3.0, 1.0, 2.0]] * 4)
         intercept = np.array([-0.0, np.nan, -2.0, 0.5])
         fit = ARCoefficients(coef=np.zeros((4, 1)), intercept=intercept,
-                             differencing=differencing, ridge=np.zeros(4, dtype=bool))
+                             differencing=differencing)
         for j in (1, 9):
             got = ar_predict(fit, history, j=j)
             assert_bits(got, [ref_ar_predict(np.zeros(1), b, differencing, s, j)

@@ -185,6 +185,21 @@ class TestRunConfig:
         blob = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
         assert config_digest(doc) == hashlib.sha256(blob).hexdigest()
 
+    @pytest.mark.parametrize("flags,grid", [
+        (["--t-start", "30", "--t-end", "40"],
+         ProtocolGrid(t_start=30, t_end=40, horizons=(2,))),
+        (["--t", "16", "--t-end", "18", "--dt", "3"], ProtocolGrid(16, 18, dt=3)),
+        (["--t-start", "15", "--dt", "3", "--horizon", "5"],
+         ProtocolGrid(15, 20, dt=3, horizons=(5,))),
+    ], ids=["past-file-t-end", "dt-clears-horizons", "horizon-after-dt"])
+    def test_grid_flags_override_the_file_together(self, tmp_path, flags, grid):
+        # --t-start 30 against the file's t_end 20 alone is no valid grid;
+        # the flags' grid (30, 40) is
+        cfg = write_config(tmp_path, {"grid": {"t_end": 20, "horizons": [2]}})
+        args = cli.build_parser().parse_args(
+            ["train", "--bundle", "b", "--out", "o", "--config", cfg, *flags])
+        assert cli.resolve_run_config(args).grid == grid
+
     def test_settable_values_counted(self):
         def leaves(cls):
             return sum(leaves(type(f.default)) if dataclasses.is_dataclass(f.default)
@@ -409,6 +424,26 @@ class TestTrainCommand:
         manifest = read_manifest(out)
         assert manifest["status"] == "complete"
         assert manifest["config"]["train"]["hidden"] == 2
+
+    def test_country_id_holding_a_path_is_rejected(self, tmp_path, capsys):
+        # the country id names checkpoint files: "../../evil" would put them
+        # beside --out, not under it
+        bundle, _ = make_bundle(tmp_path)
+        manifest_path = os.path.join(bundle, "manifest.json")
+        with open(manifest_path, encoding="utf-8") as fh:
+            manifest = json.load(fh)
+        manifest["country"] = "../../evil"
+        with open(manifest_path, "w", encoding="utf-8") as fh:
+            json.dump(manifest, fh)
+        cfg = write_config(tmp_path)
+        before = read_tree(tmp_path)
+        rc = main(["train", "--bundle", bundle, "--model", "mpnn", "--t", "14",
+                   "--horizon", "1", "--config", cfg,
+                   "--out", str(tmp_path / "work" / "run")])
+        assert rc == 1
+        assert "country id '../../evil' contains a path separator" in capsys.readouterr().err
+        written = set(read_tree(tmp_path)) - set(before)
+        assert not [p for p in written if not p.startswith(os.path.join("work", "run", ""))]
 
     def test_skipped_cells_exit_nonzero_and_mark_partial(self, tmp_path, capsys):
         bundle, _ = make_bundle(tmp_path)

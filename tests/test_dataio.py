@@ -14,7 +14,7 @@ import pytest
 
 from conftest import save_regionless_bundle, small_synthetic
 from mobicast.cli import main
-from mobicast.dataio import (CountryDataset, RawCountryData, SyntheticConfig,
+from mobicast.dataio import (CountryDataset, SyntheticConfig,
                              _csv_rows, align_and_filter, generate_synthetic, load_bundle,
                              load_cases, load_mobility, load_region_map,
                              make_dir, read_file, read_lines, save_bundle,
@@ -277,20 +277,19 @@ class TestCsvReader:
 class TestAlignAndFilter:
     def _raw(self, case_days, mob_days, cases):
         mobility = {d: np.full((2, 2), 5.0) for d in mob_days}
-        return RawCountryData("X", ("a", "b"), mobility, tuple(case_days),
-                              np.asarray(cases, dtype=float))
+        return "X", ("a", "b"), mobility, tuple(case_days), np.asarray(cases, dtype=float)
 
     def test_dates_intersected(self):
         raw = self._raw(["2020-03-03", "2020-03-04", "2020-03-05", "2020-03-06"],
                         ["2020-03-05", "2020-03-06"],
                         [[10, 10, 10, 10], [10, 10, 10, 10]])
-        ds = align_and_filter(raw)
+        ds = align_and_filter(*raw)
         assert ds.dates == ("2020-03-05", "2020-03-06")
 
     def test_low_case_region_dropped_at_boundary(self):
         days = ["2020-03-01", "2020-03-02"]
         raw = self._raw(days, days, [[5, 4], [5, 5]])  # totals 9 and 10
-        ds = align_and_filter(raw)
+        ds = align_and_filter(*raw)
         assert ds.regions == ("b",)
         assert ds.cases.shape == (1, 2)
         assert ds.mobility[0].shape == (1, 1)
@@ -299,19 +298,19 @@ class TestAlignAndFilter:
         days = ["2020-03-01"]
         raw = self._raw(days, days, [[1], [2]])
         with pytest.raises(DataError, match="10"):
-            align_and_filter(raw)
+            align_and_filter(*raw)
 
     def test_no_overlap_is_an_error(self):
         raw = self._raw(["2020-03-01"], ["2020-04-01"], [[10], [10]])
         with pytest.raises(DataError, match="overlap"):
-            align_and_filter(raw)
+            align_and_filter(*raw)
 
     def test_gap_in_intersection_is_an_error(self):
         days = ["2020-03-01", "2020-03-02", "2020-03-03"]
         raw = self._raw(days, ["2020-03-01", "2020-03-03"],
                         [[10, 10, 10], [10, 10, 10]])
         with pytest.raises(DataError, match="contiguous"):
-            align_and_filter(raw)
+            align_and_filter(*raw)
 
 
 class TestCountryDataset:
@@ -430,6 +429,16 @@ class TestCountryDataset:
         with pytest.raises(DataError, match="comma or line break"):
             CountryDataset(name, ["a"], ["2020-03-01"], [[1]], [np.eye(1)])
 
+    @pytest.mark.parametrize("country", ["../evil", "a/b", "nul\x00"],
+                             ids=["dotdot", "slash", "nul"])
+    def test_country_id_that_file_names_cannot_hold_rejected(self, country):
+        # checkpoint file names carry the country id; region ids name no file
+        with pytest.raises(DataError, match=re.escape(f"country id {country!r} contains "
+                                                      "a path separator or NUL")):
+            CountryDataset(country, ["a"], ["2020-03-01"], [[1]], [np.eye(1)])
+        assert CountryDataset("X", ["a/b", "..", "c\\d"], ["2020-03-01"],
+                              [[1], [2], [3]], [np.eye(3)]).regions[0] == "a/b"
+
     def test_id_holding_any_break_of_splitlines_rejected(self):
         # load_report_rows splits rows.csv with str.splitlines(), which also
         # breaks on \v, \f, \x1c-\x1e, \x85, \u2028 and \u2029
@@ -525,6 +534,18 @@ class TestBundles:
         with open(bdir / "cases.csv", "w", newline="", encoding="utf-8") as fh:
             csv.writer(fh).writerows(rows)
         with pytest.raises(DataError, match="'Bolzano, South Tyrol' contains a comma"):
+            load_bundle(str(bdir))
+
+    @pytest.mark.parametrize("country", ["../evil", "nul\x00"], ids=["dotdot", "nul"])
+    def test_country_id_that_file_names_cannot_hold_rejected(self, tmp_path, country):
+        ds = small_synthetic(seed=9, n=3, days=8)
+        bdir = tmp_path / "b"
+        save_bundle(ds, str(bdir))
+        manifest = json.loads((bdir / "manifest.json").read_text())
+        manifest["country"] = country
+        (bdir / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(DataError, match=re.escape(f"country id {country!r} contains "
+                                                      "a path separator or NUL")):
             load_bundle(str(bdir))
 
     def test_missing_manifest(self, tmp_path):
@@ -930,8 +951,8 @@ class TestOneReader:
                            ".*utf-8.*can't decode"):
             list(read_lines(str(path)))
         missing = str(tmp_path / "absent")
-        with pytest.raises(CheckpointError, match=f"^cannot read {re.escape(missing)}: "):
-            list(read_lines(missing, error=CheckpointError))
+        with pytest.raises(DataError, match=f"^cannot read {re.escape(missing)}: "):
+            list(read_lines(missing))
 
     def test_only_dataio_reads(self):
         paths = sorted(glob.glob(os.path.join(SRC, "*.py")))

@@ -1,10 +1,12 @@
-"""Every top-level name in the package has a reader.
+"""Every top-level name and every class member in the package has a reader.
 
 A name that only tests use is code the program carries for nothing; these
 tests parse src/mobicast/*.py and list each top-level def, class or
 constant (a module-level assignment, such as a registry dict) that no
 package module reads, by name or as an attribute: public names in one test,
-private helpers (a leading underscore) in the other.
+private helpers (a leading underscore) in the other.  A third lists each
+name a class body defines (a field, method, property or class attribute;
+dunder names aside) that no package module reads as an attribute.
 """
 
 import ast
@@ -44,9 +46,30 @@ def unreferenced_names(src_dir: str, private=False) -> list:
     return [f"{module}.{name}" for module, name in defined if name not in used]
 
 
+def unread_members(src_dir: str) -> list:
+    defined = []
+    read = set()
+    for path in sorted(glob.glob(os.path.join(src_dir, "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        module = os.path.basename(path)[:-3]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):   # its body, read as a module's
+                names = defined_names(node) + defined_names(node, private=True)
+                defined.extend(f"{module}.{node.name}.{name}" for name in names
+                               if not (name.startswith("__") and name.endswith("__")))
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return [member for member in defined if member.rsplit(".", 1)[1] not in read]
+
+
 def test_every_public_name_is_used_by_the_package():
     assert unreferenced_names(SRC) == []
 
 
 def test_every_private_name_is_used_by_the_package():
     assert unreferenced_names(SRC, private=True) == []
+
+
+def test_every_class_member_is_read_by_the_package():
+    assert unread_members(SRC) == []
