@@ -116,17 +116,18 @@ def run_config_from_dict(doc) -> EvalConfig:
     return _from_dict(EvalConfig, doc)
 
 
-def load_run_config(path: str) -> EvalConfig:
+def read_json(path: str, error=DataError):
+    """The JSON value file `path` holds; invalid JSON raises `error` naming it."""
     try:
-        doc = json.loads(read_file(path))
+        return json.loads(read_file(path))
     except json.JSONDecodeError as exc:
-        raise ContractError(f"{path}: invalid JSON: {exc}") from exc
-    return run_config_from_dict(doc)
+        raise error(f"{path}: invalid JSON: {exc}") from exc
 
 
 def resolve_run_config(args) -> EvalConfig:
     """Defaults, overlaid by --config file, overlaid by explicit flags."""
-    cfg = load_run_config(args.config) if args.config else EvalConfig()
+    cfg = (run_config_from_dict(read_json(args.config, ContractError))
+           if args.config else EvalConfig())
     updates = {}
     if args.seed is not None:
         updates["seed"] = args.seed
@@ -286,6 +287,12 @@ def cmd_report(args, argv) -> int:
     merged = []
     owner = {}   # (country, model, T, j) -> the input that holds the cell
     for src in args.inputs:
+        path = os.path.join(src, MANIFEST_NAME)   # an input without one is read as is
+        manifest = read_json(path) if os.path.exists(path) else {}
+        if not isinstance(manifest, dict):
+            raise DataError(f"{path}: not a JSON object")
+        if manifest.get("status") == "failed":
+            raise DataError(f"{src}: its last command failed ({path}); not merged")
         cells = load_report_rows(os.path.join(src, "rows.csv"))
         keys = {cell.key for cell in cells}
         clash = min(keys & owner.keys(), default=None)

@@ -17,7 +17,7 @@ import numpy as np
 from .baselines import ar_fit, ar_predict, avg_predict, avg_window_predict, last_day_predict
 from .dataio import CountryDataset, make_dir, read_lines, write_file
 from .errors import (CheckpointError, ContractError, DataError, InsufficientDataError,
-                     SkippedCell, TrainingDivergedError)
+                     TrainingDivergedError)
 from .graphs import normalized_graphs
 from .meta import MetaConfig, maml_meta_train, save_meta_state, tl_base_train
 from .models import BaselineLSTMModel, MPNNLSTMModel, MPNNModel
@@ -69,15 +69,14 @@ class ProtocolGrid:
                 raise ContractError("horizons must be distinct and >= 1")
             object.__setattr__(self, "horizons", tuple(sorted(hs)))
 
-    def horizon_values(self) -> tuple:
-        return self.horizons if self.horizons is not None else tuple(
-            range(1, self.dt + 1))
-
-    def cells(self, t_total: int) -> list:
-        """All (t, j) pairs of this grid whose target day fits in t_total."""
-        t_hi = t_total - 1 if self.t_end is None else min(self.t_end, t_total - 1)
-        return [(t, j) for t in range(self.t_start, t_hi + 1)
-                for j in self.horizon_values() if t + j <= t_total]
+    def anchors(self, t_total: int) -> list:
+        """(t, horizons) for each anchor t of this grid, with its horizons j
+        whose target day t + j fits in t_total; an anchor with none is left out."""
+        horizons = self.horizons or tuple(range(1, self.dt + 1))
+        t_end = t_total if self.t_end is None else self.t_end
+        # horizons are sorted: past t_total - horizons[0], none fits
+        return [(t, tuple(j for j in horizons if t + j <= t_total))
+                for t in range(self.t_start, min(t_end, t_total - horizons[0]) + 1)]
 
 
 @dataclass(frozen=True)
@@ -300,24 +299,27 @@ def _trainable_cell(ctx: _CellContext, country: str, model_name: str, t: int,
                     j: int, shared) -> CellResult:
     """One trainable cell, scored or skipped.  Its parameters are loaded from
     the cell's file under ctx.load_only, else trained.  Its outcome, a
-    Checkpoint or the reason of a shared or diverged skip, is kept as that
-    file when ctx has a checkpoint directory and is not load-only."""
+    Checkpoint or the reason of a shared or diverged skip, is kept with the
+    cell's record as that file when ctx has a checkpoint directory and is
+    not load-only; a load checks the whole record, cell_seed too."""
     key = (country, model_name, t, j)
     if model_name == "MPNN_TL" and not ctx.foreign(country):
         return CellResult(*key, reason="transfer initialization needs at least "
                                        "one other country")
     dataset = ctx.datasets[country]
     cell_seed = derive_seed(ctx.config.seed, country, t, j)
-    header = {"country": country, "model_name": model_name, "t": t, "horizon": j}
+    cell = {"country": country, "model_name": model_name, "t": t, "horizon": j,
+            "cell_seed": cell_seed}
     path = (None if ctx.checkpoint_dir is None
             else os.path.join(ctx.checkpoint_dir, checkpoint_name(*key)))
     outcome = shared   # a reason string skips the cell as it stands
     if not isinstance(shared, str):
         model = build_model(model_name, ctx.config.train)
+        # a stored skip is its reason, read before the splits, as it was recorded
+        outcome = (load_checkpoint(path, model, cell)
+                   if ctx.load_only and os.path.exists(path) else None)
+    if not isinstance(outcome, str):
         try:
-            # a stored skip raises SkippedCell before the splits, as it was recorded
-            outcome = (load_checkpoint(path, model, header)
-                       if ctx.load_only and os.path.exists(path) else None)
             splits = make_splits(dataset, t, j, model.d, model.seq_len)
             if outcome is None and ctx.load_only:
                 raise CheckpointError(f"missing checkpoint for cell {cell_label(key)}: "
@@ -330,12 +332,12 @@ def _trainable_cell(ctx: _CellContext, country: str, model_name: str, t: int,
                                       init_state=shared)
             with divergence_at(outcome.epoch):
                 preds = predict(model, outcome.state, [splits.test])
-        except (DataError, SkippedCell) as exc:  # DataError includes InsufficientDataError
+        except DataError as exc:   # InsufficientDataError included
             return CellResult(*key, reason=str(exc))
         except TrainingDivergedError as exc:
             outcome = f"training diverged: {exc}"
     if path is not None and not ctx.load_only:
-        save_checkpoint(path, outcome, extra_meta={**header, "cell_seed": cell_seed})
+        save_checkpoint(path, outcome, cell)
     if isinstance(outcome, str):
         return CellResult(*key, reason=outcome)
     return CellResult(*key, dataset.regions, preds, dataset.cases_on(t + j))
@@ -401,15 +403,13 @@ def _grid_tasks(datasets, config: EvalConfig):
         raise ContractError(f"duplicate countries in {names}")
     units = []
     for ds in datasets:
-        anchors = {}   # t -> its horizons
-        for t, j in config.grid.cells(ds.t_total):
-            anchors.setdefault(t, []).append(j)
+        anchors = config.grid.anchors(ds.t_total)
         for model in config.models:
-            for t, horizons in anchors.items():
+            for t, horizons in anchors:
                 if model in TRAINABLE_MODELS:
                     units += [(ds.country, model, t, (j,)) for j in horizons]
                 else:
-                    units.append((ds.country, model, t, tuple(horizons)))
+                    units.append((ds.country, model, t, horizons))
     if not units:
         raise ContractError("protocol grid is empty for every requested country")
     return units

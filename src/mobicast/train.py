@@ -20,7 +20,7 @@ import numpy as np
 from . import tape as tp
 from .dataio import CountryDataset
 from .errors import (CheckpointError, ContractError, InsufficientDataError,
-                     NumericsError, SkippedCell, TrainingDivergedError)
+                     NumericsError, TrainingDivergedError)
 from .graphs import GraphSample, assemble_samples
 from .models import ModelState, check_feature_mode, model_spec, stack_targets
 from .optim import adam_init, adam_step
@@ -200,44 +200,39 @@ def train_model(splits: SplitSpec, model, config: TrainConfig, seed: int,
     return best
 
 
-def save_checkpoint(path: str, checkpoint: Checkpoint | str,
-                    extra_meta: dict | None = None) -> None:
-    """Write a trained Checkpoint, or, given a skip reason string, a
-    header-only record that load_checkpoint raises as SkippedCell."""
+def save_checkpoint(path: str, checkpoint: Checkpoint | str, cell: dict) -> None:
+    """Write a trained Checkpoint, or a skip reason string as a header-only
+    record, with `cell`, the cell's record; load_checkpoint returns either."""
     if isinstance(checkpoint, str):
         return save_params(path, {}, {}, {"kind": "mobicast-skip",
-                                          "reason": checkpoint, "extra": extra_meta})
+                                          "reason": checkpoint, "extra": cell})
     meta = {
         "kind": "mobicast-checkpoint",
         "model": model_spec(checkpoint.model),
         "val_error": checkpoint.val_error,
         "epoch": checkpoint.epoch,
         "stopped_epoch": checkpoint.stopped_epoch,
+        "extra": cell,
     }
-    if extra_meta:
-        meta["extra"] = extra_meta
     save_params(path, checkpoint.state.params, checkpoint.state.buffers, meta)
 
 
-def load_checkpoint(path: str, model, cell: dict | None = None) -> Checkpoint:
-    """The trained `model` a checkpoint holds.  A header recording another
-    architecture, or, given `cell`, other values for cell's keys in its
-    `extra` record, is a CheckpointError naming the file."""
+def load_checkpoint(path: str, model, cell: dict) -> Checkpoint | str:
+    """What save_checkpoint took: the trained `model` a checkpoint holds, or
+    a skip's reason.  A header recording another cell record than `cell`,
+    or another architecture, is a CheckpointError naming the file."""
     params, buffers, meta = load_params(path)
     kind = meta.get("kind")
     if kind not in ("mobicast-skip", "mobicast-checkpoint"):
         raise CheckpointError(f"{path!r} is not a model checkpoint")
+    if meta.get("extra") != cell:
+        raise CheckpointError(f"{path!r} records cell {meta.get('extra')}, not {cell}")
     try:
-        if cell is not None:
-            extra = meta.get("extra") or {}
-            stored = {key: extra.get(key) for key in cell}
-            if stored != cell:
-                raise CheckpointError(f"{path!r} records cell {stored}, not {cell}")
         if kind == "mobicast-skip":
             reason = meta["reason"]   # rows.csv writes it on the cell's skip line
             if not isinstance(reason, str) or "".join(reason.splitlines()) != reason:
                 raise ValueError(f"reason must be one line of text, got {reason!r}")
-            raise SkippedCell(reason)
+            return reason
         stored, expected = meta["model"], model_spec(model)
         if stored.items() != expected.items():   # a non-object fails .items()
             raise CheckpointError(f"{path!r} holds model {stored}, but the run "

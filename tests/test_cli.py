@@ -1056,6 +1056,23 @@ class TestEvaluateCommand:
         assert read_manifest(out)["status"] == "failed"
         assert not os.path.exists(os.path.join(out, "rows.csv"))
 
+    def test_rescore_under_another_seed_names_checkpoint(self, tmp_path, capsys):
+        # each cell trained under its seed-0 cell seed; seed 9 would claim
+        # those parameters as its own
+        _, _, argv, trained = self.trained(tmp_path)
+        capsys.readouterr()
+        out = str(tmp_path / "eval")
+        rc = main(["evaluate", *argv, "--seed", "9", "--checkpoints",
+                   os.path.join(trained, "checkpoints"), "--out", out])
+        assert rc == 1
+        err = capsys.readouterr().err
+        ckpt = os.path.join(trained, "checkpoints", "AA__MPNN__T14_j1.ckpt")
+        assert err.startswith(f"error: {ckpt!r} records cell ")
+        assert err.count("'cell_seed': ") == 2 and err.count("\n") == 1
+        manifest = read_manifest(out)
+        assert (manifest["status"], manifest["seed"]) == ("failed", 9)
+        assert not os.path.exists(os.path.join(out, "rows.csv"))
+
     @pytest.mark.parametrize("reason", ["boom\nAA,MPNN,15,1,r0,1.0,1.0,0.0", 5],
                              ids=["line-break", "number"])
     def test_skip_reason_that_is_not_one_line_rejected(self, tmp_path, capsys, reason):
@@ -1193,6 +1210,45 @@ class TestReportCommand:
             assert f"cell country=AA model={model} T=14 j=1 is in both " \
                    f"{first} and {second}" in err
             assert not os.path.exists(merged)
+
+    def test_input_whose_last_command_failed_rejected(self, tmp_path, capsys):
+        # a failed rescore into a train run's directory leaves train's rows.csv
+        # beside its own failed run.json: those rows are not its report
+        bundle, _ = make_bundle(tmp_path)
+        argv = ["--bundle", bundle, "--model", "mpnn", "--t", "14", "--horizon", "1",
+                "--config", write_config(tmp_path)]
+        run = str(tmp_path / "run0")
+        assert main(["train", *argv, "--out", run]) == 0
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        assert main(["evaluate", *argv, "--checkpoints", str(empty), "--out", run]) == 1
+        assert read_manifest(run)["status"] == "failed"
+        assert os.path.exists(os.path.join(run, "rows.csv"))
+        capsys.readouterr()
+        merged = tmp_path / "merged"
+        assert main(["report", run, "--out", str(merged)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {run}: its last command failed ")
+        assert err.count("\n") == 1
+        assert not merged.exists()
+
+    @pytest.mark.parametrize("manifest,message", [
+        (b"[]", "not a JSON object"), (b"{", "invalid JSON"),
+        (b"\xff", "cannot read")], ids=["list", "truncated", "not-utf8"])
+    def test_manifest_that_is_not_an_object_rejected(self, tmp_path, capsys,
+                                                     manifest, message):
+        trained = str(tmp_path / "trained")
+        assert main(["train", "--bundle", make_bundle(tmp_path)[0], "--model",
+                     "last_day", "--t", "14", "--horizon", "1", "--out", trained]) == 0
+        path = os.path.join(trained, "run.json")
+        with open(path, "wb") as fh:
+            fh.write(manifest)
+        capsys.readouterr()
+        merged = tmp_path / "merged"
+        assert main(["report", trained, "--out", str(merged)]) == 1
+        err = capsys.readouterr().err
+        assert message in err and path in err and err.count("\n") == 1
+        assert not merged.exists()
 
     def test_missing_input_fails(self, tmp_path, capsys):
         rc = main(["report", str(tmp_path / "nope"),

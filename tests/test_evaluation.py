@@ -68,24 +68,25 @@ def make_row(model="M", t=14, j=1, pred=1.0, actual=2.0, region="R00",
 
 class TestProtocolGrid:
     def test_cell_count_for_30_days(self):
-        cells = ProtocolGrid(dt=14).cells(30)
+        cells = [(t, j) for t, hs in ProtocolGrid(dt=14).anchors(30) for j in hs]
         assert len(cells) == 133
         assert all(t + j <= 30 for t, j in cells)
         assert len(set(cells)) == len(cells)
         assert {t for t, _ in cells} == set(range(14, 30))
 
     def test_t_end_capped_by_data(self):
-        cells = ProtocolGrid(t_end=25, dt=1).cells(18)
-        assert {t for t, _ in cells} == set(range(14, 18))
+        anchors = ProtocolGrid(t_end=25, dt=1).anchors(18)
+        assert [t for t, _ in anchors] == list(range(14, 18))
 
     def test_explicit_horizons_sorted(self):
         grid = ProtocolGrid(horizons=(5, 1, 3))
-        assert grid.horizon_values() == (1, 3, 5)
-        assert grid.cells(20) == [(t, j) for t in range(14, 20)
-                                  for j in (1, 3, 5) if t + j <= 20]
+        assert grid.horizons == (1, 3, 5)
+        assert grid.anchors(20) == [(t, tuple(j for j in (1, 3, 5) if t + j <= 20))
+                                    for t in range(14, 20)]
 
     def test_empty_when_data_too_short(self):
-        assert ProtocolGrid(dt=14).cells(14) == []
+        assert ProtocolGrid(dt=14).anchors(14) == []
+        assert ProtocolGrid(horizons=(5,)).anchors(18) == []
 
     def test_invalid_settings(self):
         for kwargs in ({"t_start": 13}, {"dt": 0}, {"horizons": ()},
@@ -277,7 +278,7 @@ class TestRollingEvaluate:
         grid = ProtocolGrid(t_end=16, dt=2)
         report = rolling_evaluate([ds], fast_config(models=["LAST_DAY"], grid=grid))
         assert not skips(report)
-        assert len(report_rows(report)) == len(grid.cells(20)) * 2
+        assert len(report_rows(report)) == sum(len(hs) for _, hs in grid.anchors(20)) * 2
         for cell in scored(report):
             assert cell.regions == ds.regions
             history = ds.case_window(cell.t, cell.t)

@@ -29,7 +29,7 @@ from mobicast.meta import (
 )
 from mobicast.models import ModelState, MPNNModel, model_spec
 from mobicast.params import load_params
-from mobicast.rng import Rng
+from mobicast.rng import Rng, derive_seed
 from mobicast.train import (Checkpoint, SplitSpec, TrainConfig, load_checkpoint,
                             make_splits, predict, train_model)
 
@@ -314,6 +314,12 @@ def transfer_config(models=("MPNN_TL",), grid=ProtocolGrid(dt=1), **train):
                       models=models, grid=grid)
 
 
+def transfer_cell(country, t, seed=0):
+    """The cell record an MPNN_TL (country, t, j=1) checkpoint holds."""
+    return {"country": country, "model_name": "MPNN_TL", "t": t, "horizon": 1,
+            "cell_seed": derive_seed(seed, country, t, 1)}
+
+
 def two_countries(days=16, cls=lambda ds: ds):
     return [cls(make_ramp_dataset(n=3, days=days, country="AA")),
             cls(make_ramp_dataset(n=2, days=days, country="BB", seed=1))]
@@ -331,7 +337,8 @@ class TestFineTune:
                 str(tmp_path / f"{country}__MPNN_TL__meta.ckpt"))
             for t in (14, 15):
                 ckpt = load_checkpoint(
-                    str(tmp_path / f"{country}__MPNN_TL__T{t}_j1.ckpt"), tiny_mpnn())
+                    str(tmp_path / f"{country}__MPNN_TL__T{t}_j1.ckpt"), tiny_mpnn(),
+                    transfer_cell(country, t))
                 for key, arr in shared.items():
                     assert np.array_equal(ckpt.state.params[key], arr)
         assert sorted(os.listdir(tmp_path)) == [
@@ -345,7 +352,7 @@ class TestFineTune:
         maes = []
         for t in (14, 15):
             ckpt = load_checkpoint(str(tmp_path / f"AA__MPNN_TL__T{t}_j1.ckpt"),
-                                   tiny_mpnn())
+                                   tiny_mpnn(), transfer_cell("AA", t))
             splits = make_splits(datasets[0], t, 1, 3)
             forecast = predict(ckpt.model, ckpt.state, [splits.test])
             actual = np.asarray(splits.test.target).reshape(-1)
@@ -535,4 +542,4 @@ class TestMetaStateIO:
         save_meta_state(path, model.init_state(Rng(2)), model, ["AA"],
                         MetaConfig(), 0)
         with pytest.raises(CheckpointError, match="not a model checkpoint"):
-            load_checkpoint(path, model)
+            load_checkpoint(path, model, {})

@@ -384,9 +384,9 @@ class TestModelSpec:
     def test_round_trip(self, model, spec, tmp_path):
         path = str(tmp_path / "cell.ckpt")
         state = model.init_state(Rng(0))
-        save_checkpoint(path, Checkpoint(model, state, 1.0, epoch=0, stopped_epoch=0))
+        save_checkpoint(path, Checkpoint(model, state, 1.0, epoch=0, stopped_epoch=0), {})
         assert load_params(path)[2]["model"] == spec
-        loaded = load_checkpoint(path, model)
+        loaded = load_checkpoint(path, model, {})
         assert loaded.model is model
         assert loaded.state.params.keys() == state.params.keys()
 
@@ -398,13 +398,13 @@ class TestModelSpec:
                      {**SPECS[0][1], "hidden": 4}, {**SPECS[0][1], "seq_len": 1}):
             save_params(path, {"w": np.zeros((1, 1))}, {}, {
                 "kind": "mobicast-checkpoint", "model": spec, "val_error": 1.0,
-                "epoch": 0, "stopped_epoch": 0})
+                "epoch": 0, "stopped_epoch": 0, "extra": {}})
             stored = load_params(path)[2]["model"]   # as the header orders it
             assert stored == spec
             with pytest.raises(CheckpointError, match=re.escape(
                     f"{path!r} holds model {stored}, but the run config builds "
                     f"{SPECS[0][1]}")):
-                load_checkpoint(path, model)
+                load_checkpoint(path, model, {})
 
     def test_build_model_reads_train_config(self):
         cfg = TrainConfig(d=3, k_layers=1, hidden=2, dropout=0.25, seq_len=4,

@@ -12,9 +12,7 @@ from mobicast import tape as tp
 from mobicast.errors import (
     CheckpointError,
     ContractError,
-    DataError,
     InsufficientDataError,
-    SkippedCell,
     TrainingDivergedError,
 )
 from mobicast.graphs import assemble_samples
@@ -289,18 +287,21 @@ class TestCheckpointIO:
         splits, model = tiny_setup()
         ckpt = train_model(splits, model, TrainConfig(max_epochs=2, dropout=0.0), 0)
         path = str(tmp_path / "model.ckpt")
-        save_checkpoint(path, ckpt, extra_meta={"country": "IT"})
-        loaded = load_checkpoint(path, model)
+        save_checkpoint(path, ckpt, {"country": "IT"})
+        loaded = load_checkpoint(path, model, {"country": "IT"})
         assert loaded.val_error == pytest.approx(ckpt.val_error, abs=1e-9)
         assert (loaded.epoch, loaded.stopped_epoch) == (ckpt.epoch, ckpt.stopped_epoch)
         assert params_bytes(loaded.state) == params_bytes(ckpt.state)
+        with pytest.raises(CheckpointError, match=re.escape(
+                f"{path!r} records cell {{'country': 'IT'}}, not {{'country': 'FR'}}")):
+            load_checkpoint(path, model, {"country": "FR"})
 
     def test_reload_reproduces_validation_error(self, tmp_path):
         splits, model = tiny_setup()
         ckpt = train_model(splits, model, TrainConfig(max_epochs=3, dropout=0.0), 0)
         path = str(tmp_path / "model.ckpt")
-        save_checkpoint(path, ckpt)
-        loaded = load_checkpoint(path, model)
+        save_checkpoint(path, ckpt, {})
+        loaded = load_checkpoint(path, model, {})
         replayed = train_mod._validation_mae(loaded.model, loaded.state,
                                              splits.validation)
         assert replayed == pytest.approx(ckpt.val_error, abs=1e-9)
@@ -309,8 +310,8 @@ class TestCheckpointIO:
         splits, model = tiny_setup()
         ckpt = train_model(splits, model, TrainConfig(max_epochs=2, dropout=0.0), 0)
         path = str(tmp_path / "model.ckpt")
-        save_checkpoint(path, ckpt)
-        loaded = load_checkpoint(path, model)
+        save_checkpoint(path, ckpt, {})
+        loaded = load_checkpoint(path, model, {})
         assert np.array_equal(predict(loaded.model, loaded.state, [splits.test]),
                               predict(model, ckpt.state, [splits.test]))
 
@@ -318,17 +319,17 @@ class TestCheckpointIO:
         extra = {"country": "IT", "model_name": "MPNN", "t": 14, "horizon": 1,
                  "cell_seed": 5}
         path = str(tmp_path / "cell.ckpt")
-        save_checkpoint(path, "training diverged: boom", extra_meta=extra)
+        save_checkpoint(path, "training diverged: boom", extra)
         params, buffers, meta = load_params(path)
         assert (params, buffers) == ({}, {})
         assert meta == {"kind": "mobicast-skip", "reason": "training diverged: boom",
                         "extra": extra}
-        with pytest.raises(SkippedCell, match="^training diverged: boom$") as err:
-            load_checkpoint(path, tiny_model())
-        assert not isinstance(err.value, DataError)
+        assert load_checkpoint(path, tiny_model(), extra) == "training diverged: boom"
+        with pytest.raises(CheckpointError, match="records cell {.*'cell_seed': 5.*}, not {.*'cell_seed': 6}"):
+            load_checkpoint(path, tiny_model(), {**extra, "cell_seed": 6})
         with open(path, "rb") as fh:
             first = fh.read()
-        save_checkpoint(path, "training diverged: boom", extra_meta=extra)
+        save_checkpoint(path, "training diverged: boom", extra)
         with open(path, "rb") as fh:
             assert fh.read() == first
 
@@ -362,15 +363,17 @@ class TestCheckpointIO:
         if isinstance(header, dict):   # one 1-element tensor, unless replaced
             header = {"format_version": 1, "meta": {"kind": "mobicast-checkpoint"},
                       "params": [["w", [1]]], "buffers": [], **header}
+            if isinstance(header["meta"], dict):   # the record the load below expects
+                header["meta"] = {**header["meta"], "extra": {}}
         blob = json.dumps(header).encode("utf-8")
         path = tmp_path / "cell.ckpt"
         path.write_bytes(MAGIC + len(blob).to_bytes(8, "little") + blob + bytes(8))
         with pytest.raises(CheckpointError, match=re.escape(f"{str(path)!r}: {message}")):
-            load_checkpoint(str(path), tiny_model())
+            load_checkpoint(str(path), tiny_model(), {})
 
     def test_wrong_kind_rejected(self, tmp_path):
         path = str(tmp_path / "other.ckpt")
         save_params(path, {"w": np.zeros((1, 1))}, {}, {"kind": "something-else"})
         with pytest.raises(CheckpointError, match="not a model checkpoint"):
-            load_checkpoint(path, tiny_model())
+            load_checkpoint(path, tiny_model(), {})
 
