@@ -33,7 +33,7 @@ from .dataio import (
     save_bundle,
     write_file,
 )
-from .errors import ContractError, DataError, MobicastError
+from .errors import ContractError, DataError, MobicastError, WriteError
 from .evaluation import (
     MODEL_NAMES,
     EvalConfig,
@@ -255,6 +255,13 @@ def _grid_run(args, argv, checkpoint_dir, load_only=False) -> int:
     datasets = load_bundles(args.bundle)
     make_dir(args.out)   # a bad path fails before any cell trains
     try:
+        for name in ("rows.csv", "summary.json"):   # a failed run leaves no earlier report
+            try:
+                os.remove(os.path.join(args.out, name))
+            except FileNotFoundError:
+                pass
+            except OSError as exc:
+                raise WriteError(f"cannot remove {exc.filename}: {exc}") from exc
         cells = rolling_evaluate(datasets, cfg, checkpoint_dir=checkpoint_dir,
                                  load_only=load_only)
         paths = emit_report(cells, args.out)

@@ -23,7 +23,7 @@ from .meta import MetaConfig, maml_meta_train, save_meta_state, tl_base_train
 from .models import BaselineLSTMModel, MPNNLSTMModel, MPNNModel
 from .rng import derive_seed
 from .train import (
-    PROTOCOL_START_DAY,
+    ProtocolGrid,
     TrainConfig,
     divergence_at,
     load_checkpoint,
@@ -40,43 +40,6 @@ TRAINABLE_MODELS = {"LSTM": BaselineLSTMModel, "MPNN": MPNNModel,
                     "MPNN_LSTM": MPNNLSTMModel, "MPNN_TL": MPNNModel,
                     "TL_BASE": MPNNModel}
 SUMMARY_RANGES = ((1, 3), (1, 7), (1, 14))
-
-
-@dataclass(frozen=True)
-class ProtocolGrid:
-    """Rolling anchors T and horizons to evaluate; every (T, j) with
-    T + j within the data is one cell.  A trainable model trains each cell
-    on its own; a baseline scores all cells of an anchor from one history."""
-    t_start: int = PROTOCOL_START_DAY
-    t_end: Optional[int] = None   # inclusive; capped at T_total - 1
-    dt: int = 14
-    horizons: Optional[tuple] = None  # explicit horizon set, overrides 1..dt
-
-    def __post_init__(self):
-        if self.t_start < PROTOCOL_START_DAY:
-            raise ContractError(
-                f"t_start must be >= {PROTOCOL_START_DAY}, got {self.t_start}")
-        if self.t_end is not None and self.t_end < self.t_start:
-            raise ContractError("t_end must be >= t_start")
-        if self.dt < 1:
-            raise ContractError(f"dt must be >= 1, got {self.dt}")
-        if self.horizons is not None:
-            if not isinstance(self.horizons, (list, tuple)) or any(
-                    isinstance(j, bool) or not isinstance(j, int) for j in self.horizons):
-                raise ContractError("horizons must be a list of integers")
-            hs = tuple(self.horizons)
-            if not hs or any(j < 1 for j in hs) or len(set(hs)) != len(hs):
-                raise ContractError("horizons must be distinct and >= 1")
-            object.__setattr__(self, "horizons", tuple(sorted(hs)))
-
-    def anchors(self, t_total: int) -> list:
-        """(t, horizons) for each anchor t of this grid, with its horizons j
-        whose target day t + j fits in t_total; an anchor with none is left out."""
-        horizons = self.horizons or tuple(range(1, self.dt + 1))
-        t_end = t_total if self.t_end is None else self.t_end
-        # horizons are sorted: past t_total - horizons[0], none fits
-        return [(t, tuple(j for j in horizons if t + j <= t_total))
-                for t in range(self.t_start, min(t_end, t_total - horizons[0]) + 1)]
 
 
 @dataclass(frozen=True)
@@ -297,43 +260,38 @@ def _run_cell(task):
 
 def _trainable_cell(ctx: _CellContext, country: str, model_name: str, t: int,
                     j: int, shared) -> CellResult:
-    """One trainable cell, scored or skipped.  Its parameters are loaded from
-    the cell's file under ctx.load_only, else trained.  Its outcome, a
-    Checkpoint or the reason of a shared or diverged skip, is kept with the
-    cell's record as that file when ctx has a checkpoint directory and is
-    not load-only; a load checks the whole record, cell_seed too."""
+    """One trainable cell, scored or skipped.  Its outcome, a Checkpoint or a
+    skip reason, is read from the cell's file under ctx.load_only, else
+    trained and, with a checkpoint directory, saved with the cell's record."""
     key = (country, model_name, t, j)
-    if model_name == "MPNN_TL" and not ctx.foreign(country):
-        return CellResult(*key, reason="transfer initialization needs at least "
-                                       "one other country")
     dataset = ctx.datasets[country]
     cell_seed = derive_seed(ctx.config.seed, country, t, j)
     cell = {"country": country, "model_name": model_name, "t": t, "horizon": j,
             "cell_seed": cell_seed}
     path = (None if ctx.checkpoint_dir is None
             else os.path.join(ctx.checkpoint_dir, checkpoint_name(*key)))
-    outcome = shared   # a reason string skips the cell as it stands
-    if not isinstance(shared, str):
-        model = build_model(model_name, ctx.config.train)
-        # a stored skip is its reason, read before the splits, as it was recorded
-        outcome = (load_checkpoint(path, model, cell)
-                   if ctx.load_only and os.path.exists(path) else None)
+    model = build_model(model_name, ctx.config.train)
+    if ctx.load_only:
+        if not os.path.exists(path):
+            raise CheckpointError(f"missing checkpoint for cell {cell_label(key)}: {path}")
+        outcome = load_checkpoint(path, model, cell)
+    elif model_name == "MPNN_TL" and not ctx.foreign(country):
+        outcome = "transfer initialization needs at least one other country"
+    else:
+        outcome = shared   # a reason string skips the cell as it stands
     if not isinstance(outcome, str):
         try:
             splits = make_splits(dataset, t, j, model.d, model.seq_len)
-            if outcome is None and ctx.load_only:
-                raise CheckpointError(f"missing checkpoint for cell {cell_label(key)}: "
-                                      f"{path}")
-            if outcome is None and model_name == "TL_BASE":
-                outcome = tl_base_train(ctx.foreign(country), splits, model,
-                                        ctx.config.train, cell_seed)
-            elif outcome is None:
-                outcome = train_model(splits, model, ctx.config.train, cell_seed,
-                                      init_state=shared)
+            if not ctx.load_only:
+                outcome = (tl_base_train(ctx.foreign(country), splits, model,
+                                         ctx.config.train, cell_seed)
+                           if model_name == "TL_BASE" else
+                           train_model(splits, model, ctx.config.train, cell_seed,
+                                       init_state=shared))
             with divergence_at(outcome.epoch):
                 preds = predict(model, outcome.state, [splits.test])
         except DataError as exc:   # InsufficientDataError included
-            return CellResult(*key, reason=str(exc))
+            outcome = str(exc)
         except TrainingDivergedError as exc:
             outcome = f"training diverged: {exc}"
     if path is not None and not ctx.load_only:
@@ -355,10 +313,8 @@ def evaluate_cell(ctx: _CellContext, country: str, model_name: str, t: int,
     of ctx.foreign(country).  A cell is skipped, with its reason, when it
     lacks the data its model needs (a baseline's whole unit, then, with one
     reason), its training diverged (a non-finite loss, or a non-finite
-    validation or test forecast) or it has no shared initialization.  A
-    training run keeps the last two reasons as the cell's checkpoint.  An
-    MPNN_TL cell with no foreign country is skipped too, as is a baseline
-    cell whose forecast is not finite (a history near the float64 limit).
+    validation or test forecast), it has no shared initialization or no
+    foreign country, or its baseline forecast is not finite.
     """
     if model_name in TRAINABLE_MODELS:
         (j,) = horizons
@@ -457,10 +413,10 @@ def rolling_evaluate(datasets, config: EvalConfig,
     enough data, or whose training diverged, are skipped with their reason,
     not failed; any other error stops the grid.
 
-    With `load_only`, every trainable cell loads its checkpoint from
-    checkpoint_dir instead of training: nothing is meta-trained or saved,
-    cells run in-process whatever `config.jobs` says, and a missing
-    checkpoint is a CheckpointError naming the cell.
+    With `load_only`, every trainable cell reads its outcome, trained or
+    skipped, from its checkpoint in checkpoint_dir: nothing is trained,
+    meta-trained or saved, cells run in-process whatever `config.jobs`
+    says, and a missing checkpoint is a CheckpointError naming the cell.
     """
     units = _grid_tasks(datasets, config)
     if load_only and checkpoint_dir is None:

@@ -19,6 +19,7 @@ from .rng import Rng
 from .train import (
     PROTOCOL_START_DAY,
     Checkpoint,
+    ProtocolGrid,
     SplitSpec,
     TrainConfig,
     loss_and_grads,
@@ -51,17 +52,15 @@ def enumerate_tasks(dataset: CountryDataset, config: MetaConfig, d: int) -> list
     sample whose target falls inside the first t days adapts, and the one
     whose target falls at day t+horizon is held out.
 
-    Anchors before day d, which have no full feature window, and cells whose
-    held-out target day would fall beyond the data are skipped; an empty grid
-    is an error.
+    Anchors start no earlier than day d, as earlier ones lack a full feature
+    window, and ProtocolGrid.anchors keeps the cells whose held-out target
+    day falls within the data; an empty grid is an error.
     """
     tasks = []
-    for t in range(max(config.t_start, d), dataset.t_total + 1):
-        for j in range(1, config.dt + 1):
-            if t + j > dataset.t_total:
-                continue
-            universe = assemble_samples(dataset, d, j, t_end=t,
-                                        include_test=True)
+    grid = ProtocolGrid(t_start=max(config.t_start, d), dt=config.dt)
+    for t, horizons in grid.anchors(dataset.t_total):
+        for j in horizons:
+            universe = assemble_samples(dataset, d, j, t_end=t, include_test=True)
             tasks.append(SplitSpec(country=dataset.country, t=t, horizon=j,
                                    train=universe[:-1], validation=[],
                                    test=universe[-1]))

@@ -32,6 +32,43 @@ VALIDATION_OFFSETS = (1, 3, 5, 7, 9)
 
 
 @dataclass(frozen=True)
+class ProtocolGrid:
+    """Rolling anchors T and horizons to evaluate; every (T, j) with
+    T + j within the data is one cell.  A trainable model trains each cell
+    on its own; a baseline scores all cells of an anchor from one history."""
+    t_start: int = PROTOCOL_START_DAY
+    t_end: Optional[int] = None   # inclusive; capped at T_total - 1
+    dt: int = 14
+    horizons: Optional[tuple] = None  # explicit horizon set, overrides 1..dt
+
+    def __post_init__(self):
+        if self.t_start < PROTOCOL_START_DAY:
+            raise ContractError(
+                f"t_start must be >= {PROTOCOL_START_DAY}, got {self.t_start}")
+        if self.t_end is not None and self.t_end < self.t_start:
+            raise ContractError("t_end must be >= t_start")
+        if self.dt < 1:
+            raise ContractError(f"dt must be >= 1, got {self.dt}")
+        if self.horizons is not None:
+            if not isinstance(self.horizons, (list, tuple)) or any(
+                    isinstance(j, bool) or not isinstance(j, int) for j in self.horizons):
+                raise ContractError("horizons must be a list of integers")
+            hs = tuple(self.horizons)
+            if not hs or any(j < 1 for j in hs) or len(set(hs)) != len(hs):
+                raise ContractError("horizons must be distinct and >= 1")
+            object.__setattr__(self, "horizons", tuple(sorted(hs)))
+
+    def anchors(self, t_total: int) -> list:
+        """(t, horizons) for each anchor t of this grid, with its horizons j
+        whose target day t + j fits in t_total; an anchor with none is left out."""
+        horizons = self.horizons or tuple(range(1, self.dt + 1))
+        t_end = t_total if self.t_end is None else self.t_end
+        # horizons are sorted: past t_total - horizons[0], none fits
+        return [(t, tuple(j for j in horizons if t + j <= t_total))
+                for t in range(self.t_start, min(t_end, t_total - horizons[0]) + 1)]
+
+
+@dataclass(frozen=True)
 class TrainConfig:
     max_epochs: int = 500
     patience: int = 50

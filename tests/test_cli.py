@@ -1212,8 +1212,8 @@ class TestReportCommand:
             assert not os.path.exists(merged)
 
     def test_input_whose_last_command_failed_rejected(self, tmp_path, capsys):
-        # a failed rescore into a train run's directory leaves train's rows.csv
-        # beside its own failed run.json: those rows are not its report
+        # a failed rescore into a train run's directory deletes train's rows.csv
+        # before it runs, and report still refuses its failed run.json
         bundle, _ = make_bundle(tmp_path)
         argv = ["--bundle", bundle, "--model", "mpnn", "--t", "14", "--horizon", "1",
                 "--config", write_config(tmp_path)]
@@ -1223,7 +1223,8 @@ class TestReportCommand:
         empty.mkdir()
         assert main(["evaluate", *argv, "--checkpoints", str(empty), "--out", run]) == 1
         assert read_manifest(run)["status"] == "failed"
-        assert os.path.exists(os.path.join(run, "rows.csv"))
+        assert not os.path.exists(os.path.join(run, "rows.csv"))
+        assert not os.path.exists(os.path.join(run, "summary.json"))
         capsys.readouterr()
         merged = tmp_path / "merged"
         assert main(["report", run, "--out", str(merged)]) == 1
@@ -1231,6 +1232,20 @@ class TestReportCommand:
         assert err.startswith(f"error: {run}: its last command failed ")
         assert err.count("\n") == 1
         assert not merged.exists()
+
+    def test_interrupted_run_leaves_no_earlier_report(self, tmp_path, monkeypatch):
+        run = tmp_path / "run0"
+        argv = ["train", "--bundle", make_bundle(tmp_path)[0], "--model", "last_day",
+                "--t", "14", "--horizon", "1", "--out", str(run)]
+        assert main(argv) == 0
+
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "rolling_evaluate", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main(argv)
+        assert sorted(os.listdir(run)) == ["run.json"]
 
     @pytest.mark.parametrize("manifest,message", [
         (b"[]", "not a JSON object"), (b"{", "invalid JSON"),
@@ -1389,6 +1404,14 @@ class TestUnwritableOutputs:
         rc = main(self.argv(tmp_path, command, str(out)))
         self.assert_clean_failure(capsys, rc, f"cannot create directory {out}")
         assert out.read_text() == "a file, not a directory"
+
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_earlier_report_that_cannot_be_removed(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        (out / "rows.csv").mkdir(parents=True)   # a directory os.remove refuses
+        rc = main(self.argv(tmp_path, command, str(out)))
+        self.assert_clean_failure(capsys, rc, f"cannot remove {out / 'rows.csv'}: ")
+        assert read_manifest(str(out))["status"] == "failed"
 
     def test_checkpoints_naming_a_file(self, tmp_path, capsys):
         bundle, _ = make_bundle(tmp_path)

@@ -930,6 +930,67 @@ class TestCheckpointReuse:
                              load_only=True)
 
 
+class TestSkipRecords:
+    """Every trainable cell's outcome is its checkpoint record, a data skip
+    and a lone country's MPNN_TL skip included, so a rescore reads each skip
+    back and looks at neither the cell's data nor its foreign countries."""
+
+    # an 11-day sequence leaves MPNN_LSTM no validation sample at T=14, and a
+    # lone country leaves MPNN_TL nothing to transfer from
+    CONFIG = fast_config(train=TrainConfig(max_epochs=1, hidden=2, k_layers=1, d=3,
+                                           dropout=0.0, seq_len=11),
+                         models=["MPNN_LSTM", "MPNN_TL", "AVG"],
+                         grid=ProtocolGrid(t_end=14, dt=1))
+
+    def train(self, tmp_path, jobs=1):
+        """The grid's dataset, checkpoint directory and rows.csv path."""
+        ds = make_ramp_dataset(n=2, days=18, country="AA")
+        ckpt_dir = tmp_path / f"ckpts{jobs}"
+        cells = rolling_evaluate([ds], replace(self.CONFIG, jobs=jobs),
+                                 checkpoint_dir=str(ckpt_dir))
+        return ds, ckpt_dir, emit_report(cells, str(tmp_path / f"trained{jobs}"))["rows"]
+
+    def test_each_skip_is_recorded_with_its_skip_line(self, tmp_path):
+        _, ckpt_dir, rows = self.train(tmp_path)
+        keys = [("AA", "MPNN_LSTM", 14, 1), ("AA", "MPNN_TL", 14, 1)]
+        records = {name: load_params(str(ckpt_dir / name))[2]
+                   for name in os.listdir(ckpt_dir)}
+        assert sorted(records) == [evaluation.checkpoint_name(*key) for key in keys]
+        lines = Path(rows).read_text().splitlines()
+        assert lines[len(keys)] == evaluation.ROWS_HEADER
+        for key, line in zip(keys, lines):
+            meta = records[evaluation.checkpoint_name(*key)]
+            assert meta["kind"] == "mobicast-skip"
+            assert line == f"# skipped {evaluation.cell_label(key)}: {meta['reason']}"
+        assert "no validation samples" in lines[0]
+        assert "needs at least one other country" in lines[1]
+
+    def test_records_match_whatever_the_jobs(self, tmp_path):
+        trees = [read_files(self.train(tmp_path, jobs)[1]) for jobs in (1, 2)]
+        assert len(trees[0]) == 2 and trees[0] == trees[1]
+
+    def test_rescore_reads_skips_without_splits_or_foreign(self, tmp_path, monkeypatch):
+        ds, ckpt_dir, rows = self.train(tmp_path)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a recorded skip needs no splits or foreign countries")
+
+        monkeypatch.setattr(evaluation, "make_splits", forbidden)
+        monkeypatch.setattr(evaluation._CellContext, "foreign", forbidden)
+        cells = rolling_evaluate([ds], self.CONFIG, checkpoint_dir=str(ckpt_dir),
+                                 load_only=True)
+        rescored = emit_report(cells, str(tmp_path / "rescored"))["rows"]
+        assert Path(rescored).read_bytes() == Path(rows).read_bytes()
+
+    def test_missing_data_skip_record_names_cell(self, tmp_path):
+        ds, ckpt_dir, _ = self.train(tmp_path)
+        os.remove(ckpt_dir / "AA__MPNN_LSTM__T14_j1.ckpt")
+        with pytest.raises(CheckpointError, match="missing checkpoint for cell "
+                                                  "country=AA model=MPNN_LSTM T=14 j=1"):
+            rolling_evaluate([ds], self.CONFIG, checkpoint_dir=str(ckpt_dir),
+                             load_only=True)
+
+
 class TestEmitReport:
     def sample_report(self):
         ds = make_ramp_dataset(n=2, days=20)
