@@ -34,9 +34,8 @@ from .dataio import (
     write_file,
 )
 from .errors import ContractError, DataError, MobicastError, WriteError
-from .evaluation import (
+from .report import (
     MODEL_NAMES,
-    EvalConfig,
     case_stat_lines,
     case_stats_table,
     cell_label,
@@ -44,7 +43,6 @@ from .evaluation import (
     correlation_table,
     emit_report,
     load_report_rows,
-    rolling_evaluate,
 )
 from .rng import sha256
 
@@ -111,6 +109,7 @@ def _from_dict(cls, doc: dict, prefix: str = ""):
 
 
 def run_config_from_dict(doc) -> EvalConfig:
+    from .evaluation import EvalConfig   # the training stack loads for grid runs only
     if not isinstance(doc, dict):
         raise ContractError("run config must be a JSON object")
     return _from_dict(EvalConfig, doc)
@@ -126,8 +125,8 @@ def read_json(path: str, error=DataError):
 
 def resolve_run_config(args) -> EvalConfig:
     """Defaults, overlaid by --config file, overlaid by explicit flags."""
-    cfg = (run_config_from_dict(read_json(args.config, ContractError))
-           if args.config else EvalConfig())
+    cfg = run_config_from_dict(read_json(args.config, ContractError)
+                               if args.config else {})
     updates = {}
     if args.seed is not None:
         updates["seed"] = args.seed
@@ -233,6 +232,11 @@ def cmd_correlate(args, argv) -> int:
     if args.max_shift < 1:
         raise ContractError(f"--max-shift must be >= 1, got {args.max_shift}")
     datasets = load_bundles(args.bundle)
+    for ds in datasets:   # the widest shift leaves two days to correlate
+        if ds.t_total < args.max_shift + 2:
+            raise ContractError(f"need more than {args.max_shift + 1} days for "
+                                f"--max-shift {args.max_shift}; country "
+                                f"{ds.country} has {ds.t_total}")
     shifts = tuple(range(1, args.max_shift + 1))
     correlations = []
     stats = []
@@ -251,6 +255,7 @@ def cmd_correlate(args, argv) -> int:
 
 def _grid_run(args, argv, checkpoint_dir, load_only=False) -> int:
     """Evaluate the configured grid; write the report and the manifest."""
+    from .evaluation import rolling_evaluate
     cfg = resolve_run_config(args)
     datasets = load_bundles(args.bundle)
     make_dir(args.out)   # a bad path fails before any cell trains
@@ -291,6 +296,11 @@ def cmd_evaluate(args, argv) -> int:
 
 
 def cmd_report(args, argv) -> int:
+    if os.path.isdir(args.out):   # merging would overwrite an input's report and run.json
+        for src in args.inputs:
+            if os.path.isdir(src) and os.path.samefile(src, args.out):
+                raise ContractError(f"--out {args.out} is the input directory {src}; "
+                                    f"merge into another directory")
     merged = []
     owner = {}   # (country, model, T, j) -> the input that holds the cell
     for src in args.inputs:

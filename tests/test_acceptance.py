@@ -26,13 +26,13 @@ from mobicast.cli import main
 from mobicast.dataio import (CountryDataset, SyntheticConfig,
                              generate_synthetic, load_bundle)
 from mobicast.errors import InsufficientDataError
-from mobicast.evaluation import (CellResult, EvalConfig, ProtocolGrid,
-                                 build_model, error_metric, rolling_evaluate)
+from mobicast.evaluation import EvalConfig, ProtocolGrid, build_model, rolling_evaluate
 from mobicast.graphs import GraphSample, normalize_incoming
 from mobicast.meta import MetaConfig, maml_meta_train, meta_task_step
 from mobicast.models import (BaselineLSTMModel, ModelState, MPNNLSTMModel,
                              MPNNModel, stack_targets)
 from mobicast.params import clone_params
+from mobicast.report import CellResult, error_metric
 from mobicast.rng import Rng, derive_seed
 from mobicast.train import (SplitSpec, TrainConfig, loss_and_grads, make_splits,
                             predict, train_model)

@@ -17,8 +17,8 @@ from mobicast.cli import config_digest, main, run_config_from_dict
 from mobicast.dataio import CountryDataset, load_bundle, save_bundle
 from mobicast.errors import ContractError
 from mobicast.params import load_params, save_params
-from mobicast.evaluation import (EvalConfig, ProtocolGrid, load_report_rows,
-                                 range_summary)
+from mobicast.evaluation import EvalConfig, ProtocolGrid
+from mobicast.report import load_report_rows, range_summary
 
 from conftest import (diverge_at, make_ramp_dataset, report_rows,
                       save_regionless_bundle, scored, skips)
@@ -1149,6 +1149,19 @@ class TestCorrelateCommand:
         assert rc == 1
         assert "need more than" in capsys.readouterr().err
 
+    def test_shift_too_large_for_any_bundle_rejected_before_writing(self, tmp_path, capsys):
+        bundle_a, _ = make_bundle(tmp_path, country="AA", n=2, days=60)
+        bundle_b, _ = make_bundle(tmp_path, country="BB", n=2, days=40)
+        out = str(tmp_path / "out")
+        rc = main(["correlate", "--bundle", bundle_a, "--bundle", bundle_b,
+                   "--max-shift", "50", "--out", out])
+        assert rc == 1
+        assert capsys.readouterr().err == ("error: need more than 51 days for "
+                                           "--max-shift 50; country BB has 40\n")
+        assert not os.path.exists(out)
+        assert main(["correlate", "--bundle", bundle_a, "--max-shift", "58",
+                     "--out", out]) == 0
+
     # a seeded two-country synth, correlated over 14 shifts, pinned byte for
     # byte: a change to the movement totals, the shifted correlations or the
     # per-day case statistics that moves a single bit changes one digest
@@ -1242,7 +1255,7 @@ class TestReportCommand:
         def interrupted(*args, **kwargs):
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(cli, "rolling_evaluate", interrupted)
+        monkeypatch.setattr(evaluation, "rolling_evaluate", interrupted)
         with pytest.raises(KeyboardInterrupt):
             main(argv)
         assert sorted(os.listdir(run)) == ["run.json"]
@@ -1264,6 +1277,26 @@ class TestReportCommand:
         err = capsys.readouterr().err
         assert message in err and path in err and err.count("\n") == 1
         assert not merged.exists()
+
+    @pytest.mark.parametrize("spelling", ["{run}", "{run}/.", "{run}/../trained"],
+                             ids=["same", "dot", "dotdot"])
+    def test_out_that_is_an_input_rejected(self, tmp_path, capsys, spelling):
+        # merging a train run into itself would replace the run.json that
+        # its checkpoints are read back with
+        run = tmp_path / "trained"
+        other = str(tmp_path / "other")
+        argv = ["--bundle", make_bundle(tmp_path)[0], "--model", "avg", "--t", "14",
+                "--horizon", "1"]
+        assert main(["train", *argv, "--out", str(run)]) == 0
+        assert main(["train", *argv, "--t", "15", "--out", other]) == 0
+        before = read_tree(str(run))
+        out = spelling.format(run=run)
+        capsys.readouterr()
+        assert main(["report", other, str(run), "--out", out]) == 1
+        assert capsys.readouterr().err == (f"error: --out {out} is the input "
+                                           f"directory {run}; merge into another "
+                                           f"directory\n")
+        assert read_tree(str(run)) == before
 
     def test_missing_input_fails(self, tmp_path, capsys):
         rc = main(["report", str(tmp_path / "nope"),

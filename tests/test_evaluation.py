@@ -17,11 +17,14 @@ from mobicast.baselines import ar_fit, ar_predict, avg_window_predict, last_day_
 from mobicast.dataio import CountryDataset
 from mobicast.errors import (CheckpointError, ContractError, DataError,
                              TrainingDivergedError, WriteError)
-from mobicast.evaluation import (
+from mobicast.evaluation import EvalConfig, ProtocolGrid, rolling_evaluate
+from mobicast.meta import MetaConfig
+from mobicast.params import load_params
+from mobicast.report import (
+    ROWS_HEADER,
     CellResult,
-    EvalConfig,
-    ProtocolGrid,
     case_stats_table,
+    cell_label,
     correlation_lines,
     correlation_table,
     emit_report,
@@ -30,10 +33,7 @@ from mobicast.evaluation import (
     mobility_totals,
     pearson_shift_correlation,
     range_summary,
-    rolling_evaluate,
 )
-from mobicast.meta import MetaConfig
-from mobicast.params import load_params
 from mobicast.rng import Rng
 from mobicast.train import TrainConfig
 
@@ -957,11 +957,11 @@ class TestSkipRecords:
                    for name in os.listdir(ckpt_dir)}
         assert sorted(records) == [evaluation.checkpoint_name(*key) for key in keys]
         lines = Path(rows).read_text().splitlines()
-        assert lines[len(keys)] == evaluation.ROWS_HEADER
+        assert lines[len(keys)] == ROWS_HEADER
         for key, line in zip(keys, lines):
             meta = records[evaluation.checkpoint_name(*key)]
             assert meta["kind"] == "mobicast-skip"
-            assert line == f"# skipped {evaluation.cell_label(key)}: {meta['reason']}"
+            assert line == f"# skipped {cell_label(key)}: {meta['reason']}"
         assert "no validation samples" in lines[0]
         assert "needs at least one other country" in lines[1]
 

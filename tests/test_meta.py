@@ -17,7 +17,7 @@ from mobicast.errors import (
     InsufficientDataError,
     TrainingDivergedError,
 )
-from mobicast.evaluation import EvalConfig, ProtocolGrid, error_metric, rolling_evaluate
+from mobicast.evaluation import EvalConfig, ProtocolGrid, rolling_evaluate
 from mobicast.graphs import GraphSample, assemble_samples
 from mobicast.meta import (
     MetaConfig,
@@ -29,6 +29,7 @@ from mobicast.meta import (
 )
 from mobicast.models import ModelState, MPNNModel, model_spec
 from mobicast.params import load_params
+from mobicast.report import error_metric
 from mobicast.rng import Rng, derive_seed
 from mobicast.train import (Checkpoint, SplitSpec, TrainConfig, load_checkpoint,
                             make_splits, predict, train_model)
