@@ -183,10 +183,16 @@ def write_manifest(out_dir: str, command, config_doc: dict, seed, status: str,
 
 def _read_regions_file(path: str) -> list:
     lines = io.StringIO(read_file(path), newline=None)   # \n, \r\n or \r
-    regions = [ln.strip() for ln in lines if ln.strip() and not ln.startswith("#")]
+    regions = {}   # ordered; blank and comment lines never enter
+    for line_no, line in enumerate(lines, 1):
+        region = line.strip()
+        if region in regions:
+            raise DataError(f"{path}:{line_no}: duplicate region id {region!r}")
+        if region and not region.startswith("#"):
+            regions[region] = None
     if not regions:
         raise DataError(f"{path}: no region ids")
-    return regions
+    return list(regions)
 
 
 # ---------------------------------------------------------------- commands
@@ -267,8 +273,7 @@ def _grid_run(args, argv, checkpoint_dir, load_only=False) -> int:
                 pass
             except OSError as exc:
                 raise WriteError(f"cannot remove {exc.filename}: {exc}") from exc
-        cells = rolling_evaluate(datasets, cfg, checkpoint_dir=checkpoint_dir,
-                                 load_only=load_only)
+        cells = rolling_evaluate(datasets, cfg, checkpoint_dir, load_only)
         paths = emit_report(cells, args.out)
     except MobicastError as exc:
         write_manifest(args.out, argv, dataclasses.asdict(cfg), cfg.seed,

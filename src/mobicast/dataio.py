@@ -119,6 +119,9 @@ def _parse_date(text: str, where: str) -> datetime.date:
 
 def _check_contiguous(dates: list[str], context: str) -> None:
     parsed = [_parse_date(d, context) for d in dates]
+    for text, day in zip(dates, parsed):
+        if day.isoformat() != text:
+            raise DataError(f"{context}: date {text!r} is not written YYYY-MM-DD")
     for a, b in zip(parsed, parsed[1:]):
         if (b - a).days != 1:
             raise DataError(f"{context}: dates must be contiguous, gap between {a} and {b}")

@@ -8,7 +8,6 @@ import contextlib
 import functools
 import os
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -99,7 +98,7 @@ def _init_cell_worker(payload):
 class _CellContext:
     datasets: dict   # country -> CountryDataset, in request order
     config: EvalConfig
-    checkpoint_dir: Optional[str]
+    checkpoint_dir: str
     load_only: bool = False   # load each trainable cell's checkpoint, never train
 
     def foreign(self, country: str) -> list:
@@ -113,7 +112,7 @@ def _meta_task(ctx: _CellContext, target: str):
 
     Learns from the task grids of ctx.foreign(target) with a seed derived
     from (seed, "meta", target), and saves <target>__MPNN_TL__meta.ckpt
-    into the checkpoint directory when there is one.
+    into the checkpoint directory.
     """
     cfg = ctx.config
     foreign = ctx.foreign(target)
@@ -123,10 +122,8 @@ def _meta_task(ctx: _CellContext, target: str):
         state = maml_meta_train(foreign, model, cfg.meta, seed)
     except (InsufficientDataError, TrainingDivergedError) as exc:
         return f"meta-training failed: {exc}"
-    if ctx.checkpoint_dir is not None:
-        path = os.path.join(ctx.checkpoint_dir, f"{target}__MPNN_TL__meta.ckpt")
-        save_meta_state(path, state, model, [ds.country for ds in foreign],
-                        cfg.meta, seed)
+    path = os.path.join(ctx.checkpoint_dir, f"{target}__MPNN_TL__meta.ckpt")
+    save_meta_state(path, state, model, [ds.country for ds in foreign], cfg.meta, seed)
     return state
 
 
@@ -142,15 +139,13 @@ def _run_cell(task):
 def _trainable_cell(ctx: _CellContext, country: str, model_name: str, t: int,
                     j: int, shared) -> CellResult:
     """One trainable cell, scored or skipped.  Its outcome, a Checkpoint or a
-    skip reason, is read from the cell's file under ctx.load_only, else
-    trained and, with a checkpoint directory, saved with the cell's record."""
+    skip reason, is read from its file under ctx.load_only, else saved there."""
     key = (country, model_name, t, j)
     dataset = ctx.datasets[country]
     cell_seed = derive_seed(ctx.config.seed, country, t, j)
     cell = {"country": country, "model_name": model_name, "t": t, "horizon": j,
             "cell_seed": cell_seed}
-    path = (None if ctx.checkpoint_dir is None
-            else os.path.join(ctx.checkpoint_dir, checkpoint_name(*key)))
+    path = os.path.join(ctx.checkpoint_dir, checkpoint_name(*key))
     model = build_model(model_name, ctx.config.train)
     if ctx.load_only:
         if not os.path.exists(path):
@@ -175,7 +170,7 @@ def _trainable_cell(ctx: _CellContext, country: str, model_name: str, t: int,
             outcome = str(exc)
         except TrainingDivergedError as exc:
             outcome = f"training diverged: {exc}"
-    if path is not None and not ctx.load_only:
+    if not ctx.load_only:
         save_checkpoint(path, outcome, cell)
     if isinstance(outcome, str):
         return CellResult(*key, reason=outcome)
@@ -274,11 +269,11 @@ def _submitter(ctx: _CellContext, work: int):
             raise
 
 
-def rolling_evaluate(datasets, config: EvalConfig,
-                     checkpoint_dir: Optional[str] = None,
+def rolling_evaluate(datasets, config: EvalConfig, checkpoint_dir: str,
                      load_only: bool = False) -> list:
-    """Train and score every (country, model, T, horizon) cell of the config;
-    return one CellResult per cell, in grid order.
+    """Train and score every (country, model, T, horizon) cell of the config,
+    saving each trainable cell's outcome and each meta-trained initialization
+    in checkpoint_dir; return one CellResult per cell, in grid order.
 
     Each cell trains its own model with a seed derived from (seed, country,
     T, horizon), so cells are reproducible independently of execution order.
@@ -294,16 +289,12 @@ def rolling_evaluate(datasets, config: EvalConfig,
     enough data, or whose training diverged, are skipped with their reason,
     not failed; any other error stops the grid.
 
-    With `load_only`, every trainable cell reads its outcome, trained or
-    skipped, from its checkpoint in checkpoint_dir: nothing is trained,
-    meta-trained or saved, cells run in-process whatever `config.jobs`
+    With `load_only`, each trainable cell reads that outcome back: nothing is
+    trained, meta-trained or saved, cells run in-process whatever config.jobs
     says, and a missing checkpoint is a CheckpointError naming the cell.
     """
     units = _grid_tasks(datasets, config)
-    if load_only and checkpoint_dir is None:
-        raise ContractError("load_only needs a checkpoint directory")
-    if (checkpoint_dir is not None and not load_only
-            and any(name in TRAINABLE_MODELS for name in config.models)):
+    if not load_only and any(name in TRAINABLE_MODELS for name in config.models):
         make_dir(checkpoint_dir)   # a bad path fails before any cell trains
     for ds in datasets:
         normalized_graphs(ds)   # once, before any worker forks

@@ -21,14 +21,12 @@ def glorot_init(fan_in: int, fan_out: int, rng: Rng) -> np.ndarray:
 
 
 def batchnorm(x: Var, gamma: Var, beta: Var, running_mean: np.ndarray,
-              running_var: np.ndarray, mode: str) -> Var:
+              running_var: np.ndarray, training: bool) -> Var:
     """Column-wise batch normalization with learned scale and shift.
 
-    Train mode normalizes by batch statistics (biased variance) and folds them
-    into the running buffers in place; eval mode normalizes by the buffers.
+    Training (a forward given a random stream) normalizes by batch statistics
+    (biased variance) folded into the running buffers in place; else by them.
     """
-    if mode not in ("train", "eval"):
-        raise ContractError(f"batchnorm mode must be 'train' or 'eval', got {mode!r}")
     xv = x.value
     d = xv.shape[1]
     for name, arr in (("gamma", gamma.value), ("beta", beta.value)):
@@ -42,7 +40,7 @@ def batchnorm(x: Var, gamma: Var, beta: Var, running_mean: np.ndarray,
     # One centering serves the variance and xhat; the reductions are the
     # ones ndarray.mean and ndarray.var run, so every bit matches theirs.
     n = xv.shape[0]
-    if mode == "train":
+    if training:
         if n < 1:
             raise ContractError("batchnorm needs at least one row")
         mean = xv.mean(axis=0, keepdims=True)
@@ -69,7 +67,7 @@ def batchnorm(x: Var, gamma: Var, beta: Var, running_mean: np.ndarray,
         dgamma = t.sum(axis=0, keepdims=True)
         dbeta = g.sum(axis=0, keepdims=True)
         dx = g * gv
-        if mode == "train":
+        if training:
             s1 = dx.sum(axis=0, keepdims=True)
             np.multiply(dx, xhat, out=t)
             s2 = t.sum(axis=0, keepdims=True)
@@ -85,16 +83,13 @@ def batchnorm(x: Var, gamma: Var, beta: Var, running_mean: np.ndarray,
     return tape.node(out, (x, gamma, beta), backward, "batchnorm")
 
 
-def dropout(x: Var, p: float, rng: Rng, mode: str) -> Var:
-    """Inverted dropout: zero entries with probability p, scale rest by 1/(1-p)."""
-    if mode not in ("train", "eval"):
-        raise ContractError(f"dropout mode must be 'train' or 'eval', got {mode!r}")
+def dropout(x: Var, p: float, rng: Rng | None) -> Var:
+    """Inverted dropout: zero entries with probability p, scale rest by
+    1/(1-p); the identity at p = 0 or without a random stream (not training)."""
     if not 0.0 <= p < 1.0:
         raise ContractError(f"dropout rate must be in [0, 1), got {p}")
-    if mode == "eval" or p == 0.0:
+    if rng is None or p == 0.0:
         return x
-    if rng is None:
-        raise ContractError("dropout in train mode needs an rng")
     keep = rng.random_at_least(x.shape, p)
     scale = 1.0 / (1.0 - p)
 

@@ -1,8 +1,9 @@
 """Forward definitions for the MPNN, MPNN+LSTM, and baseline LSTM forecasters.
 
 All models share the same surface: `init_state(rng)` builds a ModelState
-(params + batchnorm buffers) and `forward(tape, pvars, buffers, samples, mode,
-rng)` returns stacked per-region predictions as a (sum n_i) x 1 tape Var.
+(params + batchnorm buffers) and `forward(tape, pvars, buffers, samples, rng)`
+returns stacked per-region predictions as a (sum n_i) x 1 tape Var.  A forward
+trains exactly when it gets a random stream rng (dropout, batchnorm updates).
 Batches mix whole-graph samples; block-diagonal aggregation keeps the graphs
 independent while batchnorm statistics span all rows, and a final ReLU keeps
 every forecast nonnegative.  Each class declares its checkpoint `kind`, the
@@ -47,16 +48,13 @@ def check_feature_mode(mode: str) -> None:
         raise ContractError(f"feature_mode must be 'last' or 'all', got {mode!r}")
 
 
-def lstm_cell(x: tp.Var, h_prev: tp.Var | None, c_prev: tp.Var | None,
-              pvars: dict, prefix: str):
-    """Standard LSTM step; gate tensors looked up as {prefix}.{w,u,b}{i,f,g,o}.
-
-    A first step has no state (h_prev and c_prev both None): it is the step
-    from a zero state without the terms that are zero, so the gates take no
-    h @ U, there is no forget gate, and c = i * g.
+def lstm_cell(x: tp.Var, state, pvars: dict, prefix: str):
+    """Standard LSTM step from `state`, (h, c) or None, to the next (h, c);
+    gate tensors looked up as {prefix}.{w,u,b}{i,f,g,o}.  A first step (no
+    state) is the step from a zero state without the terms that are zero:
+    the gates take no h @ U, there is no forget gate, and c = i * g.
     """
-    if (h_prev is None) != (c_prev is None):
-        raise ContractError("lstm_cell: h_prev and c_prev must both be given or both be None")
+    h_prev, c_prev = state or (None, None)
 
     def gate(name, act):
         u = None if h_prev is None else pvars[f"{prefix}.u{name}"]
@@ -64,13 +62,10 @@ def lstm_cell(x: tp.Var, h_prev: tp.Var | None, c_prev: tp.Var | None,
                                   pvars[f"{prefix}.b{name}"]))
 
     i = gate("i", tp.sigmoid)
-    f = None if c_prev is None else gate("f", tp.sigmoid)
+    f = None if state is None else gate("f", tp.sigmoid)
     g = gate("g", tp.tanh)
     o = gate("o", tp.sigmoid)
-    if f is None:
-        c = tp.mul(i, g)
-    else:
-        c = tp.add(tp.mul(f, c_prev), tp.mul(i, g))
+    c = tp.mul(i, g) if f is None else tp.add(tp.mul(f, c_prev), tp.mul(i, g))
     h = tp.mul(o, tp.tanh(c))
     return h, c
 
@@ -78,11 +73,11 @@ def lstm_cell(x: tp.Var, h_prev: tp.Var | None, c_prev: tp.Var | None,
 def _two_layer_lstm(pvars: dict, steps) -> tp.Var:
     """lstm2's last hidden state after lstm1, then lstm2, ran over `steps`
     from no state; a generator of steps builds each just before it runs."""
-    h1 = c1 = h2 = c2 = None
+    s1 = s2 = None
     for x in steps:
-        h1, c1 = lstm_cell(x, h1, c1, pvars, "lstm1")
-        h2, c2 = lstm_cell(h1, h2, c2, pvars, "lstm2")
-    return h2
+        s1 = lstm_cell(x, s1, pvars, "lstm1")
+        s2 = lstm_cell(s1[0], s2, pvars, "lstm2")
+    return s2[0]
 
 
 def _init_lstm(params: dict, prefix: str, in_dim: int, hidden: int, rng: Rng) -> None:
@@ -140,7 +135,7 @@ class MPNNModel:
             state.buffers[f"agg{layer}.bn.var"] = np.ones((1, self.hidden))
             in_dim = self.hidden
 
-    def _trunk(self, tape, pvars, buffers, blocks, x: np.ndarray, mode, rng) -> tp.Var:
+    def _trunk(self, tape, pvars, buffers, blocks, x: np.ndarray, rng) -> tp.Var:
         if x.shape[1] != self.d:
             raise ShapeError(f"features have {x.shape[1]} columns, model expects {self.d}")
         h = tape.constant(x)
@@ -149,16 +144,17 @@ class MPNNModel:
             z = tp.block_diag_matmul(blocks, h)
             z = tp.relu(tp.matmul(z, pvars[f"agg{layer}.w"]))
             z = batchnorm(z, pvars[f"agg{layer}.bn.gamma"], pvars[f"agg{layer}.bn.beta"],
-                          buffers[f"agg{layer}.bn.mean"], buffers[f"agg{layer}.bn.var"], mode)
-            z = dropout(z, self.dropout, rng, mode)
+                          buffers[f"agg{layer}.bn.mean"], buffers[f"agg{layer}.bn.var"],
+                          rng is not None)
+            z = dropout(z, self.dropout, rng)
             reps.append(z)
             h = z
         return tp.hconcat(*reps)  # skip concatenation: raw features + every layer
 
-    def forward(self, tape, pvars, buffers, samples, mode: str, rng: Rng | None) -> tp.Var:
+    def forward(self, tape, pvars, buffers, samples, rng: Rng | None) -> tp.Var:
         blocks = [smp.graphs[-1][0] for smp in samples]
         x = np.vstack([smp.graphs[-1][1] for smp in samples])
-        rep = self._trunk(tape, pvars, buffers, blocks, x, mode, rng)
+        rep = self._trunk(tape, pvars, buffers, blocks, x, rng)
         return _head(pvars, rep)
 
 
@@ -193,7 +189,7 @@ class MPNNLSTMModel(MPNNModel):
         _init_head(state.params, self.hidden + raw_width, self.hidden, rng)
         return state
 
-    def forward(self, tape, pvars, buffers, samples, mode: str, rng: Rng | None) -> tp.Var:
+    def forward(self, tape, pvars, buffers, samples, rng: Rng | None) -> tp.Var:
         steps = len(samples[0].graphs)
         if steps != self.seq_len:
             raise ShapeError(f"samples carry {steps} days, model expects {self.seq_len}")
@@ -202,7 +198,7 @@ class MPNNLSTMModel(MPNNModel):
                 raise ShapeError("samples in a batch disagree on sequence length")
         day_x = [np.vstack([smp.graphs[s][1] for smp in samples]) for s in range(steps)]
         reps = (self._trunk(tape, pvars, buffers, [smp.graphs[s][0] for smp in samples],
-                            day_x[s], mode, rng) for s in range(steps))
+                            day_x[s], rng) for s in range(steps))
         h2 = _two_layer_lstm(pvars, reps)
         if self.feature_mode == "last":
             raw = [tape.constant(day_x[-1])]
@@ -232,7 +228,7 @@ class BaselineLSTMModel:
         state.params["head.b"] = np.zeros((1, 1))
         return state
 
-    def forward(self, tape, pvars, buffers, samples, mode: str, rng: Rng | None) -> tp.Var:
+    def forward(self, tape, pvars, buffers, samples, rng: Rng | None) -> tp.Var:
         x = np.vstack([smp.graphs[-1][1] for smp in samples])
         if x.shape[1] != self.d:
             raise ShapeError(f"features have {x.shape[1]} columns, model expects {self.d}")

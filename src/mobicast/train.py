@@ -141,13 +141,13 @@ def make_splits(dataset: CountryDataset, t: int, j: int, d: int,
 
 
 def predict(model, state: ModelState, samples) -> np.ndarray:
-    """Eval-mode forecasts for a batch of samples, stacked; shape (sum n_i,).
+    """Eval forecasts (no random stream) for a batch, stacked; shape (sum n_i,).
 
     The parameters enter as constants, so the tape keeps no backward closure.
     """
     tape = tp.Tape()
     pvars = {name: tape.constant(arr) for name, arr in state.params.items()}
-    out = model.forward(tape, pvars, state.buffers, samples, "eval", None)
+    out = model.forward(tape, pvars, state.buffers, samples, None)
     return out.value[:, 0].copy()
 
 
@@ -163,11 +163,11 @@ def divergence_at(epoch: int):
 
 
 def loss_and_grads(model, state: ModelState, batch, rng):
-    """Training-mode mean squared error of one batch and the gradient of every
-    parameter; the gradients are None when the loss is not finite."""
+    """Mean squared error of one batch, a training forward with random stream rng,
+    and the gradient of every parameter; None when the loss is not finite."""
     tape = tp.Tape(check_finite=False)
     pvars = tape.bind(state.params)
-    preds = model.forward(tape, pvars, state.buffers, batch, "train", rng)
+    preds = model.forward(tape, pvars, state.buffers, batch, rng)
     loss = tp.mean_all(tp.square(tp.sub(preds, tape.constant(stack_targets(batch)))))
     value = float(loss.value[0, 0])
     if not math.isfinite(value):

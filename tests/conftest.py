@@ -79,7 +79,7 @@ class FirstFeatureModel:
     def init_state(self, rng):
         return ModelState({"w": np.ones((1, 1))}, {})
 
-    def forward(self, tape, pvars, buffers, samples, mode, rng):
+    def forward(self, tape, pvars, buffers, samples, rng):
         x = np.vstack([s.graphs[-1][1][:, :1] for s in samples])
         return tp.matmul(tape.constant(x), pvars["w"])
 

@@ -47,11 +47,12 @@ FD_TOL = 1e-4
 def fd_worst_rel_error(model, samples, seed=0):
     """Largest relative gap between backward() and central differences.
 
-    Runs in training mode (batch statistics) with dropout disabled; every
-    loss evaluation gets its own buffer copy so the in-place normalization
-    updates cannot leak between probes.  Gradient pairs below the probe's
-    cancellation noise (loss is O(100), so the difference quotient resolves
-    only ~1e-8) compare against an absolute floor instead of each other.
+    Runs as a training forward (given a random stream, so batch statistics)
+    with dropout disabled; every loss evaluation gets its own buffer copy so
+    the in-place normalization updates cannot leak between probes.  Gradient
+    pairs below the probe's cancellation noise (loss is O(100), so the
+    difference quotient resolves only ~1e-8) compare against an absolute
+    floor instead of each other.
     """
     state = model.init_state(Rng(seed))
     targets = stack_targets(samples)
@@ -60,14 +61,14 @@ def fd_worst_rel_error(model, samples, seed=0):
         tape = tp.Tape()
         pvars = tape.bind(params)
         buffers = clone_params(state.buffers)
-        preds = model.forward(tape, pvars, buffers, samples, "train", None)
+        preds = model.forward(tape, pvars, buffers, samples, Rng(seed))
         diff = tp.sub(preds, tape.constant(targets))
         return float(tp.mean_all(tp.square(diff)).value[0, 0])
 
     tape = tp.Tape()
     pvars = tape.bind(clone_params(state.params))
     buffers = clone_params(state.buffers)
-    preds = model.forward(tape, pvars, buffers, samples, "train", None)
+    preds = model.forward(tape, pvars, buffers, samples, Rng(seed))
     loss = tp.mean_all(tp.square(tp.sub(preds, tape.constant(targets))))
     tape.backward(loss)
     worst = 0.0
@@ -110,7 +111,7 @@ class ScalarModel:
     def init_state(self, rng):
         return ModelState({"theta": np.zeros((1, 1))}, {})
 
-    def forward(self, tape, pvars, buffers, samples, mode, rng):
+    def forward(self, tape, pvars, buffers, samples, rng):
         ones = tape.constant(np.ones((len(samples), 1)))
         return tp.matmul(ones, pvars["theta"])
 
@@ -123,7 +124,7 @@ class AffineModel:
     def init_state(self, rng):
         return ModelState({"w": np.array([[1.0]]), "b": np.array([[0.5]])}, {})
 
-    def forward(self, tape, pvars, buffers, samples, mode, rng):
+    def forward(self, tape, pvars, buffers, samples, rng):
         x = np.array([[s.graphs[-1][1][0, 0]] for s in samples])
         return tp.add_row(tp.matmul(tape.constant(x), pvars["w"]), pvars["b"])
 
@@ -299,7 +300,7 @@ def truncated(ds, days):
 class TestSyntheticOrdering:
     """Seeded end-to-end orderings on the default 30x90x4 synthetic suite."""
 
-    def test_graph_model_beats_window_average(self):
+    def test_graph_model_beats_window_average(self, tmp_path):
         start = time.monotonic()
         wins = 0
         for seed in range(5):
@@ -308,7 +309,7 @@ class TestSyntheticOrdering:
                                 horizons=tuple(range(1, 15)))
             cfg = EvalConfig(train=ORDERING_TRAIN, seed=seed, jobs=2,
                              models=("MPNN", "AVG_WINDOW"), grid=grid)
-            report = rolling_evaluate([held], cfg)
+            report = rolling_evaluate([held], cfg, str(tmp_path))
             assert not skips(report)
             mpnn = error_metric(abs_errors([c for c in scored(report)
                                             if c.model == "MPNN"]))
@@ -402,7 +403,7 @@ class TestCliDeterminism:
 
 
 class TestSuppliedBundleOrdering:
-    def test_transfer_tracks_plain_model_on_supplied_bundles(self):
+    def test_transfer_tracks_plain_model_on_supplied_bundles(self, tmp_path):
         """Optional real-data check, active only when bundles are supplied."""
         root = os.environ.get("MOBICAST_DATA")
         if not root or not os.path.isdir(root):
@@ -420,7 +421,7 @@ class TestSuppliedBundleOrdering:
         cfg = EvalConfig(train=ORDERING_TRAIN,
                          meta=MetaConfig(dt=7, meta_epochs=1), seed=0,
                          models=("MPNN", "MPNN_TL"), grid=grid)
-        report = rolling_evaluate(datasets, cfg)
+        report = rolling_evaluate(datasets, cfg, str(tmp_path))
         counted = 0
         wins = 0
         for ds in datasets:

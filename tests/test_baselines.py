@@ -41,10 +41,10 @@ class TestHistoryBaselines:
             expected = [float(np.mean(series)) for series in history]
             assert avg_predict(history) == pytest.approx(expected, rel=1e-12)
 
-    def test_avg_ignores_horizon(self):
+    def test_avg_ignores_horizon(self, tmp_path):
         ds = make_ramp_dataset(n=3, days=30)
         grid = ProtocolGrid(t_start=14, t_end=14, horizons=(1, 14))
-        report = rolling_evaluate([ds], EvalConfig(models=["AVG"], grid=grid))
+        report = rolling_evaluate([ds], EvalConfig(models=["AVG"], grid=grid), str(tmp_path))
         by_horizon = {}
         for cell in scored(report):
             by_horizon.setdefault(cell.horizon, []).extend(cell.prediction.tolist())

@@ -6,12 +6,15 @@ import hashlib
 import json
 import os
 import re
+import subprocess
+import sys
+import tomllib
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from mobicast import cli, evaluation
+from mobicast import __version__, cli, evaluation
 from mobicast.baselines import last_day_predict
 from mobicast.cli import config_digest, main, run_config_from_dict
 from mobicast.dataio import CountryDataset, load_bundle, save_bundle
@@ -387,6 +390,33 @@ class TestIngest:
                    "--out", out])
         assert rc == 1
         assert "nowhere" in capsys.readouterr().err
+
+    def test_repeated_region_id_names_file_and_line(self, tmp_path, capsys):
+        self.write_raw(tmp_path)
+        (tmp_path / "regions.txt").write_text("a\nb\na\nc\n")
+        out = str(tmp_path / "bundle")
+        rc = main(["ingest", "--country", "XX",
+                   "--cases", str(tmp_path / "cases.csv"),
+                   "--mobility", str(tmp_path / "mobility.csv"),
+                   "--regions-file", str(tmp_path / "regions.txt"),
+                   "--out", out])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / 'regions.txt'}:3: duplicate region id 'a'\n")
+        assert not os.path.exists(out)
+
+    def test_indented_comment_line_is_a_comment(self, tmp_path):
+        self.write_raw(tmp_path)
+        (tmp_path / "regions.txt").write_text("a\n  # note\nb\nc\n")
+        out = str(tmp_path / "bundle")
+        rc = main(["ingest", "--country", "XX",
+                   "--cases", str(tmp_path / "cases.csv"),
+                   "--mobility", str(tmp_path / "mobility.csv"),
+                   "--regions-file", str(tmp_path / "regions.txt"),
+                   "--min-total-cases", "0", "--out", out])
+        assert rc == 0
+        assert load_bundle(out).regions == ("a", "b", "c")
+        assert read_manifest(out)["values_missing"] == 0
 
 
 class TestTrainCommand:
@@ -1536,3 +1566,23 @@ class TestHeapSettings:
         with pytest.raises(SystemExit):
             main([])
         assert calls == [1]
+
+
+class TestConsoleScript:
+    ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+
+    def test_entry_point_prints_the_version(self):
+        # what `pip install .` wires up: the [project.scripts] target, found
+        # under the package directory setuptools searches
+        with open(os.path.join(self.ROOT, "pyproject.toml"), "rb") as fh:
+            project = tomllib.load(fh)
+        target = project["project"]["scripts"]["mobicast"]
+        module, func = target.split(":")
+        (where,) = project["tool"]["setuptools"]["packages"]["find"]["where"]
+        script = (f"import sys; from {module} import {func}; "
+                  f"sys.argv = ['mobicast', '--version']; sys.exit({func}())")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(os.path.join(self.ROOT, where)))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            0, f"mobicast {__version__}\n", "")

@@ -411,6 +411,14 @@ class TestCountryDataset:
             CountryDataset("X", ["a", "b"], ["2020-03-01", "2020-03-02"],
                            [[1, 2], [3, 4]], [np.eye(2)])
 
+    @pytest.mark.parametrize("date", ["20200302", "2020-W10-1"])
+    def test_date_not_written_yyyy_mm_dd_rejected(self, date):
+        # each parses as 2020-03-02, but would reach reports as written
+        with pytest.raises(DataError, match=re.escape(
+                f"X: date {date!r} is not written YYYY-MM-DD")):
+            CountryDataset("X", ["a"], ["2020-03-01", date, "2020-03-03"],
+                           [[1, 2, 3]], [np.eye(1)] * 3)
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_mobility_names_date(self, value):
         mobility = np.ones((3, 2, 2))
@@ -708,6 +716,19 @@ class TestBundles:
             path = bdir / name
             path.write_text(path.read_text().replace(old, new))
         with pytest.raises(DataError, match="unparseable date '2020-02-30'"):
+            load_bundle(str(bdir))
+
+    def test_date_not_written_yyyy_mm_dd_rejected(self, tmp_path):
+        ds = small_synthetic(seed=9, n=3, days=8)
+        bdir = tmp_path / "b"
+        save_bundle(ds, str(bdir))
+        # manifest and cases.csv agree on a basic-format spelling of one day
+        old = ds.dates[2]
+        new = old.replace("-", "")
+        for name in ("manifest.json", "cases.csv"):
+            path = bdir / name
+            path.write_text(path.read_text().replace(old, new))
+        with pytest.raises(DataError, match=f"date '{new}' is not written YYYY-MM-DD"):
             load_bundle(str(bdir))
 
     @pytest.mark.parametrize("text,message", [

@@ -273,10 +273,10 @@ class TestMobilityAndStats:
 
 
 class TestRollingEvaluate:
-    def test_last_day_wiring_matches_baselines_module(self):
+    def test_last_day_wiring_matches_baselines_module(self, tmp_path):
         ds = make_ramp_dataset(n=2, days=20)
         grid = ProtocolGrid(t_end=16, dt=2)
-        report = rolling_evaluate([ds], fast_config(models=["LAST_DAY"], grid=grid))
+        report = rolling_evaluate([ds], fast_config(models=["LAST_DAY"], grid=grid), str(tmp_path))
         assert not skips(report)
         assert len(report_rows(report)) == sum(len(hs) for _, hs in grid.anchors(20)) * 2
         for cell in scored(report):
@@ -285,11 +285,11 @@ class TestRollingEvaluate:
             assert np.array_equal(cell.prediction, last_day_predict(history))
             assert np.array_equal(cell.actual, ds.cases_on(cell.t + cell.horizon))
 
-    def test_avg_window_and_ar_wiring(self):
+    def test_avg_window_and_ar_wiring(self, tmp_path):
         ds = make_ramp_dataset(n=2, days=20)
         grid = ProtocolGrid(t_end=14, dt=1)
         cfg = fast_config(models=["AVG_WINDOW", "AR"], grid=grid)
-        report = rolling_evaluate([ds], cfg)
+        report = rolling_evaluate([ds], cfg, str(tmp_path))
         for cell in scored(report):
             history = ds.case_window(cell.t, cell.t)
             if cell.model == "AVG_WINDOW":
@@ -300,7 +300,7 @@ class TestRollingEvaluate:
                 expected = ar_predict(fit, history, j=cell.horizon)
             assert np.array_equal(cell.prediction, expected)
 
-    def test_ar_fits_once_per_anchor(self, monkeypatch):
+    def test_ar_fits_once_per_anchor(self, monkeypatch, tmp_path):
         fits = []
 
         def counting_fit(history, **kwargs):
@@ -310,7 +310,7 @@ class TestRollingEvaluate:
         monkeypatch.setattr(evaluation, "ar_fit", counting_fit)
         ds = make_ramp_dataset(n=2, days=20)
         cfg = fast_config(models=["AR"], grid=ProtocolGrid(t_end=15, horizons=(1, 2, 3)))
-        report = rolling_evaluate([ds], cfg)
+        report = rolling_evaluate([ds], cfg, str(tmp_path))
         assert [(c.t, c.horizon) for c in scored(report)] == [
             (t, j) for t in (14, 15) for j in (1, 2, 3)]
         assert fits == [(2, 14), (2, 15)]
@@ -319,19 +319,20 @@ class TestRollingEvaluate:
             fit = ar_fit(history, p=cfg.ar_order, differencing=cfg.ar_differencing)
             assert np.array_equal(cell.prediction,
                                   ar_predict(fit, history, j=cell.horizon))
-        rolling_evaluate([ds], cfg)   # no fit outlives its run
+        rolling_evaluate([ds], cfg, str(tmp_path))   # no fit outlives its run
         assert len(fits) == 4
 
-    def test_persistence_is_exact_on_constant_series(self):
+    def test_persistence_is_exact_on_constant_series(self, tmp_path):
         ds = constant_dataset(n=2, days=20, level=6.0)
         grid = ProtocolGrid(t_end=17, dt=2)
-        report = rolling_evaluate([ds], fast_config(models=["LAST_DAY"], grid=grid))
+        report = rolling_evaluate([ds], fast_config(models=["LAST_DAY"], grid=grid), str(tmp_path))
         assert scored(report) and all((c.abs_error == 0.0).all() for c in scored(report))
 
-    def test_neural_cells_and_row_order(self):
+    def test_neural_cells_and_row_order(self, tmp_path):
         ds = make_ramp_dataset(n=2, days=20)
         grid = ProtocolGrid(t_end=15, dt=1)
-        report = rolling_evaluate([ds], fast_config(models=["MPNN", "AVG"], grid=grid))
+        report = rolling_evaluate([ds], fast_config(models=["MPNN", "AVG"], grid=grid),
+                                  str(tmp_path))
         assert not skips(report)
         keys = [row[:5] for row in report_rows(scored(report))]
         assert keys == sorted(keys, key=lambda k: (k[0], ["MPNN", "AVG"].index(k[1]),
@@ -339,60 +340,61 @@ class TestRollingEvaluate:
         assert all(np.isfinite(c.prediction).all() and (c.prediction >= 0.0).all()
                    for c in scored(report))
 
-    def test_insufficient_cells_skipped_with_reason(self):
+    def test_insufficient_cells_skipped_with_reason(self, tmp_path):
         ds = make_ramp_dataset(n=2, days=16)
         cfg = fast_config(train=TrainConfig(max_epochs=1, hidden=2, k_layers=1,
                                             d=13, dropout=0.0),
                           models=["MPNN"], grid=ProtocolGrid(t_end=15, dt=1))
-        report = rolling_evaluate([ds], cfg)
+        report = rolling_evaluate([ds], cfg, str(tmp_path))
         assert [(c, m, t, j) for c, m, t, j, _ in skips(report)] == \
                [(ds.country, "MPNN", 14, 1)]
         assert "validation" in skips(report)[0][4]
         assert {(c.t, c.horizon) for c in scored(report)} == {(15, 1)}
 
-    def test_transfer_needs_second_country(self):
+    def test_transfer_needs_second_country(self, tmp_path):
         ds = make_ramp_dataset(n=2, days=16)
         report = rolling_evaluate([ds], fast_config(
-            models=["MPNN_TL"], grid=ProtocolGrid(t_end=14, dt=1)))
+            models=["MPNN_TL"], grid=ProtocolGrid(t_end=14, dt=1)), str(tmp_path))
         assert not scored(report)
         assert all("other country" in reason for *_, reason in skips(report))
 
-    def test_transfer_runs_with_two_countries(self):
+    def test_transfer_runs_with_two_countries(self, tmp_path):
         datasets = [make_ramp_dataset(n=2, days=18, country="AA"),
                     make_ramp_dataset(n=2, days=18, country="BB")]
         grid = ProtocolGrid(t_end=14, dt=1)
-        report = rolling_evaluate(datasets, fast_config(models=["MPNN_TL"], grid=grid))
+        report = rolling_evaluate(datasets, fast_config(models=["MPNN_TL"], grid=grid),
+                                  str(tmp_path))
         assert not skips(report)
         assert {c.country for c in scored(report)} == {"AA", "BB"}
 
-    def test_cells_reproducible_regardless_of_grid(self):
+    def test_cells_reproducible_regardless_of_grid(self, tmp_path):
         ds = make_ramp_dataset(n=2, days=20)
         cfg = fast_config(models=["MPNN"], grid=ProtocolGrid(t_end=16, dt=1))
-        wide = rolling_evaluate([ds], cfg)
+        wide = rolling_evaluate([ds], cfg, str(tmp_path))
         narrow = rolling_evaluate([ds], replace(
-            cfg, grid=ProtocolGrid(t_start=16, t_end=16, dt=1)))
+            cfg, grid=ProtocolGrid(t_start=16, t_end=16, dt=1)), str(tmp_path))
         wide_cell = [c for c in scored(wide) if c.t == 16]
         assert report_rows(wide_cell) == report_rows(scored(narrow))
 
-    def test_repeat_run_identical(self):
+    def test_repeat_run_identical(self, tmp_path):
         datasets = [make_ramp_dataset(n=2, days=18, country="AA"),
                     make_ramp_dataset(n=2, days=18, country="BB")]
         grid = ProtocolGrid(t_end=15, dt=1)
         cfg = fast_config(models=["MPNN", "LAST_DAY", "TL_BASE"], grid=grid)
-        a = rolling_evaluate(datasets, cfg)
-        b = rolling_evaluate(datasets, cfg)
+        a = rolling_evaluate(datasets, cfg, str(tmp_path))
+        b = rolling_evaluate(datasets, cfg, str(tmp_path))
         assert report_rows(scored(a)) == report_rows(scored(b)) and skips(a) == skips(b)
 
-    def test_parallel_matches_serial(self):
+    def test_parallel_matches_serial(self, tmp_path):
         ds = make_ramp_dataset(n=2, days=18)
         grid = ProtocolGrid(t_end=15, dt=1)
         cfg = fast_config(models=["MPNN", "AVG"], grid=grid)
-        serial = rolling_evaluate([ds], cfg)
-        parallel = rolling_evaluate([ds], replace(cfg, jobs=2))
+        serial = rolling_evaluate([ds], cfg, str(tmp_path))
+        parallel = rolling_evaluate([ds], replace(cfg, jobs=2), str(tmp_path))
         assert report_rows(scored(serial)) == report_rows(scored(parallel))
         assert skips(serial) == skips(parallel)
 
-    def test_bad_requests_rejected(self):
+    def test_bad_requests_rejected(self, tmp_path):
         ds = make_ramp_dataset(n=2, days=20)
         grid = ProtocolGrid(dt=1)
         # a bad model list is rejected when the config is built
@@ -401,31 +403,31 @@ class TestRollingEvaluate:
         with pytest.raises(ContractError, match="at least one model"):
             fast_config(models=[], grid=grid)
         with pytest.raises(ContractError, match="duplicate countries"):
-            rolling_evaluate([ds, ds], fast_config(models=["AVG"], grid=grid))
+            rolling_evaluate([ds, ds], fast_config(models=["AVG"], grid=grid), str(tmp_path))
         with pytest.raises(ContractError, match="at least one country"):
-            rolling_evaluate([], fast_config(models=["AVG"], grid=grid))
+            rolling_evaluate([], fast_config(models=["AVG"], grid=grid), str(tmp_path))
         short = make_ramp_dataset(n=2, days=14)
         with pytest.raises(ContractError, match="grid is empty"):
-            rolling_evaluate([short], fast_config(models=["AVG"], grid=grid))
+            rolling_evaluate([short], fast_config(models=["AVG"], grid=grid), str(tmp_path))
 
 
 class TestDivergedCells:
     MESSAGE = ("non-finite loss at epoch 1, batch 0; largest parameters: "
                "agg1.w: |max|=3.000e+200")
 
-    def test_diverged_cell_skipped_and_other_rows_kept(self, monkeypatch):
+    def test_diverged_cell_skipped_and_other_rows_kept(self, monkeypatch, tmp_path):
         ds = make_ramp_dataset(n=2, days=18)
         grid = ProtocolGrid(t_end=15, dt=1)
         cfg = fast_config(models=["MPNN", "AVG"], grid=grid)
-        clean = rolling_evaluate([ds], cfg)
+        clean = rolling_evaluate([ds], cfg, str(tmp_path))
         monkeypatch.setattr(evaluation, "train_model", diverge_at(14, self.MESSAGE))
-        report = rolling_evaluate([ds], cfg)
+        report = rolling_evaluate([ds], cfg, str(tmp_path))
         assert skips(report) == [(ds.country, "MPNN", 14, 1,
                                    f"training diverged: {self.MESSAGE}")]
         assert report_rows(scored(report)) == report_rows(
             [c for c in scored(clean) if (c.model, c.t) != ("MPNN", 14)])
 
-    def test_diverged_meta_training_skips_only_transfer_cells(self, monkeypatch):
+    def test_diverged_meta_training_skips_only_transfer_cells(self, monkeypatch, tmp_path):
         datasets = [make_ramp_dataset(n=2, days=18, country="AA"),
                     make_ramp_dataset(n=2, days=18, country="BB")]
 
@@ -434,7 +436,7 @@ class TestDivergedCells:
 
         monkeypatch.setattr(evaluation, "maml_meta_train", maml_meta_train)
         report = rolling_evaluate(datasets, fast_config(
-            models=["MPNN_TL", "LAST_DAY"], grid=ProtocolGrid(t_end=14, dt=1)))
+            models=["MPNN_TL", "LAST_DAY"], grid=ProtocolGrid(t_end=14, dt=1)), str(tmp_path))
         assert [(c, m) for c, m, *_ in skips(report)] == [("AA", "MPNN_TL"),
                                                          ("BB", "MPNN_TL")]
         assert all("meta-training failed: non-finite loss" in reason
@@ -477,7 +479,7 @@ class TestNonFiniteForecasts:
             rescored = rolling_evaluate([clean, huge], cfg, checkpoint_dir=ck,
                                         load_only=True)
         assert report_rows(scored(report)) == report_rows(
-            scored(rolling_evaluate([clean], cfg)))
+            scored(rolling_evaluate([clean], cfg, str(tmp_path))))
         assert [cell[:4] for cell in skips(report)] == [
             ("BB", model, t, 1) for model in self.MODELS for t in (14, 15)]
         assert all(reason.startswith("training diverged: non-finite ")
@@ -534,12 +536,12 @@ class TestNonFiniteForecasts:
     @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
         "one overflowing country disables transfer for every other country: "
         "_CellContext.foreign hands it to AA's meta-training and TL_BASE cells"))
-    def test_overflowing_country_leaves_others_transfer(self):
+    def test_overflowing_country_leaves_others_transfer(self, tmp_path):
         clean = make_ramp_dataset(n=2, days=18, country="AA")
         huge = with_huge_cases(clean, "BB")
         cfg = fast_config(models=["MPNN_TL", "TL_BASE"], grid=self.GRID)
         with np.errstate(over="ignore", invalid="ignore"):
-            report = rolling_evaluate([clean, huge], cfg)
+            report = rolling_evaluate([clean, huge], cfg, str(tmp_path))
         assert [cell[:4] for cell in skips(report) if cell[0] == "AA"] == []
         assert {(c.country, c.model) for c in scored(report)} >= {
             ("AA", "MPNN_TL"), ("AA", "TL_BASE")}
@@ -578,8 +580,8 @@ class TestPoolMetaTraining:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_failed_meta_training_in_worker_skips_only_its_target(
-            self, monkeypatch, jobs):
-        clean = rolling_evaluate(self.two_countries(), self.config(jobs=jobs))
+            self, monkeypatch, jobs, tmp_path):
+        clean = rolling_evaluate(self.two_countries(), self.config(jobs=jobs), str(tmp_path))
         real = evaluation.maml_meta_train
 
         def maml_meta_train(foreign, model, config, seed):
@@ -588,7 +590,7 @@ class TestPoolMetaTraining:
             return real(foreign, model, config, seed)
 
         monkeypatch.setattr(evaluation, "maml_meta_train", maml_meta_train)
-        report = rolling_evaluate(self.two_countries(), self.config(jobs=jobs))
+        report = rolling_evaluate(self.two_countries(), self.config(jobs=jobs), str(tmp_path))
         assert skips(report) == [
             ("AA", "MPNN_TL", t, 1,
              "meta-training failed: non-finite loss during adaptation")
@@ -657,7 +659,7 @@ class TestInProcessSchedule:
         assert report_rows(scored(again)) == report_rows(scored(report))
         assert skips(again) == skips(report)
 
-    def test_meta_tasks_then_cells_in_grid_order(self, monkeypatch):
+    def test_meta_tasks_then_cells_in_grid_order(self, monkeypatch, tmp_path):
         calls = []
         real_meta, real_cell = evaluation.maml_meta_train, evaluation.evaluate_cell
 
@@ -674,7 +676,7 @@ class TestInProcessSchedule:
         datasets = TestPoolMetaTraining.two_countries()
         cfg = fast_config(models=["MPNN_TL", "MPNN", "AR"],
                           grid=ProtocolGrid(t_end=15, dt=2))
-        report = rolling_evaluate(datasets, cfg)
+        report = rolling_evaluate(datasets, cfg, str(tmp_path))
         assert not skips(report)
         # each target's meta-training learns from the other country
         assert calls[:2] == [("meta", "BB"), ("meta", "AA")]
@@ -717,33 +719,33 @@ class TestWorkerCount:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                             RecordingExecutor)
 
-    def test_never_more_workers_than_tasks(self, monkeypatch):
+    def test_never_more_workers_than_tasks(self, monkeypatch, tmp_path):
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         ds = make_ramp_dataset(n=2, days=18)
         cfg = fast_config(models=["LAST_DAY"], grid=ProtocolGrid(t_end=15, dt=1))
-        report = rolling_evaluate([ds], replace(cfg, jobs=1000))
+        report = rolling_evaluate([ds], replace(cfg, jobs=1000), str(tmp_path))
         assert RecordingExecutor.max_workers == [2]
-        serial = rolling_evaluate([ds], cfg)
+        serial = rolling_evaluate([ds], cfg, str(tmp_path))
         assert report_rows(scored(report)) == report_rows(scored(serial))
         assert skips(report) == skips(serial)
 
-    def test_meta_tasks_count_as_work(self, monkeypatch):
+    def test_meta_tasks_count_as_work(self, monkeypatch, tmp_path):
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         datasets = [make_ramp_dataset(n=2, days=18, country="AA"),
                     make_ramp_dataset(n=2, days=18, country="BB")]
         cfg = fast_config(models=["MPNN_TL"], grid=ProtocolGrid(t_end=14, dt=1),
                           jobs=1000)
-        report = rolling_evaluate(datasets, cfg)
+        report = rolling_evaluate(datasets, cfg, str(tmp_path))
         assert RecordingExecutor.max_workers == [4]   # 2 meta tasks, 2 cells
         assert not skips(report)
 
     @pytest.mark.parametrize("cpus,workers", [(3, 3), (None, 1)])
-    def test_never_more_workers_than_cpus(self, monkeypatch, cpus, workers):
+    def test_never_more_workers_than_cpus(self, monkeypatch, cpus, workers, tmp_path):
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         ds = make_ramp_dataset(n=2, days=20)
         cfg = fast_config(models=["LAST_DAY", "AVG"], jobs=1000,
                           grid=ProtocolGrid(t_end=19, dt=1))
-        rolling_evaluate([ds], cfg)
+        rolling_evaluate([ds], cfg, str(tmp_path))
         assert RecordingExecutor.max_workers == [workers]
 
 
@@ -776,10 +778,10 @@ class TestForeignList:
         monkeypatch.setattr(evaluation, "tl_base_train", tl_base_train)
         return seen
 
-    def test_each_target_gets_the_others_in_request_order(self, monkeypatch):
+    def test_each_target_gets_the_others_in_request_order(self, monkeypatch, tmp_path):
         seen = self.record_foreign(monkeypatch)
         cfg = fast_config(models=["MPNN_TL", "TL_BASE"], grid=self.GRID)
-        report = rolling_evaluate(self.three_countries(), cfg)
+        report = rolling_evaluate(self.three_countries(), cfg, str(tmp_path))
         assert not skips(report)
         assert seen == [("meta", ["BB", "CC"]), ("meta", ["AA", "CC"]),
                         ("meta", ["AA", "BB"])] + [
@@ -793,13 +795,13 @@ class TestForeignList:
         RecordingExecutor.max_workers = []
         monkeypatch.setattr(evaluation, "_CELL_CTX", None)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
-        pooled = rolling_evaluate(self.three_countries(), replace(cfg, jobs=2))
+        pooled = rolling_evaluate(self.three_countries(), replace(cfg, jobs=2), str(tmp_path))
         assert len(RecordingExecutor.max_workers) == 1
         assert seen == serial
         assert report_rows(scored(pooled)) == report_rows(scored(report))
         assert skips(pooled) == skips(report)
 
-    def test_one_country_submits_no_meta_task(self, monkeypatch):
+    def test_one_country_submits_no_meta_task(self, monkeypatch, tmp_path):
         seen = self.record_foreign(monkeypatch)
         submitted = []
         real = evaluation._meta_task
@@ -810,7 +812,7 @@ class TestForeignList:
 
         monkeypatch.setattr(evaluation, "_meta_task", meta_task)
         report = rolling_evaluate(self.three_countries()[:1], fast_config(
-            models=["MPNN_TL"], grid=self.GRID))
+            models=["MPNN_TL"], grid=self.GRID), str(tmp_path))
         assert skips(report) == [
             ("AA", "MPNN_TL", t, 1, "transfer initialization needs at least one "
                                     "other country") for t in (14, 15)]
@@ -821,7 +823,7 @@ class TestBaselineUnits:
     """A baseline unit scores every horizon of its anchor, so AR fits once
     per (country, T) whichever process runs the unit."""
 
-    def test_one_pool_task_and_one_fit_per_anchor(self, monkeypatch):
+    def test_one_pool_task_and_one_fit_per_anchor(self, monkeypatch, tmp_path):
         fits, tasks = [], []
 
         def counting_fit(history, **kwargs):
@@ -843,7 +845,7 @@ class TestBaselineUnits:
         ds = make_ramp_dataset(n=2, days=20)
         cfg = fast_config(models=["AR", "AVG"], jobs=2,
                           grid=ProtocolGrid(t_end=15, horizons=(1, 2, 3)))
-        report = rolling_evaluate([ds], cfg)
+        report = rolling_evaluate([ds], cfg, str(tmp_path))
         assert tasks == [(ds.country, model, t, (1, 2, 3))
                          for model in ("AR", "AVG") for t in (14, 15)]
         assert fits == [(2, 14), (2, 15)]
@@ -863,10 +865,10 @@ class TestBaselineUnits:
 
         ds = make_ramp_dataset(n=2, days=30)
         cfg = fast_config(models=["AR"], grid=ProtocolGrid(t_end=21, horizons=(1, 3, 7)))
-        serial = rolling_evaluate([ds], cfg)
+        serial = rolling_evaluate([ds], cfg, str(tmp_path))
         monkeypatch.setattr(evaluation, "ar_fit", logging_fit)   # workers inherit it
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        pooled = rolling_evaluate([ds], replace(cfg, jobs=2))
+        pooled = rolling_evaluate([ds], replace(cfg, jobs=2), str(tmp_path))
         assert sorted(int(t) for t in log.read_text().split()) == list(range(14, 22))
         assert report_rows(scored(pooled)) == report_rows(scored(serial))
         assert skips(pooled) == skips(serial) == []
@@ -920,13 +922,6 @@ class TestCheckpointReuse:
         with pytest.raises(CheckpointError,
                            match="country=BB model=MPNN T=15 j=1"):
             rolling_evaluate(datasets, cfg, checkpoint_dir=ckpt_dir,
-                             load_only=True)
-
-    def test_load_only_needs_a_directory(self):
-        ds = make_ramp_dataset(n=2, days=18)
-        with pytest.raises(ContractError, match="checkpoint directory"):
-            rolling_evaluate([ds], fast_config(models=["MPNN"],
-                                               grid=ProtocolGrid(t_end=14, dt=1)),
                              load_only=True)
 
 
@@ -992,16 +987,16 @@ class TestSkipRecords:
 
 
 class TestEmitReport:
-    def sample_report(self):
+    def sample_report(self, checkpoint_dir):
         ds = make_ramp_dataset(n=2, days=20)
         grid = ProtocolGrid(t_end=16, dt=2)
         report = rolling_evaluate([ds], fast_config(models=["LAST_DAY", "AVG"],
-                                                    grid=grid))
+                                                    grid=grid), checkpoint_dir)
         report.append(CellResult(ds.country, "MPNN_LSTM", 14, 1, reason="window too wide"))
         return report
 
     def test_round_trip_preserves_aggregates(self, tmp_path):
-        report = self.sample_report()
+        report = self.sample_report(str(tmp_path))
         paths = emit_report(report, str(tmp_path / "report"))
         loaded = load_report_rows(paths["rows"])
         cells = scored(loaded)
@@ -1091,7 +1086,7 @@ class TestEmitReport:
         assert peak < 3 * 2**20
 
     def test_byte_deterministic(self, tmp_path):
-        report = self.sample_report()
+        report = self.sample_report(str(tmp_path))
         paths_a = emit_report(report, str(tmp_path / "a"))
         paths_b = emit_report(report, str(tmp_path / "b"))
         for key in paths_a:
@@ -1115,7 +1110,7 @@ class TestEmitReport:
         cases[:, :14] = 1.7e308
         ds = CountryDataset(ds.country, ds.regions, ds.dates, cases, ds.mobility)
         grid = ProtocolGrid(t_start=14, t_end=14, horizons=(1, 2, 3))
-        report = rolling_evaluate([ds], fast_config(models=["LAST_DAY"], grid=grid))
+        report = rolling_evaluate([ds], fast_config(models=["LAST_DAY"], grid=grid), str(tmp_path))
         assert abs_errors(scored(report)).tolist() == [1.7e308] * 6
         paths = emit_report(report, str(tmp_path))
 
@@ -1129,7 +1124,7 @@ class TestEmitReport:
             assert mean == pytest.approx(1.7e308, rel=1e-15)
 
     def test_skip_lines_precede_header(self, tmp_path):
-        report = self.sample_report()
+        report = self.sample_report(str(tmp_path))
         paths = emit_report(report, str(tmp_path))
         with open(paths["rows"], encoding="utf-8") as fh:
             lines = fh.read().splitlines()

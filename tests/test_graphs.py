@@ -242,7 +242,7 @@ class TestGraphCache:
         assert one[0].anchor == two[0].anchor == 3
         assert one[0].graphs[0][0] is two[0].graphs[0][0] is cache[2]
 
-    def test_rolling_evaluate_normalizes_each_day_at_most_once(self, monkeypatch):
+    def test_rolling_evaluate_normalizes_each_day_at_most_once(self, monkeypatch, tmp_path):
         inputs = []
         real = graphs.normalize_incoming
 
@@ -258,7 +258,7 @@ class TestGraphCache:
                          meta=MetaConfig(dt=1),
                          models=("MPNN", "MPNN_LSTM", "MPNN_TL", "TL_BASE"),
                          grid=ProtocolGrid(t_end=15, dt=2))
-        report = rolling_evaluate(datasets, cfg)
+        report = rolling_evaluate(datasets, cfg, str(tmp_path))
         assert scored(report) and not skips(report)
         assert inputs
         assert len(inputs) == len(set(inputs))  # each mobility matrix once

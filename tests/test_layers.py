@@ -43,7 +43,7 @@ class TestBatchnormForward:
         rm, rv = np.zeros((1, 3)), np.ones((1, 3))
         t = tp.Tape()
         out = batchnorm(t.constant(x), t.parameter(gamma), t.parameter(beta),
-                        rm, rv, "train")
+                        rm, rv, True)
         xhat = (out.value - beta) / gamma
         np.testing.assert_allclose(xhat.mean(axis=0), 0.0, atol=1e-12)
         np.testing.assert_allclose(xhat.var(axis=0), 1.0, atol=1e-4)  # eps shrinks it
@@ -52,7 +52,7 @@ class TestBatchnormForward:
         x, gamma, beta = _bn_setup()
         rm, rv = np.full((1, 3), 2.0), np.full((1, 3), 5.0)
         t = tp.Tape()
-        batchnorm(t.constant(x), t.parameter(gamma), t.parameter(beta), rm, rv, "train")
+        batchnorm(t.constant(x), t.parameter(gamma), t.parameter(beta), rm, rv, True)
         np.testing.assert_allclose(rm, 0.9 * 2.0 + 0.1 * x.mean(axis=0, keepdims=True))
         np.testing.assert_allclose(rv, 0.9 * 5.0 + 0.1 * x.var(axis=0, keepdims=True))
 
@@ -62,22 +62,22 @@ class TestBatchnormForward:
         rm, rv = np.zeros((1, 3)), np.ones((1, 3))
         t = tp.Tape()
         g, b = t.parameter(gamma), t.parameter(beta)
-        train_out = batchnorm(t.constant(x), g, b, rm, rv, "train")
-        eval_out = batchnorm(t.constant(x), g, b, rm, rv, "eval")
+        train_out = batchnorm(t.constant(x), g, b, rm, rv, True)
+        eval_out = batchnorm(t.constant(x), g, b, rm, rv, False)
         np.testing.assert_allclose(eval_out.value, train_out.value, rtol=1e-12)
 
     def test_eval_does_not_touch_buffers(self):
         x, gamma, beta = _bn_setup()
         rm, rv = np.full((1, 3), 1.5), np.full((1, 3), 2.5)
         t = tp.Tape()
-        batchnorm(t.constant(x), t.parameter(gamma), t.parameter(beta), rm, rv, "eval")
+        batchnorm(t.constant(x), t.parameter(gamma), t.parameter(beta), rm, rv, False)
         assert np.all(rm == 1.5) and np.all(rv == 2.5)
 
     def test_single_row_batch_is_finite(self):
         t = tp.Tape()
         out = batchnorm(t.constant([[3.0, -1.0]]), t.parameter(np.ones((1, 2))),
                         t.parameter(np.zeros((1, 2))),
-                        np.zeros((1, 2)), np.ones((1, 2)), "train")
+                        np.zeros((1, 2)), np.ones((1, 2)), True)
         assert np.all(np.isfinite(out.value))
 
     def test_bad_mode_and_shapes(self):
@@ -85,15 +85,13 @@ class TestBatchnormForward:
         x = t.constant(np.ones((2, 3)))
         g = t.parameter(np.ones((1, 3)))
         b = t.parameter(np.zeros((1, 3)))
-        with pytest.raises(ContractError):
-            batchnorm(x, g, b, np.zeros((1, 3)), np.ones((1, 3)), "predict")
         with pytest.raises(ShapeError):
             batchnorm(x, t.parameter(np.ones((1, 2))), b,
-                      np.zeros((1, 3)), np.ones((1, 3)), "train")
+                      np.zeros((1, 3)), np.ones((1, 3)), True)
 
 
 class TestBatchnormBackward:
-    def _fd(self, mode, wrt):
+    def _fd(self, training, wrt):
         x, gamma, beta = _bn_setup(n=5, d=4, seed=9)
         rm = np.full((1, 4), 0.3)
         rv = np.full((1, 4), 1.7)
@@ -103,7 +101,7 @@ class TestBatchnormBackward:
             t = tp.Tape()
             handles = {k: t.parameter(v) for k, v in vals.items()}
             out = batchnorm(handles["x"], handles["gamma"], handles["beta"],
-                            rm.copy(), rv.copy(), mode)
+                            rm.copy(), rv.copy(), training)
             return t, handles, tp.mean_all(tp.square(out))
 
         t, handles, root = run(arrays)
@@ -122,16 +120,16 @@ class TestBatchnormBackward:
             fd[idx] = (hi - lo) / (2 * eps)
         np.testing.assert_allclose(t.grad(handles[wrt]), fd, rtol=2e-4, atol=1e-7)
 
-    @pytest.mark.parametrize("mode", ["train", "eval"])
+    @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
     @pytest.mark.parametrize("wrt", ["x", "gamma", "beta"])
-    def test_matches_finite_differences(self, mode, wrt):
-        self._fd(mode, wrt)
+    def test_matches_finite_differences(self, training, wrt):
+        self._fd(training, wrt)
 
 
-def _reference_batchnorm(xv, gv, bv, running_mean, running_var, mode, g,
+def _reference_batchnorm(xv, gv, bv, running_mean, running_var, training, g,
                          momentum=0.1, eps=1e-5):
     """The two-pass formulas batchnorm replaced: output, (dx, dgamma, dbeta)."""
-    if mode == "train":
+    if training:
         mean = xv.mean(axis=0, keepdims=True)
         var = xv.var(axis=0, keepdims=True)
         running_mean *= 1.0 - momentum
@@ -147,7 +145,7 @@ def _reference_batchnorm(xv, gv, bv, running_mean, running_var, mode, g,
     n = xv.shape[0]
     dgamma = (g * xhat).sum(axis=0, keepdims=True)
     dbeta = g.sum(axis=0, keepdims=True)
-    if mode == "train":
+    if training:
         dxhat = g * gv
         dx = (inv_std / n) * (n * dxhat - dxhat.sum(axis=0, keepdims=True)
                               - xhat * (dxhat * xhat).sum(axis=0, keepdims=True))
@@ -160,7 +158,7 @@ class TestBatchnormBitIdentity:
     """One-pass batchnorm against the two-pass formulas, byte for byte."""
 
     @staticmethod
-    def assert_matches_reference(x, mode, seed):
+    def assert_matches_reference(x, training, seed):
         rng = Rng(seed)
         (n, d), shape = x.shape, x.shape
         gamma = rng.uniform(0.5, 1.5, (1, d))
@@ -171,44 +169,44 @@ class TestBatchnormBitIdentity:
         rm, rv = rm0.copy(), rv0.copy()
         t = tp.Tape(check_finite=False)
         handles = [t.parameter(x), t.parameter(gamma), t.parameter(beta)]
-        out = batchnorm(*handles, rm, rv, mode)
+        out = batchnorm(*handles, rm, rv, training)
         t.backward(tp.mean_all(tp.mul(out, t.constant(g))))
 
         ref_rm, ref_rv = rm0.copy(), rv0.copy()
         upstream = np.full(shape, 1.0 / (n * d)) * g  # what mul hands batchnorm
         ref_out, ref_grads = _reference_batchnorm(x, gamma, beta, ref_rm, ref_rv,
-                                                  mode, upstream)
+                                                  training, upstream)
         assert out.value.tobytes() == ref_out.tobytes()
         for h, want in zip(handles, ref_grads):
             assert t.grad(h).tobytes() == want.tobytes()
         assert rm.tobytes() == ref_rm.tobytes()
         assert rv.tobytes() == ref_rv.tobytes()
 
-    @pytest.mark.parametrize("mode", ["train", "eval"])
+    @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
     @pytest.mark.parametrize("shape", [(1, 3), (5, 4), (37, 16), (320, 64)])
-    def test_output_gradients_and_buffers(self, mode, shape):
+    def test_output_gradients_and_buffers(self, training, shape):
         rng = Rng(shape[0] * 100 + shape[1])
         # columns on very different scales and offsets, a constant column
         x = rng.normal(shape) * rng.uniform(1e-3, 1e3, (1, shape[1]))
         x += rng.normal((1, shape[1])) * 50.0
         x[:, 0] = 2.5
-        self.assert_matches_reference(x, mode, seed=shape[0])
+        self.assert_matches_reference(x, training, seed=shape[0])
 
-    @pytest.mark.parametrize("mode", ["train", "eval"])
-    def test_special_values(self, mode):
+    @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+    def test_special_values(self, training):
         tiny = 5e-324
         x = np.array([[0.0, tiny, np.inf, np.nan, 1e308, 1.0],
                       [-0.0, -tiny, 1.0, 2.0, 1e308, -1.0],
                       [0.0, 3 * tiny, -2.0, 3.0, -1e308, 2.0],
                       [-0.0, tiny, 0.5, -np.nan, 1e308, -2.0]])
         with np.errstate(all="ignore"):
-            self.assert_matches_reference(x, mode, seed=4)
+            self.assert_matches_reference(x, training, seed=4)
 
     def test_backward_leaves_upstream_gradient_alone(self):
         x, gamma, beta = _bn_setup()
         t = tp.Tape()
         out = batchnorm(t.parameter(x), t.parameter(gamma), t.parameter(beta),
-                        np.zeros((1, 3)), np.ones((1, 3)), "train")
+                        np.zeros((1, 3)), np.ones((1, 3)), True)
         g = Rng(2).normal(out.shape)
         g_before = g.copy()
         t._nodes[out.idx].backward(g)
@@ -219,14 +217,14 @@ class TestDropout:
     def test_eval_and_zero_rate_are_identity(self):
         t = tp.Tape()
         x = t.parameter(np.ones((4, 4)))
-        assert dropout(x, 0.5, Rng(0), "eval") is x
-        assert dropout(x, 0.0, Rng(0), "train") is x
+        assert dropout(x, 0.5, None) is x
+        assert dropout(x, 0.0, Rng(0)) is x
 
     def test_train_masks_and_scales(self):
         rng = Rng(21)
         t = tp.Tape()
         x = t.parameter(np.full((200, 50), 3.0))
-        out = dropout(x, 0.5, rng, "train").value
+        out = dropout(x, 0.5, rng).value
         dropped = (out == 0.0).mean()
         assert 0.45 < dropped < 0.55
         kept = out[out != 0.0]
@@ -236,7 +234,7 @@ class TestDropout:
     def test_backward_uses_same_mask(self):
         t = tp.Tape()
         x = t.parameter(np.ones((10, 10)))
-        out = dropout(x, 0.3, Rng(5), "train")
+        out = dropout(x, 0.3, Rng(5))
         root = tp.mean_all(out)
         t.backward(root)
         grad = t.grad(x)
@@ -248,7 +246,7 @@ class TestDropout:
         def run(seed):
             t = tp.Tape()
             x = t.parameter(np.ones((8, 8)))
-            return dropout(x, 0.5, Rng(seed), "train").value
+            return dropout(x, 0.5, Rng(seed)).value
 
         assert np.array_equal(run(9), run(9))
         assert not np.array_equal(run(9), run(10))
@@ -259,12 +257,12 @@ class TestDropout:
         x = Rng(3).normal((6, 5))
         t = tp.Tape()
         xv = t.parameter(x)
-        t.backward(tp.mean_all(tp.square(dropout(xv, p, Rng(8), "train"))))
+        t.backward(tp.mean_all(tp.square(dropout(xv, p, Rng(8)))))
 
         def loss(vals):
             t2 = tp.Tape()
             return float(tp.mean_all(tp.square(
-                dropout(t2.parameter(vals), p, Rng(8), "train"))).value[0, 0])
+                dropout(t2.parameter(vals), p, Rng(8)))).value[0, 0])
 
         eps = 1e-6
         fd = np.zeros_like(x)
@@ -281,9 +279,9 @@ class TestDropout:
         t = tp.Tape()
         x = t.parameter(np.ones((2, 2)))
         with pytest.raises(ContractError):
-            dropout(x, 1.0, Rng(0), "train")
+            dropout(x, 1.0, Rng(0))
         with pytest.raises(ContractError):
-            dropout(x, -0.1, Rng(0), "train")
+            dropout(x, -0.1, Rng(0))
 
 
 class TestDropoutBitIdentity:
@@ -298,7 +296,7 @@ class TestDropoutBitIdentity:
         mask = keep * (1.0 / (1.0 - p))
         t = tp.Tape(check_finite=False)
         with np.errstate(all="ignore"):
-            out = dropout(t.parameter(x), p, Rng(seed), "train")
+            out = dropout(t.parameter(x), p, Rng(seed))
             (dx,) = t._nodes[out.idx].backward(g)
             want_out, want_dx = x * mask, g * mask
         assert out.value.tobytes() == want_out.tobytes()

@@ -52,7 +52,7 @@ class ThetaModel:
     def init_state(self, rng):
         return ModelState({"theta": np.zeros((1, 1))}, {})
 
-    def forward(self, tape, pvars, buffers, samples, mode, rng):
+    def forward(self, tape, pvars, buffers, samples, rng):
         ones = tape.constant(np.ones((len(samples), 1)))
         return tp.matmul(ones, pvars["theta"])
 
@@ -65,7 +65,7 @@ class AffineModel:
     def init_state(self, rng):
         return ModelState({"w": np.array([[1.0]]), "b": np.array([[0.5]])}, {})
 
-    def forward(self, tape, pvars, buffers, samples, mode, rng):
+    def forward(self, tape, pvars, buffers, samples, rng):
         x = np.array([[s.graphs[-1][1][0, 0]] for s in samples])
         return tp.add_row(tp.matmul(tape.constant(x), pvars["w"]), pvars["b"])
 
@@ -74,9 +74,9 @@ class BufferPokingModel(ThetaModel):
     def init_state(self, rng):
         return ModelState({"theta": np.zeros((1, 1))}, {"count": np.zeros((1, 1))})
 
-    def forward(self, tape, pvars, buffers, samples, mode, rng):
+    def forward(self, tape, pvars, buffers, samples, rng):
         buffers["count"][0, 0] += 1.0
-        return super().forward(tape, pvars, buffers, samples, mode, rng)
+        return super().forward(tape, pvars, buffers, samples, rng)
 
 
 def tiny_mpnn():
@@ -362,8 +362,8 @@ class TestFineTune:
         assert error_metric(abs_errors(cells)) == pytest.approx(float(np.mean(maes)),
                                                                 rel=1e-12)
 
-    def test_cells_without_validation_are_skipped(self):
-        report = rolling_evaluate(two_countries(), transfer_config(d=13))
+    def test_cells_without_validation_are_skipped(self, tmp_path):
+        report = rolling_evaluate(two_countries(), transfer_config(d=13), str(tmp_path))
         assert sorted({(c.country, c.t) for c in scored(report)}) == [
             ("AA", 15), ("BB", 15)]
         assert [(c, t, j) for c, _, t, j, _ in skips(report)] == [
@@ -371,7 +371,7 @@ class TestFineTune:
         assert all("no validation samples" in reason
                    for *_, reason in skips(report))
 
-    def test_warm_start_stays_near_converged_error(self, monkeypatch):
+    def test_warm_start_stays_near_converged_error(self, monkeypatch, tmp_path):
         datasets = two_countries(days=15)
         splits = make_splits(datasets[0], 14, 1, 3)
         converged = train_model(splits, tiny_mpnn(),
@@ -381,12 +381,12 @@ class TestFineTune:
         base = float(np.mean(np.abs(forecast - actual)))
         monkeypatch.setattr(evaluation, "maml_meta_train",
                             lambda foreign, model, config, seed: converged.state)
-        report = rolling_evaluate(datasets, transfer_config(max_epochs=1))
+        report = rolling_evaluate(datasets, transfer_config(max_epochs=1), str(tmp_path))
         cells = [c for c in scored(report) if c.country == "AA"]
         assert {c.t for c in cells} == {14}
         assert error_metric(abs_errors(cells)) <= base * 1.1 + 0.5
 
-    def test_cells_read_only_the_target(self, monkeypatch):
+    def test_cells_read_only_the_target(self, monkeypatch, tmp_path):
         foreign = two_countries(cls=TracingDataset)
         target = make_ramp_dataset(n=2, days=16, country="CC")
         real = evaluation.evaluate_cell
@@ -404,11 +404,11 @@ class TestFineTune:
 
         monkeypatch.setattr(evaluation, "evaluate_cell", traced_cell)
         report = rolling_evaluate([*foreign, target],
-                                  transfer_config(max_epochs=1))
+                                  transfer_config(max_epochs=1), str(tmp_path))
         assert not skips(report)
         assert reads == [[(set(), set())] * 2] * 2
 
-    def test_transfer_reads_foreign_days_after_the_target_date(self, monkeypatch):
+    def test_transfer_reads_foreign_days_after_the_target_date(self, monkeypatch, tmp_path):
         """What transfer reads by default, stated so that a calendar cutoff
         on foreign data flips a named test: AA's meta-training and its
         TL_BASE cell at T read BB's case days dated after AA's date at T,
@@ -435,7 +435,7 @@ class TestFineTune:
         monkeypatch.setattr(evaluation, "_meta_task", meta_task)
         monkeypatch.setattr(evaluation, "evaluate_cell", traced_cell)
         report = rolling_evaluate([aa, bb], transfer_config(
-            models=("MPNN_TL", "TL_BASE"), grid=ProtocolGrid(t_end=t, dt=1)))
+            models=("MPNN_TL", "TL_BASE"), grid=ProtocolGrid(t_end=t, dt=1)), str(tmp_path))
         assert not skips(report)
         target_date = aa.dates[t - 1]
         assert sorted(reads) == ["MPNN_TL meta", "TL_BASE"]
@@ -499,7 +499,7 @@ class TestTlBaseTrain:
         assert {k: v.tobytes() for k, v in a.state.params.items()} == \
                {k: v.tobytes() for k, v in b.state.params.items()}
 
-    def test_grid_builds_each_cell_split_once(self, monkeypatch):
+    def test_grid_builds_each_cell_split_once(self, monkeypatch, tmp_path):
         datasets = [make_ramp_dataset(n=2, days=18, country="AA"),
                     make_ramp_dataset(n=3, days=20, country="BB")]
         calls = []
@@ -512,7 +512,7 @@ class TestTlBaseTrain:
         monkeypatch.setattr(meta_mod, "make_splits", counting, raising=False)
         grid = ProtocolGrid(t_end=15, dt=1)
         report = rolling_evaluate(datasets, transfer_config(
-            models=["TL_BASE"], grid=grid, max_epochs=1))
+            models=["TL_BASE"], grid=grid, max_epochs=1), str(tmp_path))
         assert not skips(report)
         cells = sorted({(c.country, c.t, c.horizon) for c in scored(report)})
         assert len(cells) == 4

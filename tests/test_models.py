@@ -94,7 +94,7 @@ class TestMPNN:
         a, x = sample.graphs[-1]
         tape = tp.Tape()
         pvars = tape.bind(state.params)
-        rep = model._trunk(tape, pvars, state.buffers, [a], x, "eval", None)
+        rep = model._trunk(tape, pvars, state.buffers, [a], x, None)
         assert rep.shape == (6, 5 + 4)
         np.testing.assert_allclose(rep.value[:, :5], x, rtol=1e-12)
         want = np.maximum(a @ x @ state.params["agg1.w"], 0.0) / np.sqrt(1.0 + BN_EPS)
@@ -132,7 +132,7 @@ class TestMPNN:
         samples = [random_sample(rng, n=4), random_sample(rng, n=4)]
         tape = tp.Tape()
         pvars = tape.bind(state.params)
-        batch = model.forward(tape, pvars, state.buffers, samples, "eval", None)
+        batch = model.forward(tape, pvars, state.buffers, samples, None)
         singles = np.concatenate([predict(model, state, [s]) for s in samples])
         np.testing.assert_allclose(batch.value[:, 0], singles, rtol=1e-12)
 
@@ -143,7 +143,7 @@ class TestMPNN:
         samples = [random_sample(rng, n=3), random_sample(rng, n=5)]
         tape = tp.Tape()
         pvars = tape.bind(state.params)
-        out = model.forward(tape, pvars, state.buffers, samples, "eval", None)
+        out = model.forward(tape, pvars, state.buffers, samples, None)
         assert out.shape == (8, 1)
 
     def test_nonnegative_outputs(self):
@@ -178,7 +178,7 @@ class TestLSTMCell:
         x = tape.constant([[0.0]])
         h0 = tape.constant([[0.0]])
         c0 = tape.constant([[0.8]])
-        h, c = lstm_cell(x, h0, c0, pvars, "z")
+        h, c = lstm_cell(x, (h0, c0), pvars, "z")
         np.testing.assert_allclose(c.value, [[0.4]], rtol=1e-12)  # f=0.5, i=0.5, g=0
         np.testing.assert_allclose(h.value, [[0.5 * math.tanh(0.4)]], rtol=1e-12)
 
@@ -189,7 +189,7 @@ class TestLSTMCell:
         tape = tp.Tape()
         pvars = self._pvars(tape, params)
         c0 = tape.constant([[0.7]])
-        _, c = lstm_cell(tape.constant([[1.0]]), tape.constant([[0.0]]), c0, pvars, "z")
+        _, c = lstm_cell(tape.constant([[1.0]]), (tape.constant([[0.0]]), c0), pvars, "z")
         np.testing.assert_allclose(c.value, [[0.7]], atol=1e-10)
 
     def test_scalar_hand_trace(self):
@@ -197,7 +197,7 @@ class TestLSTMCell:
         tape = tp.Tape()
         pvars = self._pvars(tape, self._gate_params(1.0, 1.0, 0.0))
         zero = tape.constant([[0.0]])
-        h, c = lstm_cell(tape.constant([[1.0]]), zero, zero, pvars, "z")
+        h, c = lstm_cell(tape.constant([[1.0]]), (zero, zero), pvars, "z")
         sig1 = 1.0 / (1.0 + math.exp(-1.0))
         c_want = sig1 * math.tanh(1.0)
         h_want = sig1 * math.tanh(c_want)
@@ -218,9 +218,10 @@ class TestLSTMCell:
             tape = tp.Tape()
             pvars = tape.bind(params)
             x_vars = [tape.parameter(x) for x in xs]
-            h = c = tape.constant(np.zeros((6, 5))) if zero_start else None
+            state = (tape.constant(np.zeros((6, 5))),) * 2 if zero_start else None
             for x in x_vars:
-                h, c = lstm_cell(x, h, c, pvars, "z")
+                state = lstm_cell(x, state, pvars, "z")
+            h, c = state
             tape.backward(tp.mean_all(tp.mul(h, c)))
             grads = {name: tape.grad(var) for name, var in pvars.items()}
             grads.update((f"x{k}", tape.grad(x)) for k, x in enumerate(x_vars))
@@ -233,13 +234,6 @@ class TestLSTMCell:
         assert grads1.keys() == grads0.keys()
         for name in grads0:
             np.testing.assert_array_equal(grads1[name], grads0[name], err_msg=name)
-
-    def test_state_needs_both_parts(self):
-        tape = tp.Tape()
-        pvars = self._pvars(tape, self._gate_params(1.0, 1.0, 0.0))
-        zero = tape.constant([[0.0]])
-        with pytest.raises(ContractError, match="both"):
-            lstm_cell(tape.constant([[1.0]]), zero, None, pvars, "z")
 
 
 class TestMPNNLSTM:
@@ -309,7 +303,7 @@ class TestMPNNLSTM:
         sample = random_sample(Rng(13), n=4, d=5, steps=3)
         tape = tp.Tape()
         pvars = tape.bind(state.params)
-        out = model.forward(tape, pvars, state.buffers, [sample], "eval", None)
+        out = model.forward(tape, pvars, state.buffers, [sample], None)
         np.testing.assert_allclose(predict(model, state, [sample]),
                                    out.value[:, 0], rtol=1e-12)
 
@@ -436,6 +430,31 @@ class TestStackTargets:
             stack_targets([smp])
 
 
+class TestEvalForward:
+    """A forward without a random stream is an eval forward: it reads the
+    batch-norm buffers and leaves them, and the parameters, as they were."""
+
+    @pytest.mark.parametrize("model,steps", [
+        (MPNNModel(d=7, k_layers=2, hidden=4), 1),
+        (MPNNLSTMModel(d=7, k_layers=2, hidden=4, seq_len=3), 3),
+    ], ids=["MPNN", "MPNN_LSTM"])
+    def test_only_a_random_stream_moves_the_buffers(self, model, steps):
+        rng = Rng(33)
+        state = model.init_state(rng.spawn("init"))
+        samples = [random_sample(rng, n=4, d=7, steps=steps) for _ in range(2)]
+
+        def state_bytes():
+            return {name: arr.tobytes() for part in (state.params, state.buffers)
+                    for name, arr in part.items()}
+
+        before = state_bytes()
+        predict(model, state, samples)
+        assert state_bytes() == before
+        loss_and_grads(model, state, samples, rng.spawn("dropout"))
+        assert all(state.buffers[name].tobytes() != before[name]
+                   for name in state.buffers)
+
+
 class TestTapeLifetime:
     @pytest.mark.parametrize("model,steps", [
         (MPNNModel(d=7, k_layers=2, hidden=4), 1),
@@ -452,7 +471,7 @@ class TestTapeLifetime:
         try:
             tape = tp.Tape(check_finite=False)
             pvars = tape.bind(state.params)
-            preds = model.forward(tape, pvars, state.buffers, samples, "train",
+            preds = model.forward(tape, pvars, state.buffers, samples,
                                   rng.spawn("dropout"))
             targets = tape.constant(stack_targets(samples))
             loss = tp.mean_all(tp.square(tp.sub(preds, targets)))
@@ -472,7 +491,7 @@ class TestTapeLifetime:
         samples = [random_sample(rng, n=4, d=7, steps=3) for _ in range(2)]
         tape = tp.Tape()
         pvars = tape.bind(state.params)
-        preds = model.forward(tape, pvars, state.buffers, samples, "train",
+        preds = model.forward(tape, pvars, state.buffers, samples,
                               rng.spawn("dropout"))
         loss = tp.mean_all(tp.square(tp.sub(
             preds, tape.constant(stack_targets(samples)))))
@@ -510,7 +529,7 @@ class TestTapeLifetime:
         x = tape.parameter(rng.normal((6, 3)))
         h_prev = tape.parameter(rng.normal((6, 5)))
         c_prev = tape.parameter(rng.normal((6, 5)))
-        h, c = lstm_cell(x, h_prev, c_prev, pvars, "cell")
+        h, c = lstm_cell(x, (h_prev, c_prev), pvars, "cell")
         assert len(gate_values) == 4 and len(products) == 3  # f*c, i*g, o*tanh(c)
         assert [r() for r in gate_values + products[:2]] == [None] * 6
         assert products[2]() is h.value

@@ -519,7 +519,7 @@ class TestRelease:
     @pytest.mark.parametrize("op", [
         tp.mean_all, tp.relu, tp.sigmoid, tp.tanh, tp.hconcat,
         lambda v: tp.block_diag_matmul([np.eye(2), np.ones((3, 1))], v),
-        lambda v: dropout(v, 0.5, Rng(43), "train"),
+        lambda v: dropout(v, 0.5, Rng(43)),
     ], ids=["mean_all", "relu", "sigmoid", "tanh", "hconcat",
             "block_diag_matmul", "dropout"])
     def test_input_not_read_by_backward_dies_with_its_handle(self, op):

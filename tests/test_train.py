@@ -278,7 +278,7 @@ class TestPredict:
         samples = [splits.test, *splits.validation]
         tape = tp.Tape()
         pvars = tape.bind(ckpt.state.params)
-        direct = model.forward(tape, pvars, ckpt.state.buffers, samples, "eval", None)
+        direct = model.forward(tape, pvars, ckpt.state.buffers, samples, None)
         assert np.array_equal(predict(model, ckpt.state, samples), direct.value[:, 0])
 
 
