@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import ctypes
 import dataclasses
+import functools
 import io
 import json
 import os
@@ -260,11 +261,17 @@ def cmd_correlate(args, argv) -> int:
 
 
 def _grid_run(args, argv, checkpoint_dir, load_only=False) -> int:
-    """Evaluate the configured grid; write the report and the manifest."""
+    """Evaluate the configured grid; write the report and the manifest.
+
+    run.json says `running` before anything else in --out changes, then
+    `complete`, `partial` or, on any exception or interrupt, `failed`."""
     from .evaluation import rolling_evaluate
     cfg = resolve_run_config(args)
     datasets = load_bundles(args.bundle)
     make_dir(args.out)   # a bad path fails before any cell trains
+    manifest = functools.partial(write_manifest, args.out, argv,
+                                 dataclasses.asdict(cfg), cfg.seed)
+    manifest("running")   # before any other file changes: a killed run claims no old one
     try:
         for name in ("rows.csv", "summary.json"):   # a failed run leaves no earlier report
             try:
@@ -275,16 +282,14 @@ def _grid_run(args, argv, checkpoint_dir, load_only=False) -> int:
                 raise WriteError(f"cannot remove {exc.filename}: {exc}") from exc
         cells = rolling_evaluate(datasets, cfg, checkpoint_dir, load_only)
         paths = emit_report(cells, args.out)
-    except MobicastError as exc:
-        write_manifest(args.out, argv, dataclasses.asdict(cfg), cfg.seed,
-                       "failed", {"error": str(exc)})
+    except BaseException as exc:   # an interrupt or exit too
+        manifest("failed", {"error": str(exc) or type(exc).__name__})
         raise
     skipped = [cell for cell in cells if cell.reason is not None]
     rows = sum(len(cell.regions) for cell in cells)
-    write_manifest(args.out, argv, dataclasses.asdict(cfg), cfg.seed,
-                   "partial" if skipped else "complete",
-                   {"rows": rows, "skipped_cells": len(skipped),
-                    "countries": [ds.country for ds in datasets]})
+    manifest("partial" if skipped else "complete",
+             {"rows": rows, "skipped_cells": len(skipped),
+              "countries": [ds.country for ds in datasets]})
     print(f"wrote {paths['rows']} ({rows} rows, {len(skipped)} skipped cells)")
     for cell in skipped:
         print(f"skipped {cell_label(cell.key)}: {cell.reason}", file=sys.stderr)
@@ -313,8 +318,9 @@ def cmd_report(args, argv) -> int:
         manifest = read_json(path) if os.path.exists(path) else {}
         if not isinstance(manifest, dict):
             raise DataError(f"{path}: not a JSON object")
-        if manifest.get("status") == "failed":
-            raise DataError(f"{src}: its last command failed ({path}); not merged")
+        if manifest.get("status") in ("failed", "running"):
+            state = "failed" if manifest["status"] == "failed" else "has not finished"
+            raise DataError(f"{src}: its last command {state} ({path}); not merged")
         cells = load_report_rows(os.path.join(src, "rows.csv"))
         keys = {cell.key for cell in cells}
         clash = min(keys & owner.keys(), default=None)

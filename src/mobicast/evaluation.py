@@ -108,14 +108,17 @@ class _CellContext:
 
 
 def _meta_task(ctx: _CellContext, target: str):
-    """The target's shared MPNN_TL initialization, or why meta-training failed.
+    """The target's shared MPNN_TL initialization, or why it has none.
 
     Learns from the task grids of ctx.foreign(target) with a seed derived
     from (seed, "meta", target), and saves <target>__MPNN_TL__meta.ckpt
-    into the checkpoint directory.
+    into the checkpoint directory; a target with no foreign country gets
+    a reason and no file.
     """
     cfg = ctx.config
     foreign = ctx.foreign(target)
+    if not foreign:
+        return "transfer initialization needs at least one other country"
     seed = derive_seed(cfg.seed, "meta", target)
     model = build_model("MPNN", cfg.train)
     try:
@@ -151,8 +154,6 @@ def _trainable_cell(ctx: _CellContext, country: str, model_name: str, t: int,
         if not os.path.exists(path):
             raise CheckpointError(f"missing checkpoint for cell {cell_label(key)}: {path}")
         outcome = load_checkpoint(path, model, cell)
-    elif model_name == "MPNN_TL" and not ctx.foreign(country):
-        outcome = "transfer initialization needs at least one other country"
     else:
         outcome = shared   # a reason string skips the cell as it stands
     if not isinstance(outcome, str):
@@ -189,8 +190,9 @@ def evaluate_cell(ctx: _CellContext, country: str, model_name: str, t: int,
     of ctx.foreign(country).  A cell is skipped, with its reason, when it
     lacks the data its model needs (a baseline's whole unit, then, with one
     reason), its training diverged (a non-finite loss, or a non-finite
-    validation or test forecast), it has no shared initialization or no
-    foreign country, or its baseline forecast is not finite.
+    validation or test forecast), it has no shared initialization (its
+    meta-training failed, or it has no foreign country), or its baseline
+    forecast is not finite.
     """
     if model_name in TRAINABLE_MODELS:
         (j,) = horizons
@@ -300,8 +302,8 @@ def rolling_evaluate(datasets, config: EvalConfig, checkpoint_dir: str,
         normalized_graphs(ds)   # once, before any worker forks
     ctx = _CellContext(datasets={ds.country: ds for ds in datasets}, config=config,
                        checkpoint_dir=checkpoint_dir, load_only=load_only)
-    # one meta-training per target country with a foreign country to learn from
-    targets = ([country for country in ctx.datasets if ctx.foreign(country)]
+    # one meta task per target country: its MPNN_TL cells' initialization
+    targets = (list(ctx.datasets)
                if "MPNN_TL" in config.models and not load_only else [])
     with _submitter(ctx, len(targets) + len(units)) as submit:
         metas = {target: submit(_meta_task, target) for target in targets}

@@ -221,6 +221,7 @@ def train_model(splits: SplitSpec, model, config: TrainConfig, seed: int,
             sq_sum += loss * batch_rows
             rows += batch_rows
             state.params = adam_step(state.params, grads, adam, config.lr)
+            del grads   # not held through the next forward or the validation pass
         with divergence_at(epoch):
             val_mae = _validation_mae(model, state, splits.validation)
         if log_fn is not None:

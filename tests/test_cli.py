@@ -455,6 +455,35 @@ class TestTrainCommand:
         assert manifest["status"] == "complete"
         assert manifest["config"]["train"]["hidden"] == 2
 
+    def test_run_json_says_running_while_cells_train(self, tmp_path, monkeypatch):
+        # the rerun's run.json is first, before the old report goes, so a
+        # kill at any point leaves no manifest claiming the earlier run
+        bundle, _ = make_bundle(tmp_path)
+        out = str(tmp_path / "out")
+        argv = ["train", "--bundle", bundle, "--model", "mpnn", "--t", "14",
+                "--horizon", "1", "--config", write_config(tmp_path), "--out", out]
+        assert main(argv) == 0
+        with open(os.path.join(out, "run.json"), "rb") as fh:
+            final = fh.read()
+        seen = []
+        real = evaluation.train_model
+
+        def train_model(*args, **kwargs):
+            seen.append((read_manifest(out), sorted(os.listdir(out))))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "train_model", train_model)
+        assert main([*argv, "--seed", "3"]) == 0
+        (manifest, listing), = seen
+        assert (manifest["status"], manifest["seed"]) == ("running", 3)
+        assert manifest["config_hash"] == config_digest(manifest["config"])
+        assert manifest["config"]["seed"] == 3 and "error" not in manifest
+        assert listing == ["checkpoints", "run.json"]
+        assert read_manifest(out)["status"] == "complete"
+        assert main(argv) == 0
+        with open(os.path.join(out, "run.json"), "rb") as fh:
+            assert fh.read() == final
+
     def test_country_id_holding_a_path_is_rejected(self, tmp_path, capsys):
         # the country id names checkpoint files: "../../evil" would put them
         # beside --out, not under it
@@ -1289,6 +1318,40 @@ class TestReportCommand:
         with pytest.raises(KeyboardInterrupt):
             main(argv)
         assert sorted(os.listdir(run)) == ["run.json"]
+        manifest = read_manifest(run)
+        assert (manifest["status"], manifest["error"]) == ("failed", "KeyboardInterrupt")
+
+    def test_exit_with_a_message_records_it(self, tmp_path, monkeypatch):
+        run = tmp_path / "run0"
+
+        def exiting(*args, **kwargs):
+            raise SystemExit("stopped by a signal handler")
+
+        monkeypatch.setattr(evaluation, "rolling_evaluate", exiting)
+        with pytest.raises(SystemExit):
+            main(["train", "--bundle", make_bundle(tmp_path)[0], "--model", "avg",
+                  "--t", "14", "--horizon", "1", "--out", str(run)])
+        manifest = read_manifest(run)
+        assert (manifest["status"], manifest["error"]) == \
+            ("failed", "stopped by a signal handler")
+
+    def test_input_still_running_rejected(self, tmp_path, capsys):
+        # a run.json that still says running belongs to a command that was
+        # killed or has not ended: its rows.csv may be an earlier run's
+        run = str(tmp_path / "run0")
+        assert main(["train", "--bundle", make_bundle(tmp_path)[0], "--model",
+                     "last_day", "--t", "14", "--horizon", "1", "--out", run]) == 0
+        path = os.path.join(run, "run.json")
+        manifest = read_manifest(run)
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({**manifest, "status": "running"}, fh)
+        capsys.readouterr()
+        merged = tmp_path / "merged"
+        assert main(["report", run, "--out", str(merged)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {run}: its last command has not finished ({path}); " \
+                      f"not merged\n"
+        assert not merged.exists()
 
     @pytest.mark.parametrize("manifest,message", [
         (b"[]", "not a JSON object"), (b"{", "invalid JSON"),

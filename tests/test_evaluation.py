@@ -801,7 +801,9 @@ class TestForeignList:
         assert report_rows(scored(pooled)) == report_rows(scored(report))
         assert skips(pooled) == skips(report)
 
-    def test_one_country_submits_no_meta_task(self, monkeypatch, tmp_path):
+    def test_one_country_meta_task_trains_nothing(self, monkeypatch, tmp_path):
+        # the lone country's meta task is the one place that skips its
+        # MPNN_TL cells: it meta-trains nothing and writes no meta checkpoint
         seen = self.record_foreign(monkeypatch)
         submitted = []
         real = evaluation._meta_task
@@ -816,7 +818,8 @@ class TestForeignList:
         assert skips(report) == [
             ("AA", "MPNN_TL", t, 1, "transfer initialization needs at least one "
                                     "other country") for t in (14, 15)]
-        assert submitted == [] and seen == []
+        assert submitted == ["AA"] and seen == []
+        assert not (tmp_path / "AA__MPNN_TL__meta.ckpt").exists()
 
 
 class TestBaselineUnits:

@@ -1,11 +1,17 @@
 """Determinism and distribution checks for the SplitMix64 stream."""
 
+import dataclasses
 import hashlib
+import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from mobicast import cli
 from mobicast.errors import ContractError
 from mobicast.rng import Rng, derive_seed, sha256
 
@@ -228,6 +234,55 @@ class TestSha256:
         for byte in data:
             h.update(bytes([byte]))
         assert h.hexdigest() == digest
+
+
+# In a fresh interpreter: block the modules named in argv[1], then report
+# null if argv[2]'s sha256 cannot load, else whether mobicast.rng took it and
+# the digests that derive_seed and cli.config_digest give there.
+SHA256_PROBE = """
+import dataclasses, importlib, json, sys
+for name in json.loads(sys.argv[1]):
+    sys.modules[name] = None   # an import of it raises ImportError
+try:
+    expected = importlib.import_module(sys.argv[2]).sha256
+except (ImportError, AttributeError):
+    print("null")
+    sys.exit(0)
+from mobicast import cli, rng
+print(json.dumps({
+    "taken": rng.sha256 is expected,
+    "seeds": [rng.derive_seed(*args) for args in json.loads(sys.argv[3])],
+    "config_hash": cli.config_digest(dataclasses.asdict(cli.run_config_from_dict({}))),
+}))
+"""
+
+
+class TestSha256Branches:
+    """rng takes CPython's _sha2 (3.12+), _sha256 (3.10-3.11) or hashlib's
+    sha256; cell seeds and config hashes must not depend on which."""
+
+    SEED_ARGS = [[0], [7, "AA", 14, 1], [2**63 + 5, "meta", "BB"],
+                 [3, -4, "\u00e9"], [123456789, 2**40, "MPNN_TL", 99]]
+
+    @pytest.mark.parametrize("module,blocked", [
+        ("_sha2", []), ("_sha256", ["_sha2"]), ("hashlib", ["_sha2", "_sha256"])])
+    def test_every_branch_gives_the_same_digests(self, module, blocked):
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        proc = subprocess.run(
+            [sys.executable, "-c", SHA256_PROBE, json.dumps(blocked), module,
+             json.dumps(self.SEED_ARGS)],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        probe = json.loads(proc.stdout)
+        if probe is None:
+            pytest.skip(f"{module} has no sha256 on Python {sys.version.split()[0]}")
+        assert probe == {
+            "taken": True,
+            "seeds": [derive_seed(*args) for args in self.SEED_ARGS],
+            "config_hash": cli.config_digest(
+                dataclasses.asdict(cli.run_config_from_dict({}))),
+        }
 
 
 class TestPinnedOutputs:

@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -262,6 +263,31 @@ class TestTrainModel:
                     log_fn=logs.append)
         assert [r["epoch"] for r in logs] == [1, 2, 3, 4]
         assert all(set(r) == {"epoch", "train_loss", "val_mae"} for r in logs)
+
+    def test_batch_gradients_freed_before_next_forward(self, monkeypatch):
+        # a step holds its own arrays only: the previous batch's gradients are
+        # gone when the next batch's forward or the epoch's validation starts
+        splits, model = tiny_setup()
+        last = [lambda: None]   # weak reference to one gradient of the last batch
+        checks = []
+        real_loss, real_val = train_mod.loss_and_grads, train_mod._validation_mae
+
+        def loss_and_grads(*args):
+            checks.append(last[0]() is None)
+            loss, grads = real_loss(*args)
+            last[0] = weakref.ref(grads[min(grads)])
+            return loss, grads
+
+        def validation_mae(*args):
+            checks.append(last[0]() is None)
+            return real_val(*args)
+
+        monkeypatch.setattr(train_mod, "loss_and_grads", loss_and_grads)
+        monkeypatch.setattr(train_mod, "_validation_mae", validation_mae)
+        cfg = TrainConfig(max_epochs=2, batch_size=2, dropout=0.0)
+        train_model(splits, model, cfg, 0)
+        batches = math.ceil(len(splits.train) / cfg.batch_size)
+        assert batches > 1 and checks == [True] * (1 + 2 * (batches + 1))
 
 
 class TestPredict:
