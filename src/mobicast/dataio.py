@@ -23,8 +23,6 @@ from .errors import BundleError, ContractError, DataError, ShapeError, WriteErro
 from .rng import Rng, derive_seed
 
 BUNDLE_FORMAT_VERSION = "2"
-# every character str.splitlines() breaks on, so no id can split a report row
-_LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 # what a country id may not hold: checkpoint file names carry it
 _PATH_CHARS = "/\x00" + os.sep + (os.altsep or "")
 
@@ -188,8 +186,8 @@ class CountryDataset:
         if mobility.flags.writeable and (mobility is given or not mobility.flags.owndata):
             mobility = mobility.copy()
         n, t = len(regions), len(dates)
-        for name in (str(country), *regions):
-            if any(ch in name for ch in "," + _LINE_BREAKS):
+        for name in (str(country), *regions):   # so no id can split a report row
+            if "," in name or "".join(name.splitlines()) != name:
                 raise DataError(f"id {name!r} contains a comma or line break, "
                                 f"which report rows cannot hold")
         if any(ch in str(country) for ch in _PATH_CHARS):
@@ -261,9 +259,16 @@ class CountryDataset:
 # ---------------------------------------------------------------- loaders
 
 def load_region_map(path: str) -> dict:
-    """Two-column CSV source_name,region_id used to reconcile naming schemes."""
+    """Two-column CSV source_name,region_id used to reconcile naming schemes;
+    a source name listed twice is an error naming the second line."""
     _, rows = _csv_rows(path, "source_name,region_id")
-    return {source.strip(): region.strip() for _, (source, region) in rows}
+    out = {}
+    for line_no, (source, region) in rows:
+        source = source.strip()
+        if source in out:
+            raise DataError(f"{path}:{line_no}: repeats source name {source!r}")
+        out[source] = region.strip()
+    return out
 
 
 def _resolve_region(name: str, regions_idx: dict, region_map, path: str, line_no: int) -> int:
@@ -402,8 +407,8 @@ class SyntheticConfig:
             raise DataError("synthetic counts must be >= 1")
         if not 0.0 <= self.underreporting <= 1.0:
             raise DataError("underreporting must be in [0, 1]")
-        if self.base_rate < 0 or self.self_loop_strength < 0:
-            raise DataError("rates must be >= 0")
+        if not (0 <= self.base_rate < np.inf and 0 <= self.self_loop_strength < np.inf):
+            raise DataError("rates must be finite and >= 0")   # NaN fails too
 
 
 def generate_synthetic(config: SyntheticConfig) -> list:

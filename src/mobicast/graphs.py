@@ -4,7 +4,6 @@ graph and case window of each of the seq_len days ending at its anchor."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -17,17 +16,13 @@ class GraphSample:
     """One supervised instance: graph/feature inputs at an anchor, target at t+j.
 
     `graphs` holds one (a_norm, x) pair per day the sample reads, oldest
-    first, ending at the anchor day.  `target` is None when the target day
-    lies beyond the dataset (pure-forecast sample).
+    first, ending at the anchor day; `target` holds the cases of day
+    anchor + horizon.
     """
     anchor: int
     horizon: int
     graphs: tuple
-    target: Optional[np.ndarray]
-
-    @property
-    def n(self) -> int:
-        return self.graphs[-1][1].shape[0]
+    target: np.ndarray
 
     @property
     def target_day(self) -> int:
@@ -58,9 +53,8 @@ def _sample_at(dataset: CountryDataset, t: int, d: int, j: int,
                seq_len: int) -> GraphSample:
     pairs = tuple((_graph_on(dataset, day), dataset.case_window(day, d))
                   for day in range(t - seq_len + 1, t + 1))
-    target_day = t + j
-    target = dataset.cases_on(target_day).copy() if target_day <= dataset.t_total else None
-    return GraphSample(anchor=t, horizon=j, graphs=pairs, target=target)
+    return GraphSample(anchor=t, horizon=j, graphs=pairs,
+                       target=dataset.cases_on(t + j).copy())
 
 
 def assemble_samples(dataset: CountryDataset, d: int, j: int, t_end: int,
@@ -70,7 +64,8 @@ def assemble_samples(dataset: CountryDataset, d: int, j: int, t_end: int,
     Each sample reads days t-seq_len+1..t of its anchor t.  Returns one
     sample per anchor with full feature windows and target t+j <= t_end,
     ordered by target day.  With include_test, the single anchor-t_end
-    sample (target beyond t_end, possibly unlabeled) is appended.
+    sample (target beyond t_end) is appended; a target day past the data
+    is a DataError.
     """
     if j < 1:
         raise ContractError(f"horizon must be >= 1, got {j}")

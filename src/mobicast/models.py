@@ -35,12 +35,8 @@ class ModelState:
 
 def stack_targets(samples) -> np.ndarray:
     """Targets of a batch as one (sum n_i) x 1 column, sample order preserved."""
-    cols = []
-    for smp in samples:
-        if smp.target is None:
-            raise ContractError(f"sample at anchor {smp.anchor} has no target")
-        cols.append(np.asarray(smp.target, dtype=np.float64).reshape(-1, 1))
-    return np.vstack(cols)
+    return np.vstack([np.asarray(smp.target, dtype=np.float64).reshape(-1, 1)
+                      for smp in samples])
 
 
 def check_feature_mode(mode: str) -> None:

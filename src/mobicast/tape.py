@@ -33,10 +33,6 @@ class _Node:
         self.requires_grad = requires_grad
 
 
-def _spent(g):
-    raise ContractError("this backward closure has already run")
-
-
 class Var:
     """Handle to one node on a tape; it owns the node's value."""
 
@@ -113,7 +109,7 @@ class Tape:
                 continue
             grads[i] = None  # spent: only leaf gradients outlive backward
             contribs = node.backward(g)
-            node.backward = _spent  # frees what the closure captured
+            node.backward = None  # frees what the closure captured
             for p, contrib in zip(node.parents, contribs):
                 if contrib is None or not self._nodes[p].requires_grad:
                     continue

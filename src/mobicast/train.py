@@ -13,7 +13,7 @@ from __future__ import annotations
 import contextlib
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -188,8 +188,7 @@ def _param_norms(params: dict) -> str:
 
 
 def train_model(splits: SplitSpec, model, config: TrainConfig, seed: int,
-                init_state: Optional[ModelState] = None,
-                log_fn: Optional[Callable[[dict], None]] = None) -> Checkpoint:
+                init_state: Optional[ModelState] = None) -> Checkpoint:
     """Adam training with seeded shuffling and early stopping; returns the best state."""
     if not splits.train or not splits.validation:
         raise InsufficientDataError("train_model needs nonempty train and validation sets")
@@ -207,26 +206,18 @@ def train_model(splits: SplitSpec, model, config: TrainConfig, seed: int,
     train = splits.train
     for epoch in range(1, config.max_epochs + 1):
         order = shuffle_rng.permutation(len(train))
-        sq_sum = 0.0
-        rows = 0
         for start in range(0, len(order), config.batch_size):
             batch = [train[i] for i in order[start:start + config.batch_size]]
-            loss, grads = loss_and_grads(model, state, batch, dropout_rng)
+            _, grads = loss_and_grads(model, state, batch, dropout_rng)
             if grads is None:
                 raise TrainingDivergedError(
                     f"non-finite loss at epoch {epoch}, batch "
                     f"{start // config.batch_size}; "
                     f"largest parameters: {_param_norms(state.params)}")
-            batch_rows = sum(smp.n for smp in batch)
-            sq_sum += loss * batch_rows
-            rows += batch_rows
             state.params = adam_step(state.params, grads, adam, config.lr)
             del grads   # not held through the next forward or the validation pass
         with divergence_at(epoch):
             val_mae = _validation_mae(model, state, splits.validation)
-        if log_fn is not None:
-            log_fn({"epoch": epoch, "train_loss": sq_sum / max(rows, 1),
-                    "val_mae": val_mae})
         if val_mae < best.val_error:
             best = Checkpoint(model, state.clone(), val_mae, epoch, epoch)
             stale = 0

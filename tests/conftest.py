@@ -58,16 +58,15 @@ def small_synthetic(seed=0, n=5, days=40, countries=1, jitter=True):
     return data[0] if countries == 1 else data
 
 
-def random_sample(rng, n=4, d=7, steps=1, horizon=1, with_target=True):
+def random_sample(rng, n=4, d=7, steps=1, horizon=1):
     """Random GraphSample with row-normalized mobility and nonnegative features."""
     pairs = []
     for _ in range(steps):
         a = normalize_incoming(rng.uniform(0.0, 5.0, (n, n)))
         x = rng.uniform(0.0, 20.0, (n, d))
         pairs.append((a, x))
-    target = rng.uniform(0.0, 30.0, n) if with_target else None
     return GraphSample(anchor=d + steps - 1, horizon=horizon,
-                       graphs=tuple(pairs), target=target)
+                       graphs=tuple(pairs), target=rng.uniform(0.0, 30.0, n))
 
 
 class FirstFeatureModel:

@@ -263,6 +263,16 @@ class TestSynth:
             trees.append(read_tree(os.path.join(out, "C0")))
         assert trees[0] != trees[1]
 
+    @pytest.mark.parametrize("flag", ["--base-rate", "--self-loop"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_rate_rejected_before_writing(self, tmp_path, capsys,
+                                                     flag, value):
+        out = str(tmp_path / "out")
+        assert main(["synth", "--regions", "3", "--days", "16", "--countries", "1",
+                     flag, value, "--out", out]) == 1
+        assert capsys.readouterr().err == "error: rates must be finite and >= 0\n"
+        assert not os.path.exists(out)
+
 
 class TestIngest:
     def write_raw(self, tmp_path, mobility_names=("a", "b", "c")):
@@ -310,6 +320,22 @@ class TestIngest:
                    "--min-total-cases", "0", "--out", out])
         assert rc == 0
         assert load_bundle(out).regions == ("a", "b", "c")
+
+    def test_region_map_source_listed_twice_rejected(self, tmp_path, capsys):
+        # a dict of the rows would keep the later one and send Alpha's flows to c
+        self.write_raw(tmp_path, mobility_names=("Alpha", "b", "c"))
+        (tmp_path / "map.csv").write_text("source_name,region_id\nAlpha,a\nAlpha,c\n")
+        out = str(tmp_path / "bundle")
+        rc = main(["ingest", "--country", "XX",
+                   "--cases", str(tmp_path / "cases.csv"),
+                   "--mobility", str(tmp_path / "mobility.csv"),
+                   "--regions-file", str(tmp_path / "regions.txt"),
+                   "--region-map", str(tmp_path / "map.csv"),
+                   "--min-total-cases", "0", "--out", out])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / 'map.csv'}:3: repeats source name 'Alpha'\n")
+        assert not os.path.exists(out)
 
     def test_region_id_with_comma_rejected(self, tmp_path, capsys):
         regions = ["Bolzano, South Tyrol", "b"]
@@ -847,6 +873,22 @@ class TestEvaluateCommand:
             expected = fh.read()
         with open(os.path.join(out, "rows.csv"), "rb") as fh:
             assert fh.read() == expected
+
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_rerun_into_same_out_keeps_run_json_bytes(self, tmp_path, command):
+        # the manifest records no timestamp, so a rerun rewrites it as it was
+        _, _, argv, out = self.trained(tmp_path)   # the first train run
+        if command == "evaluate":
+            argv = [*argv, "--checkpoints", os.path.join(out, "checkpoints")]
+            out = str(tmp_path / "eval")
+            assert main([command, *argv, "--out", out]) == 0
+        path = os.path.join(out, "run.json")
+        with open(path, "rb") as fh:
+            first = fh.read()
+        assert main([command, *argv, "--out", out]) == 0
+        with open(path, "rb") as fh:
+            assert fh.read() == first
+        assert json.loads(first)["status"] == "complete"
 
     def test_missing_checkpoint_names_cell(self, tmp_path, capsys):
         bundle, _ = make_bundle(tmp_path)

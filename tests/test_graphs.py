@@ -181,11 +181,10 @@ class TestAssembleSamples:
         assert samples[-1].anchor == 14
         np.testing.assert_array_equal(samples[-1].target, ds.cases_on(16))
 
-    def test_test_target_beyond_data_is_none(self):
+    def test_test_target_beyond_data_rejected(self):
         ds = make_ramp_dataset(n=2, days=15)
-        samples = assemble_samples(ds, d=7, j=3, t_end=15, include_test=True)
-        assert samples[-1].anchor == 15
-        assert samples[-1].target is None
+        with pytest.raises(DataError, match="day 18 outside 1..15"):
+            assemble_samples(ds, d=7, j=3, t_end=15, include_test=True)
 
     def test_targets_never_exceed_t_end(self):
         ds = make_ramp_dataset(n=2, days=40)

@@ -461,7 +461,7 @@ class TestTlBaseTrain:
         target = make_ramp_dataset(n=3, days=20, country="BB")
         captured = {}
 
-        def recorder(splits, model, config, seed, init_state=None, log_fn=None):
+        def recorder(splits, model, config, seed, init_state=None):
             captured["splits"] = splits
             return Checkpoint(model, model.init_state(Rng(0)), 0.0, 0, 0)
 
@@ -472,13 +472,13 @@ class TestTlBaseTrain:
         splits = captured["splits"]
         foreign_universe = assemble_samples(foreign, 3, 2, t_end=18)
         assert len(splits.train) == len(foreign_universe) + len(plain.train)
-        assert [s.n for s in splits.train[:len(foreign_universe)]] == \
+        assert [len(s.target) for s in splits.train[:len(foreign_universe)]] == \
                [2] * len(foreign_universe)
-        assert [s.n for s in splits.train[len(foreign_universe):]] == \
+        assert [len(s.target) for s in splits.train[len(foreign_universe):]] == \
                [3] * len(plain.train)
         assert [(s.anchor, s.target_day) for s in splits.validation] == \
                [(s.anchor, s.target_day) for s in plain.validation]
-        assert splits.test.anchor == 15 and splits.test.n == 3
+        assert splits.test.anchor == 15 and len(splits.test.target) == 3
 
     def test_trains_across_mixed_region_counts(self):
         datasets = [make_ramp_dataset(n=2, days=18, country="AA"),

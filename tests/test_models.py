@@ -424,11 +424,6 @@ class TestStackTargets:
         np.testing.assert_array_equal(y[:2, 0], samples[0].target)
         np.testing.assert_array_equal(y[2:, 0], samples[1].target)
 
-    def test_missing_target_rejected(self):
-        smp = random_sample(Rng(1), n=2, with_target=False)
-        with pytest.raises(ContractError, match="no target"):
-            stack_targets([smp])
-
 
 class TestEvalForward:
     """A forward without a random stream is an eval forward: it reads the

@@ -13,6 +13,7 @@ from mobicast import tape as tp
 from mobicast.errors import (
     CheckpointError,
     ContractError,
+    DataError,
     InsufficientDataError,
     TrainingDivergedError,
 )
@@ -82,10 +83,10 @@ class TestMakeSplits:
         assert splits.test.anchor == 14
         assert splits.test.target_day == 15
 
-    def test_test_sample_may_lack_target(self):
+    def test_test_target_beyond_data_rejected(self):
         ds = make_ramp_dataset(n=3, days=15)
-        splits = make_splits(ds, t=14, j=2, d=7)
-        assert splits.test.target is None  # day 16 is beyond the data
+        with pytest.raises(DataError, match="day 16 outside 1..15"):
+            make_splits(ds, t=14, j=2, d=7)
 
     def test_train_validation_partition_pool(self):
         rng = Rng(20)
@@ -142,21 +143,49 @@ class TestMseLoss:
         assert grads["w"].tolist() == [[2.0]]
 
 
-class TestTrainModel:
-    def test_loss_decreases_on_learnable_data(self):
-        splits, model = tiny_setup(dropout=0.0)
-        logs = []
-        cfg = TrainConfig(max_epochs=30, lr=1e-2, dropout=0.0)
-        train_model(splits, model, cfg, 3, log_fn=logs.append)
-        assert len(logs) == 30
-        assert logs[-1]["train_loss"] < logs[0]["train_loss"]
+def record_epochs(monkeypatch):
+    """Wrap train.loss_and_grads and train._validation_mae; the returned
+    list gets, per epoch, its (row-weighted mean training loss, validation
+    MAE), with the initialization's validation as epoch 0 (loss None)."""
+    epochs = []
+    sums = [0.0, 0]   # this epoch's sum of loss x rows, and its rows
+    real_loss, real_val = train_mod.loss_and_grads, train_mod._validation_mae
 
-    def test_best_checkpoint_tracks_validation(self):
+    def loss_and_grads(model, state, batch, rng):
+        loss, grads = real_loss(model, state, batch, rng)
+        rows = sum(len(smp.target) for smp in batch)
+        sums[0] += loss * rows
+        sums[1] += rows
+        return loss, grads
+
+    def validation_mae(*args):
+        mae = real_val(*args)
+        epochs.append((sums[0] / sums[1] if sums[1] else None, mae))
+        sums[:] = [0.0, 0]
+        return mae
+
+    monkeypatch.setattr(train_mod, "loss_and_grads", loss_and_grads)
+    monkeypatch.setattr(train_mod, "_validation_mae", validation_mae)
+    return epochs
+
+
+class TestTrainModel:
+    def test_loss_decreases_on_learnable_data(self, monkeypatch):
         splits, model = tiny_setup(dropout=0.0)
-        logs = []
+        logs = record_epochs(monkeypatch)
+        cfg = TrainConfig(max_epochs=30, lr=1e-2, dropout=0.0)
+        train_model(splits, model, cfg, 3)
+        losses = [loss for loss, _ in logs[1:]]
+        assert len(losses) == 30
+        assert losses[-1] < losses[0]
+
+    def test_best_checkpoint_tracks_validation(self, monkeypatch):
+        splits, model = tiny_setup(dropout=0.0)
+        logs = record_epochs(monkeypatch)
         cfg = TrainConfig(max_epochs=20, lr=1e-2, dropout=0.0)
-        ckpt = train_model(splits, model, cfg, 3, log_fn=logs.append)
-        assert ckpt.val_error <= min(r["val_mae"] for r in logs)
+        ckpt = train_model(splits, model, cfg, 3)
+        monkeypatch.undo()
+        assert ckpt.val_error <= min(mae for _, mae in logs[1:])
         replayed = train_mod._validation_mae(model, ckpt.state, splits.validation)
         assert replayed == pytest.approx(ckpt.val_error, rel=1e-12)
         assert ckpt.stopped_epoch == 20
@@ -255,14 +284,6 @@ class TestTrainModel:
                                  "constant: produced non-finite values$"):
             train_model(splits, model, TrainConfig(max_epochs=1, dropout=0.0), 0,
                         init_state=init)
-
-    def test_log_records_sequential_epochs(self):
-        splits, model = tiny_setup()
-        logs = []
-        train_model(splits, model, TrainConfig(max_epochs=4, dropout=0.0), 0,
-                    log_fn=logs.append)
-        assert [r["epoch"] for r in logs] == [1, 2, 3, 4]
-        assert all(set(r) == {"epoch", "train_loss", "val_mae"} for r in logs)
 
     def test_batch_gradients_freed_before_next_forward(self, monkeypatch):
         # a step holds its own arrays only: the previous batch's gradients are
